@@ -57,8 +57,13 @@ def _emit(args, payload: dict, rows=None) -> None:
 
 
 def _load_json(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise IetLabError(str(exc)) from None
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise IetLabError(f"{path} is not valid JSON: {exc}") from None
 
 
 def _load_iet(args, ctx) -> Iet | PeriodicIet:
@@ -218,18 +223,15 @@ def _cmd_birkhoff(args, ctx):
     obj = _load_iet(args, ctx)
     iet = _plain_iet(obj)
     phi = cocycle_from_json(_load_json(args.cocycle), ctx)
-    from .cocycles import birkhoff_sum, _geometric_checkpoints
+    from .cocycles import forward_birkhoff, _geometric_checkpoints
 
-    x0 = ctx.real(args.x0) * iet.total
+    x = ctx.real(args.x0) * iet.total
     rows = []
     cur = 0
     acc = tuple(0 for _ in range(phi.dim))
-    checkpoints = _geometric_checkpoints(args.n)
-    x = x0
-    for n in checkpoints:
-        step = birkhoff_sum(phi, iet, x, n - cur)
+    for n in _geometric_checkpoints(args.n):
+        step, x = forward_birkhoff(phi, iet, x, n - cur)
         acc = tuple(a + s for a, s in zip(acc, step))
-        x = iet.orbit(x, n - cur)[-1]
         cur = n
         rows.append((n, ctx.str_of(max(abs(v) for v in acc), 17)))
     _emit(args, {"csv_header": "n,sup_norm",
@@ -377,9 +379,6 @@ def run(argv=None) -> int:
     try:
         return _COMMANDS[args.command](args, ctx)
     except IetLabError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    except FileNotFoundError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

@@ -6,8 +6,12 @@ positions as integer combinations of the length vector (which is closed
 under the dynamics), locates intervals through a float shadow, and falls
 back to high-precision sign evaluation whenever the shadow comes within
 a guard band of a breakpoint; visit counts from it are exact integers.
-The float engine drops the integer bookkeeping for long statistical
-sweeps and instead aborts or skips a sample on any guard-band hit, so
+The float lane (``float_walk``) drops the integer bookkeeping for the
+long statistical sweeps, ``deviation_sweep`` and the skew-product
+simulation, under one guard rule: a sample is skipped (and counted) as
+soon as its point comes within GUARD * |I| of either endpoint of its
+located interval, at every step including the first, or within that
+distance to the right of a step cocycle's jump in that interval.  So
 measure-zero collisions cannot silently poison the statistics.
 
 Renormalization exploits self-similarity: for a periodic-type exchange
@@ -19,16 +23,18 @@ piecewise-linear cocycle through all depths in closed form.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from heapq import heappop, heappush
+from itertools import accumulate, islice
 
 from . import intmat
 from .errors import (DomainError, KeaneViolation, NearBreakpoint,
-                     NotNormalized, Unsupported)
+                     NotNormalized, Unsupported, reading_spec)
 from .precision import kronecker_samples
 from .rauzy import Iet, PeriodicIet
 
-GUARD = 1e-9  # float-shadow band around breakpoints that forces exact checks
+GUARD = 1e-9  # guard band around breakpoints, relative to |I| in the float lane
 
 
 # ---------------------------------------------------------------------------
@@ -138,10 +144,15 @@ def evaluate(cocycle: Cocycle, iet: Iet, x, step_index=None) -> tuple:
     if isinstance(cocycle, PiecewiseLinearCocycle):
         return tuple(cocycle.slopes[a][i] * x + cocycle.constants[a][i]
                      for i in range(cocycle.dim))
-    out = list(cocycle.values[a])
-    for g, j in cocycle.jumps:
+    return _step_value(cocycle, iet, a, x)
+
+
+def _step_value(phi: StepCocycle, iet: Iet, a: int, x) -> tuple:
+    """Value of a step cocycle at x, already located in interval a."""
+    out = list(phi.values[a])
+    for g, j in phi.jumps:
         if iet.left[a] < g <= x:
-            for i in range(cocycle.dim):
+            for i in range(phi.dim):
                 out[i] = out[i] + j[i]
         elif g > x:
             break
@@ -467,19 +478,22 @@ def birkhoff_visit_counts(iet: Iet, x, n: int) -> tuple:
     return tuple(counts)
 
 
+def forward_birkhoff(cocycle: Cocycle, iet: Iet, x, n: int) -> tuple:
+    """(S_n phi(x), T^n x) for n >= 0, walking the orbit once."""
+    acc = [0] * cocycle.dim
+    cur = x
+    for k in range(n):
+        val = evaluate(cocycle, iet, cur, step_index=k)
+        for i in range(cocycle.dim):
+            acc[i] = acc[i] + val[i]
+        cur = iet.apply(cur, step_index=k)
+    return tuple(acc), cur
+
+
 def birkhoff_sum(cocycle: Cocycle, iet: Iet, x, n: int) -> tuple:
     """Cocycle sum along the orbit: standard three-case definition."""
-    if n == 0:
-        return tuple(0 for _ in range(cocycle.dim))
-    if n > 0:
-        acc = [0] * cocycle.dim
-        cur = x
-        for k in range(n):
-            val = evaluate(cocycle, iet, cur, step_index=k)
-            for i in range(cocycle.dim):
-                acc[i] = acc[i] + val[i]
-            cur = iet.apply(cur, step_index=k)
-        return tuple(acc)
+    if n >= 0:
+        return forward_birkhoff(cocycle, iet, x, n)[0]
     inv = iet.inverse()
     acc = [0] * cocycle.dim
     cur = x
@@ -807,7 +821,7 @@ class Renormalizer:
             positions, alphas, _w = self._stage[b]
             acc = [0] * dim
             for p, a in zip(positions, alphas):
-                val = _eval_step_at(phi, iet, a, p)
+                val = _step_value(phi, iet, a, p)
                 for i in range(dim):
                     acc[i] = acc[i] + val[i]
             new_values.append(tuple(acc))
@@ -881,18 +895,6 @@ class Renormalizer:
 
     def sup_norm(self, state: RenormState):
         return sup_norm(state.cocycle, self.iet)
-
-
-
-def _eval_step_at(phi: StepCocycle, iet: Iet, a: int, x) -> tuple:
-    out = list(phi.values[a])
-    for g, j in phi.jumps:
-        if iet.left[a] < g <= x:
-            for i in range(phi.dim):
-                out[i] = out[i] + j[i]
-        elif g > x:
-            break
-    return tuple(out)
 
 
 def renormalize(cocycle: Cocycle, periodic: PeriodicIet, k: int, l: int,
@@ -973,7 +975,7 @@ def m_index_bruteforce(periodic: PeriodicIet, x, n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# deviation sweeps (float lane)
+# float orbit lane: deviation sweeps
 
 
 @dataclass(frozen=True)
@@ -1005,69 +1007,119 @@ def _geometric_checkpoints(n_max: int, per_decade: int = 8) -> list:
     return out
 
 
-def _float_mirror(iet: Iet):
+@dataclass(frozen=True)
+class FloatMirror:
+    """Float geometry of an exchange, intervals in position order."""
+
+    lefts: tuple
+    rights: tuple
+    moves: tuple
+    letters: tuple
+    guard: float  # GUARD * |I|
+
+
+def float_mirror(iet: Iet) -> FloatMirror:
     order = iet.order0
-    lefts = [float(iet.left[a]) for a in order]
-    rights = [float(iet.right[a]) for a in order]
-    moves = [float(iet.translations[a]) for a in order]
-    letters = list(order)
-    return lefts, rights, moves, letters
+    return FloatMirror(tuple(float(iet.left[a]) for a in order),
+                       tuple(float(iet.right[a]) for a in order),
+                       tuple(float(iet.translations[a]) for a in order),
+                       tuple(order), GUARD * float(iet.total))
+
+
+@dataclass(frozen=True)
+class FloatTable:
+    """Per-slot float tables of a step or piecewise linear cocycle.
+
+    ``values[i][slot]`` is coordinate i's step value (step cocycles) or
+    slope (``constants`` set, piecewise linear ones); ``jumps`` holds
+    (slot, gamma, jump vector) per interior jump.
+    """
+
+    dim: int
+    values: tuple
+    constants: tuple | None
+    jumps: tuple
+
+
+def float_table(cocycle: Cocycle, mirror: FloatMirror) -> FloatTable:
+    def rows(per_letter):
+        return tuple(tuple(float(per_letter[a][i]) for a in mirror.letters)
+                     for i in range(cocycle.dim))
+
+    if isinstance(cocycle, PiecewiseLinearCocycle):
+        return FloatTable(cocycle.dim, rows(cocycle.slopes),
+                          rows(cocycle.constants), ())
+    if not isinstance(cocycle, StepCocycle):
+        raise Unsupported("the float lane supports step and pl cocycles")
+    jumps = []
+    for g, j in cocycle.jumps:
+        gf = float(g)
+        if not 0.0 <= gf < mirror.rights[-1]:
+            raise DomainError("jump position outside the domain")
+        slot = bisect_right(mirror.lefts, gf, 1) - 1
+        jumps.append((slot, gf, tuple(float(x) for x in j)))
+    return FloatTable(cocycle.dim, rows(cocycle.values), None, tuple(jumps))
+
+
+def float_walk(mirror: FloatMirror, x0: float, n_steps: int, tables=()):
+    """Stream the float orbit of x0: yield (slot, x) for n_steps steps.
+
+    Each step locates x, checks the guard, then advances.  A point
+    within ``mirror.guard`` of either endpoint of its interval, or that
+    close to the right of a jump of one of ``tables`` in its slot,
+    raises NearBreakpoint: the caller drops the sample rather than
+    trust its side.
+    """
+    lefts, rights, moves = mirror.lefts, mirror.rights, mirror.moves
+    guard = mirror.guard
+    marks = [[] for _ in lefts]
+    for table in tables:
+        for slot, gf, _j in table.jumps:
+            marks[slot].append(gf)
+    if not any(marks):
+        marks = None
+    xf = x0
+    for step in range(n_steps):
+        lo = bisect_right(lefts, xf, 1) - 1
+        if (xf - lefts[lo] < guard or rights[lo] - xf < guard
+                or (marks and any(0.0 <= xf - g < guard for g in marks[lo]))):
+            raise NearBreakpoint("float orbit entered the guard band", step)
+        yield lo, xf
+        xf += moves[lo]
 
 
 def _sweep_one_sample(args):
     """Walk one float orbit and record checkpoint sups for every cocycle.
 
-    Plain-data in, plain-data out, so worker processes can run it.
+    Picklable in and out, so worker processes can run it.
     Returns (ok, per-cocycle checkpoint sup lists).
     """
-    x0f, d, lefts_arr, rights, moves, specs, checkpoints = args
-    n_c = len(specs)
-    xf = x0f
-    counts = [0] * d
-    possum = [0.0] * d
-    cross = [[0] * len(spec[4] or []) for spec in specs]
-    local_sup = [[0.0] * len(checkpoints) for _ in range(n_c)]
-    ok = True
-    ck_iter = iter(enumerate(checkpoints))
-    ck_idx, ck_n = next(ck_iter)
-    step_no = 0
-    while True:
-        if step_no == ck_n:
-            for ci, spec in enumerate(specs):
-                local_sup[ci][ck_idx] = _sweep_value(spec, counts, possum,
-                                                     cross[ci])
-            nxt = next(ck_iter, None)
-            if nxt is None:
-                break
-            ck_idx, ck_n = nxt
-        # locate
-        lo = 0
-        for k in range(1, d):
-            if lefts_arr[k] <= xf:
-                lo = k
-            else:
-                break
-        if (xf - lefts_arr[lo] < GUARD
-                or (lo + 1 < d and lefts_arr[lo + 1] - xf < GUARD)
-                or rights[lo] - xf < GUARD):
-            ok = False
-            break
-        for ci, spec in enumerate(specs):
-            if spec[0] == "step" and spec[4]:
-                for ji, (slot, gf, _j) in enumerate(spec[4]):
-                    if slot == lo and xf >= gf:
-                        if xf - gf < GUARD:
-                            ok = False
-                        cross[ci][ji] += 1
-                if not ok:
-                    break
-        if not ok:
-            break
-        counts[lo] += 1
-        possum[lo] += xf
-        xf += moves[lo]
-        step_no += 1
-    return ok, local_sup
+    x0f, mirror, tables, checkpoints = args
+    counts = [0] * len(mirror.lefts)
+    possum = [0.0] * len(mirror.lefts)
+    cross = [[0] * len(t.jumps) for t in tables]
+    slot_jumps = [[] for _ in mirror.lefts]
+    for ci, table in enumerate(tables):
+        for ji, (slot, gf, _j) in enumerate(table.jumps):
+            slot_jumps[slot].append((cross[ci], ji, gf))
+    local_sup = [[0.0] * len(checkpoints) for _ in tables]
+    walk = float_walk(mirror, x0f, checkpoints[-1], tables)
+    done = 0
+    try:
+        for t, n in enumerate(checkpoints):
+            for lo, xf in islice(walk, n - done):
+                counts[lo] += 1
+                possum[lo] += xf
+                for crossed, ji, gf in slot_jumps[lo]:
+                    if xf >= gf:
+                        crossed[ji] += 1
+            done = n
+            for ci, table in enumerate(tables):
+                local_sup[ci][t] = _sweep_value(table, counts, possum,
+                                                cross[ci])
+    except NearBreakpoint:
+        return False, local_sup
+    return True, local_sup
 
 
 def deviation_sweep(iet: Iet, cocycles, n_max: int, samples: int = 8,
@@ -1079,38 +1131,15 @@ def deviation_sweep(iet: Iet, cocycles, n_max: int, samples: int = 8,
     All cocycles are evaluated on the same sampled orbits through the
     per-interval visit-count and position-sum skeleton, so the per-step
     cost is independent of how many cocycles are profiled.  Samples that
-    enter the guard band around a breakpoint are skipped and counted.
+    enter the guard band (``float_walk``) are skipped and counted.
     With workers > 1 the samples run in worker processes; the merge is
     a pointwise maximum, so results match the serial run exactly.
     """
-    ctx = iet.ctx
-    d = iet.d
-    lefts, rights, moves, letters = _float_mirror(iet)
+    mirror = float_mirror(iet)
     checkpoints = _geometric_checkpoints(n_max)
-    starts = kronecker_samples(ctx, samples, iet.total, seed)
-    specs = []
-    for c in cocycles:
-        if isinstance(c, PiecewiseLinearCocycle):
-            slopes = [[float(c.slopes[a][i]) for a in letters] for i in range(c.dim)]
-            consts = [[float(c.constants[a][i]) for a in letters] for i in range(c.dim)]
-            specs.append(("pl", c.dim, slopes, consts, None))
-        elif isinstance(c, StepCocycle):
-            vals = [[float(c.values[a][i]) for a in letters] for i in range(c.dim)]
-            jmp = []
-            for g, j in c.jumps:
-                gf = float(g)
-                slot = next(k for k in range(d)
-                            if lefts[k] <= gf < rights[k])
-                jmp.append((slot, gf, [float(x) for x in j]))
-            specs.append(("step", c.dim, vals, None, jmp))
-        else:
-            raise Unsupported("deviation sweep supports step and pl cocycles")
-    n_c = len(cocycles)
-    point_sup = [[0.0] * len(checkpoints) for _ in range(n_c)]
-    aborted = 0
-    used = 0
-    jobs = [(float(x0), d, lefts, rights, moves, specs, checkpoints)
-            for x0 in starts]
+    starts = kronecker_samples(iet.ctx, samples, iet.total, seed)
+    tables = [float_table(c, mirror) for c in cocycles]
+    jobs = [(float(x0), mirror, tables, checkpoints) for x0 in starts]
     if workers > 1 and len(jobs) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -1118,57 +1147,37 @@ def deviation_sweep(iet: Iet, cocycles, n_max: int, samples: int = 8,
             results = list(pool.map(_sweep_one_sample, jobs))
     else:
         results = [_sweep_one_sample(job) for job in jobs]
+    point_sup = [[0.0] * len(checkpoints) for _ in tables]
     for ok, local_sup in results:
         if ok:
-            used += 1
-            for ci in range(n_c):
-                dst = point_sup[ci]
-                src = local_sup[ci]
-                for t in range(len(checkpoints)):
-                    if src[t] > dst[t]:
-                        dst[t] = src[t]
-        else:
-            aborted += 1
-    envelope = []
-    for ci in range(n_c):
-        env = []
-        best = 0.0
-        for v in point_sup[ci]:
-            best = max(best, v)
-            env.append(best)
-        envelope.append(tuple(env))
+            point_sup = [list(map(max, dst, src))
+                         for dst, src in zip(point_sup, local_sup)]
+    used = sum(ok for ok, _sup in results)
+    envelope = tuple(tuple(accumulate(p, max)) for p in point_sup)
     tail_from = tail_from or max(64, int(n_max ** 0.4))
-    raw = []
-    corrected = []
-    for ci in range(n_c):
-        raw.append(_loglog_slope(checkpoints, envelope[ci], tail_from, 0))
-        corrected.append(_loglog_slope(checkpoints, envelope[ci], tail_from,
-                                       log_power))
-    return DeviationProfile(tuple(checkpoints), tuple(envelope),
-                            tuple(tuple(p) for p in point_sup),
-                            tuple(raw), tuple(corrected), aborted, used,
-                            log_power)
+    raw = tuple(_loglog_slope(checkpoints, env, tail_from, 0)
+                for env in envelope)
+    corrected = tuple(_loglog_slope(checkpoints, env, tail_from, log_power)
+                      for env in envelope)
+    return DeviationProfile(tuple(checkpoints), envelope,
+                            tuple(map(tuple, point_sup)), raw, corrected,
+                            len(results) - used, used, log_power)
 
 
-def _sweep_value(spec, counts, possum, cross) -> float:
-    kind, dim, a1, a2, jumps = spec
+def _sweep_value(table: FloatTable, counts, possum, cross) -> float:
     best = 0.0
-    if kind == "pl":
-        for i in range(dim):
-            s = 0.0
-            si = a1[i]
-            ci = a2[i]
-            for a in range(len(counts)):
-                s += si[a] * possum[a] + ci[a] * counts[a]
-            best = max(best, abs(s))
-        return best
-    for i in range(dim):
+    for i in range(table.dim):
         s = 0.0
-        vi = a1[i]
-        for a in range(len(counts)):
-            s += vi[a] * counts[a]
-        for ji, (_slot, _gf, j) in enumerate(jumps or []):
-            s += j[i] * cross[ji]
+        vi = table.values[i]
+        if table.constants is None:
+            for a in range(len(counts)):
+                s += vi[a] * counts[a]
+            for ji, (_slot, _gf, j) in enumerate(table.jumps):
+                s += j[i] * cross[ji]
+        else:
+            ci = table.constants[i]
+            for a in range(len(counts)):
+                s += vi[a] * possum[a] + ci[a] * counts[a]
         best = max(best, abs(s))
     return best
 
@@ -1192,22 +1201,25 @@ def _loglog_slope(ns, values, tail_from: int, log_power: int) -> float:
 
 def cocycle_from_json(data: dict, ctx) -> Cocycle:
     """Load a step or piecewise-linear cocycle from its dict form."""
-    kind = data.get("kind", "step")
-    dim = int(data.get("dim", 1))
-    if kind == "step":
-        values = tuple(tuple(ctx.real(x) for x in row) for row in data["values"])
-        jumps = tuple((ctx.real(e["gamma"]), tuple(ctx.real(x) for x in e["jump"]))
-                      for e in data.get("extra_discontinuities", []))
-        return StepCocycle(dim, values, jumps)
-    if kind == "pl":
-        if "slope" in data:
-            slope = tuple(ctx.real(x) for x in data["slope"])
+    with reading_spec("cocycle spec", data):
+        kind = data.get("kind", "step")
+        dim = int(data.get("dim", 1))
+        if kind == "step":
+            values = tuple(tuple(ctx.real(x) for x in row)
+                           for row in data["values"])
+            jumps = tuple((ctx.real(e["gamma"]),
+                           tuple(ctx.real(x) for x in e["jump"]))
+                          for e in data.get("extra_discontinuities", []))
+            return StepCocycle(dim, values, jumps)
+        if kind == "pl":
             consts = tuple(tuple(ctx.real(x) for x in row)
                            for row in data["constants"])
-            return PiecewiseLinearCocycle.constant_slope(slope, consts)
-        slopes = tuple(tuple(ctx.real(x) for x in row) for row in data["slopes"])
-        consts = tuple(tuple(ctx.real(x) for x in row) for row in data["constants"])
-        return PiecewiseLinearCocycle(dim, slopes, consts)
+            if "slope" in data:
+                slope = tuple(ctx.real(x) for x in data["slope"])
+                return PiecewiseLinearCocycle.constant_slope(slope, consts)
+            slopes = tuple(tuple(ctx.real(x) for x in row)
+                           for row in data["slopes"])
+            return PiecewiseLinearCocycle(dim, slopes, consts)
     raise Unsupported(f"unknown cocycle kind {kind!r}")
 
 

@@ -15,8 +15,10 @@ from dataclasses import dataclass
 
 from . import intmat
 from .cocycles import (Cocycle, PiecewiseLinearCocycle, Renormalizer,
-                       StepCocycle, evaluate)
-from .errors import (DomainError, EmptyFixedSpace, NotZeroMean, Unsupported)
+                       StepCocycle, evaluate, float_mirror, float_table,
+                       float_walk)
+from .errors import (DomainError, EmptyFixedSpace, NearBreakpoint,
+                     NotZeroMean, Unsupported)
 from .precision import PrecisionContext, kronecker_samples
 from .rauzy import Iet, PeriodicIet
 from .spectral import Splitting, singularity_data
@@ -340,77 +342,52 @@ def skew_simulate(iet: Iet, cocycle: Cocycle, x0_list, n_steps: int,
                   eps_list=(0.5, 0.1, 0.02), seed: int = 0) -> RecurrenceStats:
     """Track displacement returns of the skew product along float orbits.
 
-    Orbit points entering the guard band abort that sample (skipped and
-    counted), never silently mis-stepped.
+    Orbit points entering the guard band (``float_walk``) abort that
+    sample (skipped and counted), never silently mis-stepped.
     """
     if x0_list is None:
         x0_list = kronecker_samples(iet.ctx, 16, iet.total, seed)
-    lefts, rights, moves, letters = _float_lane(iet)
-    d = iet.d
+    mirror = float_mirror(iet)
+    table = float_table(cocycle, mirror)
     dim = cocycle.dim
-    if isinstance(cocycle, StepCocycle):
-        vals = [[float(cocycle.values[a][i]) for a in letters] for i in range(dim)]
-        jumps = []
-        for g, j in cocycle.jumps:
-            gf = float(g)
-            slot = next(k for k in range(d) if lefts[k] <= gf < rights[k])
-            jumps.append((slot, gf, [float(x) for x in j]))
-        pl = None
-    else:
-        pl = ([[float(cocycle.slopes[a][i]) for a in letters] for i in range(dim)],
-              [[float(cocycle.constants[a][i]) for a in letters] for i in range(dim)])
-        vals, jumps = None, []
+    vals, consts = table.values, table.constants
     eps_sorted = sorted(eps_list, reverse=True)
     hits = {e: 0 for e in eps_sorted}
     histogram = [0] * 10  # decades from 1e-6 up
     min_norms = []
     skipped = 0
     zero_returns = 0
-    guard = 1e-9
     for x0 in x0_list:
-        xf = float(x0)
         disp = [0.0] * dim
         best = None
-        ok = True
-        for _step in range(n_steps):
-            lo = 0
-            for k in range(1, d):
-                if lefts[k] <= xf:
-                    lo = k
+        try:
+            for lo, xf in float_walk(mirror, float(x0), n_steps, [table]):
+                if consts is not None:
+                    for i in range(dim):
+                        disp[i] += vals[i][lo] * xf + consts[i][lo]
                 else:
-                    break
-            if (xf - lefts[lo] < guard and _step > 0) \
-                    or (lo + 1 < d and lefts[lo + 1] - xf < guard) \
-                    or rights[lo] - xf < guard:
-                ok = False
-                break
-            if pl is not None:
-                for i in range(dim):
-                    disp[i] += pl[0][i][lo] * xf + pl[1][i][lo]
-            else:
-                for i in range(dim):
-                    disp[i] += vals[i][lo]
-                for slot, gf, j in jumps:
-                    if slot == lo and xf >= gf:
-                        for i in range(dim):
-                            disp[i] += j[i]
-            norm = max(abs(v) for v in disp)
-            if best is None or norm < best:
-                best = norm
-            for e in eps_sorted:
-                if norm < e:
-                    hits[e] += 1
-                else:
-                    break
-            if norm == 0.0:
-                zero_returns += 1
-            bin_idx = 0 if norm <= 1e-6 else min(9, int(6 + _log10(norm)) + 1)
-            histogram[bin_idx] += 1
-            xf += moves[lo]
-        if ok:
-            min_norms.append(best if best is not None else float("inf"))
-        else:
+                    for i in range(dim):
+                        disp[i] += vals[i][lo]
+                    for slot, gf, j in table.jumps:
+                        if slot == lo and xf >= gf:
+                            for i in range(dim):
+                                disp[i] += j[i]
+                norm = max(abs(v) for v in disp)
+                if best is None or norm < best:
+                    best = norm
+                for e in eps_sorted:
+                    if norm < e:
+                        hits[e] += 1
+                    else:
+                        break
+                if norm == 0.0:
+                    zero_returns += 1
+                bin_idx = 0 if norm <= 1e-6 else min(9, int(6 + _log10(norm)) + 1)
+                histogram[bin_idx] += 1
+        except NearBreakpoint:
             skipped += 1
+            continue
+        min_norms.append(best if best is not None else float("inf"))
     return RecurrenceStats(n_steps, len(min_norms), skipped,
                            tuple(min_norms), hits, tuple(histogram),
                            zero_returns, (), seed)
@@ -420,14 +397,6 @@ def _log10(x: float) -> int:
     import math
 
     return int(math.floor(math.log10(x)))
-
-
-def _float_lane(iet: Iet):
-    order = iet.order0
-    lefts = [float(iet.left[a]) for a in order]
-    rights = [float(iet.right[a]) for a in order]
-    moves = [float(iet.translations[a]) for a in order]
-    return lefts, rights, moves, list(order)
 
 
 # ---------------------------------------------------------------------------

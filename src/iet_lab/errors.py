@@ -6,9 +6,33 @@ diagnose a failed run without re-executing it.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 
 class IetLabError(Exception):
     """Base class for all library errors."""
+
+
+class SpecError(IetLabError):
+    """An input spec is malformed: a missing key or a value of the wrong form."""
+
+
+@contextmanager
+def reading_spec(what: str, data):
+    """Turn the parse failures of a dict spec into SpecError.
+
+    A missing key is named in the message; any other malformed value
+    reports the underlying complaint.
+    """
+    if not isinstance(data, dict):
+        raise SpecError(f"{what} must be a JSON object")
+    try:
+        yield
+    except KeyError as exc:
+        raise SpecError(f"{what} is missing key {exc.args[0]!r}") from None
+    except (TypeError, ValueError, ArithmeticError, AttributeError,
+            IndexError) as exc:
+        raise SpecError(f"malformed {what}: {exc}") from None
 
 
 class DegenerateAlphabet(IetLabError):

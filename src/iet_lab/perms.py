@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DegenerateAlphabet, InvalidPermutation
+from .errors import DegenerateAlphabet, InvalidPermutation, reading_spec
 
 
 def _check_bijection(values, d: int, name: str) -> tuple:
@@ -69,7 +69,8 @@ class PermutationPair:
 
     @staticmethod
     def from_json(data: dict) -> "PermutationPair":
-        return make_pair(data["pi0"], data["pi1"])
+        with reading_spec("permutation pair", data):
+            return make_pair(data["pi0"], data["pi1"])
 
     def __str__(self):
         pm = self.position_map()

@@ -62,9 +62,6 @@ class PrecisionContext:
         return self.mp.nstr(self.real(x), digits or self._half_digits,
                             strip_zeros=False)
 
-    def with_bits(self, bits: int) -> "PrecisionContext":
-        return PrecisionContext(bits)
-
     def spawn(self, extra_bits: int = 64) -> "PrecisionContext":
         """Fresh context with a widened mantissa, for internal refinement."""
         return PrecisionContext(self.bits + extra_bits)

@@ -15,7 +15,7 @@ from math import lcm
 
 from . import intmat
 from .errors import (DomainError, KeaneViolation, NearBreakpoint, NotALoop,
-                     NotNormalized, ReduciblePair)
+                     NotNormalized, ReduciblePair, reading_spec)
 from .intmat import IntMatrix
 from .perms import PermutationPair, make_pair
 from .precision import PrecisionContext, RealVector, side_of_breakpoint
@@ -128,14 +128,6 @@ class Iet:
     def to_json(self) -> dict:
         return {"pair": self.pair.to_json(),
                 "lambda": self.lengths.as_strings()}
-
-
-def iet_apply(iet: Iet, x):
-    return iet.apply(x)
-
-
-def iet_orbit(iet: Iet, x, n: int) -> list:
-    return iet.orbit(x, n)
 
 
 @dataclass(frozen=True)
@@ -497,13 +489,13 @@ def iet_from_json(data: dict, ctx: PrecisionContext | None = None):
     (loop optional; when present it takes precedence and is verified).
     """
     ctx = ctx or PrecisionContext()
-    pair = PermutationPair.from_json(data["pair"])
-    if "lambda" in data and "periodic_matrix" not in data:
-        lengths = ctx.vector(data["lambda"])
-        return Iet(pair, lengths)
-    if "loop" in data and data["loop"]:
-        return build_periodic_from_loop(pair, data["loop"], ctx)
-    if "periodic_matrix" in data:
-        matrix = intmat.matrix_from_strings(data["periodic_matrix"])
-        return build_periodic_from_matrix(pair, matrix, ctx)
+    with reading_spec("exchange spec", data):
+        pair = PermutationPair.from_json(data["pair"])
+        if "lambda" in data and "periodic_matrix" not in data:
+            return Iet(pair, ctx.vector(data["lambda"]))
+        if "loop" in data and data["loop"]:
+            return build_periodic_from_loop(pair, data["loop"], ctx)
+        if "periodic_matrix" in data:
+            matrix = intmat.matrix_from_strings(data["periodic_matrix"])
+            return build_periodic_from_matrix(pair, matrix, ctx)
     raise DomainError("exchange spec needs either lambda or periodic_matrix")

@@ -5,8 +5,14 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iet_lab.cli import run
+from iet_lab.cocycles import cocycle_from_json
+from iet_lab.errors import IetLabError
+from iet_lab.precision import PrecisionContext
+from iet_lab.rauzy import Iet, iet_from_json
 
 SEVEN_SPEC = {"pair": {"d": 7, "pi0": [1, 2, 3, 4, 5, 6, 7],
                        "pi1": [6, 7, 4, 5, 3, 1, 2]},
@@ -159,6 +165,22 @@ class TestDispatch:
         assert code == 0
         assert "n,sup_norm" in out
 
+    def test_birkhoff_walks_each_segment_once(self, capsys, specs,
+                                              monkeypatch):
+        calls = []
+        apply = Iet.apply
+
+        def counted(self, x, step_index=None):
+            calls.append(step_index)
+            return apply(self, x, step_index)
+
+        monkeypatch.setattr(Iet, "apply", counted)
+        code, _out = capture(capsys, ["birkhoff", "--iet", specs["four"],
+                                      "--cocycle", specs["step"],
+                                      "--n", "2000"])
+        assert code == 0
+        assert len(calls) == 2000
+
 
 class TestErrors:
     def test_unknown_subcommand_usage_exit(self):
@@ -176,6 +198,53 @@ class TestErrors:
                                  "lambda": ["0.4", "0.3", "0.2", "0.1"]}))
         code = run(["build", "--iet", str(p)])
         assert code == 1
+
+    @pytest.mark.parametrize("option, content, named", [
+        ("--iet", json.dumps({"pair": {"d": 4}}), "'pi0'"),
+        ("--iet", "{not json", "not valid JSON"),
+        ("--cocycle", json.dumps({"kind": "step"}), "'values'"),
+    ], ids=["pair-without-pi0", "not-json", "step-without-values"])
+    def test_malformed_spec_one_line_error(self, capsys, specs, tmp_path,
+                                           option, content, named):
+        bad = tmp_path / "bad.json"
+        bad.write_text(content)
+        if option == "--iet":
+            argv = ["build", "--iet", str(bad)]
+        else:
+            argv = ["deviation", "--iet", specs["four"], "--cocycle", str(bad)]
+        code = run(argv)
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert named in err[0]
+
+
+SPEC_KEYS = ("pair", "d", "pi0", "pi1", "lambda", "periodic_matrix", "loop",
+             "kind", "dim", "values", "extra_discontinuities", "gamma",
+             "jump", "slope", "slopes", "constants")
+JSON_LEAVES = (st.none() | st.booleans() | st.integers(-2, 4)
+               | st.floats(-2, 2) | st.sampled_from(
+                   [float("inf"), float("nan"), "0.5", "1", "x", "step", "pl"])
+               | st.fixed_dictionaries({"pi0": st.permutations([1, 2, 3]),
+                                        "pi1": st.permutations([1, 2, 3])}))
+JSON_SPECS = st.recursive(
+    JSON_LEAVES,
+    lambda kids: (st.lists(kids, max_size=4)
+                  | st.dictionaries(st.sampled_from(SPEC_KEYS), kids,
+                                    max_size=4)),
+    max_leaves=16)
+
+
+class TestSpecLoaders:
+    @settings(max_examples=300, deadline=None)
+    @given(JSON_SPECS)
+    def test_only_library_errors_escape(self, data):
+        ctx = PrecisionContext(64)
+        for load in (iet_from_json, cocycle_from_json):
+            try:
+                load(data, ctx)
+            except IetLabError:
+                pass
 
 
 class TestDeterminism:

@@ -378,3 +378,27 @@ class TestDeviationSweep:
         assert prof.fitted_exponent[0] < 0.05
         env = prof.envelope[0]
         assert env[-1] < 10 * float(max(abs(x) for x in v))
+
+    def test_shared_sweep_matches_single_sweeps(self, ctx, periodic4):
+        # the jumps of one cocycle guard the shared orbit of all of them,
+        # so the equality needs starts clear of every guard band
+        iet = periodic4.iet
+        r = ctx.real
+        pl = zero_mean_version(PiecewiseLinearCocycle.constant_slope(
+            (r("0.7"), r("-0.4")),
+            tuple((r(a), r(b)) for a, b in
+                  (("0.3", "0.1"), ("-0.4", "0"), ("0.25", "-0.2"),
+                   ("-0.15", "0.1")))), iet)
+        one_jump = StepCocycle(1, ((1,), (-1,), (2,), (r("-0.5"),)),
+                               ((r("0.21"), (r("1.5"),)),))
+        two_jumps = StepCocycle(2, ((1, 0), (0, 1), (-1, 2), (3, -1)),
+                                ((r("0.6"), (2, -1)), (r("0.9"), (-3, 1))))
+        cocycles = [pl, one_jump, two_jumps]
+        together = deviation_sweep(iet, cocycles, 5000, samples=5, seed=6)
+        assert (together.aborted_samples, together.sample_count) == (0, 5)
+        for k, phi in enumerate(cocycles):
+            alone = deviation_sweep(iet, [phi], 5000, samples=5, seed=6)
+            assert alone.aborted_samples == 0
+            assert alone.pointwise[0] == together.pointwise[k]
+            assert alone.envelope[0] == together.envelope[k]
+            assert alone.corrected_exponent[0] == together.corrected_exponent[k]

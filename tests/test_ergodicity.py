@@ -223,6 +223,26 @@ class TestSkewSimulate:
                               eps_list=(0.5, 0.1, 0.02))
         assert stats.hits[0.5] >= stats.hits[0.1] >= stats.hits[0.02]
 
+    def test_skips_start_just_right_of_jump(self, ctx, periodic4):
+        gamma = ctx.real("0.21")
+        phi = StepCocycle(1, ((1,), (-1,), (2,), (0,)), ((gamma, (1,)),))
+        near = skew_simulate(periodic4.iet, phi, [gamma + ctx.real("1e-12")],
+                             100)
+        clear = skew_simulate(periodic4.iet, phi, [gamma + ctx.real("1e-6")],
+                              100)
+        assert (near.skipped_samples, near.sample_count) == (1, 0)
+        assert (clear.skipped_samples, clear.sample_count) == (0, 1)
+
+    def test_skips_start_in_left_guard_at_step_zero(self, ctx, periodic4):
+        phi = StepCocycle.from_vector((1, -1, 2, 0))
+        left = periodic4.iet.left[1]
+        near = skew_simulate(periodic4.iet, phi, [left + ctx.real("1e-12")],
+                             100)
+        clear = skew_simulate(periodic4.iet, phi, [left + ctx.real("1e-6")],
+                              100)
+        assert (near.skipped_samples, near.sample_count) == (1, 0)
+        assert (clear.skipped_samples, clear.sample_count) == (0, 1)
+
 
 class TestSpecialFlow:
     @pytest.fixture()
