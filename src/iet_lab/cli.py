@@ -17,8 +17,9 @@ from . import intmat
 from .cocycles import (Renormalizer, StepCocycle, cocycle_from_json,
                        deviation_profile)
 from .correction import correct_bv, growth_check, renorm_sup_curve
-from .ergodicity import (coboundary_classify, essential_value_probe,
-                         fixed_space_basis, lattice_containment, skew_simulate)
+from .ergodicity import (build_fixed_cocycle, coboundary_classify,
+                         essential_value_probe, fixed_space_basis,
+                         lattice_containment, skew_simulate)
 from .errors import IetLabError
 from .perms import PermutationPair
 from .precision import PrecisionContext
@@ -64,6 +65,19 @@ def _load_json(path: str) -> dict:
         raise IetLabError(str(exc)) from None
     except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
         raise IetLabError(f"{path} is not valid JSON: {exc}") from None
+
+
+def _parse(what: str, convert, value):
+    """convert(value), with a malformed value reported as one error line."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise IetLabError(f"malformed {what}: {exc}") from None
+
+
+def _split(convert):
+    """Converter of a comma-separated list, entry by entry."""
+    return lambda text: tuple(convert(v) for v in text.split(","))
 
 
 def _load_iet(args, ctx) -> Iet | PeriodicIet:
@@ -191,7 +205,8 @@ def _cmd_build(args, ctx):
 
 def _cmd_spectrum(args, ctx):
     if args.matrix:
-        matrix = intmat.matrix_from_strings(_load_json(args.matrix))
+        matrix = _parse("matrix file", intmat.matrix_from_strings,
+                        _load_json(args.matrix))
         lengths = None
         pair = None
         if args.pair:
@@ -225,7 +240,7 @@ def _cmd_birkhoff(args, ctx):
     phi = cocycle_from_json(_load_json(args.cocycle), ctx)
     from .cocycles import forward_birkhoff, _geometric_checkpoints
 
-    x = ctx.real(args.x0) * iet.total
+    x = _parse("--x0", ctx.real, args.x0) * iet.total
     rows = []
     cur = 0
     acc = tuple(0 for _ in range(phi.dim))
@@ -280,8 +295,7 @@ def _cmd_correct(args, ctx):
 def _cmd_essential(args, ctx):
     obj = _need_periodic(_load_iet(args, ctx))
     if args.fixed_space:
-        basis = fixed_space_basis(obj)
-        phi = StepCocycle(basis.k, basis.letter_vectors)
+        phi = build_fixed_cocycle(fixed_space_basis(obj))
     else:
         if not args.cocycle:
             raise IetLabError("need --cocycle FILE or --fixed-space")
@@ -298,13 +312,13 @@ def _cmd_essential(args, ctx):
 
 def _cmd_classify(args, ctx):
     obj = _need_periodic(_load_iet(args, ctx))
-    vec = tuple(ctx.real(v) for v in args.vector.split(","))
+    vec = _parse("--vector", _split(ctx.real), args.vector)
     sdata = singularity_data(obj.pair)
     split = splitting(obj.matrix, obj.lengths, ctx, kappa=sdata.kappa)
     verdict = coboundary_classify(vec, split, obj)
     payload = {"verdict": verdict}
     if args.lattices:
-        scales = [ctx.real(s) for s in args.lattices.split(",")]
+        scales = _parse("--lattices", _split(ctx.real), args.lattices)
         rep = lattice_containment(StepCocycle.from_vector(vec), scales, ctx)
         payload["lattices"] = {str(s): bool(c)
                                for s, c in zip(args.lattices.split(","),
@@ -317,7 +331,7 @@ def _cmd_simulate(args, ctx):
     obj = _load_iet(args, ctx)
     iet = _plain_iet(obj)
     phi = cocycle_from_json(_load_json(args.cocycle), ctx)
-    eps = tuple(float(e) for e in args.eps.split(","))
+    eps = _parse("--eps", _split(float), args.eps)
     from .precision import kronecker_samples
 
     samples = kronecker_samples(ctx, args.samples, iet.total, args.seed)
@@ -330,8 +344,9 @@ def _cmd_simulate(args, ctx):
 
 
 def _cmd_rotations(args, ctx):
+    alpha = _parse("--alpha", float, args.alpha)
     if args.mode == "dk":
-        rep = denjoy_koksma_check(half_indicator(), float(args.alpha),
+        rep = denjoy_koksma_check(half_indicator(), alpha,
                                   depth=args.depth, samples=args.samples,
                                   n_max=args.n, seed=args.seed)
         payload = {"denominators": list(rep.denominators),
@@ -342,12 +357,13 @@ def _cmd_rotations(args, ctx):
         _emit(args, payload)
         return 0
     if args.mode == "product":
-        rep = product_rotation_simulate(float(args.alpha), float(args.alpha2),
+        alpha2 = _parse("--alpha2", float, args.alpha2)
+        rep = product_rotation_simulate(alpha, alpha2,
                                         half_indicator(), half_indicator(),
                                         args.n, seed=args.seed)
         _emit(args, rep.to_json())
         return 0
-    gaps = three_distance_gaps(float(args.alpha), args.n)
+    gaps = three_distance_gaps(alpha, args.n)
     _emit(args, {"distinct_gaps": len(gaps),
                  "gaps_grid": [int(g) for g in gaps]})
     return 0

@@ -1,12 +1,15 @@
 """Cocycles over interval exchanges: evaluation, Birkhoff sums, towers,
 partitions, and renormalization.
 
-Two orbit engines back the heavy operations.  The exact engine carries
-positions as integer combinations of the length vector (which is closed
-under the dynamics), locates intervals through a float shadow, and falls
-back to high-precision sign evaluation whenever the shadow comes within
-a guard band of a breakpoint; visit counts from it are exact integers.
-The float lane (``float_walk``) drops the integer bookkeeping for the
+Two orbit engines back the heavy operations.  The exact engine
+(``ExactWalker``) carries positions as integer combinations of the
+length vector (which is closed under the dynamics), locates intervals
+through a float shadow, and falls back to high-precision sign
+evaluation whenever the shadow comes within GUARD * |I| of a
+breakpoint, |I| the total length of the exchange it walks, at every
+depth; visit counts from it are exact integers.  The lattice data of a
+depth-n induced exchange comes from one source, ``depth_lattice``,
+which inverts the period power A^n once per request.  The float lane (``float_walk``) drops the integer bookkeeping for the
 long statistical sweeps, ``deviation_sweep`` and the skew-product
 simulation, under one guard rule: a sample is skipped (and counted) as
 soon as its point comes within GUARD * |I| of either endpoint of its
@@ -34,7 +37,7 @@ from .errors import (DomainError, KeaneViolation, NearBreakpoint,
 from .precision import kronecker_samples
 from .rauzy import Iet, PeriodicIet
 
-GUARD = 1e-9  # guard band around breakpoints, relative to |I| in the float lane
+GUARD = 1e-9  # guard band around breakpoints, relative to |I| (both orbit engines)
 
 
 # ---------------------------------------------------------------------------
@@ -71,10 +74,6 @@ class StepCocycle:
     def from_vector(cls, vec) -> "StepCocycle":
         return cls(1, tuple((v,) for v in vec))
 
-    def coordinate_vectors(self) -> list:
-        """Per-coordinate d-vectors of base values."""
-        return [tuple(v[i] for v in self.values) for i in range(self.dim)]
-
     def variation(self):
         """Sum over interior discontinuities of the max-norm jump size."""
         if not self.jumps:
@@ -104,13 +103,6 @@ class PiecewiseLinearCocycle:
         slope = tuple(slope)
         return cls(len(slope), tuple(slope for _ in constants),
                    tuple(tuple(c) for c in constants))
-
-    def slope_vector(self, iet: Iet) -> tuple:
-        """Total slope s(phi) per coordinate: sum of slope * length."""
-        mp = iet.ctx.mp
-        return tuple(mp.fsum(self.slopes[a][i] * iet.lengths[a]
-                             for a in range(len(self.slopes)))
-                     for i in range(self.dim))
 
     def variation(self, iet: Iet):
         mp = iet.ctx.mp
@@ -224,40 +216,14 @@ class ExactWalker:
     translation adds an integer vector, so the representation is closed
     and never drifts.  Locating intervals uses a float shadow that is
     resynchronized periodically and escalated to high-precision signs
-    inside the guard band.
+    within GUARD * |I| of an endpoint, |I| the walked exchange's total.
     """
 
     RESYNC = 4096
 
     def __init__(self, iet: Iet, coeffs, den: int = 1):
-        self.iet = iet
-        d = iet.d
-        self.d = d
-        self.den = int(den)
-        self.coeffs = [int(c) for c in coeffs]
-        if len(self.coeffs) != d:
-            raise DomainError("coefficient vector must have length d")
-        self.lam_mpf = iet.lengths.values
-        # left endpoints as 0/1 integer combinations, in position order
-        self.order = iet.order0
-        self.left_coeffs = []
-        for a in range(d):
-            self.left_coeffs.append(tuple(
-                1 if iet.pair.pi0[b] < iet.pair.pi0[a] else 0 for b in range(d)))
-        img_left = []
-        for a in range(d):
-            img_left.append(tuple(
-                1 if iet.pair.pi1[b] < iet.pair.pi1[a] else 0 for b in range(d)))
-        self.w_coeffs = [tuple(i - l for i, l in zip(img_left[a], self.left_coeffs[a]))
-                         for a in range(d)]
-        self.lefts_f = [float(iet.left[a]) for a in self.order]
-        self.w_f = [float(t) for t in iet.translations]
-        self.total_f = float(iet.total)
-        self.guard = GUARD
-        self.counts = [0] * d
-        self.steps = 0
-        self._since_resync = 0
-        self.x_f = self._exact_float()
+        self._set_up(iet, _lattice(iet.pair, intmat.identity(iet.d)),
+                     coeffs, den)
 
     @classmethod
     def at_depth(cls, periodic: PeriodicIet, level: int, coeffs, den: int = 1
@@ -269,40 +235,31 @@ class ExactWalker:
         the period matrix is unimodular.  One step of this walker is one
         step of the induced map, not of the base map.
         """
-        wk = cls(periodic.iet, coeffs, den)
-        if level == 0:
-            return wk
-        d = periodic.d
-        ctx = periodic.ctx
-        a_inv = intmat.inverse_unimodular(
-            intmat.matpow(periodic.step_matrix, level))
-        lefts, widths = [], []
-        for a in range(d):
-            lc, wc = depth_interval_coeffs(periodic, level, a)
-            lefts.append(lc)
-            widths.append(wc)
-        img_left = []
-        pair = periodic.pair
-        for a in range(d):
-            vec = [0] * d
-            for c in range(d):
-                if pair.pi1[c] < pair.pi1[a]:
-                    for j in range(d):
-                        vec[j] += a_inv[c][j]
-            img_left.append(tuple(vec))
-        wk.left_coeffs = [tuple(l) for l in lefts]
-        wk.w_coeffs = [tuple(i - l for i, l in zip(img_left[a], lefts[a]))
-                       for a in range(d)]
-        lam = periodic.lengths.values
-        left_mpf = [ctx.dot_int(lefts[a], lam) for a in range(d)]
-        w_mpf = [ctx.dot_int(wk.w_coeffs[a], lam) for a in range(d)]
-        wk.lefts_f = [float(left_mpf[a]) for a in wk.order]
-        wk.w_f = [float(w) for w in w_mpf]
-        total = ctx.dot_int(depth_total_coeffs(periodic, level), lam)
-        wk.total_f = float(total)
-        wk.guard = max(wk.total_f * GUARD, 1e-300)
-        wk.x_f = wk._exact_float()
-        return wk
+        walker = cls.__new__(cls)
+        walker._set_up(periodic.iet, depth_lattice(periodic, level), coeffs, den)
+        return walker
+
+    def _set_up(self, iet: Iet, lattice: DepthLattice, coeffs, den: int):
+        self.iet = iet
+        d = iet.d
+        self.d = d
+        self.den = int(den)
+        self.coeffs = [int(c) for c in coeffs]
+        if len(self.coeffs) != d:
+            raise DomainError("coefficient vector must have length d")
+        lam = self.lam_mpf = iet.lengths.values
+        self.order = iet.order0
+        self.left_coeffs = lattice.lefts
+        self.w_coeffs = [tuple(i - l for i, l in zip(img, left))
+                         for img, left in zip(lattice.image_lefts, lattice.lefts)]
+        dot = iet.ctx.dot_int
+        self.lefts_f = [float(dot(lattice.lefts[a], lam)) for a in self.order]
+        self.w_f = [float(dot(w, lam)) for w in self.w_coeffs]
+        self.guard = GUARD * float(dot(lattice.total, lam))
+        self.counts = [0] * d
+        self.steps = 0
+        self._since_resync = 0
+        self.x_f = self._exact_float()
 
     def _exact_mpf(self):
         ctx = self.iet.ctx
@@ -421,38 +378,60 @@ def certified_lattice_sign(iet: Iet, coeffs) -> int:
     return 1 if val > 0 else -1
 
 
-def interval_coeff_vectors(iet: Iet) -> list:
-    """Integer 0/1 coefficient vectors of the left endpoints."""
-    d = iet.d
-    return [tuple(1 if iet.pair.pi0[b] < iet.pair.pi0[a] else 0 for b in range(d))
-            for a in range(d)]
+@dataclass(frozen=True)
+class DepthLattice:
+    """Integer lattice data of an induced exchange.
+
+    Each entry is an integer coefficient vector over the unit lengths:
+    ``lefts[a]``, ``widths[a]`` and ``image_lefts[a]`` give the left
+    endpoint, the length and the image's left endpoint of letter a's
+    interval, ``total`` the length of the whole induced interval.
+    """
+
+    lefts: tuple
+    widths: tuple
+    image_lefts: tuple
+    total: tuple
+
+
+def _prefix_sums(rank, rows) -> tuple:
+    """Per letter a, the sum of rows[c] over the letters c ranked before a."""
+    out = [None] * len(rows)
+    acc = (0,) * len(rows)
+    for a in sorted(range(len(rows)), key=rank.__getitem__):
+        out[a] = acc
+        acc = tuple(s + r for s, r in zip(acc, rows[a]))
+    return tuple(out)
+
+
+def _lattice(pair, widths) -> DepthLattice:
+    """Lattice data of the exchange of ``pair`` whose letter a has width row a."""
+    widths = tuple(tuple(row) for row in widths)
+    return DepthLattice(_prefix_sums(pair.pi0, widths), widths,
+                        _prefix_sums(pair.pi1, widths),
+                        tuple(map(sum, zip(*widths))))
+
+
+def depth_lattice(periodic: PeriodicIet, n: int) -> DepthLattice:
+    """Lattice data of the depth-n induced exchange, from A^-n computed once.
+
+    Depth counts normalized periods.  The induced exchange has the same
+    pair and the lengths A^-n lambda, integral in the unit lengths
+    because the period matrix is unimodular.
+    """
+    return _lattice(periodic.pair, intmat.inverse_unimodular(
+        intmat.matpow(periodic.step_matrix, n)))
 
 
 def depth_interval_coeffs(periodic: PeriodicIet, n: int, letter: int) -> tuple:
-    """Integer lattice data of the depth-n subinterval of a letter.
-
-    Returns (left_coeffs, width_coeffs): integer combinations of the
-    unit lengths giving the left endpoint and width of the letter's
-    interval in the depth-n induced exchange (depth counted in
-    normalized periods).  Exactness comes from the unimodularity of the
-    period matrix.
-    """
-    a_inv_n = intmat.inverse_unimodular(intmat.matpow(periodic.step_matrix, n))
-    d = periodic.d
-    pair = periodic.pair
-    left = [0] * d
-    for c in range(d):
-        if pair.pi0[c] < pair.pi0[letter]:
-            for j in range(d):
-                left[j] += a_inv_n[c][j]
-    return tuple(left), tuple(a_inv_n[letter])
+    """(left_coeffs, width_coeffs) of a letter's depth-n interval."""
+    lattice = depth_lattice(periodic, n)
+    return lattice.lefts[letter], lattice.widths[letter]
 
 
 def depth_total_coeffs(periodic: PeriodicIet, n: int) -> tuple:
     """Integer coefficients of the depth-n total interval length."""
-    a_inv_n = intmat.inverse_unimodular(intmat.matpow(periodic.step_matrix, n))
-    d = periodic.d
-    return tuple(sum(a_inv_n[c][j] for c in range(d)) for j in range(d))
+    return depth_lattice(periodic, n).total
 
 
 # ---------------------------------------------------------------------------
@@ -692,9 +671,9 @@ def towers(periodic: PeriodicIet, n: int, with_levels: bool = False,
             raise DomainError(
                 f"level enumeration needs {total_steps} steps, over the budget")
         levels = []
+        lattice = depth_lattice(periodic, n + 1)
         for a in range(periodic.d):
-            lc, _wc = depth_interval_coeffs(periodic, n + 1, a)
-            walker = ExactWalker(iet, lc, 1)
+            walker = ExactWalker(iet, lattice.lefts[a], 1)
             lvl = []
             for _i in range(sub_h):
                 lvl.append(walker.position())
@@ -750,17 +729,15 @@ class Renormalizer:
         """
         iet = self.iet
         width_mpf = [iet.lengths[b] / self.rho for b in range(iet.d)]
-        right_coeffs = []
-        lefts = interval_coeff_vectors(iet)
-        for a in range(iet.d):
-            rc = list(lefts[a])
-            rc[a] += 1
-            right_coeffs.append(tuple(rc))
+        base = _lattice(iet.pair, intmat.identity(iet.d))
+        right_coeffs = [tuple(map(sum, zip(left, width)))
+                        for left, width in zip(base.lefts, base.widths)]
+        depth1 = depth_lattice(self.periodic, 1)
         stage = []
         for b in range(iet.d):
             q = self.colsums[b]
-            lc, wc = depth_interval_coeffs(self.periodic, 1, b)
-            walker = ExactWalker(iet, lc, 1)
+            wc = depth1.widths[b]
+            walker = ExactWalker(iet, depth1.lefts[b], 1)
             positions = []
             alphas = []
             for _i in range(q):
@@ -996,6 +973,8 @@ class DeviationProfile:
 
 
 def _geometric_checkpoints(n_max: int, per_decade: int = 8) -> list:
+    if n_max < 1:
+        raise DomainError("orbit length must be >= 1")
     out = []
     n = 1
     ratio = 10 ** (1.0 / per_decade)
@@ -1221,19 +1200,6 @@ def cocycle_from_json(data: dict, ctx) -> Cocycle:
                            for row in data["slopes"])
             return PiecewiseLinearCocycle(dim, slopes, consts)
     raise Unsupported(f"unknown cocycle kind {kind!r}")
-
-
-def cocycle_to_json(cocycle: Cocycle, ctx) -> dict:
-    if isinstance(cocycle, StepCocycle):
-        return {"kind": "step", "dim": cocycle.dim,
-                "values": [[ctx.str_of(x) for x in row] for row in cocycle.values],
-                "extra_discontinuities": [
-                    {"gamma": ctx.str_of(g), "jump": [ctx.str_of(x) for x in j]}
-                    for g, j in cocycle.jumps]}
-    return {"kind": "pl", "dim": cocycle.dim,
-            "slopes": [[ctx.str_of(x) for x in row] for row in cocycle.slopes],
-            "constants": [[ctx.str_of(x) for x in row]
-                          for row in cocycle.constants]}
 
 
 def deviation_profile(cocycle: Cocycle, periodic: PeriodicIet, n_max: int,

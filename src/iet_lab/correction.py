@@ -21,7 +21,7 @@ from .cocycles import (Cocycle, PiecewiseLinearCocycle, Renormalizer,
 from .errors import DomainError, NotZeroMean, Unsupported
 from .precision import PrecisionContext
 from .rauzy import PeriodicIet
-from .spectral import Splitting
+from .spectral import Splitting, gauss_jordan_solve
 
 
 @dataclass(frozen=True)
@@ -86,23 +86,10 @@ def correct_step(vector, splitting: Splitting, periodic: PeriodicIet,
     return CorrectionResult((h_row,), cocycle, 0, ctx.mp.mpf(0), (), ctx)
 
 
-def _unstable_solve(m_u, rhs, ctx):
+def _unstable_solve(m_u, rhs):
     """Solve the unstable-restriction linear system (small dense, exact-ish)."""
-    k = len(m_u)
-    mp = ctx.mp
-    aug = [[m_u[i][j] for j in range(k)] + [rhs[i]] for i in range(k)]
-    for col in range(k):
-        piv = max(range(col, k), key=lambda r: abs(aug[r][col]))
-        if abs(aug[piv][col]) == 0:
-            raise DomainError("unstable restriction is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(k):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [aug[i][k] for i in range(k)]
+    return gauss_jordan_solve(m_u, rhs,
+                              DomainError("unstable restriction is singular"))
 
 
 def correct_bv(cocycle: Cocycle, periodic: PeriodicIet, splitting: Splitting,
@@ -148,7 +135,7 @@ def correct_bv(cocycle: Cocycle, periodic: PeriodicIet, splitting: Splitting,
         # power mixes expansion scales and has condition (rho1/rho2)^depth
         pulled = list(cu)
         for _ in range(depth):
-            pulled = _unstable_solve(m_u, pulled, ctx)
+            pulled = _unstable_solve(m_u, pulled)
         h_vec = [mp.fsum(-c * b[t] for c, b in zip(pulled, splitting.basis_u))
                  for t in range(periodic.d)]
         h_rows.append(tuple(h_vec))
@@ -173,7 +160,7 @@ def _inverse_unstable_norm(m_u, ctx):
     cols = []
     for j in range(k):
         e = [ctx.mp.mpf(1) if i == j else ctx.mp.mpf(0) for i in range(k)]
-        cols.append(_unstable_solve(m_u, e, ctx))
+        cols.append(_unstable_solve(m_u, e))
     return max(ctx.mp.fsum(abs(cols[j][i]) for j in range(k))
                for i in range(k)) if k else ctx.mp.mpf(0)
 

@@ -358,8 +358,12 @@ def skew_simulate(iet: Iet, cocycle: Cocycle, x0_list, n_steps: int,
     skipped = 0
     zero_returns = 0
     for x0 in x0_list:
+        # a skipped sample contributes nothing: merge only on success
         disp = [0.0] * dim
         best = None
+        s_hits = {e: 0 for e in eps_sorted}
+        s_histogram = [0] * 10
+        s_zero = 0
         try:
             for lo, xf in float_walk(mirror, float(x0), n_steps, [table]):
                 if consts is not None:
@@ -377,16 +381,20 @@ def skew_simulate(iet: Iet, cocycle: Cocycle, x0_list, n_steps: int,
                     best = norm
                 for e in eps_sorted:
                     if norm < e:
-                        hits[e] += 1
+                        s_hits[e] += 1
                     else:
                         break
                 if norm == 0.0:
-                    zero_returns += 1
+                    s_zero += 1
                 bin_idx = 0 if norm <= 1e-6 else min(9, int(6 + _log10(norm)) + 1)
-                histogram[bin_idx] += 1
+                s_histogram[bin_idx] += 1
         except NearBreakpoint:
             skipped += 1
             continue
+        for e in eps_sorted:
+            hits[e] += s_hits[e]
+        histogram = [h + s for h, s in zip(histogram, s_histogram)]
+        zero_returns += s_zero
         min_norms.append(best if best is not None else float("inf"))
     return RecurrenceStats(n_steps, len(min_norms), skipped,
                            tuple(min_norms), hits, tuple(histogram),

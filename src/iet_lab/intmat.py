@@ -61,20 +61,6 @@ def mat_vec(a: IntMatrix, v: Sequence):
     return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
 
 
-def mat_add(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    if len(a) != len(b):
-        raise DimensionError("matrix size mismatch")
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_scale(a: IntMatrix, c: int) -> IntMatrix:
-    return tuple(tuple(c * x for x in row) for row in a)
-
-
-def mat_eq(a: IntMatrix, b: IntMatrix) -> bool:
-    return freeze(a) == freeze(b)
-
-
 def column_sums(a: IntMatrix) -> tuple:
     return tuple(sum(col) for col in zip(*a))
 

@@ -43,10 +43,6 @@ class PermutationPair:
     def d(self) -> int:
         return len(self.pi0)
 
-    def letter_at(self, eps: int, position: int) -> int:
-        """Letter occupying ``position`` (1-based) in the eps-ordering."""
-        return (self.pi0 if eps == 0 else self.pi1).index(position)
-
     def position_map(self) -> tuple:
         """pi1 o pi0^{-1} as a tuple over positions 1..d."""
         inv0 = [0] * self.d

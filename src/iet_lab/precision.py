@@ -101,9 +101,6 @@ class RealVector:
     def norm_max(self):
         return max(abs(v) for v in self.values)
 
-    def norm_l1(self):
-        return self.ctx.mp.fsum(abs(v) for v in self.values)
-
     def total(self):
         return self.ctx.mp.fsum(self.values)
 

@@ -11,6 +11,7 @@ length vector is the leading eigenvector of the loop's matrix product.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import lcm
 
 from . import intmat
@@ -323,11 +324,11 @@ class PeriodicIet:
     def d(self) -> int:
         return self.pair.d
 
-    @property
+    @cached_property
     def iet(self) -> Iet:
         return Iet(self.pair, self.lengths)
 
-    @property
+    @cached_property
     def step_matrix(self) -> IntMatrix:
         """Matrix of one normalized period (tower and correction levels)."""
         return intmat.matpow(self.matrix, self.effective_multiplier)

@@ -120,14 +120,6 @@ def _grid_positions(x0: int, step: int, count: int) -> np.ndarray:
     return pos
 
 
-def grid_walk_values(x0: int, step: int, count: int, half: int | None = None
-                     ) -> np.ndarray:
-    """Signed indicator walk: +1 below the half point, -1 at or above."""
-    pos = _grid_positions(x0, step, count)
-    h = np.uint64(half if half is not None else GRID >> 1)
-    return np.where(pos < h, np.int64(1), np.int64(-1))
-
-
 @dataclass(frozen=True)
 class CircleStep:
     """Integer-valued step function on the dyadic circle.

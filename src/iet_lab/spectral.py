@@ -25,13 +25,6 @@ from .precision import PrecisionContext, RealVector
 # integer polynomial helpers
 
 
-def poly_eval_int(coeffs, x: int) -> int:
-    acc = 0
-    for c in coeffs:
-        acc = acc * x + c
-    return acc
-
-
 def poly_is_reciprocal(coeffs) -> bool:
     return list(coeffs) == list(reversed(coeffs))
 
@@ -435,6 +428,28 @@ def lyapunov_spectrum(matrix: IntMatrix, ctx: PrecisionContext | None = None
 # invariant splitting of the transpose
 
 
+def gauss_jordan_solve(rows, rhs, singular: Exception) -> list:
+    """Solve rows . x = rhs for a small dense square system of reals.
+
+    Partial pivoting on the largest magnitude; raises ``singular`` when
+    a pivot column is exactly zero.
+    """
+    k = len(rows)
+    aug = [list(rows[i]) + [rhs[i]] for i in range(k)]
+    for col in range(k):
+        piv = max(range(col, k), key=lambda r: abs(aug[r][col]))
+        if abs(aug[piv][col]) == 0:
+            raise singular
+        aug[col], aug[piv] = aug[piv], aug[col]
+        pv = aug[col][col]
+        aug[col] = [x / pv for x in aug[col]]
+        for r in range(k):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    return [aug[i][k] for i in range(k)]
+
+
 @dataclass(frozen=True)
 class Splitting:
     """Generalized eigenspace bases of the transpose, split at |z| = 1.
@@ -465,22 +480,10 @@ class Splitting:
         return (len(self.basis_s), len(self.basis_c), len(self.basis_u))
 
     def _solve(self, vec):
-        mp = self.ctx.mp
-        d = len(self._basis_cols)
-        aug = [[self._basis_cols[j][i] for j in range(d)] + [self.ctx.real(vec[i])]
-               for i in range(d)]
-        for col in range(d):
-            piv = max(range(col, d), key=lambda r: abs(aug[r][col]))
-            if abs(aug[piv][col]) == 0:
-                raise SpectralAmbiguity("splitting basis is singular")
-            aug[col], aug[piv] = aug[piv], aug[col]
-            pv = aug[col][col]
-            aug[col] = [x / pv for x in aug[col]]
-            for r in range(d):
-                if r != col and aug[r][col] != 0:
-                    f = aug[r][col]
-                    aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-        return [aug[i][d] for i in range(d)]
+        cols = self._basis_cols
+        rows = [[col[i] for col in cols] for i in range(len(cols))]
+        return gauss_jordan_solve(rows, [self.ctx.real(v) for v in vec],
+                                  SpectralAmbiguity("splitting basis is singular"))
 
     def components(self, vec) -> tuple:
         """Coefficients of vec in the (s | c | u) basis, as three lists."""

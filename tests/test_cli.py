@@ -199,19 +199,25 @@ class TestErrors:
         code = run(["build", "--iet", str(p)])
         assert code == 1
 
-    @pytest.mark.parametrize("option, content, named", [
-        ("--iet", json.dumps({"pair": {"d": 4}}), "'pi0'"),
-        ("--iet", "{not json", "not valid JSON"),
-        ("--cocycle", json.dumps({"kind": "step"}), "'values'"),
-    ], ids=["pair-without-pi0", "not-json", "step-without-values"])
+    @pytest.mark.parametrize("command, content, named", [
+        ("build --iet {bad}", json.dumps({"pair": {"d": 4}}), "'pi0'"),
+        ("build --iet {bad}", "{not json", "not valid JSON"),
+        ("deviation --iet {four} --cocycle {bad}",
+         json.dumps({"kind": "step"}), "'values'"),
+        ("birkhoff --iet {four} --cocycle {step} --n 0", "", ">= 1"),
+        ("deviation --iet {four} --cocycle {step} --n-max 0", "", ">= 1"),
+        ("simulate --iet {four} --cocycle {step} --eps a", "", "--eps"),
+        ("classify --iet {five} --vector a,b", "", "--vector"),
+        ("spectrum --matrix {bad}", json.dumps([["1", "x"], ["0", "1"]]),
+         "matrix file"),
+    ], ids=["pair-without-pi0", "not-json", "step-without-values",
+            "birkhoff-n-0", "deviation-n-max-0", "simulate-eps-not-a-number",
+            "classify-vector-not-numbers", "spectrum-matrix-not-integers"])
     def test_malformed_spec_one_line_error(self, capsys, specs, tmp_path,
-                                           option, content, named):
+                                           command, content, named):
         bad = tmp_path / "bad.json"
         bad.write_text(content)
-        if option == "--iet":
-            argv = ["build", "--iet", str(bad)]
-        else:
-            argv = ["deviation", "--iet", specs["four"], "--cocycle", str(bad)]
+        argv = command.format(bad=bad, **specs).split()
         code = run(argv)
         err = capsys.readouterr().err.splitlines()
         assert code == 1

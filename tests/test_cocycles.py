@@ -3,7 +3,7 @@
 import pytest
 
 from iet_lab import intmat
-from iet_lab.cocycles import (ExactWalker, PiecewiseLinearCocycle,
+from iet_lab.cocycles import (GUARD, ExactWalker, PiecewiseLinearCocycle,
                               StepCocycle, birkhoff_sum,
                               birkhoff_visit_counts, depth_interval_coeffs,
                               depth_total_coeffs, deviation_sweep, evaluate,
@@ -226,6 +226,35 @@ class TestReturnTimes:
     def test_two_periods(self, periodic4):
         assert return_time_matrix(periodic4, 0, 2) \
             == intmat.matpow(periodic4.matrix, 2)
+
+    def test_one_inverse_power_per_request(self, periodic4, monkeypatch):
+        calls = []
+        inverse = intmat.inverse_unimodular
+
+        def counted(a):
+            calls.append(a)
+            return inverse(a)
+
+        monkeypatch.setattr(intmat, "inverse_unimodular", counted)
+        for level in (1, 2, 3):
+            before = len(calls)
+            ExactWalker.at_depth(periodic4, level, [1, 0, 0, 0])
+            assert len(calls) - before == 1
+            depth_interval_coeffs(periodic4, level, 2)
+            assert len(calls) - before == 2
+            depth_total_coeffs(periodic4, level)
+            assert len(calls) - before == 3
+
+    def test_walker_shadow_matches_exchange_at_depth_zero(self, periodic4,
+                                                          periodic5,
+                                                          periodic7):
+        for p in (periodic4, periodic5, periodic7):
+            iet = p.iet
+            for wk in (ExactWalker(iet, [0] * p.d),
+                       ExactWalker.at_depth(p, 0, [0] * p.d)):
+                assert wk.lefts_f == [float(iet.left[a]) for a in iet.order0]
+                assert wk.w_f == [float(t) for t in iet.translations]
+                assert wk.guard == GUARD * float(iet.total)
 
     def test_column_sums_are_return_times(self, ctx, periodic4):
         # measured first-return times of depth-1 intervals

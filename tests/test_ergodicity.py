@@ -243,6 +243,18 @@ class TestSkewSimulate:
         assert (near.skipped_samples, near.sample_count) == (1, 0)
         assert (clear.skipped_samples, clear.sample_count) == (0, 1)
 
+    def test_skipped_sample_adds_nothing(self, ctx, periodic4):
+        # the 50th iterate lies 1e-12 right of a left endpoint: the 50
+        # steps walked before the guard hit must not count
+        iet = periodic4.iet
+        x0 = iet.orbit(iet.left[1] + ctx.real("1e-12"), -50)[-1]
+        phi = StepCocycle.from_vector((0, 0, 0, 0))
+        stats = skew_simulate(iet, phi, [x0], 100, eps_list=(0.5,))
+        assert (stats.skipped_samples, stats.sample_count) == (1, 0)
+        assert stats.hits == {0.5: 0}
+        assert stats.zero_returns == 0
+        assert sum(stats.histogram) == 0
+
 
 class TestSpecialFlow:
     @pytest.fixture()
