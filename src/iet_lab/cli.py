@@ -211,7 +211,9 @@ def _cmd_spectrum(args, ctx):
         pair = None
         if args.pair:
             data = _load_json(args.pair)
-            pair = PermutationPair.from_json(data.get("pair", data))
+            if isinstance(data, dict):
+                data = data.get("pair", data)
+            pair = PermutationPair.from_json(data)
     else:
         obj = _need_periodic(_load_iet(args, ctx))
         matrix, lengths, pair = obj.matrix, obj.lengths, obj.pair

@@ -25,6 +25,9 @@ GRID_BITS = 53
 GRID = 1 << GRID_BITS
 _MASK = np.uint64(GRID - 1)
 _SPLIT = 26  # low bits; high part then fits 27 bits
+# (orbit step, sample) entries walked at once by denjoy_koksma_check,
+# a 2 MB uint64 block of positions (one orbit step when samples exceed it).
+_DK_BLOCK_ELEMENTS = 1 << 18
 
 
 # ---------------------------------------------------------------------------
@@ -155,11 +158,25 @@ class CircleStep:
         return Fraction(var, self.scale)
 
     def sample(self, positions: np.ndarray) -> np.ndarray:
-        bps = np.array(self.breakpoints, dtype=np.uint64)
-        idx = np.searchsorted(bps, positions, side="right") - 1
-        idx = np.where(idx < 0, len(self.breakpoints) - 1, idx)
-        vals = np.array(self.values, dtype=np.int64)
-        return vals[idx]
+        """Values at grid positions, elementwise, for an array of any shape.
+
+        Jump accumulation: values[-1] plus every jump
+        values[i] - values[i-1] whose breakpoint b_i <= pos.  A jump at
+        b_i = 0 holds everywhere, so it is folded into the start value.
+        """
+        pos = np.asarray(positions, dtype=np.uint64)
+        start = self.values[-1]
+        jumps = []
+        for i, b in enumerate(self.breakpoints):
+            jump = self.values[i] - self.values[i - 1]
+            if b == 0:
+                start += jump
+            elif jump:
+                jumps.append((np.uint64(b), np.int64(jump)))
+        out = np.full(pos.shape, start, dtype=np.int64)
+        for b, jump in jumps:
+            out += np.multiply(pos >= b, jump)
+        return out
 
 
 def half_indicator() -> CircleStep:
@@ -198,7 +215,8 @@ def denjoy_koksma_check(phi: CircleStep, alpha, depth: int,
     fraction is computed exactly, so each tested denominator really is
     a convergent denominator of the simulated rotation.  Sums are exact
     integers; a violation would be an arithmetic counterexample, not a
-    rounding artifact.
+    rounding artifact.  All sample starts are walked together, one block
+    of max(1, _DK_BLOCK_ELEMENTS // samples) orbit steps at a time.
     """
     if phi.mean_numerator() != 0:
         raise DomainError("variation bound requires a zero-mean function")
@@ -223,23 +241,32 @@ def denjoy_koksma_check(phi: CircleStep, alpha, depth: int,
     max_abs = {q: 0 for q in dens}
     violations = 0
     checkpoints = _log_checkpoints(limit)
-    sup_curve = [0] * len(checkpoints)
     base = _grid_positions(0, step, limit)
-    for x0 in rng:
-        pos = (base + np.uint64(x0)) & _MASK
-        vals = phi.sample(pos)
-        sums = np.cumsum(vals)
-        for q in dens:
-            s = abs(int(sums[q - 1]))
-            if s > max_abs[q]:
-                max_abs[q] = s
-            if s > bound_int:
-                violations += 1
-        running = np.maximum.accumulate(np.abs(sums))
-        for ci, n in enumerate(checkpoints):
-            v = int(running[n - 1])
-            if v > sup_curve[ci]:
-                sup_curve[ci] = v
+    # col_max[n-1] = max over samples of |S_n|; its running max is the
+    # running sup over samples, since the two maxima commute.
+    col_max = np.zeros(limit, dtype=np.int64)
+    if rng:
+        x0s = np.array(rng, dtype=np.uint64)
+        rows = max(1, _DK_BLOCK_ELEMENTS // len(rng))
+        pos = np.empty((min(rows, limit), len(rng)), dtype=np.uint64)
+        carry = np.zeros(len(rng), dtype=np.int64)
+        for lo in range(0, limit, rows):
+            hi = min(limit, lo + rows)
+            block = np.add(base[lo:hi, None], x0s, out=pos[:hi - lo])
+            block &= _MASK
+            sums = phi.sample(block)
+            sums[0] += carry
+            np.cumsum(sums, axis=0, out=sums)   # row j: S_{lo+j+1} per sample
+            carry = sums[-1].copy()
+            np.abs(sums, out=sums)
+            for q in dens:
+                if lo < q <= hi:
+                    row = sums[q - 1 - lo]
+                    max_abs[q] = int(row.max())
+                    violations += int(np.count_nonzero(row > bound_int))
+            sums.max(axis=1, out=col_max[lo:hi])
+    np.maximum.accumulate(col_max, out=col_max)
+    sup_curve = [int(col_max[n - 1]) for n in checkpoints]
     slope = _sup_log_slope(checkpoints, sup_curve, phi.scale)
     return VariationBoundReport(tuple(dens), tuple(quots[:len(dens)]),
                                 {q: Fraction(v, phi.scale)
@@ -329,6 +356,8 @@ def product_rotation_simulate(alpha1, alpha2, phi1: CircleStep,
     report measures how evenly the iterated discontinuities spread,
     scaled by the iteration count.
     """
+    if n_steps < 1:
+        raise DomainError(f"walk length must be >= 1, got {n_steps}")
     if phi1.mean_numerator() != 0 or phi2.mean_numerator() != 0:
         raise DomainError("component functions must have zero mean")
     if start is None:

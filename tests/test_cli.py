@@ -210,9 +210,14 @@ class TestErrors:
         ("classify --iet {five} --vector a,b", "", "--vector"),
         ("spectrum --matrix {bad}", json.dumps([["1", "x"], ["0", "1"]]),
          "matrix file"),
+        ("rotations --mode product --n 0", "", ">= 1"),
+        ("rotations --mode product --n -5", "", ">= 1"),
+        ("spectrum --matrix {bad} --pair {bad}", json.dumps([[2, 1], [1, 1]]),
+         "JSON object"),
     ], ids=["pair-without-pi0", "not-json", "step-without-values",
             "birkhoff-n-0", "deviation-n-max-0", "simulate-eps-not-a-number",
-            "classify-vector-not-numbers", "spectrum-matrix-not-integers"])
+            "classify-vector-not-numbers", "spectrum-matrix-not-integers",
+            "product-n-0", "product-n-negative", "spectrum-pair-not-object"])
     def test_malformed_spec_one_line_error(self, capsys, specs, tmp_path,
                                            command, content, named):
         bad = tmp_path / "bad.json"

@@ -1,17 +1,76 @@
 """Circle rotations on the exact dyadic grid."""
 
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from iet_lab import rotations
 from iet_lab.errors import DomainError, RationalInput
-from iet_lab.rotations import (GRID, CircleStep, continued_fraction,
-                               denjoy_koksma_check, dyadic_rotation,
-                               exact_dyadic_cf, half_indicator,
-                               product_rotation_simulate, three_distance_gaps)
+from iet_lab.rotations import (GRID, CircleStep, VariationBoundReport,
+                               continued_fraction, denjoy_koksma_check,
+                               dyadic_rotation, exact_dyadic_cf,
+                               half_indicator, product_rotation_simulate,
+                               three_distance_gaps)
 
 GOLDEN = (math.sqrt(5) - 1) / 2
 SQRT2M1 = math.sqrt(2) - 1
+
+STEP_FUNCTIONS = {
+    "half": half_indicator(),
+    "zero": CircleStep((0, GRID // 2), (0, 0), scale=1),
+    "four-piece": CircleStep((0, GRID // 4, GRID // 2, 3 * GRID // 4),
+                             (1, -1, 1, -1), scale=1),
+    "shifted": CircleStep((3, GRID // 2 + 3), (1, -1), scale=2),
+    "three-piece": CircleStep((0, GRID // 4, GRID // 2), (3, -1, -1), scale=3),
+}
+
+
+def searchsorted_sample(phi, positions):
+    """Reference evaluator: the interval of each position by bisection."""
+    bps = np.array(phi.breakpoints, dtype=np.uint64)
+    idx = np.searchsorted(bps, positions, side="right") - 1
+    idx = np.where(idx < 0, len(phi.breakpoints) - 1, idx)
+    return np.array(phi.values, dtype=np.int64)[idx]
+
+
+def per_sample_dk(phi, alpha, depth, samples, n_max, seed=0):
+    """Reference Denjoy-Koksma check: one full walk per sample start."""
+    step = dyadic_rotation(alpha)
+    quots = exact_dyadic_cf(step, GRID)
+    dens = []
+    q_prev, q_cur = 0, 1
+    for a in quots:
+        q_prev, q_cur = q_cur, a * q_cur + q_prev
+        if n_max is not None and q_cur > n_max:
+            break
+        dens.append(q_cur)
+        if len(dens) >= depth:
+            break
+    limit = dens[-1] if dens else 1
+    var = phi.variation()
+    bound = var * phi.scale
+    starts = rotations._grid_samples(samples, seed)
+    max_abs = {q: 0 for q in dens}
+    violations = 0
+    checkpoints = rotations._log_checkpoints(limit)
+    sup = [0] * len(checkpoints)
+    base = rotations._grid_positions(0, step, limit)
+    for x0 in starts:
+        sums = np.cumsum(searchsorted_sample(
+            phi, (base + np.uint64(x0)) & rotations._MASK))
+        for q in dens:
+            max_abs[q] = max(max_abs[q], abs(int(sums[q - 1])))
+            violations += abs(int(sums[q - 1])) > bound
+        running = np.maximum.accumulate(np.abs(sums))
+        sup = [max(s, int(running[n - 1])) for s, n in zip(sup, checkpoints)]
+    return VariationBoundReport(
+        tuple(dens), tuple(quots[:len(dens)]),
+        {q: Fraction(v, phi.scale) for q, v in max_abs.items()}, var,
+        violations, len(starts),
+        tuple((n, Fraction(s, phi.scale)) for n, s in zip(checkpoints, sup)),
+        rotations._sup_log_slope(checkpoints, sup, phi.scale))
 
 
 class TestContinuedFraction:
@@ -68,6 +127,63 @@ class TestVariationBound:
         phi = CircleStep((0, GRID // 2), (1, 0), scale=1)
         with pytest.raises(DomainError):
             denjoy_koksma_check(phi, GOLDEN, depth=5, samples=5)
+
+
+class TestBlockKernel:
+    """The block-batched check against the per-sample reference walk."""
+
+    @pytest.mark.parametrize("n_max", [1, 2, 50, 10 ** 4])
+    @pytest.mark.parametrize("samples", [0, 1, 7, 100])
+    @pytest.mark.parametrize("alpha", [GOLDEN, SQRT2M1], ids=["golden", "sqrt2"])
+    @pytest.mark.parametrize("name", list(STEP_FUNCTIONS))
+    def test_reports_equal_reference(self, name, alpha, samples, n_max):
+        phi = STEP_FUNCTIONS[name]
+        for depth in (3, 40):
+            assert (denjoy_koksma_check(phi, alpha, depth, samples, n_max, 5)
+                    == per_sample_dk(phi, alpha, depth, samples, n_max, 5))
+
+    @pytest.mark.parametrize("budget", [1, 7 * 88, 7 * 89, 7 * 90])
+    @pytest.mark.parametrize("name", list(STEP_FUNCTIONS))
+    def test_denominator_on_block_edge(self, monkeypatch, name, budget):
+        # 7 samples: blocks of 1, 88, 89 and 90 rows, so q = 89 ends a
+        # block, starts one or lies inside one
+        monkeypatch.setattr(rotations, "_DK_BLOCK_ELEMENTS", budget)
+        phi = STEP_FUNCTIONS[name]
+        assert (denjoy_koksma_check(phi, GOLDEN, 40, 7, 200)
+                == per_sample_dk(phi, GOLDEN, 40, 7, 200))
+
+    @pytest.mark.parametrize("alpha", [GOLDEN, SQRT2M1], ids=["golden", "sqrt2"])
+    def test_no_denominator_below_n_max(self, alpha):
+        rep = denjoy_koksma_check(half_indicator(), alpha, 10, 7, n_max=0)
+        assert rep == per_sample_dk(half_indicator(), alpha, 10, 7, 0)
+        assert rep.denominators == () and rep.max_abs == {}
+
+    @pytest.mark.parametrize("samples", [0, 3])
+    def test_grid_limit_error_unchanged(self, samples):
+        with pytest.raises(DomainError, match="2\\^24") as new:
+            denjoy_koksma_check(half_indicator(), GOLDEN, 40, samples)
+        with pytest.raises(DomainError) as ref:
+            per_sample_dk(half_indicator(), GOLDEN, 40, samples, None)
+        assert str(new.value) == str(ref.value)
+
+
+class TestSample:
+    @pytest.mark.parametrize("name", list(STEP_FUNCTIONS))
+    def test_matches_searchsorted(self, name):
+        phi = STEP_FUNCTIONS[name]
+        edges = [0, GRID - 1]
+        for b in phi.breakpoints:
+            edges += [b, (b - 1) % GRID]
+        rng = np.random.default_rng(7)
+        pos = np.concatenate([np.array(edges, dtype=np.uint64),
+                              rng.integers(0, GRID, 10 ** 5, dtype=np.uint64)])
+        ref = searchsorted_sample(phi, pos)
+        got = phi.sample(pos)
+        assert got.dtype == np.int64 and np.array_equal(got, ref)
+        square = pos[:len(pos) // 8 * 8].reshape(-1, 8)
+        got2 = phi.sample(square)
+        assert got2.shape == square.shape
+        assert np.array_equal(got2, ref[:square.size].reshape(square.shape))
 
 
 class TestProductRotation:
