@@ -108,7 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="worker cap for sweep commands")
     parser = argparse.ArgumentParser(
         prog="iet-lab",
-        parents=[common],
         description="interval exchange laboratory: induction, spectra, "
                     "cocycle growth, and recurrence probes")
     sub = parser.add_subparsers(dest="command", required=True)

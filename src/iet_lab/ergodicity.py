@@ -347,6 +347,10 @@ def skew_simulate(iet: Iet, cocycle: Cocycle, x0_list, n_steps: int,
     """
     if x0_list is None:
         x0_list = kronecker_samples(iet.ctx, 16, iet.total, seed)
+    if len(x0_list) == 0:
+        raise DomainError("need >= 1 sample start, got none")
+    if n_steps < 1:
+        raise DomainError(f"walk length must be >= 1, got {n_steps}")
     mirror = float_mirror(iet)
     table = float_table(cocycle, mirror)
     dim = cocycle.dim

@@ -8,7 +8,7 @@ algebra.
 
 from __future__ import annotations
 
-from fractions import Fraction
+import operator
 from typing import Sequence
 
 from .errors import DimensionError, NotPrimitive
@@ -70,103 +70,79 @@ def norm_col(a: IntMatrix) -> int:
     return max(sum(abs(x) for x in col) for col in zip(*a))
 
 
+def _gauss_jordan(rows: list, ncols: int) -> tuple:
+    """In-place fraction-free (Bareiss) Gauss-Jordan on integer rows.
+
+    Pivots are sought in the first ``ncols`` columns; every row operation
+    spans the whole row, so augmented columns ride along.  Each entry
+    stays an integer minor of the input (Sylvester's identity), so every
+    ``//`` is exact.  On return each pivot row holds the last pivot on its
+    pivot column and zeros on the other pivot columns.  Returns
+    (rank, sign of the row permutation, last pivot).
+    """
+    rank, sign, prev = 0, 1, 1
+    for col in range(ncols):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col] != 0),
+                   None)
+        if piv is None:
+            continue
+        if piv != rank:
+            rows[rank], rows[piv] = rows[piv], rows[rank]
+            sign = -sign
+        top = rows[rank]
+        p = top[col]
+        for i, row in enumerate(rows):
+            if i != rank:
+                f = row[col]
+                rows[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+        prev = p
+        rank += 1
+    return rank, sign, prev
+
+
 def det(a: IntMatrix) -> int:
     """Exact determinant by fraction-free Bareiss elimination."""
     d = len(a)
-    m = [list(row) for row in a]
-    sign = 1
-    prev = 1
-    for k in range(d - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, d):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, d):
-            for j in range(k + 1, d):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[d - 1][d - 1]
+    rank, sign, pivot = _gauss_jordan([list(row) for row in a], d)
+    return sign * pivot if rank == d else 0
 
 
 def inverse_unimodular(a: IntMatrix) -> IntMatrix:
     """Exact integer inverse; requires det = +-1."""
     d = len(a)
-    dt = det(a)
+    aug = [list(row) + list(e) for row, e in zip(a, identity(d))]
+    rank, sign, pivot = _gauss_jordan(aug, d)
+    dt = sign * pivot if rank == d else 0
     if dt not in (1, -1):
         raise DimensionError(f"matrix is not unimodular (det = {dt})")
-    aug = [[Fraction(a[i][j]) for j in range(d)] + [Fraction(int(i == k)) for k in range(d)]
-           for i in range(d)]
-    for col in range(d):
-        piv = next(r for r in range(col, d) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(d):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    inv = tuple(tuple(int(aug[i][d + j]) for j in range(d)) for i in range(d))
-    return inv
+    # the right block is pivot * A^-1, and pivot = +-1
+    return tuple(tuple(pivot * x for x in row[d:]) for row in aug)
 
 
 def charpoly(a: IntMatrix) -> tuple:
     """Monic characteristic polynomial, highest degree first.
 
-    Faddeev-LeVerrier over exact rationals; all returned coefficients
-    are integers for an integer input matrix.
+    Faddeev-LeVerrier in integers: each trace division by k is exact
+    for an integer input matrix.
     """
     d = len(a)
-    af = [[Fraction(x) for x in row] for row in a]
-
-    def mm(x, y):
-        return [[sum(x[i][k] * y[k][j] for k in range(d)) for j in range(d)]
-                for i in range(d)]
-
-    m = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
-    coeffs = [Fraction(1)]
+    m = identity(d)
+    coeffs = [1]
     for k in range(1, d + 1):
-        m = mm(af, m)
-        c = -sum(m[i][i] for i in range(d)) / k
-        coeffs.append(c)
-        for i in range(d):
-            m[i][i] += c
-    out = []
-    for c in coeffs:
-        if c.denominator != 1:
+        m = matmul(a, m)
+        c, r = divmod(-sum(m[i][i] for i in range(d)), k)
+        if r:
             raise DimensionError("characteristic polynomial is not integral")
-        out.append(int(c))
-    return tuple(out)
+        coeffs.append(c)
+        m = tuple(tuple(x + c * (i == j) for j, x in enumerate(row))
+                  for i, row in enumerate(m))
+    return tuple(coeffs)
 
 
 def rank_rational(rows) -> int:
-    """Exact rank of a matrix with int/Fraction entries."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    if not m:
-        return 0
-    nrows, ncols = len(m), len(m[0])
-    rank = 0
-    row = 0
-    for col in range(ncols):
-        piv = next((r for r in range(row, nrows) if m[r][col] != 0), None)
-        if piv is None:
-            continue
-        m[row], m[piv] = m[piv], m[row]
-        pv = m[row][col]
-        m[row] = [x / pv for x in m[row]]
-        for r in range(nrows):
-            if r != row and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[row])]
-        rank += 1
-        row += 1
-        if row == nrows:
-            break
-    return rank
+    """Exact rank over Q of an integer matrix, square or rectangular."""
+    m = [list(map(operator.index, row)) for row in rows]
+    return _gauss_jordan(m, len(m[0]))[0] if m else 0
 
 
 def wielandt_bound(d: int) -> int:

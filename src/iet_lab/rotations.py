@@ -218,6 +218,8 @@ def denjoy_koksma_check(phi: CircleStep, alpha, depth: int,
     rounding artifact.  All sample starts are walked together, one block
     of max(1, _DK_BLOCK_ELEMENTS // samples) orbit steps at a time.
     """
+    if samples < 0:
+        raise DomainError(f"sample count must be >= 0, got {samples}")
     if phi.mean_numerator() != 0:
         raise DomainError("variation bound requires a zero-mean function")
     step = dyadic_rotation(alpha)
@@ -423,6 +425,8 @@ def three_distance_gaps(alpha, n: int) -> list:
     circle into arcs of at most three distinct lengths.  On the dyadic
     grid distinctness is exact integer comparison.
     """
+    if n < 1:
+        raise DomainError(f"point count must be >= 1, got {n}")
     step = dyadic_rotation(alpha)
     pos = np.sort(_grid_positions(0, step, n).astype(np.uint64))
     gaps = np.diff(np.concatenate([pos, pos[:1] + GRID]))

@@ -321,16 +321,15 @@ def _max_jordan_block(matrix: IntMatrix, groups, ctx: PrecisionContext) -> int:
         if g.multiplicity <= 1:
             continue
         if g.is_real and len(g.factor) == 2:
-            # rational eigenvalue: exact rank chain over Q
-            r = Fraction(-g.factor[1], g.factor[0])
-            shifted = [[Fraction(matrix[i][j]) - (r if i == j else 0)
-                        for j in range(d)] for i in range(d)]
+            # integer eigenvalue (factors are monic): exact rank chain
+            r = -g.factor[1]
+            shifted = tuple(tuple(x - r * (i == j) for j, x in enumerate(row))
+                            for i, row in enumerate(matrix))
             power = shifted
             prev_rank = intmat.rank_rational(power)
             block = 1
             while d - prev_rank < g.multiplicity:
-                power = [[sum(power[i][k] * shifted[k][j] for k in range(d))
-                          for j in range(d)] for i in range(d)]
+                power = intmat.matmul(power, shifted)
                 rank = intmat.rank_rational(power)
                 if rank == prev_rank:
                     break

@@ -188,6 +188,18 @@ class TestErrors:
             run(["frobnicate"])
         assert info.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        "--seed 4 rotations --mode three-distance --n 10",
+        "--format csv rotations --mode three-distance --n 10",
+        "--precision-bits -5 spectrum --matrix {four}",
+    ], ids=["seed-before-command", "format-before-command",
+            "precision-bits-before-command"])
+    def test_option_before_command_usage_exit(self, capsys, specs, argv):
+        with pytest.raises(SystemExit) as info:
+            run(argv.format(**specs).split())
+        assert info.value.code == 2
+        assert capsys.readouterr().out == ""
+
     def test_missing_file_is_domain_error(self, capsys):
         code = run(["build", "--iet", "/nonexistent/x.json"])
         assert code == 1
@@ -214,10 +226,18 @@ class TestErrors:
         ("rotations --mode product --n -5", "", ">= 1"),
         ("spectrum --matrix {bad} --pair {bad}", json.dumps([[2, 1], [1, 1]]),
          "JSON object"),
+        ("rotations --mode three-distance --n 0", "", ">= 1"),
+        ("rotations --mode three-distance --n -5", "", ">= 1"),
+        ("rotations --mode dk --samples -3", "", ">= 0"),
+        ("simulate --iet {four} --cocycle {step} --samples -1", "", ">= 1"),
+        ("simulate --iet {four} --cocycle {step} --n 0", "", ">= 1"),
     ], ids=["pair-without-pi0", "not-json", "step-without-values",
             "birkhoff-n-0", "deviation-n-max-0", "simulate-eps-not-a-number",
             "classify-vector-not-numbers", "spectrum-matrix-not-integers",
-            "product-n-0", "product-n-negative", "spectrum-pair-not-object"])
+            "product-n-0", "product-n-negative", "spectrum-pair-not-object",
+            "three-distance-n-0", "three-distance-n-negative",
+            "dk-samples-negative", "simulate-samples-negative",
+            "simulate-n-0"])
     def test_malformed_spec_one_line_error(self, capsys, specs, tmp_path,
                                            command, content, named):
         bad = tmp_path / "bad.json"

@@ -1,5 +1,6 @@
 """Foundational types: permutation pairs, exact matrices, precision."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -149,6 +150,113 @@ class TestIntMatrix:
     def test_serialization(self):
         a = intmat.freeze([[10, -3], [7, 2]])
         assert intmat.matrix_from_strings(intmat.matrix_to_strings(a)) == a
+
+
+def _random_square(rng, d):
+    """Random d x d integers; a third are singular, a third need row swaps."""
+    rows = [[rng.randint(-9, 9) for _ in range(d)] for _ in range(d)]
+    kind = rng.randrange(3)
+    if kind == 1 and d > 1:
+        i, j = rng.sample(range(d), 2)
+        k = rng.randint(-3, 3)
+        rows[i] = [k * x for x in rows[j]]
+    elif kind == 2:
+        for i in range(d - 1):
+            rows[i][0] = 0
+        rows[rng.randrange(d)][min(1, d - 1)] = 0
+    return rows
+
+
+def _random_unimodular(rng, d, sign):
+    """Product of elementary integer matrices with determinant ``sign``."""
+    u = [list(row) for row in intmat.identity(d)]
+    for _ in range(rng.randint(3, 15)):
+        i, j = rng.sample(range(d), 2)
+        if rng.random() < 0.25:
+            u[i], u[j] = u[j], u[i]
+            u[0] = [-x for x in u[0]]
+        else:
+            k = rng.randint(-3, 3)
+            u[i] = [x + k * y for x, y in zip(u[i], u[j])]
+    if sign < 0:
+        u[-1] = [-x for x in u[-1]]
+    return intmat.freeze(u)
+
+
+class TestElimination:
+    """det, inverse and rank share one fraction-free elimination."""
+
+    def test_det_matches_sympy(self):
+        import sympy
+
+        rng = random.Random(7)
+        swaps = [((0, 1), (1, 0)), ((0, 1, 0), (0, 0, 1), (1, 0, 0)),
+                 ((0, 0, 2), (0, 3, 0), (5, 0, 0)), ((0, 2), (0, 3)), ((0,),)]
+        cases = swaps + [_random_square(rng, d) for d in range(1, 8)
+                         for _ in range(25)]
+        dets = []
+        for rows in cases:
+            want = int(sympy.Matrix(rows).det())
+            assert intmat.det(intmat.freeze(rows)) == want, rows
+            dets.append(want)
+        assert dets[:5] == [-1, 1, -30, 0, 0]
+        assert dets.count(0) > 40 and sum(x != 0 for x in dets) > 80
+
+    def test_inverse_matches_sympy(self):
+        import sympy
+
+        rng = random.Random(11)
+        for d in range(2, 8):
+            for sign in (1, -1):
+                for _ in range(6):
+                    u = _random_unimodular(rng, d, sign)
+                    assert intmat.det(u) == sign
+                    want = sympy.Matrix(u).inv()
+                    assert intmat.inverse_unimodular(u) == tuple(
+                        tuple(int(x) for x in want.row(i)) for i in range(d))
+
+    def test_inverse_of_bundled_powers(self, periodic4, periodic5, periodic7):
+        for periodic in (periodic4, periodic5, periodic7):
+            for a in (periodic.step_matrix, periodic.matrix):
+                eye = intmat.identity(len(a))
+                for n in range(9):
+                    a_n = intmat.matpow(a, n)
+                    inv = intmat.inverse_unimodular(a_n)
+                    assert intmat.matmul(a_n, inv) == eye
+                    assert intmat.matmul(inv, a_n) == eye
+
+    @pytest.mark.parametrize("rows, det", [
+        (((2, 0), (0, 2)), 4), (((2, 1), (1, 2)), 3), (((1, 2), (3, 4)), -2),
+        (((0, 1), (0, 1)), 0), (((1, 2, 3), (4, 5, 6), (7, 8, 9)), 0),
+        (((0, 1, 1), (1, 0, 1), (1, 1, 0)), 2)])
+    def test_inverse_rejects_non_unimodular(self, rows, det):
+        with pytest.raises(DimensionError,
+                           match=rf"not unimodular \(det = {det}\)"):
+            intmat.inverse_unimodular(rows)
+
+    def test_rank_matches_sympy(self):
+        import sympy
+
+        rng = random.Random(13)
+        cases = [[], [[], []], [[0, 0, 0]], [[0], [0]], [[0, 0, 5], [0, 0, 7]],
+                 [[0, 1], [0, 2], [3, 0]]]
+        for _ in range(150):
+            r, c, k = rng.randint(1, 6), rng.randint(1, 6), rng.randint(0, 4)
+            left = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(r)]
+            right = [[rng.randint(-3, 3) for _ in range(c)] for _ in range(k)]
+            cases.append([[sum(x * y for x, y in zip(row, col))
+                           for col in zip(*right)] if k else [0] * c
+                          for row in left])
+        deficient = 0
+        for rows in cases:
+            want = sympy.Matrix(rows).rank() if rows and rows[0] else 0
+            assert intmat.rank_rational(rows) == want, rows
+            deficient += 0 < want < min(len(rows), len(rows[0]))
+        assert deficient > 30
+
+    def test_rank_wants_integers(self):
+        with pytest.raises(TypeError):
+            intmat.rank_rational([[Fraction(1, 2), 1], [1, 2]])
 
 
 class TestPrecisionContext:

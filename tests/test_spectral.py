@@ -53,6 +53,15 @@ class TestSpectrum:
         with pytest.raises(NotPrimitive):
             lyapunov_spectrum([[0, 1], [1, 0]], ctx)
 
+    @pytest.mark.parametrize("matrix, block", [
+        (((4, 2, 1), (2, 4, 1), (0, 4, 3)), 2),   # (x-7)(x-2)^2
+        (((0, 3, 3), (4, 0, 3), (2, 3, 0)), 2),   # (x-6)(x+3)^2
+        (((2, 1, 1), (1, 2, 1), (1, 1, 2)), 1),   # (x-4)(x-1)^2
+    ], ids=["root-2-defective", "root-minus-3-defective",
+            "root-1-diagonalizable"])
+    def test_jordan_block_of_repeated_integer_root(self, ctx, matrix, block):
+        assert lyapunov_spectrum(matrix, ctx).max_jordan_block == block
+
 
 class TestSplitting:
     def test_dimensions(self, splitting4, splitting5):
