@@ -14,8 +14,8 @@ import os
 import sys
 
 from . import intmat
-from .cocycles import (Renormalizer, StepCocycle, cocycle_from_json,
-                       deviation_profile)
+from .cocycles import (PiecewiseLinearCocycle, Renormalizer, StepCocycle,
+                       cocycle_from_json, deviation_profile)
 from .correction import correct_bv, growth_check, renorm_sup_curve
 from .ergodicity import (build_fixed_cocycle, coboundary_classify,
                          essential_value_probe, fixed_space_basis,
@@ -84,6 +84,21 @@ def _load_iet(args, ctx) -> Iet | PeriodicIet:
     if not args.iet:
         raise IetLabError("this command needs --iet FILE")
     return iet_from_json(_load_json(args.iet), ctx)
+
+
+def _load_cocycle(args, ctx, iet: Iet):
+    """The --cocycle spec, with one row per letter of the exchange."""
+    phi = cocycle_from_json(_load_json(args.cocycle), ctx)
+    if isinstance(phi, PiecewiseLinearCocycle):
+        rows = (len(phi.slopes), len(phi.constants))
+        found = f"{rows[0]} slope and {rows[1]} constant rows"
+    else:
+        rows = (len(phi.values),)
+        found = f"{rows[0]} value rows"
+    if any(n != iet.d for n in rows):
+        raise IetLabError(f"cocycle has {found}, the exchange has "
+                          f"{iet.d} letters")
+    return phi
 
 
 def _need_periodic(obj) -> PeriodicIet:
@@ -236,9 +251,8 @@ def _cmd_spectrum(args, ctx):
 
 
 def _cmd_birkhoff(args, ctx):
-    obj = _load_iet(args, ctx)
-    iet = _plain_iet(obj)
-    phi = cocycle_from_json(_load_json(args.cocycle), ctx)
+    iet = _plain_iet(_load_iet(args, ctx))
+    phi = _load_cocycle(args, ctx, iet)
     from .cocycles import forward_birkhoff, _geometric_checkpoints
 
     x = _parse("--x0", ctx.real, args.x0) * iet.total
@@ -257,7 +271,7 @@ def _cmd_birkhoff(args, ctx):
 
 def _cmd_deviation(args, ctx):
     obj = _need_periodic(_load_iet(args, ctx))
-    phi = cocycle_from_json(_load_json(args.cocycle), ctx)
+    phi = _load_cocycle(args, ctx, obj.iet)
     if args.zero_mean:
         from .cocycles import zero_mean_version
 
@@ -275,7 +289,7 @@ def _cmd_deviation(args, ctx):
 
 def _cmd_correct(args, ctx):
     obj = _need_periodic(_load_iet(args, ctx))
-    phi = cocycle_from_json(_load_json(args.cocycle), ctx)
+    phi = _load_cocycle(args, ctx, obj.iet)
     if args.zero_mean:
         from .cocycles import zero_mean_version
 
@@ -300,7 +314,7 @@ def _cmd_essential(args, ctx):
     else:
         if not args.cocycle:
             raise IetLabError("need --cocycle FILE or --fixed-space")
-        phi = cocycle_from_json(_load_json(args.cocycle), ctx)
+        phi = _load_cocycle(args, ctx, obj.iet)
     report = essential_value_probe(phi, obj, args.n_max)
     payload = {"candidates": [
         {"value": [str(x) for x in val], "levels_tracked": cnt,
@@ -329,9 +343,8 @@ def _cmd_classify(args, ctx):
 
 
 def _cmd_simulate(args, ctx):
-    obj = _load_iet(args, ctx)
-    iet = _plain_iet(obj)
-    phi = cocycle_from_json(_load_json(args.cocycle), ctx)
+    iet = _plain_iet(_load_iet(args, ctx))
+    phi = _load_cocycle(args, ctx, iet)
     eps = _parse("--eps", _split(float), args.eps)
     from .precision import kronecker_samples
 

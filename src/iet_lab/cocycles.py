@@ -1,21 +1,19 @@
 """Cocycles over interval exchanges: evaluation, Birkhoff sums, towers,
 partitions, and renormalization.
 
-Two orbit engines back the heavy operations.  The exact engine
-(``ExactWalker``) carries positions as integer combinations of the
-length vector (which is closed under the dynamics), locates intervals
-through a float shadow, and falls back to high-precision sign
-evaluation whenever the shadow comes within GUARD * |I| of a
-breakpoint, |I| the total length of the exchange it walks, at every
-depth; visit counts from it are exact integers.  The lattice data of a
-depth-n induced exchange comes from one source, ``depth_lattice``,
-which inverts the period power A^n once per request.  The float lane (``float_walk``) drops the integer bookkeeping for the
-long statistical sweeps, ``deviation_sweep`` and the skew-product
-simulation, under one guard rule: a sample is skipped (and counted) as
-soon as its point comes within GUARD * |I| of either endpoint of its
-located interval, at every step including the first, or within that
-distance to the right of a step cocycle's jump in that interval.  So
-measure-zero collisions cannot silently poison the statistics.
+Two orbit engines back the heavy operations, on one interval geometry:
+``lattice_mirror`` turns an exchange's integer lattice (``Iet.lattice``
+at depth 0, ``depth_lattice`` from A^-n at depth n) into a
+``FloatMirror``; both engines locate a point by one bisect on it and
+guard it within GUARD * |I| of either end of its interval, |I| the
+total length of the exchange walked.  The exact engine (``ExactWalker``)
+carries positions as integer combinations of the length vector and
+settles a guarded step by high-precision signs, so its visit counts are
+exact.  The float lane (``float_walk``) serves ``deviation_sweep`` and
+the skew-product simulation: a guarded point, at any step including the
+first, or one within GUARD * |I| right of a step cocycle's jump in its
+interval, skips its sample (counted), so measure-zero collisions cannot
+silently poison the statistics.
 
 Renormalization exploits self-similarity: for a periodic-type exchange
 the induced map at every depth rescales to the same unit exchange, so
@@ -35,7 +33,7 @@ from . import intmat
 from .errors import (DomainError, KeaneViolation, NearBreakpoint,
                      NotNormalized, Unsupported, reading_spec)
 from .precision import kronecker_samples
-from .rauzy import Iet, PeriodicIet
+from .rauzy import DepthLattice, Iet, PeriodicIet, _lattice
 
 GUARD = 1e-9  # guard band around breakpoints, relative to |I| (both orbit engines)
 
@@ -206,7 +204,41 @@ def sup_norm(cocycle: Cocycle, iet: Iet):
 
 
 # ---------------------------------------------------------------------------
-# exact orbit engine
+# float geometry and the exact orbit engine
+
+
+@dataclass(frozen=True)
+class FloatMirror:
+    """Float geometry of an exchange, intervals in position order.
+
+    ``rights[k]`` is ``lefts[k + 1]``, and |I| for the last slot.  Both
+    float shadows locate x in slot ``bisect_right(lefts, x, 1) - 1`` and
+    guard it when ``x - lefts[slot]`` or ``rights[slot] - x`` is below
+    ``guard``: ``float_walk`` then skips the sample, ``ExactWalker``
+    settles the slot exactly.
+    """
+
+    lefts: tuple
+    rights: tuple
+    moves: tuple
+    letters: tuple
+    guard: float  # GUARD * |I|
+
+
+def lattice_mirror(lattice: DepthLattice, lengths, order) -> FloatMirror:
+    """Float geometry of ``lattice`` over the lengths, slots in ``order``."""
+    dot, lam = lengths.ctx.dot_int, lengths.values
+    lefts = [dot(lattice.lefts[a], lam) for a in order]
+    moves = tuple(float(dot(lattice.image_lefts[a], lam) - left)
+                  for a, left in zip(order, lefts))
+    lefts = tuple(map(float, lefts))
+    total = float(dot(lattice.total, lam))
+    return FloatMirror(lefts, lefts[1:] + (total,), moves, tuple(order),
+                       GUARD * total)
+
+
+def float_mirror(iet: Iet) -> FloatMirror:
+    return lattice_mirror(iet.lattice, iet.lengths, iet.order0)
 
 
 class ExactWalker:
@@ -214,16 +246,15 @@ class ExactWalker:
 
     The position is (coeffs . lambda) / den with integer coeffs; every
     translation adds an integer vector, so the representation is closed
-    and never drifts.  Locating intervals uses a float shadow that is
-    resynchronized periodically and escalated to high-precision signs
-    within GUARD * |I| of an endpoint, |I| the walked exchange's total.
+    and never drifts.  Locating intervals uses a float shadow on the
+    walked exchange's ``FloatMirror``; it is resynchronized periodically
+    and settled by exact signs wherever the mirror's guard rule fires.
     """
 
     RESYNC = 4096
 
     def __init__(self, iet: Iet, coeffs, den: int = 1):
-        self._set_up(iet, _lattice(iet.pair, intmat.identity(iet.d)),
-                     coeffs, den)
+        self._set_up(iet, iet.lattice, coeffs, den)
 
     @classmethod
     def at_depth(cls, periodic: PeriodicIet, level: int, coeffs, den: int = 1
@@ -241,21 +272,16 @@ class ExactWalker:
 
     def _set_up(self, iet: Iet, lattice: DepthLattice, coeffs, den: int):
         self.iet = iet
-        d = iet.d
-        self.d = d
+        d = self.d = iet.d
         self.den = int(den)
         self.coeffs = [int(c) for c in coeffs]
         if len(self.coeffs) != d:
             raise DomainError("coefficient vector must have length d")
-        lam = self.lam_mpf = iet.lengths.values
-        self.order = iet.order0
+        self.lam_mpf = iet.lengths.values
+        self.mirror = lattice_mirror(lattice, iet.lengths, iet.order0)
         self.left_coeffs = lattice.lefts
         self.w_coeffs = [tuple(i - l for i, l in zip(img, left))
                          for img, left in zip(lattice.image_lefts, lattice.lefts)]
-        dot = iet.ctx.dot_int
-        self.lefts_f = [float(dot(lattice.lefts[a], lam)) for a in self.order]
-        self.w_f = [float(dot(w, lam)) for w in self.w_coeffs]
-        self.guard = GUARD * float(dot(lattice.total, lam))
         self.counts = [0] * d
         self.steps = 0
         self._since_resync = 0
@@ -274,26 +300,18 @@ class ExactWalker:
         return certified_lattice_sign(self.iet, diff)
 
     def locate(self) -> int:
+        """Slot of the current position, settled exactly where guarded."""
+        m = self.mirror
         xf = self.x_f
-        order = self.order
-        lefts = self.lefts_f
-        lo = 0
-        for k in range(1, self.d):
-            if lefts[k] <= xf:
-                lo = k
-            else:
-                break
-        # guard band: decide exactly near either endpoint of the candidate
-        near_left = abs(xf - lefts[lo]) < self.guard
-        near_right = (lo + 1 < self.d and abs(lefts[lo + 1] - xf) < self.guard)
-        if near_left or near_right:
+        lo = bisect_right(m.lefts, xf, 1) - 1
+        if xf - m.lefts[lo] < m.guard or m.rights[lo] - xf < m.guard:
             lo = self._locate_exact()
-        return order[lo]
+        return lo
 
     def _locate_exact(self) -> int:
         pos = 0
         for k in range(1, self.d):
-            side = self._exact_side(self.left_coeffs[self.order[k]])
+            side = self._exact_side(self.left_coeffs[self.mirror.letters[k]])
             if side >= 0:
                 pos = k
             else:
@@ -310,13 +328,14 @@ class ExactWalker:
 
     def step(self) -> int:
         """Advance one step; returns the interval index that was left."""
-        a = self.locate()
+        slot = self.locate()
+        a = self.mirror.letters[slot]
         w = self.w_coeffs[a]
         den = self.den
         coeffs = self.coeffs
         for j in range(self.d):
             coeffs[j] += den * w[j]
-        self.x_f += self.w_f[a]
+        self.x_f += self.mirror.moves[slot]
         self.counts[a] += 1
         self.steps += 1
         self._since_resync += 1
@@ -337,11 +356,12 @@ class ExactWalker:
         The threshold is (threshold_coeffs . lambda); comparisons inside
         the guard band are settled exactly.
         """
+        guard = self.mirror.guard
         while True:
             self.step()
-            if self.x_f < threshold_f - self.guard:
+            if self.x_f < threshold_f - guard:
                 break
-            if self.x_f < threshold_f + self.guard:
+            if self.x_f < threshold_f + guard:
                 diff = [self.den * t - c for c, t in
                         zip(self.coeffs, threshold_coeffs)]
                 side = certified_lattice_sign(self.iet, diff)
@@ -376,40 +396,6 @@ def certified_lattice_sign(iet: Iet, coeffs) -> int:
     if val == 0:
         return 0
     return 1 if val > 0 else -1
-
-
-@dataclass(frozen=True)
-class DepthLattice:
-    """Integer lattice data of an induced exchange.
-
-    Each entry is an integer coefficient vector over the unit lengths:
-    ``lefts[a]``, ``widths[a]`` and ``image_lefts[a]`` give the left
-    endpoint, the length and the image's left endpoint of letter a's
-    interval, ``total`` the length of the whole induced interval.
-    """
-
-    lefts: tuple
-    widths: tuple
-    image_lefts: tuple
-    total: tuple
-
-
-def _prefix_sums(rank, rows) -> tuple:
-    """Per letter a, the sum of rows[c] over the letters c ranked before a."""
-    out = [None] * len(rows)
-    acc = (0,) * len(rows)
-    for a in sorted(range(len(rows)), key=rank.__getitem__):
-        out[a] = acc
-        acc = tuple(s + r for s, r in zip(acc, rows[a]))
-    return tuple(out)
-
-
-def _lattice(pair, widths) -> DepthLattice:
-    """Lattice data of the exchange of ``pair`` whose letter a has width row a."""
-    widths = tuple(tuple(row) for row in widths)
-    return DepthLattice(_prefix_sums(pair.pi0, widths), widths,
-                        _prefix_sums(pair.pi1, widths),
-                        tuple(map(sum, zip(*widths))))
 
 
 def depth_lattice(periodic: PeriodicIet, n: int) -> DepthLattice:
@@ -729,7 +715,7 @@ class Renormalizer:
         """
         iet = self.iet
         width_mpf = [iet.lengths[b] / self.rho for b in range(iet.d)]
-        base = _lattice(iet.pair, intmat.identity(iet.d))
+        base = iet.lattice
         right_coeffs = [tuple(map(sum, zip(left, width)))
                         for left, width in zip(base.lefts, base.widths)]
         depth1 = depth_lattice(self.periodic, 1)
@@ -984,25 +970,6 @@ def _geometric_checkpoints(n_max: int, per_decade: int = 8) -> list:
     if out[-1] != n_max:
         out.append(n_max)
     return out
-
-
-@dataclass(frozen=True)
-class FloatMirror:
-    """Float geometry of an exchange, intervals in position order."""
-
-    lefts: tuple
-    rights: tuple
-    moves: tuple
-    letters: tuple
-    guard: float  # GUARD * |I|
-
-
-def float_mirror(iet: Iet) -> FloatMirror:
-    order = iet.order0
-    return FloatMirror(tuple(float(iet.left[a]) for a in order),
-                       tuple(float(iet.right[a]) for a in order),
-                       tuple(float(iet.translations[a]) for a in order),
-                       tuple(order), GUARD * float(iet.total))
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ length vector is the leading eigenvector of the loop's matrix product.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from math import lcm
@@ -47,12 +48,47 @@ def omega_matrix(pair: PermutationPair) -> IntMatrix:
 
 
 @dataclass(frozen=True)
+class DepthLattice:
+    """Integer lattice data of an exchange or of an induced one.
+
+    Each entry is an integer coefficient vector over the lengths:
+    ``lefts[a]``, ``widths[a]`` and ``image_lefts[a]`` give the left
+    endpoint, the length and the image's left endpoint of letter a's
+    interval, ``total`` the length of the whole interval.
+    """
+
+    lefts: tuple
+    widths: tuple
+    image_lefts: tuple
+    total: tuple
+
+
+def _prefix_sums(rank, rows) -> tuple:
+    """Per letter a, the sum of rows[c] over the letters c ranked before a."""
+    out = [None] * len(rows)
+    acc = (0,) * len(rows)
+    for a in sorted(range(len(rows)), key=rank.__getitem__):
+        out[a] = acc
+        acc = tuple(s + r for s, r in zip(acc, rows[a]))
+    return tuple(out)
+
+
+def _lattice(pair, widths) -> DepthLattice:
+    """Lattice data of the exchange of ``pair`` whose letter a has width row a."""
+    widths = tuple(tuple(row) for row in widths)
+    return DepthLattice(_prefix_sums(pair.pi0, widths), widths,
+                        _prefix_sums(pair.pi1, widths),
+                        tuple(map(sum, zip(*widths))))
+
+
+@dataclass(frozen=True)
 class Iet:
     """Interval exchange: pair plus positive lengths, with derived geometry.
 
     The transformation translates each subinterval [l_a, r_a) by w_a,
     where w is determined by the difference between the image ordering
-    and the domain ordering of the letters.
+    and the domain ordering of the letters.  Endpoints are the rows of
+    ``lattice`` (the identity widths) dotted with the lengths.
     """
 
     pair: PermutationPair
@@ -63,23 +99,22 @@ class Iet:
             raise DomainError("length vector size does not match alphabet")
         if any(not v > 0 for v in self.lengths):
             raise DomainError("all lengths must be positive")
-        ctx = self.lengths.ctx
         d = self.pair.d
-        left = [ctx.mp.mpf(0)] * d
-        image_left = [ctx.mp.mpf(0)] * d
-        for a in range(d):
-            left[a] = ctx.mp.fsum(self.lengths[b] for b in range(d)
-                                  if self.pair.pi0[b] < self.pair.pi0[a])
-            image_left[a] = ctx.mp.fsum(self.lengths[b] for b in range(d)
-                                        if self.pair.pi1[b] < self.pair.pi1[a])
-        object.__setattr__(self, "left", tuple(left))
+        lattice = _lattice(self.pair, intmat.identity(d))
+        dot, lam = self.lengths.ctx.dot_int, self.lengths.values
+        left = tuple(dot(row, lam) for row in lattice.lefts)
+        order0 = tuple(sorted(range(d), key=self.pair.pi0.__getitem__))
+        object.__setattr__(self, "lattice", lattice)
+        object.__setattr__(self, "left", left)
         object.__setattr__(self, "right",
-                           tuple(left[a] + self.lengths[a] for a in range(d)))
+                           tuple(left[a] + lam[a] for a in range(d)))
         object.__setattr__(self, "translations",
-                           tuple(image_left[a] - left[a] for a in range(d)))
-        object.__setattr__(self, "total", ctx.mp.fsum(self.lengths))
-        object.__setattr__(self, "order0",
-                           tuple(sorted(range(d), key=lambda a: self.pair.pi0[a])))
+                           tuple(dot(row, lam) - left[a]
+                                 for a, row in enumerate(lattice.image_lefts)))
+        object.__setattr__(self, "total", dot(lattice.total, lam))
+        object.__setattr__(self, "order0", order0)
+        object.__setattr__(self, "_ordered_lefts",
+                           tuple(left[a] for a in order0))
 
     @property
     def ctx(self) -> PrecisionContext:
@@ -89,17 +124,16 @@ class Iet:
     def d(self) -> int:
         return self.pair.d
 
+    def _letter_at(self, x) -> int:
+        """Letter whose interval [l_a, r_a) holds x, without any guard."""
+        return self.order0[bisect_right(self._ordered_lefts, x, 1) - 1]
+
     def interval_index(self, x, step_index=None) -> int:
         """Index of the subinterval containing x (left-closed convention)."""
         ctx = self.ctx
         if x < 0 or x >= self.total:
             raise DomainError(f"point {ctx.mp.nstr(x, 12)} outside [0, |I|)")
-        idx = self.order0[0]
-        for a in self.order0[1:]:
-            if self.left[a] <= x:
-                idx = a
-            else:
-                break
+        idx = self._letter_at(x)
         # guard both endpoints of the located interval
         if x != self.left[idx]:
             side_of_breakpoint(ctx, x, self.left[idx], step_index)
@@ -252,13 +286,7 @@ def keane_check(iet: Iet, horizon: int) -> KeaneReport:
         x = iet.left[a]
         for m in range(1, horizon + 1):
             # locate without the near-endpoint guard: collisions are the event
-            idx = iet.order0[0]
-            for j in iet.order0[1:]:
-                if iet.left[j] <= x:
-                    idx = j
-                else:
-                    break
-            x = x + iet.translations[idx]
+            x = x + iet.translations[iet._letter_at(x)]
             hit = next((b for b, lb in targets if abs(x - lb) < ctx.eps_cmp), None)
             if hit is not None:
                 if best is None or m < best[2]:

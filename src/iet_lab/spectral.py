@@ -351,8 +351,6 @@ def _numeric_jordan_block(matrix, group, ctx) -> int:
     shifted = [[mp.mpc(matrix[i][j]) - (z if i == j else 0) for j in range(d)]
                for i in range(d)]
     power = [row[:] for row in shifted]
-    count = 2 if not group.is_real else 1
-    target_nullity = group.multiplicity * count if not group.is_real else group.multiplicity
     block = 1
     while _numeric_nullity(power, work) < group.multiplicity:
         power = [[mp.fsum(power[i][k] * shifted[k][j] for k in range(d))
@@ -360,7 +358,7 @@ def _numeric_jordan_block(matrix, group, ctx) -> int:
         block += 1
         if block > d:
             raise SpectralAmbiguity("Jordan chain did not stabilize",
-                                    (z, target_nullity))
+                                    (z, group.multiplicity))
     return block
 
 

@@ -231,13 +231,28 @@ class TestErrors:
         ("rotations --mode dk --samples -3", "", ">= 0"),
         ("simulate --iet {four} --cocycle {step} --samples -1", "", ">= 1"),
         ("simulate --iet {four} --cocycle {step} --n 0", "", ">= 1"),
+        ("birkhoff --iet {five} --cocycle {step}", "", "4 value rows"),
+        ("deviation --iet {five} --cocycle {step}", "", "4 value rows"),
+        ("deviation --iet {five} --cocycle {step} --zero-mean", "",
+         "4 value rows"),
+        ("simulate --iet {five} --cocycle {step}", "", "4 value rows"),
+        ("correct --iet {five} --cocycle {step} --zero-mean", "",
+         "4 value rows"),
+        ("essential-values --iet {five} --cocycle {step}", "",
+         "4 value rows"),
+        ("deviation --iet {five} --cocycle {bad}",
+         json.dumps({"kind": "pl", "slope": ["1"], "constants": [["0"]] * 4}),
+         "4 slope and 4 constant rows"),
     ], ids=["pair-without-pi0", "not-json", "step-without-values",
             "birkhoff-n-0", "deviation-n-max-0", "simulate-eps-not-a-number",
             "classify-vector-not-numbers", "spectrum-matrix-not-integers",
             "product-n-0", "product-n-negative", "spectrum-pair-not-object",
             "three-distance-n-0", "three-distance-n-negative",
             "dk-samples-negative", "simulate-samples-negative",
-            "simulate-n-0"])
+            "simulate-n-0", "birkhoff-cocycle-rows",
+            "deviation-cocycle-rows", "deviation-zero-mean-cocycle-rows",
+            "simulate-cocycle-rows", "correct-zero-mean-cocycle-rows",
+            "essential-values-cocycle-rows", "deviation-pl-cocycle-rows"])
     def test_malformed_spec_one_line_error(self, capsys, specs, tmp_path,
                                            command, content, named):
         bad = tmp_path / "bad.json"

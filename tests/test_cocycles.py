@@ -3,11 +3,12 @@
 import pytest
 
 from iet_lab import intmat
-from iet_lab.cocycles import (GUARD, ExactWalker, PiecewiseLinearCocycle,
+from iet_lab.cocycles import (ExactWalker, PiecewiseLinearCocycle,
                               StepCocycle, birkhoff_sum,
                               birkhoff_visit_counts, depth_interval_coeffs,
                               depth_total_coeffs, deviation_sweep, evaluate,
-                              gap_statistics, m_index, m_index_bruteforce,
+                              float_mirror, float_walk, gap_statistics,
+                              m_index, m_index_bruteforce,
                               mean, partition_pn, renormalize,
                               return_time_matrix, towers,
                               zero_mean_version)
@@ -252,9 +253,7 @@ class TestReturnTimes:
             iet = p.iet
             for wk in (ExactWalker(iet, [0] * p.d),
                        ExactWalker.at_depth(p, 0, [0] * p.d)):
-                assert wk.lefts_f == [float(iet.left[a]) for a in iet.order0]
-                assert wk.w_f == [float(t) for t in iet.translations]
-                assert wk.guard == GUARD * float(iet.total)
+                assert wk.mirror == float_mirror(iet)
 
     def test_column_sums_are_return_times(self, ctx, periodic4):
         # measured first-return times of depth-1 intervals
@@ -267,6 +266,35 @@ class TestReturnTimes:
             wk = ExactWalker(periodic4.iet, coeffs, 5)
             counts = wk.run_until_below([5 * t for t in thr], thr_f)
             assert sum(counts) == sum(q[i][b] for i in range(4))
+
+
+class TestGuardRule:
+    """The walker escalates exactly where the float lane skips."""
+
+    @pytest.mark.parametrize("depth", [0, 1, 2])
+    @pytest.mark.parametrize("system", ["periodic4", "periodic5", "periodic7"])
+    def test_same_decision_at_every_endpoint(self, request, system, depth):
+        p = request.getfixturevalue(system)
+        wk = ExactWalker.at_depth(p, depth, [0] * p.d)
+        mirror = float_mirror(p.iet) if depth == 0 else wk.mirror
+        escalations = []
+        wk._locate_exact = lambda: escalations.append(wk.x_f) or 0
+        g = mirror.guard
+        total = mirror.rights[-1]
+        for edge in mirror.lefts + (total,):
+            for xf in (edge - 2 * g, edge - g / 2, edge, edge + g / 2,
+                       edge + 2 * g):
+                escalations.clear()
+                wk.x_f = xf
+                wk.locate()
+                try:
+                    next(float_walk(mirror, xf, 1))
+                    skipped = False
+                except NearBreakpoint:
+                    skipped = True
+                assert escalations == ([xf] if skipped else [])
+                assert skipped == (abs(xf - edge) < g
+                                   or not 0 <= xf < total)
 
 
 class TestTowers:

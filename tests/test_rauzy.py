@@ -1,16 +1,19 @@
 """Induction steps, intersection matrices, periodic-type construction."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from iet_lab import intmat
-from iet_lab.errors import (KeaneViolation, NotALoop, NotPrimitive,
-                            ReduciblePair)
+from iet_lab.cocycles import GUARD, FloatMirror, float_mirror
+from iet_lab.errors import (IetLabError, KeaneViolation, NotALoop,
+                            NotPrimitive, ReduciblePair)
 from iet_lab.perms import make_pair, make_symmetric_pair
 from iet_lab.rauzy import (Iet, build_periodic_from_matrix,
                            iterate_induction, keane_check, omega_matrix,
                            rauzy_step, replay_loop)
+from iet_lab.precision import side_of_breakpoint
 from iet_lab.repro import SEVEN_LOOP, SEVEN_LOOP_MATRIX, seven_letter_pair
 from iet_lab.spectral import singularity_data
 
@@ -206,3 +209,86 @@ class TestKeane:
     def test_periodic_type_clean(self, periodic4):
         report = keane_check(periodic4.iet, 10_000)
         assert report.ok
+
+
+# ---------------------------------------------------------------------------
+# the lattice-derived geometry against the per-letter prefix formulas
+
+
+def prefix_geometry(iet):
+    """(left, right, translations, total) by the O(d^2) prefix formulas."""
+    mp, lam, pair, d = iet.ctx.mp, iet.lengths, iet.pair, iet.d
+    left = tuple(mp.fsum(lam[b] for b in range(d) if pair.pi0[b] < pair.pi0[a])
+                 for a in range(d))
+    image_left = tuple(mp.fsum(lam[b] for b in range(d)
+                               if pair.pi1[b] < pair.pi1[a])
+                       for a in range(d))
+    return (left, tuple(left[a] + lam[a] for a in range(d)),
+            tuple(image_left[a] - left[a] for a in range(d)), mp.fsum(lam))
+
+
+def prefix_mirror(iet, geometry):
+    """Float mirror rounded from the prefix-formula endpoints."""
+    left, right, translations, total = geometry
+    order = tuple(sorted(range(iet.d), key=iet.pair.pi0.__getitem__))
+    return FloatMirror(tuple(float(left[a]) for a in order),
+                       tuple(float(right[a]) for a in order),
+                       tuple(float(translations[a]) for a in order),
+                       order, GUARD * float(total))
+
+
+def scan_interval_index(iet, geometry, x):
+    """Linear-scan location with both endpoint guards, as an outcome."""
+    left, right, _translations, total = geometry
+    if x < 0 or x >= total:
+        return "DomainError"
+    idx = iet.order0[0]
+    for a in iet.order0[1:]:
+        if left[a] <= x:
+            idx = a
+        else:
+            break
+    try:
+        if x != left[idx]:
+            side_of_breakpoint(iet.ctx, x, left[idx])
+        side_of_breakpoint(iet.ctx, x, right[idx])
+    except IetLabError as exc:
+        return type(exc).__name__
+    return idx
+
+
+def probe_points(iet, rng):
+    eps = iet.ctx.eps_cmp
+    points = [-eps, iet.total, iet.total - eps / 4]
+    for lb in iet.left:
+        points += [lb, lb + eps / 4, lb - eps / 4, lb + 2 * eps, lb - 2 * eps]
+    points += [iet.total * iet.ctx.real(rng.random()) for _ in range(5)]
+    return points
+
+
+def assert_geometry_matches(iet, rng):
+    geometry = prefix_geometry(iet)
+    assert (iet.left, iet.right, iet.translations, iet.total) == geometry
+    assert float_mirror(iet) == prefix_mirror(iet, geometry)
+    for x in probe_points(iet, rng):
+        try:
+            got = iet.interval_index(x)
+        except IetLabError as exc:
+            got = type(exc).__name__
+        assert got == scan_interval_index(iet, geometry, x)
+
+
+class TestLatticeGeometry:
+    def test_bundled_systems(self, periodic4, periodic5, periodic7):
+        rng = random.Random(11)
+        for p in (periodic4, periodic5, periodic7):
+            assert_geometry_matches(p.iet, rng)
+
+    def test_random_exchanges(self, ctx):
+        rng = random.Random(12)
+        for _ in range(2000):
+            pair = random_irreducible_pair(rng, rng.randint(2, 8))
+            lengths = [ctx.real(Fraction(rng.randint(1, 10 ** 12),
+                                         rng.randint(1, 10 ** 12)))
+                       for _ in range(pair.d)]
+            assert_geometry_matches(Iet(pair, ctx.vector(lengths)), rng)
