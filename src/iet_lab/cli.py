@@ -14,7 +14,7 @@ import os
 import sys
 
 from . import intmat
-from .cocycles import (PiecewiseLinearCocycle, Renormalizer, StepCocycle,
+from .cocycles import (Renormalizer, StepCocycle, check_rows,
                        cocycle_from_json, deviation_profile)
 from .correction import correct_bv, growth_check, renorm_sup_curve
 from .ergodicity import (build_fixed_cocycle, coboundary_classify,
@@ -89,15 +89,7 @@ def _load_iet(args, ctx) -> Iet | PeriodicIet:
 def _load_cocycle(args, ctx, iet: Iet):
     """The --cocycle spec, with one row per letter of the exchange."""
     phi = cocycle_from_json(_load_json(args.cocycle), ctx)
-    if isinstance(phi, PiecewiseLinearCocycle):
-        rows = (len(phi.slopes), len(phi.constants))
-        found = f"{rows[0]} slope and {rows[1]} constant rows"
-    else:
-        rows = (len(phi.values),)
-        found = f"{rows[0]} value rows"
-    if any(n != iet.d for n in rows):
-        raise IetLabError(f"cocycle has {found}, the exchange has "
-                          f"{iet.d} letters")
+    check_rows(phi, iet.d)
     return phi
 
 

@@ -113,6 +113,24 @@ class PiecewiseLinearCocycle:
 Cocycle = StepCocycle | PiecewiseLinearCocycle
 
 
+def check_rows(cocycle: Cocycle, d: int) -> None:
+    """Raise DomainError unless the cocycle has one row per letter.
+
+    Called where a cocycle first meets a d-letter exchange, so the
+    per-step code can index its rows without a check.
+    """
+    if isinstance(cocycle, PiecewiseLinearCocycle):
+        rows = (len(cocycle.slopes), len(cocycle.constants))
+        found = f"{rows[0]} slope and {rows[1]} constant rows"
+    elif isinstance(cocycle, StepCocycle):
+        rows = (len(cocycle.values),)
+        found = f"{rows[0]} value rows"
+    else:
+        return
+    if any(n != d for n in rows):
+        raise DomainError(f"cocycle has {found}, the exchange has {d} letters")
+
+
 def validate_jumps(cocycle: StepCocycle, iet: Iet) -> None:
     """Interior jumps must be distinct and clear of interval endpoints."""
     prev = None
@@ -151,6 +169,7 @@ def _step_value(phi: StepCocycle, iet: Iet, a: int, x) -> tuple:
 
 def mean(cocycle: Cocycle, iet: Iet) -> tuple:
     """Exact integral over the domain, per coordinate."""
+    check_rows(cocycle, iet.d)
     mp = iet.ctx.mp
     d = iet.d
     if isinstance(cocycle, PiecewiseLinearCocycle):
@@ -445,6 +464,7 @@ def birkhoff_visit_counts(iet: Iet, x, n: int) -> tuple:
 
 def forward_birkhoff(cocycle: Cocycle, iet: Iet, x, n: int) -> tuple:
     """(S_n phi(x), T^n x) for n >= 0, walking the orbit once."""
+    check_rows(cocycle, iet.d)
     acc = [0] * cocycle.dim
     cur = x
     for k in range(n):
@@ -459,6 +479,7 @@ def birkhoff_sum(cocycle: Cocycle, iet: Iet, x, n: int) -> tuple:
     """Cocycle sum along the orbit: standard three-case definition."""
     if n >= 0:
         return forward_birkhoff(cocycle, iet, x, n)[0]
+    check_rows(cocycle, iet.d)
     inv = iet.inverse()
     acc = [0] * cocycle.dim
     cur = x
@@ -749,6 +770,7 @@ class Renormalizer:
         return stage
 
     def start(self, cocycle: Cocycle) -> RenormState:
+        check_rows(cocycle, self.iet.d)
         jump_steps = ()
         if isinstance(cocycle, StepCocycle):
             validate_jumps(cocycle, self.iet)
@@ -873,6 +895,7 @@ def renormalize(cocycle: Cocycle, periodic: PeriodicIet, k: int, l: int,
         raise DomainError("need 0 <= k <= l")
     if not isinstance(cocycle, (StepCocycle, PiecewiseLinearCocycle)):
         raise Unsupported(f"unsupported cocycle class {type(cocycle).__name__}")
+    check_rows(cocycle, periodic.d)
     rz = renormalizer or Renormalizer(periodic)
     state = RenormState(k, cocycle,
                         tuple(0 for _ in cocycle.jumps)
@@ -988,6 +1011,8 @@ class FloatTable:
 
 
 def float_table(cocycle: Cocycle, mirror: FloatMirror) -> FloatTable:
+    check_rows(cocycle, len(mirror.letters))
+
     def rows(per_letter):
         return tuple(tuple(float(per_letter[a][i]) for a in mirror.letters)
                      for i in range(cocycle.dim))

@@ -211,6 +211,8 @@ class GrowthReport:
 def renorm_sup_curve(cocycle: Cocycle, periodic: PeriodicIet, k_max: int,
                      renormalizer: Renormalizer | None = None) -> GrowthReport:
     """Exact sup norms of the depth-k renormalizations, k = 0..k_max."""
+    if k_max < 1:
+        raise DomainError(f"k_max must be >= 1, got {k_max}")
     rz = renormalizer or Renormalizer(periodic)
     iet = periodic.iet
     state = rz.start(cocycle)

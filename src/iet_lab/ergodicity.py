@@ -230,6 +230,8 @@ def essential_value_probe(cocycle: Cocycle, periodic: PeriodicIet,
     if isinstance(cocycle, PiecewiseLinearCocycle):
         # linear parts shrink with the interval: probe the step skeleton
         raise Unsupported("probe the corrected step part of a linear cocycle")
+    if n_max < 0:
+        raise DomainError(f"probe depth must be >= 0, got {n_max}")
     rz = renormalizer or Renormalizer(periodic)
     periodic_iet = periodic.iet
     ctx = periodic.ctx

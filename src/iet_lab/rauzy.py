@@ -247,6 +247,8 @@ class InductionResult:
 
 def iterate_induction(iet: Iet, n_steps: int) -> InductionResult:
     """Iterate induction, accumulating the exact transition product."""
+    if n_steps < 0:
+        raise DomainError(f"step count must be >= 0, got {n_steps}")
     steps = []
     theta = intmat.identity(iet.d)
     current = iet

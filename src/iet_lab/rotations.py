@@ -220,6 +220,8 @@ def denjoy_koksma_check(phi: CircleStep, alpha, depth: int,
     """
     if samples < 0:
         raise DomainError(f"sample count must be >= 0, got {samples}")
+    if depth < 1:
+        raise DomainError(f"convergent depth must be >= 1, got {depth}")
     if phi.mean_numerator() != 0:
         raise DomainError("variation bound requires a zero-mean function")
     step = dyadic_rotation(alpha)

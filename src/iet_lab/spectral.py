@@ -40,14 +40,6 @@ def _poly_scale(a, c):
     return [c * x for x in a]
 
 
-def _poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
 def reciprocal_reduction(coeffs) -> list:
     """For palindromic p of even degree 2m, the exact q with p = x^m q(x + 1/x).
 
@@ -62,7 +54,7 @@ def reciprocal_reduction(coeffs) -> list:
     t_prev, t_cur = [2], [1, 0]  # t_0, t_1
     ts = {0: t_prev, 1: t_cur}
     for k in range(2, m + 1):
-        t_next = _poly_add(_poly_mul([1, 0], t_cur), _poly_scale(t_prev, -1))
+        t_next = _poly_add(t_cur + [0], _poly_scale(t_prev, -1))
         ts[k] = t_next
         t_prev, t_cur = t_cur, t_next
     q = [coeffs[m]]
@@ -96,48 +88,40 @@ class RootGroup:
     factor: tuple
 
 
-def _quadratic_roots(b, c, ctx: PrecisionContext):
-    """Roots of x^2 + b x + c for integer/rational b, c, in ctx precision."""
-    work = ctx.spawn(64)
-    mp = work.mp
-    bb, cc = mp.mpf(b), mp.mpf(c)
-    disc = bb * bb - 4 * cc
-    if disc >= 0:
-        s = mp.sqrt(disc)
-        r1 = (-bb + s) / 2
-        r2 = (-bb - s) / 2
-        return [ctx.real(r1), ctx.real(r2)], True
-    s = mp.sqrt(-disc)
-    z = mp.mpc(-bb / 2, s / 2)
-    return [ctx.mp.mpc(ctx.real(z.real), ctx.real(z.imag))], False
+def _poly_roots(coeffs, ctx: PrecisionContext):
+    """All roots of an integer polynomial at ctx precision.
 
-
-def _real_root_values(coeffs, ctx: PrecisionContext):
-    """High-precision values of all roots of an integer polynomial.
-
-    Degree <= 2 is solved in closed form; higher degrees go through
-    exact isolation (sympy CRootOf) refined to the context precision.
+    Returns (reals, complexes): the complex roots come one per conjugate
+    pair, the one with Im > 0.  Degrees 1 and 2 are solved in closed
+    form from exact rationals; higher degrees go through exact isolation
+    (sympy CRootOf) refined to the context precision.
     """
+    mp = ctx.mp
     deg = len(coeffs) - 1
     if deg == 1:
-        return [ctx.real(Fraction(-coeffs[1], coeffs[0]))], True
-    if deg == 2 and coeffs[0] == 1:
-        return _quadratic_roots(coeffs[1], coeffs[2], ctx)
+        return [ctx.real(Fraction(-coeffs[1], coeffs[0]))], []
+    if deg == 2:
+        b = Fraction(coeffs[1], coeffs[0])
+        c = Fraction(coeffs[2], coeffs[0])
+        disc = b * b - 4 * c
+        bb = ctx.real(b)
+        if disc >= 0:
+            s = mp.sqrt(ctx.real(disc))
+            return [(-bb + s) / 2, (-bb - s) / 2], []
+        s = mp.sqrt(-ctx.real(disc))
+        return [], [mp.mpc(-bb / 2, s / 2)]
     import sympy
 
-    x = sympy.Symbol("x")
-    poly = sympy.Poly([int(c) for c in coeffs], x)
+    poly = sympy.Poly([int(c) for c in coeffs], sympy.Symbol("x"))
     dps = max(30, int(ctx.bits * 0.3010) + 12)
     reals, complexes = [], []
     for r in poly.all_roots():
+        val = sympy.N(r, dps)
         if r.is_real:
-            reals.append(ctx.real(str(sympy.N(r, dps))))
-        else:
-            val = complex(sympy.N(r, dps))
-            if val.imag > 0:
-                zv = sympy.N(r, dps)
-                complexes.append(ctx.mp.mpc(ctx.real(str(sympy.re(zv))),
-                                            ctx.real(str(sympy.im(zv)))))
+            reals.append(mp.mpf(str(val)))
+        elif complex(val).imag > 0:
+            complexes.append(mp.mpc(mp.mpf(str(sympy.re(val))),
+                                    mp.mpf(str(sympy.im(val)))))
     return reals, complexes
 
 
@@ -156,41 +140,37 @@ def _classify_factor(coeffs, multiplicity: int, ctx: PrecisionContext) -> list:
         # unit-circle membership decided exactly through y = x + 1/x
         work = ctx.spawn(64)
         mp = work.mp
-        q = reciprocal_reduction(coeffs)
-        y_groups = _reciprocal_y_roots(q, work)
-        for y_val, y_is_real in y_groups:
-            if y_is_real:
-                y = mp.mpf(y_val) if not hasattr(y_val, "_mpf_") else y_val
-                if abs(y) < 2:
-                    # conjugate pair on the circle
-                    im = mp.sqrt(4 - y * y) / 2
-                    z = ctx.mp.mpc(ctx.real(y / 2), ctx.real(im))
-                    groups.append(RootGroup((z,), False, ON_CIRCLE,
-                                            multiplicity, radius, tuple(coeffs)))
-                else:
-                    s = mp.sqrt(y * y - 4)
-                    r_out = (y + s) / 2 if y > 0 else (y - s) / 2
-                    r_in = 1 / r_out
-                    groups.append(RootGroup((ctx.real(r_out),), True, OUTSIDE,
-                                            multiplicity, radius, tuple(coeffs)))
-                    groups.append(RootGroup((ctx.real(r_in),), True, INSIDE,
-                                            multiplicity, radius, tuple(coeffs)))
+        y_reals, y_complexes = _poly_roots(reciprocal_reduction(coeffs), work)
+        for y in y_reals:
+            if abs(y) < 2:
+                # conjugate pair on the circle
+                im = mp.sqrt(4 - y * y) / 2
+                z = ctx.mp.mpc(ctx.real(y / 2), ctx.real(im))
+                groups.append(RootGroup((z,), False, ON_CIRCLE,
+                                        multiplicity, radius, tuple(coeffs)))
             else:
-                # complex y: quadruple {z, conj z, 1/z, 1/conj z} off the circle
-                y = y_val
                 s = mp.sqrt(y * y - 4)
-                z1 = (y + s) / 2
-                if abs(z1) < 1:
-                    z1 = (y - s) / 2
-                z2 = 1 / z1
-                for z in (z1, z2):
-                    zz = ctx.mp.mpc(ctx.real(z.real), ctx.real(abs(z.imag)))
-                    place = OUTSIDE if abs(z) > 1 else INSIDE
-                    groups.append(RootGroup((zz,), False, place,
-                                            multiplicity, radius, tuple(coeffs)))
+                r_out = (y + s) / 2 if y > 0 else (y - s) / 2
+                r_in = 1 / r_out
+                groups.append(RootGroup((ctx.real(r_out),), True, OUTSIDE,
+                                        multiplicity, radius, tuple(coeffs)))
+                groups.append(RootGroup((ctx.real(r_in),), True, INSIDE,
+                                        multiplicity, radius, tuple(coeffs)))
+        for y in y_complexes:
+            # complex y: quadruple {z, conj z, 1/z, 1/conj z} off the circle
+            s = mp.sqrt(y * y - 4)
+            z1 = (y + s) / 2
+            if abs(z1) < 1:
+                z1 = (y - s) / 2
+            z2 = 1 / z1
+            for z in (z1, z2):
+                zz = ctx.mp.mpc(ctx.real(z.real), ctx.real(abs(z.imag)))
+                place = OUTSIDE if abs(z) > 1 else INSIDE
+                groups.append(RootGroup((zz,), False, place,
+                                        multiplicity, radius, tuple(coeffs)))
         return groups
     # non-reciprocal irreducible factor: no unit-circle roots possible
-    reals, complexes = _real_root_values(coeffs, ctx)
+    reals, complexes = _poly_roots(coeffs, ctx)
     guard = ctx.mp.mpf(2) ** (-(ctx.bits // 2))
     for r in reals:
         margin = abs(abs(r) - 1)
@@ -209,45 +189,6 @@ def _classify_factor(coeffs, multiplicity: int, ctx: PrecisionContext) -> list:
         groups.append(RootGroup((z,), False, place, multiplicity, radius,
                                 tuple(coeffs)))
     return groups
-
-
-def _reciprocal_y_roots(q, work: PrecisionContext) -> list:
-    """Roots of the reduced polynomial with exact (-2, 2) placement.
-
-    Returns (value, is_real) pairs; real values are mpf at the supplied
-    working precision.  Degree >= 3 goes through exact isolation.
-    """
-    deg = len(q) - 1
-    mp = work.mp
-    if deg == 1:
-        return [(mp.mpf(Fraction(-q[1], q[0]).numerator)
-                 / Fraction(-q[1], q[0]).denominator, True)]
-    if deg == 2:
-        b = Fraction(q[1], q[0])
-        c = Fraction(q[2], q[0])
-        disc = b * b - 4 * c
-        if disc >= 0:
-            s = mp.sqrt(mp.mpf(disc.numerator) / disc.denominator)
-            bb = mp.mpf(b.numerator) / b.denominator
-            return [((-bb + s) / 2, True), ((-bb - s) / 2, True)]
-        s = mp.sqrt(-(mp.mpf(disc.numerator) / disc.denominator))
-        bb = mp.mpf(b.numerator) / b.denominator
-        return [(mp.mpc(-bb / 2, s / 2), False)]
-    import sympy
-
-    x = sympy.Symbol("x")
-    poly = sympy.Poly([int(c) for c in q], x)
-    dps = max(30, int(work.bits * 0.3010) + 12)
-    out = []
-    for r in poly.all_roots():
-        if r.is_real:
-            out.append((mp.mpf(str(sympy.N(r, dps))), True))
-        else:
-            zv = sympy.N(r, dps)
-            if complex(zv).imag > 0:
-                out.append((mp.mpc(mp.mpf(str(sympy.re(zv))),
-                                   mp.mpf(str(sympy.im(zv)))), False))
-    return out
 
 
 def _factor_charpoly(coeffs) -> list:
@@ -315,81 +256,37 @@ class LyapunovSpectrum:
 
 
 def _max_jordan_block(matrix: IntMatrix, groups, ctx: PrecisionContext) -> int:
+    """Largest Jordan block: the length of the rank chain of (A - z I)^k.
+
+    The chain of a repeated root stops once the nullity reaches the
+    algebraic multiplicity.  An integer root (factors are monic) runs it
+    in exact integers, any other root in mpf/mpc with 96 extra bits.
+    """
     d = len(matrix)
     m_max = 1
     for g in groups:
         if g.multiplicity <= 1:
             continue
         if g.is_real and len(g.factor) == 2:
-            # integer eigenvalue (factors are monic): exact rank chain
             r = -g.factor[1]
             shifted = tuple(tuple(x - r * (i == j) for j, x in enumerate(row))
                             for i, row in enumerate(matrix))
-            power = shifted
-            prev_rank = intmat.rank_rational(power)
-            block = 1
-            while d - prev_rank < g.multiplicity:
-                power = intmat.matmul(power, shifted)
-                rank = intmat.rank_rational(power)
-                if rank == prev_rank:
-                    break
-                prev_rank = rank
-                block += 1
-            m_max = max(m_max, block)
+            rank, mul = intmat.rank_rational, intmat.matmul
         else:
-            # repeated irrational eigenvalue: numeric rank chain
-            block = _numeric_jordan_block(matrix, g, ctx)
-            m_max = max(m_max, block)
+            work = ctx.spawn(96)
+            z = _refine_root(g.factor, g.values[0], work)
+            shifted = _shifted(matrix, z, work)
+            rank = lambda rows: _full_pivot(rows, work)[0]
+            mul = lambda a, b: _matmul(a, b, work)
+        power, block = shifted, 1
+        while d - rank(power) < g.multiplicity:
+            if block == d:
+                raise SpectralAmbiguity("Jordan chain did not stabilize",
+                                        (g.values[0], g.multiplicity))
+            power = mul(power, shifted)
+            block += 1
+        m_max = max(m_max, block)
     return m_max
-
-
-def _numeric_jordan_block(matrix, group, ctx) -> int:
-    work = ctx.spawn(96)
-    d = len(matrix)
-    z = _refine_root(group.factor, group.values[0], work)
-    mp = work.mp
-    shifted = [[mp.mpc(matrix[i][j]) - (z if i == j else 0) for j in range(d)]
-               for i in range(d)]
-    power = [row[:] for row in shifted]
-    block = 1
-    while _numeric_nullity(power, work) < group.multiplicity:
-        power = [[mp.fsum(power[i][k] * shifted[k][j] for k in range(d))
-                  for j in range(d)] for i in range(d)]
-        block += 1
-        if block > d:
-            raise SpectralAmbiguity("Jordan chain did not stabilize",
-                                    (z, group.multiplicity))
-    return block
-
-
-def _numeric_nullity(rows, work) -> int:
-    mp = work.mp
-    m = [list(r) for r in rows]
-    n = len(m)
-    scale = max((abs(x) for row in m for x in row), default=mp.mpf(1))
-    if scale == 0:
-        return n
-    threshold = scale * mp.mpf(2) ** (-(work.bits // 2))
-    rank = 0
-    cols = list(range(n))
-    for _ in range(n):
-        piv_val, piv_r, piv_c = None, None, None
-        for i in range(rank, n):
-            for jj, j in enumerate(cols[rank:], start=rank):
-                v = abs(m[i][j])
-                if piv_val is None or v > piv_val:
-                    piv_val, piv_r, piv_c = v, i, jj
-        if piv_val is None or piv_val < threshold:
-            break
-        m[rank], m[piv_r] = m[piv_r], m[rank]
-        cols[rank], cols[piv_c] = cols[piv_c], cols[rank]
-        pcol = cols[rank]
-        for i in range(rank + 1, n):
-            f = m[i][pcol] / m[rank][pcol]
-            if f != 0:
-                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
-        rank += 1
-    return n - rank
 
 
 def lyapunov_spectrum(matrix: IntMatrix, ctx: PrecisionContext | None = None
@@ -578,23 +475,28 @@ def _refine_root(factor, z, work):
     return zz
 
 
+def _shifted(rows, z, work):
+    """rows - z I in the working context: mpf for real z, mpc otherwise."""
+    num = work.mp.mpc if isinstance(z, work.mp.mpc) else work.mp.mpf
+    return [[num(x) - (z if i == j else 0) for j, x in enumerate(row)]
+            for i, row in enumerate(rows)]
+
+
+def _matmul(a, b, work):
+    mp = work.mp
+    d = len(a)
+    return [[mp.fsum(a[i][k] * b[k][j] for k in range(d)) for j in range(d)]
+            for i in range(d)]
+
+
 def _generalized_real_basis(at, group: RootGroup, work, ctx) -> list:
     """Real basis of the generalized eigenspace for one root group."""
-    mp = work.mp
-    d = len(at)
     z = _refine_root(group.factor, group.values[0], work)
-    m = group.multiplicity
-    if group.is_real:
-        shifted = [[mp.mpf(at[i][j]) - (z if i == j else 0) for j in range(d)]
-                   for i in range(d)]
-    else:
-        shifted = [[mp.mpc(at[i][j]) - (z if i == j else 0) for j in range(d)]
-                   for i in range(d)]
+    shifted = _shifted(at, z, work)
     power = shifted
-    for _ in range(m - 1):
-        power = [[mp.fsum(power[i][k] * shifted[k][j] for k in range(d))
-                  for j in range(d)] for i in range(d)]
-    null = _null_space(power, work, expected=m)
+    for _ in range(group.multiplicity - 1):
+        power = _matmul(power, shifted, work)
+    null = _null_space(power, work, expected=group.multiplicity)
     out = []
     for v in null:
         if group.is_real:
@@ -613,8 +515,13 @@ def _normalized_real(vals, ctx) -> RealVector:
     return RealVector(tuple(ctx.real(v / lead) for v in vals), ctx)
 
 
-def _null_space(rows, work, expected: int) -> list:
-    """Null-space basis by full-pivot elimination with a precision margin."""
+def _full_pivot(rows, work):
+    """Full-pivot Gauss-Jordan of a square matrix with a precision margin.
+
+    Pivots below scale * 2^(-2 bits / 3) count as zero.  Returns
+    (rank, reduced, col_order): row r < rank of ``reduced`` has a 1 in
+    column col_order[r] and zeros in the other pivot columns.
+    """
     mp = work.mp
     m = [list(r) for r in rows]
     n = len(m)
@@ -629,7 +536,7 @@ def _null_space(rows, work, expected: int) -> list:
                 v = abs(m[i][col_order[jj]])
                 if piv_val is None or v > piv_val:
                     piv_val, piv_r, piv_c = v, i, jj
-        if piv_val is None or piv_val < threshold:
+        if not piv_val or piv_val < threshold:
             break
         m[rank], m[piv_r] = m[piv_r], m[rank]
         col_order[rank], col_order[piv_c] = col_order[piv_c], col_order[rank]
@@ -641,13 +548,19 @@ def _null_space(rows, work, expected: int) -> list:
                 f = m[i][pc]
                 m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
         rank += 1
-    nullity = n - rank
-    if nullity != expected:
+    return rank, m, col_order
+
+
+def _null_space(rows, work, expected: int) -> list:
+    """Null-space basis read off the full-pivot reduction."""
+    mp = work.mp
+    rank, m, col_order = _full_pivot(rows, work)
+    n = len(m)
+    if n - rank != expected:
         raise SpectralAmbiguity(
-            f"nullity {nullity} differs from algebraic multiplicity {expected}")
+            f"nullity {n - rank} differs from algebraic multiplicity {expected}")
     basis = []
-    for free_idx in range(rank, n):
-        fc = col_order[free_idx]
+    for fc in col_order[rank:]:
         vec = [mp.mpf(0)] * n
         vec[fc] = mp.mpf(1)
         for r in range(rank):

@@ -1,8 +1,10 @@
 """Command-line dispatch, formats, exit codes, determinism."""
 
 import json
+import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +31,8 @@ FIVE_SPEC = {"pair": {"d": 5, "pi0": [1, 2, 3, 4, 5], "pi1": [5, 4, 3, 2, 1]},
                                  ["13", "20", "36", "46", "18"],
                                  ["2", "3", "16", "22", "6"],
                                  ["39", "61", "63", "77", "37"]]}
+BUNDLED_SPECS = Path(__file__).resolve().parent.parent / "specs"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 STEP_SPEC = {"kind": "step", "dim": 1,
              "values": [["1.0"], ["-1.0"], ["2.0"], ["-0.5"]],
              "extra_discontinuities": [{"gamma": "0.21", "jump": ["1.5"]}]}
@@ -151,6 +155,22 @@ class TestDispatch:
         doc = json.loads(out)
         assert doc["result"]["spectrum"]["zero_multiplicity"] == 1
 
+    @pytest.mark.parametrize("matrix, exponents", [
+        ([[1, 1], [1, 0]], [math.log((1 + math.sqrt(5)) / 2),
+                            -math.log((1 + math.sqrt(5)) / 2)]),
+        ([[2, 0, 2], [1, 2, 0], [0, 2, 3]],
+         [math.log(4), math.log(2), math.log(2)]),
+        ([[3]], [math.log(3)]),
+    ], ids=["golden-quadratic", "cubic-with-quadratic", "one-by-one"])
+    def test_spectrum_of_non_reciprocal_factor(self, capsys, tmp_path, matrix,
+                                               exponents):
+        m = tmp_path / "m.json"
+        m.write_text(json.dumps([[str(x) for x in row] for row in matrix]))
+        code, out = capture(capsys, ["spectrum", "--matrix", str(m)])
+        assert code == 0
+        got = json.loads(out)["result"]["spectrum"]["exponents"]
+        assert [float(e) for e in got] == pytest.approx(exponents, abs=1e-12)
+
     def test_deviation_with_workers(self, capsys, specs):
         code, out = capture(capsys, ["deviation", "--iet", specs["four"],
                                      "--cocycle", specs["step"],
@@ -243,6 +263,13 @@ class TestErrors:
         ("deviation --iet {five} --cocycle {bad}",
          json.dumps({"kind": "pl", "slope": ["1"], "constants": [["0"]] * 4}),
          "4 slope and 4 constant rows"),
+        ("correct --iet {four} --cocycle {step} --zero-mean --k-max 0", "",
+         ">= 1"),
+        ("correct --iet {four} --cocycle {step} --zero-mean --k-max -2", "",
+         ">= 1"),
+        ("rauzy --iet {four} --steps -3", "", ">= 0"),
+        ("essential-values --iet {five} --fixed-space --n-max -1", "", ">= 0"),
+        ("rotations --mode dk --depth 0", "", ">= 1"),
     ], ids=["pair-without-pi0", "not-json", "step-without-values",
             "birkhoff-n-0", "deviation-n-max-0", "simulate-eps-not-a-number",
             "classify-vector-not-numbers", "spectrum-matrix-not-integers",
@@ -252,7 +279,9 @@ class TestErrors:
             "simulate-n-0", "birkhoff-cocycle-rows",
             "deviation-cocycle-rows", "deviation-zero-mean-cocycle-rows",
             "simulate-cocycle-rows", "correct-zero-mean-cocycle-rows",
-            "essential-values-cocycle-rows", "deviation-pl-cocycle-rows"])
+            "essential-values-cocycle-rows", "deviation-pl-cocycle-rows",
+            "correct-k-max-0", "correct-k-max-negative", "rauzy-steps-negative",
+            "essential-values-n-max-negative", "dk-depth-0"])
     def test_malformed_spec_one_line_error(self, capsys, specs, tmp_path,
                                            command, content, named):
         bad = tmp_path / "bad.json"
@@ -306,3 +335,14 @@ class TestDeterminism:
         runs = [subprocess.run(argv_json, capture_output=True).stdout
                 for _ in range(2)]
         assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("name", ["four_letter_matrix",
+                                      "five_letter_matrix",
+                                      "seven_letter_loop"])
+    def test_spectrum_matches_committed_stdout(self, capsys, name):
+        # tests/golden holds the stdout of an earlier commit: the certified
+        # spectrum and splitting stay byte-identical across commits
+        code, out = capture(capsys, ["spectrum", "--iet",
+                                     str(BUNDLED_SPECS / f"{name}.json")])
+        assert code == 0
+        assert out.encode() == (GOLDEN / f"spectrum_{name}.json").read_bytes()

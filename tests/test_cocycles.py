@@ -7,7 +7,8 @@ from iet_lab.cocycles import (ExactWalker, PiecewiseLinearCocycle,
                               StepCocycle, birkhoff_sum,
                               birkhoff_visit_counts, depth_interval_coeffs,
                               depth_total_coeffs, deviation_sweep, evaluate,
-                              float_mirror, float_walk, gap_statistics,
+                              float_mirror, float_table, float_walk,
+                              forward_birkhoff, gap_statistics,
                               m_index, m_index_bruteforce,
                               mean, partition_pn, renormalize,
                               return_time_matrix, towers,
@@ -459,3 +460,42 @@ class TestDeviationSweep:
             assert alone.pointwise[0] == together.pointwise[k]
             assert alone.envelope[0] == together.envelope[k]
             assert alone.corrected_exponent[0] == together.corrected_exponent[k]
+
+
+class TestRowCheck:
+    """A cocycle meets an exchange only with one row per letter."""
+
+    @pytest.fixture(scope="class")
+    def four_row_cocycles(self, ctx):
+        r = ctx.real
+        return (StepCocycle.from_vector((1, -1, 2, 0)),
+                PiecewiseLinearCocycle.constant_slope(
+                    (r(1),), tuple((r(c),) for c in ("0.4", "-0.1", "0.2",
+                                                     "-0.3"))))
+
+    @pytest.mark.parametrize("entry", [
+        "mean", "float_table", "forward_birkhoff", "birkhoff_sum_forward",
+        "birkhoff_sum_backward", "deviation_sweep", "renormalizer_to_depth",
+        "renormalize"])
+    def test_four_rows_on_five_letters(self, ctx, periodic5, renorm5,
+                                       four_row_cocycles, entry):
+        iet = periodic5.iet
+        x = ctx.real("0.3")
+        call = {
+            "mean": lambda phi: mean(phi, iet),
+            "float_table": lambda phi: float_table(phi, float_mirror(iet)),
+            "forward_birkhoff": lambda phi: forward_birkhoff(phi, iet, x, 5),
+            "birkhoff_sum_forward": lambda phi: birkhoff_sum(phi, iet, x, 5),
+            "birkhoff_sum_backward": lambda phi: birkhoff_sum(phi, iet, x, -5),
+            "deviation_sweep": lambda phi: deviation_sweep(iet, [phi], 100,
+                                                           samples=2),
+            "renormalizer_to_depth": lambda phi: renorm5.to_depth(phi, 2),
+            "renormalize": lambda phi: renormalize(phi, periodic5, 0, 1,
+                                                   renorm5),
+        }[entry]
+        step, pl = four_row_cocycles
+        with pytest.raises(DomainError, match="4 value rows, the exchange "
+                                              "has 5 letters"):
+            call(step)
+        with pytest.raises(DomainError, match="4 slope and 4 constant rows"):
+            call(pl)

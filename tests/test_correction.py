@@ -7,7 +7,7 @@ from iet_lab.cocycles import (PiecewiseLinearCocycle, StepCocycle, mean,
                               zero_mean_version)
 from iet_lab.correction import (correct_bv, correct_step, growth_check,
                                 renorm_sup_curve)
-from iet_lab.errors import NotZeroMean
+from iet_lab.errors import DomainError, NotZeroMean
 
 
 def zero_mean_vector(ctx, lengths, raw):
@@ -155,3 +155,13 @@ class TestGrowth:
         cor = growth_check(res, periodic4, 10, renorm4)
         raw = renorm_sup_curve(pl, periodic4, 10, renorm4)
         assert float(cor.sups[-1]) < float(raw.sups[-1]) / 10
+
+    @pytest.mark.parametrize("k_max", [0, -2])
+    def test_k_max_below_one_rejected(self, periodic5, splitting5, renorm5,
+                                      k_max):
+        phi = StepCocycle.from_vector((-1, -2, 0, -1, 1))
+        with pytest.raises(DomainError, match=">= 1"):
+            renorm_sup_curve(phi, periodic5, k_max, renorm5)
+        res = correct_step((-1, -2, 0, -1, 1), splitting5, periodic5)
+        with pytest.raises(DomainError, match=">= 1"):
+            growth_check(res, periodic5, k_max, renorm5)

@@ -11,7 +11,7 @@ from iet_lab.ergodicity import (CENTRAL_UNDETERMINED, COBOUNDARY,
                                 dense_image_matrix, essential_value_probe,
                                 fixed_space_basis, lattice_containment,
                                 skew_simulate, special_flow_step)
-from iet_lab.errors import EmptyFixedSpace, NotZeroMean
+from iet_lab.errors import DomainError, EmptyFixedSpace, NotZeroMean
 from iet_lab.precision import kronecker_samples
 
 
@@ -137,6 +137,13 @@ class TestProbe:
         assert floor > 0
         for level, measures in per_level.items():
             assert min(measures) > floor
+
+
+    @pytest.mark.parametrize("n_max", [-1, -4])
+    def test_negative_depth_rejected(self, periodic5, renorm5, n_max):
+        phi = build_fixed_cocycle(fixed_space_basis(periodic5))
+        with pytest.raises(DomainError, match=">= 0"):
+            essential_value_probe(phi, periodic5, n_max, renorm5)
 
 
 class TestClassification:

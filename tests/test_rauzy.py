@@ -7,8 +7,8 @@ import pytest
 
 from iet_lab import intmat
 from iet_lab.cocycles import GUARD, FloatMirror, float_mirror
-from iet_lab.errors import (IetLabError, KeaneViolation, NotALoop,
-                            NotPrimitive, ReduciblePair)
+from iet_lab.errors import (DomainError, IetLabError, KeaneViolation,
+                            NotALoop, NotPrimitive, ReduciblePair)
 from iet_lab.perms import make_pair, make_symmetric_pair
 from iet_lab.rauzy import (Iet, build_periodic_from_matrix,
                            iterate_induction, keane_check, omega_matrix,
@@ -106,6 +106,12 @@ class TestInduction:
         run = iterate_induction(iet, 0)
         assert run.theta == intmat.identity(3)
         assert run.final is iet
+
+    @pytest.mark.parametrize("n_steps", [-1, -3])
+    def test_negative_steps_rejected(self, ctx, n_steps):
+        iet = Iet(make_symmetric_pair(3), ctx.vector([0.5, 0.3, 0.21]))
+        with pytest.raises(DomainError, match=">= 0"):
+            iterate_induction(iet, n_steps)
 
     def test_golden_period_two(self, ctx):
         phi = (1 + ctx.mp.sqrt(5)) / 2

@@ -123,6 +123,17 @@ class TestVariationBound:
         assert rep.ok
         assert 0.0 <= rep.log_slope < 5.0
 
+    @pytest.mark.parametrize("depth", [0, -2])
+    def test_depth_below_one_rejected(self, depth):
+        with pytest.raises(DomainError, match=">= 1"):
+            denjoy_koksma_check(half_indicator(), GOLDEN, depth=depth,
+                                samples=5)
+
+    def test_zero_samples_still_valid(self):
+        rep = denjoy_koksma_check(half_indicator(), GOLDEN, depth=3,
+                                  samples=0)
+        assert rep.sample_count == 0 and len(rep.denominators) == 3
+
     def test_mean_must_vanish(self):
         phi = CircleStep((0, GRID // 2), (1, 0), scale=1)
         with pytest.raises(DomainError):

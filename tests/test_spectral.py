@@ -6,7 +6,22 @@ from iet_lab import intmat
 from iet_lab.errors import NotPositive, NotPrimitive
 from iet_lab.perms import make_symmetric_pair
 from iet_lab.repro import GROUPED_MATRIX, FIVE_MATRIX, seven_letter_pair
-from iet_lab.spectral import lyapunov_spectrum, nu_ratio, singularity_data
+from iet_lab.spectral import (INSIDE, ON_CIRCLE, OUTSIDE, _classify_factor,
+                               _max_jordan_block, analyze_matrix,
+                               lyapunov_spectrum, nu_ratio, singularity_data,
+                               splitting)
+
+GOLDEN_QUADRATIC = ((1, 1), (1, 0))            # x^2 - x - 1
+CUBIC_WITH_QUADRATIC = ((2, 0, 2), (1, 2, 0), (0, 2, 3))  # (x-4)(x^2-3x+4)
+PLASTIC_CUBIC = ((0, 1, 0), (0, 0, 1), (1, 1, 0))        # x^3 - x - 1
+
+
+def _phi(mp):
+    return (1 + mp.sqrt(5)) / 2
+
+
+def _rho(mp):
+    return mp.findroot(lambda t: t ** 3 - t - 1, 1.3)
 
 
 class TestSpectrum:
@@ -61,6 +76,77 @@ class TestSpectrum:
             "root-1-diagonalizable"])
     def test_jordan_block_of_repeated_integer_root(self, ctx, matrix, block):
         assert lyapunov_spectrum(matrix, ctx).max_jordan_block == block
+
+
+class TestRootPaths:
+    """Spectral branches the bundled systems never reach."""
+
+    @pytest.mark.parametrize("matrix, exponents", [
+        (GOLDEN_QUADRATIC, lambda mp: [mp.log(_phi(mp)), -mp.log(_phi(mp))]),
+        (CUBIC_WITH_QUADRATIC, lambda mp: [mp.log(4), mp.log(2), mp.log(2)]),
+        # the complex pair of the plastic number rho has modulus rho^(-1/2)
+        (PLASTIC_CUBIC, lambda mp: [mp.log(_rho(mp)), -mp.log(_rho(mp)) / 2,
+                                    -mp.log(_rho(mp)) / 2]),
+    ], ids=["golden-quadratic", "cubic-with-quadratic", "plastic-cubic"])
+    def test_non_reciprocal_factor_spectrum(self, ctx, matrix, exponents):
+        mp = ctx.mp
+        want = exponents(mp)
+        spec = lyapunov_spectrum(matrix, ctx)
+        assert len(spec.exponents) == len(want)
+        for got, expect in zip(spec.exponents, want):
+            assert abs(got - expect) < mp.mpf(2) ** -100
+        assert spec.zero_multiplicity == 0
+        assert spec.max_jordan_block == 1
+
+    @pytest.mark.parametrize("matrix, dims, theta_plus", [
+        (GOLDEN_QUADRATIC, (1, 0, 1), lambda mp: mp.log(_phi(mp))),
+        (CUBIC_WITH_QUADRATIC, (0, 0, 3), lambda mp: mp.log(2)),
+    ], ids=["golden-quadratic", "cubic-with-quadratic"])
+    def test_non_reciprocal_factor_splitting(self, ctx, matrix, dims,
+                                             theta_plus):
+        mp = ctx.mp
+        split = splitting(matrix, None, ctx)
+        assert split.dims == dims
+        assert abs(split.theta_plus - theta_plus(mp)) < mp.mpf(2) ** -100
+        # every basis vector spans an invariant subspace of the transpose
+        at = intmat.mat_transpose(matrix)
+        tol = mp.mpf(2) ** -(ctx.bits // 3)
+        for part, basis in zip("scu", (split.basis_s, split.basis_c,
+                                       split.basis_u)):
+            for v in basis:
+                image = [mp.fsum(at[i][j] * v[j] for j in range(len(v)))
+                         for i in range(len(v))]
+                back = split.project(image, part)
+                assert max(abs(a - b) for a, b in zip(image, back)) < tol * 8
+
+    @pytest.mark.parametrize("matrix, block", [
+        (((2, 1, 1, 0), (1, 1, 0, 1), (0, 0, 2, 1), (0, 0, 1, 1)), 2),
+        (((2, 1, 0, 0), (1, 1, 0, 0), (0, 0, 2, 1), (0, 0, 1, 1)), 1),
+    ], ids=["irrational-root-defective", "irrational-root-diagonalizable"])
+    def test_jordan_block_of_repeated_irrational_root(self, ctx, matrix, block):
+        # (x^2 - 3x + 1)^2: the chain runs in mpf at the refined root
+        groups = analyze_matrix(matrix, ctx)
+        assert {g.multiplicity for g in groups} == {2}
+        assert _max_jordan_block(matrix, groups, ctx) == block
+
+    @pytest.mark.parametrize("coeffs, placed", [
+        # y-cubic y^3 - 4y^2 - 2y + 11: two roots in (-2, 2), one above 2,
+        # found by exact isolation rather than the closed forms
+        ((1, -4, 1, 3, 1, -4, 1), [(INSIDE, True), (ON_CIRCLE, False),
+                                   (ON_CIRCLE, False), (OUTSIDE, True)]),
+        # y-quadratic y^2 - y + 3 with complex roots: a quadruple off the circle
+        ((1, -1, 5, -1, 1), [(INSIDE, False), (OUTSIDE, False)]),
+    ], ids=["palindromic-sextic", "palindromic-quartic-complex-y"])
+    def test_palindromic_factor_places(self, ctx, coeffs, placed):
+        groups = _classify_factor(list(coeffs), 1, ctx)
+        assert sorted((g.place, g.is_real) for g in groups) == placed
+        mp = ctx.mp
+        for g in groups:
+            z = g.values[0]
+            value = mp.polyval([mp.mpf(c) for c in coeffs], z)
+            assert abs(value) < mp.mpf(2) ** -100
+            if g.place == ON_CIRCLE:
+                assert abs(abs(z) - 1) < mp.mpf(2) ** -100
 
 
 class TestSplitting:
