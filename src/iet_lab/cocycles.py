@@ -27,7 +27,10 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from heapq import heappop, heappush
-from itertools import accumulate, islice
+from itertools import accumulate, chain
+
+import mpmath
+import numpy as np
 
 from . import intmat
 from .errors import (DomainError, KeaneViolation, NearBreakpoint,
@@ -36,10 +39,17 @@ from .precision import kronecker_samples
 from .rauzy import DepthLattice, Iet, PeriodicIet, _lattice
 
 GUARD = 1e-9  # guard band around breakpoints, relative to |I| (both orbit engines)
+FLOAT_BLOCK = 1 << 14  # orbit steps per float_walk block
 
 
 # ---------------------------------------------------------------------------
 # cocycle classes
+
+
+def _check_finite(*groups) -> None:
+    if not all(mpmath.isfinite(x) for rows in groups for row in rows
+               for x in row):
+        raise DomainError("cocycle entries must be finite (no NaN or inf)")
 
 
 @dataclass(frozen=True)
@@ -63,6 +73,7 @@ class StepCocycle:
         for _g, j in self.jumps:
             if len(j) != self.dim:
                 raise DomainError("jump vectors must have the declared dimension")
+        _check_finite(self.values, ((g, *j) for g, j in self.jumps))
         gammas = [g for g, _ in self.jumps]
         if sorted(gammas) != gammas:
             object.__setattr__(self, "jumps",
@@ -95,6 +106,7 @@ class PiecewiseLinearCocycle:
     def __post_init__(self):
         if any(len(v) != self.dim for v in self.slopes + self.constants):
             raise DomainError("slope/constant vectors must match the dimension")
+        _check_finite(self.slopes, self.constants)
 
     @classmethod
     def constant_slope(cls, slope, constants) -> "PiecewiseLinearCocycle":
@@ -1033,13 +1045,16 @@ def float_table(cocycle: Cocycle, mirror: FloatMirror) -> FloatTable:
 
 
 def float_walk(mirror: FloatMirror, x0: float, n_steps: int, tables=()):
-    """Stream the float orbit of x0: yield (slot, x) for n_steps steps.
+    """Stream the float orbit of x0 in blocks: yield (slots, xs) arrays.
 
-    Each step locates x, checks the guard, then advances.  A point
+    Each step locates x, checks the guard, stores x, then advances; a
+    block holds FLOAT_BLOCK steps (the last one the rest).  A point
     within ``mirror.guard`` of either endpoint of its interval, or that
     close to the right of a jump of one of ``tables`` in its slot,
-    raises NearBreakpoint: the caller drops the sample rather than
-    trust its side.
+    raises NearBreakpoint with its step index: the caller drops the
+    sample rather than trust its side.  A stored point lies strictly
+    inside its interval, so one searchsorted per block recovers the
+    slots the bisect found.
     """
     lefts, rights, moves = mirror.lefts, mirror.rights, mirror.moves
     guard = mirror.guard
@@ -1047,47 +1062,71 @@ def float_walk(mirror: FloatMirror, x0: float, n_steps: int, tables=()):
     for table in tables:
         for slot, gf, _j in table.jumps:
             marks[slot].append(gf)
-    if not any(marks):
-        marks = None
+    lefts_a = np.array(lefts)
+    buf = [0.0] * FLOAT_BLOCK
     xf = x0
-    for step in range(n_steps):
-        lo = bisect_right(lefts, xf, 1) - 1
-        if (xf - lefts[lo] < guard or rights[lo] - xf < guard
-                or (marks and any(0.0 <= xf - g < guard for g in marks[lo]))):
-            raise NearBreakpoint("float orbit entered the guard band", step)
-        yield lo, xf
-        xf += moves[lo]
+    for start in range(0, n_steps, FLOAT_BLOCK):
+        m = min(FLOAT_BLOCK, n_steps - start)
+        for k in range(m):
+            lo = bisect_right(lefts, xf, 1) - 1
+            if (xf - lefts[lo] < guard or rights[lo] - xf < guard
+                    or (marks[lo]
+                        and any(0.0 <= xf - g < guard for g in marks[lo]))):
+                raise NearBreakpoint("float orbit entered the guard band",
+                                     start + k)
+            buf[k] = xf
+            xf += moves[lo]
+        xs = np.array(buf[:m])
+        yield np.searchsorted(lefts_a, xs, "right") - 1, xs
 
 
 def _sweep_one_sample(args):
     """Walk one float orbit and record checkpoint sups for every cocycle.
 
+    Per block, each slot's visit count and position sum at a checkpoint
+    come from the slot's step indices: a searchsorted counts them, and
+    an accumulate seeded with the slot's running sum adds the positions
+    in orbit order, as a per-step ``possum[slot] += x`` would.
     Picklable in and out, so worker processes can run it.
     Returns (ok, per-cocycle checkpoint sup lists).
     """
     x0f, mirror, tables, checkpoints = args
-    counts = [0] * len(mirror.lefts)
-    possum = [0.0] * len(mirror.lefts)
+    d = len(mirror.lefts)
+    counts = [0] * d
+    possum = [0.0] * d
     cross = [[0] * len(t.jumps) for t in tables]
-    slot_jumps = [[] for _ in mirror.lefts]
-    for ci, table in enumerate(tables):
-        for ji, (slot, gf, _j) in enumerate(table.jumps):
-            slot_jumps[slot].append((cross[ci], ji, gf))
     local_sup = [[0.0] * len(checkpoints) for _ in tables]
-    walk = float_walk(mirror, x0f, checkpoints[-1], tables)
-    done = 0
+    ends = np.array(checkpoints)
+    done = t = 0
     try:
-        for t, n in enumerate(checkpoints):
-            for lo, xf in islice(walk, n - done):
-                counts[lo] += 1
-                possum[lo] += xf
-                for crossed, ji, gf in slot_jumps[lo]:
-                    if xf >= gf:
-                        crossed[ji] += 1
-            done = n
+        for sl, xs in float_walk(mirror, x0f, checkpoints[-1], tables):
+            t_next = int(np.searchsorted(ends, done + len(xs), "right"))
+            cut = ends[t:t_next] - done  # checkpoint prefixes of this block
+            count_at = np.empty((d, len(cut)), np.int64)
+            sum_at = np.empty((d, len(cut)))
+            for s in range(d):
+                at = np.flatnonzero(sl == s)
+                sums = np.add.accumulate(np.concatenate(([possum[s]], xs[at])))
+                k = np.searchsorted(at, cut)
+                count_at[s] = counts[s] + k
+                sum_at[s] = sums[k]
+                counts[s] += len(at)
+                possum[s] = float(sums[-1])
+            cross_at = []
             for ci, table in enumerate(tables):
-                local_sup[ci][t] = _sweep_value(table, counts, possum,
-                                                cross[ci])
+                rows = np.empty((len(table.jumps), len(cut)), np.int64)
+                for ji, (slot, gf, _j) in enumerate(table.jumps):
+                    at = np.flatnonzero((sl == slot) & (xs >= gf))
+                    rows[ji] = cross[ci][ji] + np.searchsorted(at, cut)
+                    cross[ci][ji] += len(at)
+                cross_at.append(rows.T.tolist())
+            for i, (c_i, p_i) in enumerate(zip(count_at.T.tolist(),
+                                               sum_at.T.tolist())):
+                for ci, table in enumerate(tables):
+                    local_sup[ci][t + i] = _sweep_value(table, c_i, p_i,
+                                                        cross_at[ci][i])
+            done += len(xs)
+            t = t_next
     except NearBreakpoint:
         return False, local_sup
     return True, local_sup
@@ -1121,6 +1160,8 @@ def deviation_sweep(iet: Iet, cocycles, n_max: int, samples: int = 8,
     point_sup = [[0.0] * len(checkpoints) for _ in tables]
     for ok, local_sup in results:
         if ok:
+            if not all(map(math.isfinite, chain.from_iterable(local_sup))):
+                raise DomainError("cocycle sums overflowed the float lane")
             point_sup = [list(map(max, dst, src))
                          for dst, src in zip(point_sup, local_sup)]
     used = sum(ok for ok, _sup in results)

@@ -11,7 +11,10 @@ way through renormalization.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import intmat
 from .cocycles import (Cocycle, PiecewiseLinearCocycle, Renormalizer,
@@ -107,8 +110,6 @@ def dense_image_matrix(k: int, irrationals=None):
     """
     if k < 2:
         raise DomainError("need k >= 2 for a dense-image reduction")
-    import math
-
     if irrationals is None:
         primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
         irrationals = [math.sqrt(p) for p in primes[:k - 1]]
@@ -345,7 +346,8 @@ def skew_simulate(iet: Iet, cocycle: Cocycle, x0_list, n_steps: int,
     """Track displacement returns of the skew product along float orbits.
 
     Orbit points entering the guard band (``float_walk``) abort that
-    sample (skipped and counted), never silently mis-stepped.
+    sample (skipped and counted), never silently mis-stepped.  A
+    non-finite displacement raises DomainError.
     """
     if x0_list is None:
         x0_list = kronecker_samples(iet.ctx, 16, iet.total, seed)
@@ -355,8 +357,6 @@ def skew_simulate(iet: Iet, cocycle: Cocycle, x0_list, n_steps: int,
         raise DomainError(f"walk length must be >= 1, got {n_steps}")
     mirror = float_mirror(iet)
     table = float_table(cocycle, mirror)
-    dim = cocycle.dim
-    vals, consts = table.values, table.constants
     eps_sorted = sorted(eps_list, reverse=True)
     hits = {e: 0 for e in eps_sorted}
     histogram = [0] * 10  # decades from 1e-6 up
@@ -365,35 +365,9 @@ def skew_simulate(iet: Iet, cocycle: Cocycle, x0_list, n_steps: int,
     zero_returns = 0
     for x0 in x0_list:
         # a skipped sample contributes nothing: merge only on success
-        disp = [0.0] * dim
-        best = None
-        s_hits = {e: 0 for e in eps_sorted}
-        s_histogram = [0] * 10
-        s_zero = 0
         try:
-            for lo, xf in float_walk(mirror, float(x0), n_steps, [table]):
-                if consts is not None:
-                    for i in range(dim):
-                        disp[i] += vals[i][lo] * xf + consts[i][lo]
-                else:
-                    for i in range(dim):
-                        disp[i] += vals[i][lo]
-                    for slot, gf, j in table.jumps:
-                        if slot == lo and xf >= gf:
-                            for i in range(dim):
-                                disp[i] += j[i]
-                norm = max(abs(v) for v in disp)
-                if best is None or norm < best:
-                    best = norm
-                for e in eps_sorted:
-                    if norm < e:
-                        s_hits[e] += 1
-                    else:
-                        break
-                if norm == 0.0:
-                    s_zero += 1
-                bin_idx = 0 if norm <= 1e-6 else min(9, int(6 + _log10(norm)) + 1)
-                s_histogram[bin_idx] += 1
+            best, s_hits, s_histogram, s_zero = _skew_sample(
+                mirror, table, float(x0), n_steps, eps_sorted)
         except NearBreakpoint:
             skipped += 1
             continue
@@ -401,16 +375,93 @@ def skew_simulate(iet: Iet, cocycle: Cocycle, x0_list, n_steps: int,
             hits[e] += s_hits[e]
         histogram = [h + s for h, s in zip(histogram, s_histogram)]
         zero_returns += s_zero
-        min_norms.append(best if best is not None else float("inf"))
+        min_norms.append(best)
     return RecurrenceStats(n_steps, len(min_norms), skipped,
                            tuple(min_norms), hits, tuple(histogram),
                            zero_returns, (), seed)
 
 
-def _log10(x: float) -> int:
-    import math
+@np.errstate(over="ignore", invalid="ignore")  # overflow is a DomainError
+def _skew_sample(mirror, table, x0: float, n_steps: int, eps_sorted):
+    """One sample's (min norm, eps hits, histogram, zero returns).
 
-    return int(math.floor(math.log10(x)))
+    Each block of the walk becomes one row of displacement increments
+    per coordinate, summed by one accumulate seeded with the running
+    displacement: the same additions in the same order as a per-step
+    loop.  Norms, hits, zero returns and decade bins follow per block.
+    """
+    vals = np.array(table.values)
+    consts = None if table.constants is None else np.array(table.constants)
+    stride = 1 + len(table.jumps)  # additions per step
+    disp = np.zeros(table.dim)
+    best = math.inf
+    s_hits = {e: 0 for e in eps_sorted}
+    s_histogram = np.zeros(10, np.int64)
+    s_zero = 0
+    for sl, xs in float_walk(mirror, x0, n_steps, [table]):
+        if consts is None:
+            inc = _step_increments(vals, table.jumps, sl, xs)
+        else:
+            inc = vals[:, sl] * xs + consts[:, sl]
+        inc[:, 0] += disp
+        path = np.add.accumulate(inc, axis=1)[:, stride - 1::stride]
+        disp = path[:, -1]
+        norms = np.abs(path).max(axis=0)
+        # a non-finite sum stays non-finite, so the last step tells
+        if not math.isfinite(norms[-1]):
+            raise DomainError("skew-product displacement overflowed the "
+                              "float lane")
+        best = min(best, float(norms.min()))
+        below = np.ones(len(norms), bool)
+        for e in eps_sorted:  # a per-step scan stops at its first miss
+            below &= norms < e
+            s_hits[e] += int(np.count_nonzero(below))
+        s_zero += int(np.count_nonzero(norms == 0.0))
+        s_histogram += np.bincount(_decade_bins(norms), minlength=10)
+    return best, s_hits, s_histogram.tolist(), s_zero
+
+
+def _step_increments(vals, jumps, sl, xs):
+    """Additions of a step cocycle in walk order, 1 + len(jumps) per step.
+
+    Each step adds its slot value, then each jump in ``jumps`` order:
+    the jump vector where crossed, else +0.0, which changes no sum (a
+    running sum started at +0.0 never holds -0.0).
+    """
+    inc = np.zeros((len(vals), len(xs), 1 + len(jumps)))
+    inc[:, :, 0] = vals[:, sl]
+    for ji, (slot, gf, j) in enumerate(jumps):
+        crossed = (sl == slot) & (xs >= gf)
+        inc[:, crossed, 1 + ji] = np.array(j)[:, None]
+    return inc.reshape(len(vals), -1)
+
+
+def _decade_edges():
+    """Smallest doubles x with floor(math.log10(x)) >= k, for k = -6..2."""
+    edges = []
+    for k in range(-6, 3):
+        x = 10.0 ** k
+        while math.floor(math.log10(x)) >= k:
+            x = math.nextafter(x, 0.0)
+        while math.floor(math.log10(x)) < k:
+            x = math.nextafter(x, math.inf)
+        edges.append(x)
+    return np.array(edges)
+
+
+_DECADE_EDGES = _decade_edges()
+
+
+def _decade_bins(norms):
+    """Histogram bin of each norm: 0 up to 1e-6, one per decade, 9 from 1e2.
+
+    Equal to ``0 if n <= 1e-6 else min(9, int(6 + math.floor(math.log10(n)))
+    + 1)``: the edges are where that floor steps, so no vector log10
+    rounds a norm next to a power of ten into the wrong decade.
+    """
+    bins = np.searchsorted(_DECADE_EDGES, norms, "right")
+    bins[norms <= 1e-6] = 0
+    return bins
 
 
 # ---------------------------------------------------------------------------

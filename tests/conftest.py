@@ -1,8 +1,13 @@
 """Shared fixtures: the bundled systems at 128-bit working precision."""
 
+from bisect import bisect_right
+
 import pytest
 
-from iet_lab.cocycles import Renormalizer
+from iet_lab.cocycles import (FLOAT_BLOCK, PiecewiseLinearCocycle,
+                              Renormalizer, StepCocycle, float_mirror,
+                              zero_mean_version)
+from iet_lab.errors import NearBreakpoint
 from iet_lab.perms import make_symmetric_pair
 from iet_lab.precision import PrecisionContext
 from iet_lab.rauzy import build_periodic_from_loop, build_periodic_from_matrix
@@ -61,3 +66,71 @@ def gammas(ctx, periodic7):
     return (lam[0],
             mp.fsum([lam[0], lam[1], lam[2]]),
             mp.fsum([lam[i] for i in range(6)]))
+
+
+def _step_walk(mirror, x0, n_steps, tables=()):
+    """The float lane one step at a time: yield (slot, x) per step.
+
+    The oracle for the block walk of ``float_walk``: same locate, same
+    guard rule, same advance.
+    """
+    lefts, rights, moves = mirror.lefts, mirror.rights, mirror.moves
+    guard = mirror.guard
+    marks = [[] for _ in lefts]
+    for table in tables:
+        for slot, gf, _j in table.jumps:
+            marks[slot].append(gf)
+    xf = x0
+    for step in range(n_steps):
+        lo = bisect_right(lefts, xf, 1) - 1
+        if (xf - lefts[lo] < guard or rights[lo] - xf < guard
+                or any(0.0 <= xf - g < guard for g in marks[lo])):
+            raise NearBreakpoint("float orbit entered the guard band", step)
+        yield lo, xf
+        xf += moves[lo]
+
+
+@pytest.fixture(scope="session")
+def step_walk():
+    return _step_walk
+
+
+
+@pytest.fixture(scope="session")
+def guard_hit_starts(ctx, periodic4):
+    """Starts whose float orbits enter the guard band at step k.
+
+    Maps k = 0, mid-block and the block edges FLOAT_BLOCK - 1, FLOAT_BLOCK
+    and FLOAT_BLOCK + 1 to a start whose k-th iterate lies half a guard
+    width right of an interior left endpoint of the 4-letter system (the
+    backward orbit of that point, walked at working precision).
+    """
+    iet = periodic4.iet
+    target = iet.left[1] + ctx.real(float_mirror(iet).guard / 2)
+    steps = (0, 5000, FLOAT_BLOCK - 1, FLOAT_BLOCK, FLOAT_BLOCK + 1)
+    back = iet.orbit(target, -max(steps))
+    return {k: back[k] for k in steps}
+
+
+@pytest.fixture(scope="session")
+def lane_cocycles4(ctx, periodic4):
+    """Zero-mean float-lane cocycles of the 4-letter system, non-dyadic
+    entries: a 2-dim PL one, and a 2-dim step one with two interior
+    jumps in the first interval (the order of the float additions within
+    a step decides the sums) and one more jump."""
+    iet = periodic4.iet
+    r = ctx.real
+    pl = zero_mean_version(PiecewiseLinearCocycle.constant_slope(
+        (r("0.7"), r("-0.3")),
+        tuple((r(a), r(b)) for a, b in
+              (("0.3", "0.1"), ("-0.4", "0.7"), ("0.25", "-0.2"),
+               ("-0.15", "0.1")))), iet)
+    a = iet.order0[0]
+    width = iet.right[a] - iet.left[a]
+    jumps = ((iet.left[a] + r("0.3") * width, (r("0.1"), r("-0.7"))),
+             (iet.left[a] + r("0.71") * width, (r("0.3"), r("1") / 3)),
+             (r("0.61"), (r("-0.9"), r("0.2"))))
+    step = zero_mean_version(StepCocycle(
+        2, ((r("0.1"), r("0.2")), (r("-0.3"), r("0.7")),
+            (r("0.7"), r("-1.1")), (r("-0.45"), r("0.3"))), jumps), iet)
+    return {"pl": pl, "step-two-jumps-one-slot": step}

@@ -48,6 +48,10 @@ def specs(tmp_path):
         paths[name] = str(p)
     return paths
 
+NAN_STEP = json.dumps({"kind": "step", "values": [["nan"], ["1"], ["2"],
+                                                  ["-1"]]})
+HUGE_STEP = json.dumps({"kind": "step", "values": [["1e308"]] * 4})
+
 
 def capture(capsys, argv):
     code = run(argv)
@@ -172,11 +176,15 @@ class TestDispatch:
         assert [float(e) for e in got] == pytest.approx(exponents, abs=1e-12)
 
     def test_deviation_with_workers(self, capsys, specs):
-        code, out = capture(capsys, ["deviation", "--iet", specs["four"],
-                                     "--cocycle", specs["step"],
-                                     "--n-max", "2000", "--samples", "4",
-                                     "--threads", "2"])
-        assert code == 0
+        results = []
+        for threads in ("2", "1"):
+            code, out = capture(capsys, ["deviation", "--iet", specs["four"],
+                                         "--cocycle", specs["step"],
+                                         "--n-max", "2000", "--samples", "4",
+                                         "--threads", threads])
+            assert code == 0
+            results.append(json.loads(out)["result"])
+        assert results[0] == results[1]
 
     def test_birkhoff_csv(self, capsys, specs):
         code, out = capture(capsys, ["birkhoff", "--iet", specs["four"],
@@ -270,6 +278,11 @@ class TestErrors:
         ("rauzy --iet {four} --steps -3", "", ">= 0"),
         ("essential-values --iet {five} --fixed-space --n-max -1", "", ">= 0"),
         ("rotations --mode dk --depth 0", "", ">= 1"),
+        ("simulate --iet {four} --cocycle {bad}", NAN_STEP, "finite"),
+        ("deviation --iet {four} --cocycle {bad}", NAN_STEP, "finite"),
+        ("simulate --iet {four} --cocycle {bad}", HUGE_STEP, "overflow"),
+        ("deviation --iet {four} --cocycle {bad} --n-max 100", HUGE_STEP,
+         "overflow"),
     ], ids=["pair-without-pi0", "not-json", "step-without-values",
             "birkhoff-n-0", "deviation-n-max-0", "simulate-eps-not-a-number",
             "classify-vector-not-numbers", "spectrum-matrix-not-integers",
@@ -281,7 +294,9 @@ class TestErrors:
             "simulate-cocycle-rows", "correct-zero-mean-cocycle-rows",
             "essential-values-cocycle-rows", "deviation-pl-cocycle-rows",
             "correct-k-max-0", "correct-k-max-negative", "rauzy-steps-negative",
-            "essential-values-n-max-negative", "dk-depth-0"])
+            "essential-values-n-max-negative", "dk-depth-0",
+            "simulate-nan-entry", "deviation-nan-entry", "simulate-overflow",
+            "deviation-overflow"])
     def test_malformed_spec_one_line_error(self, capsys, specs, tmp_path,
                                            command, content, named):
         bad = tmp_path / "bad.json"
@@ -346,3 +361,28 @@ class TestDeterminism:
                                      str(BUNDLED_SPECS / f"{name}.json")])
         assert code == 0
         assert out.encode() == (GOLDEN / f"spectrum_{name}.json").read_bytes()
+
+    @pytest.mark.parametrize("command, iet, cocycle, golden", [
+        ("simulate --n 20000", "five_letter_matrix", "fixed_space_cocycle",
+         "simulate_five_letter_matrix_fixed_space_cocycle"),
+        ("simulate --n 20000", "four_letter_matrix", "step_cocycle",
+         "simulate_four_letter_matrix_step_cocycle"),
+        ("simulate --n 20000", "four_letter_matrix", "pl_cocycle",
+         "simulate_four_letter_matrix_pl_cocycle"),
+        ("deviation --n-max 20000", "four_letter_matrix", "pl_cocycle",
+         "deviation_four_letter_matrix_pl_cocycle"),
+        ("deviation --n-max 20000 --zero-mean", "four_letter_matrix",
+         "step_cocycle",
+         "deviation_four_letter_matrix_step_cocycle_zero_mean"),
+    ], ids=["simulate-fixed-space", "simulate-step", "simulate-pl",
+            "deviation-pl", "deviation-step-zero-mean"])
+    def test_float_lanes_match_committed_stdout(self, capsys, command, iet,
+                                                cocycle, golden):
+        # tests/golden holds the stdout of the per-step float lanes: the
+        # block lanes reproduce it byte for byte
+        argv = command.split() + ["--iet", str(BUNDLED_SPECS / f"{iet}.json"),
+                                  "--cocycle",
+                                  str(BUNDLED_SPECS / f"{cocycle}.json")]
+        code, out = capture(capsys, argv)
+        assert code == 0
+        assert out.encode() == (GOLDEN / f"{golden}.json").read_bytes()

@@ -1,10 +1,15 @@
 """Cocycle evaluation, Birkhoff sums, towers, renormalization."""
 
+import math
+from itertools import islice
+
 import pytest
 
+from iet_lab import cocycles as cocycles_module
 from iet_lab import intmat
-from iet_lab.cocycles import (ExactWalker, PiecewiseLinearCocycle,
-                              StepCocycle, birkhoff_sum,
+from iet_lab.cocycles import (FLOAT_BLOCK, ExactWalker,
+                              PiecewiseLinearCocycle, StepCocycle,
+                              _sweep_value, birkhoff_sum,
                               birkhoff_visit_counts, depth_interval_coeffs,
                               depth_total_coeffs, deviation_sweep, evaluate,
                               float_mirror, float_table, float_walk,
@@ -460,6 +465,138 @@ class TestDeviationSweep:
             assert alone.pointwise[0] == together.pointwise[k]
             assert alone.envelope[0] == together.envelope[k]
             assert alone.corrected_exponent[0] == together.corrected_exponent[k]
+
+
+def sweep_oracle(args, step_walk):
+    """Per-step ``_sweep_one_sample``: counts, position sums and crossings
+    updated one orbit step at a time, read at each checkpoint."""
+    x0f, mirror, tables, checkpoints = args
+    counts = [0] * len(mirror.lefts)
+    possum = [0.0] * len(mirror.lefts)
+    cross = [[0] * len(t.jumps) for t in tables]
+    slot_jumps = [[] for _ in mirror.lefts]
+    for ci, table in enumerate(tables):
+        for ji, (slot, gf, _j) in enumerate(table.jumps):
+            slot_jumps[slot].append((cross[ci], ji, gf))
+    local_sup = [[0.0] * len(checkpoints) for _ in tables]
+    walk = step_walk(mirror, x0f, checkpoints[-1], tables)
+    done = 0
+    try:
+        for t, n in enumerate(checkpoints):
+            for lo, xf in islice(walk, n - done):
+                counts[lo] += 1
+                possum[lo] += xf
+                for crossed, ji, gf in slot_jumps[lo]:
+                    if xf >= gf:
+                        crossed[ji] += 1
+            done = n
+            for ci, table in enumerate(tables):
+                local_sup[ci][t] = _sweep_value(table, counts, possum,
+                                                cross[ci])
+    except NearBreakpoint:
+        return False, local_sup
+    return True, local_sup
+
+
+class TestBlockWalk:
+    """``float_walk`` blocks are the per-step walk, cut every FLOAT_BLOCK."""
+
+    @pytest.mark.parametrize("n", [1, 100, FLOAT_BLOCK - 1, FLOAT_BLOCK,
+                                   FLOAT_BLOCK + 1, 2 * FLOAT_BLOCK + 5])
+    def test_blocks_concatenate_to_step_walk(self, ctx, periodic4, step_walk,
+                                             lane_cocycles4, n):
+        iet = periodic4.iet
+        mirror = float_mirror(iet)
+        tables = [float_table(phi, mirror) for phi in lane_cocycles4.values()]
+        x0 = float(kronecker_samples(ctx, 1, iet.total, 5)[0])
+        blocks = list(float_walk(mirror, x0, n, tables))
+        assert [len(xs) for _sl, xs in blocks] == \
+            [FLOAT_BLOCK] * (n // FLOAT_BLOCK) + [n % FLOAT_BLOCK] * bool(
+                n % FLOAT_BLOCK)
+        got = [(lo, xf) for sl, xs in blocks
+               for lo, xf in zip(sl.tolist(), xs.tolist())]
+        assert got == list(step_walk(mirror, x0, n, tables))
+
+    def test_guard_hit_reports_its_step(self, periodic4, step_walk,
+                                        guard_hit_starts):
+        mirror = float_mirror(periodic4.iet)
+        assert FLOAT_BLOCK in guard_hit_starts
+        for k, x0 in guard_hit_starts.items():
+            for walk in (float_walk, step_walk):
+                with pytest.raises(NearBreakpoint) as hit:
+                    for _ in walk(mirror, float(x0), 3 * FLOAT_BLOCK):
+                        pass
+                assert hit.value.step_index == k
+
+
+class TestBlockSweep:
+    """The block sweep gives the per-step sweep's profile, ``==``."""
+
+    @pytest.fixture()
+    def with_oracle(self, step_walk):
+        def sweep(iet, cocycles, n_max, **kw):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(cocycles_module, "_sweep_one_sample",
+                           lambda args: sweep_oracle(args, step_walk))
+                return deviation_sweep(iet, cocycles, n_max, **kw)
+        return sweep
+
+    @pytest.mark.parametrize("n_max", [1, 7, 1000, FLOAT_BLOCK - 1,
+                                       FLOAT_BLOCK, FLOAT_BLOCK + 1,
+                                       2 * FLOAT_BLOCK + 5])
+    def test_matches_per_step_sweep(self, ctx, periodic4, with_oracle,
+                                    lane_cocycles4, n_max):
+        iet = periodic4.iet
+        cocycles = list(lane_cocycles4.values())
+        cocycles.append(StepCocycle.from_vector((1, -2, 3, -1)))
+        block = deviation_sweep(iet, cocycles, n_max, samples=3, seed=4)
+        assert block.sample_count == 3
+        assert block == with_oracle(iet, cocycles, n_max, samples=3, seed=4)
+
+    def test_guard_hits_dropped_alike(self, ctx, periodic4, with_oracle,
+                                      lane_cocycles4, guard_hit_starts,
+                                      monkeypatch):
+        iet = periodic4.iet
+        starts = list(guard_hit_starts.values())
+        starts += kronecker_samples(ctx, 2, iet.total, 8)
+        monkeypatch.setattr(cocycles_module, "kronecker_samples",
+                            lambda *_args: starts)
+        cocycles = list(lane_cocycles4.values())
+        n_max = 2 * FLOAT_BLOCK + 5
+        block = deviation_sweep(iet, cocycles, n_max, samples=len(starts))
+        oracle = with_oracle(iet, cocycles, n_max, samples=len(starts))
+        assert (block.aborted_samples, block.sample_count) == \
+            (len(guard_hit_starts), 2)
+        assert block == oracle
+
+    @pytest.mark.parametrize("values", [(1e308, 1e308, 1e308, 1e308),
+                                        (1e308, -1e308, 1e308, -1e308)],
+                             ids=["inf", "nan"])
+    def test_overflow_is_an_error(self, periodic4, values):
+        phi = StepCocycle.from_vector(values)
+        with pytest.raises(DomainError, match="overflow"):
+            deviation_sweep(periodic4.iet, [phi], 100, samples=2)
+
+
+class TestFiniteEntries:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "nan",
+                                     "inf"])
+    @pytest.mark.parametrize("where", ["value", "gamma", "jump", "slope",
+                                       "constant"])
+    def test_non_finite_entry_rejected(self, ctx, bad, where):
+        x = ctx.real(bad)
+        one = ctx.real("0.5")
+        build = {
+            "value": lambda: StepCocycle(1, ((one,), (x,))),
+            "gamma": lambda: StepCocycle(1, ((one,), (one,)), ((x, (one,)),)),
+            "jump": lambda: StepCocycle(1, ((one,), (one,)), ((one, (x,)),)),
+            "slope": lambda: PiecewiseLinearCocycle(1, ((one,), (x,)),
+                                                    ((one,), (one,))),
+            "constant": lambda: PiecewiseLinearCocycle(1, ((one,), (one,)),
+                                                       ((x,), (one,))),
+        }[where]
+        with pytest.raises(DomainError, match="finite"):
+            build()
 
 
 class TestRowCheck:

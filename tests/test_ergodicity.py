@@ -1,17 +1,23 @@
 """Fixed spaces, essential-value probes, classification, skew products."""
 
+import math
+
+import numpy as np
 import pytest
 
 from iet_lab import intmat
-from iet_lab.cocycles import (PiecewiseLinearCocycle, StepCocycle,
-                              deviation_sweep, zero_mean_version)
+from iet_lab.cocycles import (FLOAT_BLOCK, PiecewiseLinearCocycle,
+                              StepCocycle, deviation_sweep, float_mirror,
+                              float_table, zero_mean_version)
 from iet_lab.ergodicity import (CENTRAL_UNDETERMINED, COBOUNDARY,
-                                NOT_COBOUNDARY, build_fixed_cocycle,
-                                coboundary_classify, compose_linear,
-                                dense_image_matrix, essential_value_probe,
-                                fixed_space_basis, lattice_containment,
-                                skew_simulate, special_flow_step)
-from iet_lab.errors import DomainError, EmptyFixedSpace, NotZeroMean
+                                NOT_COBOUNDARY, RecurrenceStats,
+                                build_fixed_cocycle, coboundary_classify,
+                                compose_linear, dense_image_matrix,
+                                essential_value_probe, fixed_space_basis,
+                                lattice_containment, skew_simulate,
+                                special_flow_step, _decade_bins)
+from iet_lab.errors import (DomainError, EmptyFixedSpace, NearBreakpoint,
+                            NotZeroMean)
 from iet_lab.precision import kronecker_samples
 
 
@@ -261,6 +267,130 @@ class TestSkewSimulate:
         assert stats.hits == {0.5: 0}
         assert stats.zero_returns == 0
         assert sum(stats.histogram) == 0
+
+
+def scalar_bin(norm):
+    return 0 if norm <= 1e-6 else min(9, int(6 + math.floor(math.log10(norm)))
+                                      + 1)
+
+
+def skew_oracle(iet, cocycle, x0_list, n_steps, step_walk,
+                eps_list=(0.5, 0.1, 0.02), seed=0):
+    """Per-step ``skew_simulate``: one displacement update, norm, eps
+    scan and decade bin per orbit step."""
+    mirror = float_mirror(iet)
+    table = float_table(cocycle, mirror)
+    dim = cocycle.dim
+    vals, consts = table.values, table.constants
+    eps_sorted = sorted(eps_list, reverse=True)
+    hits = {e: 0 for e in eps_sorted}
+    histogram = [0] * 10
+    min_norms = []
+    skipped = 0
+    zero_returns = 0
+    for x0 in x0_list:
+        disp = [0.0] * dim
+        best = None
+        s_hits = {e: 0 for e in eps_sorted}
+        s_histogram = [0] * 10
+        s_zero = 0
+        try:
+            for lo, xf in step_walk(mirror, float(x0), n_steps, [table]):
+                if consts is not None:
+                    for i in range(dim):
+                        disp[i] += vals[i][lo] * xf + consts[i][lo]
+                else:
+                    for i in range(dim):
+                        disp[i] += vals[i][lo]
+                    for slot, gf, j in table.jumps:
+                        if slot == lo and xf >= gf:
+                            for i in range(dim):
+                                disp[i] += j[i]
+                norm = max(abs(v) for v in disp)
+                if best is None or norm < best:
+                    best = norm
+                for e in eps_sorted:
+                    if norm < e:
+                        s_hits[e] += 1
+                    else:
+                        break
+                if norm == 0.0:
+                    s_zero += 1
+                s_histogram[scalar_bin(norm)] += 1
+        except NearBreakpoint:
+            skipped += 1
+            continue
+        for e in eps_sorted:
+            hits[e] += s_hits[e]
+        histogram = [h + s for h, s in zip(histogram, s_histogram)]
+        zero_returns += s_zero
+        min_norms.append(best)
+    return RecurrenceStats(n_steps, len(min_norms), skipped,
+                           tuple(min_norms), hits, tuple(histogram),
+                           zero_returns, (), seed)
+
+
+class TestBlockSkew:
+    """The block skew product gives the per-step loop's stats, ``==``."""
+
+    @pytest.mark.parametrize("kind", ["step-two-jumps-one-slot", "pl"])
+    @pytest.mark.parametrize("n", [1, 2, 100, FLOAT_BLOCK + 1,
+                                   2 * FLOAT_BLOCK + 5])
+    def test_matches_per_step_loop(self, ctx, periodic4, step_walk,
+                                   lane_cocycles4, kind, n):
+        iet = periodic4.iet
+        phi = lane_cocycles4[kind]
+        starts = kronecker_samples(ctx, 3, iet.total, 2)
+        eps = (0.5, 0.1, 0.02, 1e-3)
+        block = skew_simulate(iet, phi, starts, n, eps)
+        assert block.sample_count == 3
+        assert block == skew_oracle(iet, phi, starts, n, step_walk, eps)
+
+    def test_guard_hits_skipped_alike(self, ctx, periodic4, step_walk,
+                                      lane_cocycles4, guard_hit_starts):
+        iet = periodic4.iet
+        starts = list(guard_hit_starts.values())
+        starts += kronecker_samples(ctx, 2, iet.total, 8)
+        for phi in lane_cocycles4.values():
+            block = skew_simulate(iet, phi, starts, 2 * FLOAT_BLOCK + 5)
+            assert (block.skipped_samples, block.sample_count) == \
+                (len(guard_hit_starts), 2)
+            assert block == skew_oracle(iet, phi, starts,
+                                        2 * FLOAT_BLOCK + 5, step_walk)
+
+    def test_eps_on_attained_norms(self, ctx, periodic5, step_walk):
+        # integer sums: norms land exactly on the eps values, and an
+        # unsorted list with a value above every norm
+        iet = periodic5.iet
+        phi = build_fixed_cocycle(fixed_space_basis(periodic5))
+        starts = kronecker_samples(ctx, 4, iet.total, 0)
+        eps = (1.0, 3.0, 0.0, 2.0, 1e9, 0.5)
+        block = skew_simulate(iet, phi, starts, 3000, eps)
+        # norm < eps is strict: a norm of 1 counts for 2 but not for 1
+        assert block.hits[2.0] > block.hits[1.0] == block.zero_returns > 0
+        assert block.hits[0.0] == 0
+        assert block == skew_oracle(iet, phi, starts, 3000, step_walk, eps)
+
+    def test_decade_bins_match_log10_rule(self):
+        norms = [1e-6]
+        for k in range(-6, 4):
+            x = up = 10.0 ** k
+            for _ in range(64):
+                x = math.nextafter(x, 0.0)
+                up = math.nextafter(up, math.inf)
+                norms += [x, up]
+            norms.append(10.0 ** k)
+        got = _decade_bins(np.array(norms)).tolist()
+        assert got == [scalar_bin(n) for n in norms]
+
+    @pytest.mark.parametrize("values", [(1e308, 1e308, 1e308, 1e308),
+                                        (1e308, -1e308, 1e308, -1e308)],
+                             ids=["inf", "nan"])
+    def test_overflow_is_an_error(self, ctx, periodic4, values):
+        phi = StepCocycle.from_vector(values)
+        starts = kronecker_samples(ctx, 2, periodic4.iet.total, 0)
+        with pytest.raises(DomainError, match="overflow"):
+            skew_simulate(periodic4.iet, phi, starts, 100)
 
 
 class TestSpecialFlow:
