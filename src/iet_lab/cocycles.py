@@ -27,7 +27,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from heapq import heappop, heappush
-from itertools import accumulate, chain
+from itertools import accumulate, chain, count
 
 import mpmath
 import numpy as np
@@ -278,8 +278,14 @@ class ExactWalker:
     The position is (coeffs . lambda) / den with integer coeffs; every
     translation adds an integer vector, so the representation is closed
     and never drifts.  Locating intervals uses a float shadow on the
-    walked exchange's ``FloatMirror``; it is resynchronized periodically
-    and settled by exact signs wherever the mirror's guard rule fires.
+    walked exchange's ``FloatMirror``; it is resynchronized every RESYNC
+    steps and settled by exact signs wherever the mirror's guard rule
+    fires.  Since the position is linear in the visit counts, a walk
+    only counts visits per slot and folds them into ``coeffs`` and
+    ``counts`` where it reads the exact position (escalation, resync,
+    guard-band threshold check) and when it returns; between walks both
+    are exact.  ``escalations`` counts exact settles (``_locate_exact``
+    calls and guard-band threshold checks), ``resyncs`` the resyncs.
     """
 
     RESYNC = 4096
@@ -315,7 +321,8 @@ class ExactWalker:
                          for img, left in zip(lattice.image_lefts, lattice.lefts)]
         self.counts = [0] * d
         self.steps = 0
-        self._since_resync = 0
+        self.escalations = 0
+        self.resyncs = 0
         self.x_f = self._exact_float()
 
     def _exact_mpf(self):
@@ -330,15 +337,6 @@ class ExactWalker:
         diff = [c - self.den * e for c, e in zip(self.coeffs, endpoint_coeffs)]
         return certified_lattice_sign(self.iet, diff)
 
-    def locate(self) -> int:
-        """Slot of the current position, settled exactly where guarded."""
-        m = self.mirror
-        xf = self.x_f
-        lo = bisect_right(m.lefts, xf, 1) - 1
-        if xf - m.lefts[lo] < m.guard or m.rights[lo] - xf < m.guard:
-            lo = self._locate_exact()
-        return lo
-
     def _locate_exact(self) -> int:
         pos = 0
         for k in range(1, self.d):
@@ -350,6 +348,20 @@ class ExactWalker:
         self.x_f = self._exact_float()
         return pos
 
+    def _fold(self, pending) -> None:
+        """Add the pending per-slot visits to ``counts`` and ``coeffs``.
+
+        Zeroes ``pending`` on the way.
+        """
+        den, coeffs, counts = self.den, self.coeffs, self.counts
+        for slot, k in enumerate(pending):
+            if k:
+                a = self.mirror.letters[slot]
+                counts[a] += k
+                for j, w in enumerate(self.w_coeffs[a]):
+                    coeffs[j] += den * k * w
+                pending[slot] = 0
+
     def position(self):
         """Current position as an exact context real."""
         return self._exact_mpf()
@@ -357,27 +369,64 @@ class ExactWalker:
     def coeff_snapshot(self) -> tuple:
         return tuple(self.coeffs), self.den
 
+    def _walk(self, n_steps, threshold_coeffs=None, threshold_f: float = 0.0):
+        """Advance ``n_steps`` steps, or (``None``) until below the threshold.
+
+        Each step locates the float shadow by the mirror's bisect and
+        guard rule, counts one visit of its slot and adds the slot's
+        move; every RESYNC steps the shadow is reset from the exact
+        position.  With a threshold (threshold_coeffs . lambda), the walk
+        stops after the first step whose shadow is below it by more than
+        the guard, or that an exact sign puts below it inside the guard
+        band.  Returns the letter left by the last step.
+        """
+        m = self.mirror
+        lefts, rights, moves, letters, guard = (m.lefts, m.rights, m.moves,
+                                                m.letters, m.guard)
+        resync = self.RESYNC
+        pending = [0] * self.d
+        x_f = self.x_f
+        below = threshold_f - guard
+        band = -math.inf if threshold_coeffs is None else threshold_f + guard
+        due = resync - 1 - self.steps % resync  # step index of the next resync
+        i = slot = -1
+        try:
+            for i in range(n_steps) if n_steps is not None else count():
+                slot = bisect_right(lefts, x_f, 1) - 1
+                if x_f - lefts[slot] < guard or rights[slot] - x_f < guard:
+                    self._fold(pending)
+                    self.escalations += 1
+                    slot = self._locate_exact()
+                    x_f = self.x_f
+                pending[slot] += 1
+                x_f += moves[slot]
+                if i == due:
+                    self._fold(pending)
+                    x_f = self._exact_float()
+                    self.resyncs += 1
+                    due += resync
+                if x_f < band:
+                    if x_f < below:
+                        break
+                    self._fold(pending)
+                    self.escalations += 1
+                    diff = [self.den * t - c for c, t in
+                            zip(self.coeffs, threshold_coeffs)]
+                    if certified_lattice_sign(self.iet, diff) > 0:
+                        break
+                    # exact hit means the point is on the boundary: keep going
+        finally:
+            self._fold(pending)
+            self.x_f = x_f
+            self.steps += i + 1
+        return letters[slot] if i >= 0 else None
+
     def step(self) -> int:
         """Advance one step; returns the interval index that was left."""
-        slot = self.locate()
-        a = self.mirror.letters[slot]
-        w = self.w_coeffs[a]
-        den = self.den
-        coeffs = self.coeffs
-        for j in range(self.d):
-            coeffs[j] += den * w[j]
-        self.x_f += self.mirror.moves[slot]
-        self.counts[a] += 1
-        self.steps += 1
-        self._since_resync += 1
-        if self._since_resync >= self.RESYNC:
-            self.x_f = self._exact_float()
-            self._since_resync = 0
-        return a
+        return self._walk(1)
 
     def run(self, n_steps: int) -> tuple:
-        for _ in range(n_steps):
-            self.step()
+        self._walk(n_steps)
         return tuple(self.counts)
 
     def run_until_below(self, threshold_coeffs, threshold_f: float) -> tuple:
@@ -387,18 +436,7 @@ class ExactWalker:
         The threshold is (threshold_coeffs . lambda); comparisons inside
         the guard band are settled exactly.
         """
-        guard = self.mirror.guard
-        while True:
-            self.step()
-            if self.x_f < threshold_f - guard:
-                break
-            if self.x_f < threshold_f + guard:
-                diff = [self.den * t - c for c, t in
-                        zip(self.coeffs, threshold_coeffs)]
-                side = certified_lattice_sign(self.iet, diff)
-                if side > 0:
-                    break
-                # exact hit means the point is on the boundary: keep going
+        self._walk(None, threshold_coeffs, threshold_f)
         return tuple(self.counts)
 
 

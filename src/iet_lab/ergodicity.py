@@ -357,7 +357,7 @@ def skew_simulate(iet: Iet, cocycle: Cocycle, x0_list, n_steps: int,
         raise DomainError(f"walk length must be >= 1, got {n_steps}")
     mirror = float_mirror(iet)
     table = float_table(cocycle, mirror)
-    eps_sorted = sorted(eps_list, reverse=True)
+    eps_sorted = sorted(set(eps_list), reverse=True)  # a repeat counts once
     hits = {e: 0 for e in eps_sorted}
     histogram = [0] * 10  # decades from 1e-6 up
     min_norms = []

@@ -11,6 +11,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from iet_lab import cocycles
+
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
@@ -37,6 +39,21 @@ def test_tracer_layers_install_and_uninstall():
     assert installed
     for owner, attribute, original in installed:
         assert current(owner, attribute) is original
+
+
+def test_traced_walker_counts_its_steps(periodic4):
+    tracer = load("tracer").Tracer()
+    try:
+        load("run").install_layers(tracer)
+        # a start on a left endpoint escalates to exact signs at once
+        wk = cocycles.ExactWalker(periodic4.iet,
+                                  periodic4.iet.lattice.lefts[1])
+        wk.run(10000)
+    finally:
+        tracer.uninstall()
+    assert tracer.layers["cocycles.walker"].counts["steps"] == 10000
+    assert wk.escalations >= 1
+    assert tracer.layers["cocycles.lattice_sign"].calls >= wk.escalations
 
 
 def test_selftest_rejects_every_corruption():

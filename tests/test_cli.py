@@ -138,6 +138,18 @@ class TestDispatch:
         assert code == 0
         assert "bin,count" in out
 
+    def test_simulate_repeated_eps_counts_once(self, capsys):
+        hits = []
+        for eps in ("0.5", "0.5,0.5"):
+            code, out = capture(capsys, [
+                "simulate", "--iet",
+                str(BUNDLED_SPECS / "five_letter_matrix.json"), "--cocycle",
+                str(BUNDLED_SPECS / "fixed_space_cocycle.json"), "--n", "1000",
+                "--samples", "2", "--eps", eps])
+            assert code == 0
+            hits.append(json.loads(out)["result"]["hits"])
+        assert hits[0] == hits[1] == {"0.5": 519}
+
     def test_rotations_dk(self, capsys):
         code, out = capture(capsys, ["rotations", "--mode", "dk",
                                      "--n", "10000", "--depth", "15",

@@ -1,6 +1,7 @@
 """Cocycle evaluation, Birkhoff sums, towers, renormalization."""
 
 import math
+from bisect import bisect_right
 from itertools import islice
 
 import pytest
@@ -10,7 +11,8 @@ from iet_lab import intmat
 from iet_lab.cocycles import (FLOAT_BLOCK, ExactWalker,
                               PiecewiseLinearCocycle, StepCocycle,
                               _sweep_value, birkhoff_sum,
-                              birkhoff_visit_counts, depth_interval_coeffs,
+                              birkhoff_visit_counts, certified_lattice_sign,
+                              depth_interval_coeffs, depth_lattice,
                               depth_total_coeffs, deviation_sweep, evaluate,
                               float_mirror, float_table, float_walk,
                               forward_birkhoff, gap_statistics,
@@ -292,7 +294,7 @@ class TestGuardRule:
                        edge + 2 * g):
                 escalations.clear()
                 wk.x_f = xf
-                wk.locate()
+                wk.step()
                 try:
                     next(float_walk(mirror, xf, 1))
                     skipped = False
@@ -301,6 +303,188 @@ class TestGuardRule:
                 assert escalations == ([xf] if skipped else [])
                 assert skipped == (abs(xf - edge) < g
                                    or not 0 <= xf < total)
+
+
+def eager_step(wk, tally):
+    """The walker's step with eager coordinates, as before lazy folding.
+
+    The oracle for ``ExactWalker._walk``: locate and guard on the
+    mirror, add den * w[a] to the coefficients at once, resync every
+    RESYNC steps.  ``tally`` counts exact settles and resyncs.
+    """
+    m = wk.mirror
+    xf = wk.x_f
+    slot = bisect_right(m.lefts, xf, 1) - 1
+    if xf - m.lefts[slot] < m.guard or m.rights[slot] - xf < m.guard:
+        tally["escalations"] += 1
+        slot = wk._locate_exact()
+    a = m.letters[slot]
+    for j, w in enumerate(wk.w_coeffs[a]):
+        wk.coeffs[j] += wk.den * w
+    wk.x_f += m.moves[slot]
+    wk.counts[a] += 1
+    wk.steps += 1
+    if wk.steps % wk.RESYNC == 0:
+        tally["resyncs"] += 1
+        wk.x_f = wk._exact_float()
+    return a
+
+
+def eager_until_below(wk, tally, threshold_coeffs, threshold_f):
+    """``run_until_below`` over ``eager_step``."""
+    guard = wk.mirror.guard
+    while True:
+        eager_step(wk, tally)
+        if wk.x_f < threshold_f - guard:
+            break
+        if wk.x_f < threshold_f + guard:
+            tally["escalations"] += 1
+            diff = [wk.den * t - c
+                    for c, t in zip(wk.coeffs, threshold_coeffs)]
+            if certified_lattice_sign(wk.iet, diff) > 0:
+                break
+    return tuple(wk.counts)
+
+
+def walker_state(wk):
+    return wk.coeff_snapshot(), wk.counts, wk.steps, wk.x_f
+
+
+def lattice_float(p, coeffs):
+    return float(p.iet.ctx.dot_int(coeffs, p.iet.lengths.values))
+
+
+class TestLazyWalker:
+    """Folded coordinates equal the eager per-step walk at every step."""
+
+    @staticmethod
+    def pair(p, depth, start):
+        """Two walkers, oracle and lazy, from one lattice point.
+
+        ``"left"`` is an exact left endpoint, settled exactly at step 0;
+        ``"preimage"`` is the preimage of one, so the first escalation
+        comes at step 1 with a visit still unfolded.
+        """
+        lat = depth_lattice(p, depth)
+        coeffs = lat.lefts[1]
+        if start == "preimage":
+            def at(v):
+                return lattice_float(p, v)
+
+            margin = 1e-6 * at(lat.total)
+            coeffs = next(
+                [y - i + x for y, i, x in zip(lat.lefts[b], lat.image_lefts[a],
+                                              lat.lefts[a])]
+                for b in range(1, p.d) for a in range(p.d)
+                if at(lat.image_lefts[a]) + margin < at(lat.lefts[b])
+                < at(lat.image_lefts[a]) + at(lat.widths[a]) - margin)
+        return [ExactWalker.at_depth(p, depth, coeffs) for _ in range(2)]
+
+    @pytest.mark.parametrize("start", ["left", "preimage"])
+    @pytest.mark.parametrize("depth", [0, 1, 2])
+    @pytest.mark.parametrize("system", ["periodic4", "periodic5", "periodic7"])
+    def test_every_step_across_resyncs(self, request, system, depth, start):
+        p = request.getfixturevalue(system)
+        oracle, wk = self.pair(p, depth, start)
+        tally = {"escalations": 0, "resyncs": 0}
+        for _ in range(2 * ExactWalker.RESYNC + 100):
+            assert wk.step() == eager_step(oracle, tally)
+            assert walker_state(wk) == walker_state(oracle)
+        # both starts meet a left endpoint exactly; two resyncs were crossed
+        assert wk.escalations == tally["escalations"] >= 1
+        assert wk.resyncs == tally["resyncs"] == 2
+
+    @pytest.mark.parametrize("start", ["left", "preimage"])
+    @pytest.mark.parametrize("depth", [0, 1, 2])
+    @pytest.mark.parametrize("system", ["periodic4", "periodic5", "periodic7"])
+    def test_runs_across_resyncs(self, request, system, depth, start):
+        p = request.getfixturevalue(system)
+        oracle, wk = self.pair(p, depth, start)
+        tally = {"escalations": 0, "resyncs": 0}
+        resync = ExactWalker.RESYNC
+        for n in (0, 1, resync - 2, 3, 7, resync, 2 * resync):
+            for _ in range(n):
+                eager_step(oracle, tally)
+            assert wk.run(n) == tuple(oracle.counts)
+            assert walker_state(wk) == walker_state(oracle)
+        assert wk.escalations == tally["escalations"] >= 1
+        assert wk.resyncs == tally["resyncs"] == 4
+        wk.counts = [0] * p.d  # callers may reset the counts between runs
+        oracle.counts = [0] * p.d
+        for _ in range(50):
+            eager_step(oracle, tally)
+        assert wk.run(50) == tuple(oracle.counts)
+        assert walker_state(wk) == walker_state(oracle)
+
+    @pytest.mark.parametrize("start", ["left", "preimage"])
+    @pytest.mark.parametrize("depth", [0, 1, 2])
+    @pytest.mark.parametrize("system", ["periodic4", "periodic5", "periodic7"])
+    def test_threshold_in_guard_band(self, request, system, depth, start):
+        # the threshold is the exact position at the lowest of the first
+        # RESYNC steps: that step lands in the guard band, its exact sign
+        # is 0 (a boundary hit, so the walk goes on), and the walk stops
+        # at the next dip, after a resync
+        p = request.getfixturevalue(system)
+        probe = self.pair(p, depth, start)[0]
+        low = math.inf
+        for _ in range(ExactWalker.RESYNC):
+            probe.step()
+            if probe.x_f < low:
+                low, threshold, k = probe.x_f, list(probe.coeffs), probe.steps
+        oracle, wk = self.pair(p, depth, start)
+        tally = {"escalations": 0, "resyncs": 0}
+        expected = eager_until_below(oracle, tally, threshold, low)
+        assert wk.run_until_below(threshold, low) == expected
+        assert walker_state(wk) == walker_state(oracle)
+        assert wk.steps > ExactWalker.RESYNC > k
+        assert wk.escalations == tally["escalations"] >= 2
+        assert wk.resyncs == tally["resyncs"] >= 1
+
+    @pytest.mark.parametrize("depth", [0, 1, 2])
+    @pytest.mark.parametrize("system", ["periodic4", "periodic5", "periodic7"])
+    def test_stop_inside_guard_band(self, request, system, depth):
+        # the walk starts delta below the image of a left endpoint, whose
+        # orbit meets no breakpoint; the threshold is that orbit's lowest
+        # point in 2 * RESYNC steps, so at that step the walk is delta
+        # below the threshold, inside the guard band, and only the exact
+        # sign of the folded position stops it there
+        p = request.getfixturevalue(system)
+        lat = depth_lattice(p, depth)
+        c0 = next(v for v in lat.image_lefts
+                  if all(abs(lattice_float(p, v) - lattice_float(p, left))
+                         > 1e-6 * lattice_float(p, lat.total)
+                         for left in lat.lefts))
+        probe = ExactWalker.at_depth(p, depth, c0)
+        low = math.inf
+        for _ in range(2 * ExactWalker.RESYNC):
+            probe.step()
+            if probe.x_f < low:
+                low, threshold, k = probe.x_f, list(probe.coeffs), probe.steps
+        den = 2 ** 40
+        start = [den * c - w for c, w in zip(c0, lat.widths[0])]
+        oracle, wk = (ExactWalker.at_depth(p, depth, start, den)
+                      for _ in range(2))
+        assert 0 < lattice_float(p, lat.widths[0]) / den < wk.mirror.guard
+        tally = {"escalations": 0, "resyncs": 0}
+        expected = eager_until_below(oracle, tally, threshold, low)
+        assert wk.run_until_below(threshold, low) == expected
+        assert walker_state(wk) == walker_state(oracle)
+        assert wk.steps == k
+        assert wk.escalations == tally["escalations"] >= 1
+        assert wk.resyncs == tally["resyncs"]
+
+    def test_den_and_inner_starts(self, periodic5):
+        thr = depth_total_coeffs(periodic5, 2)
+        thr_f = float(periodic5.pf_value ** -2)
+        for den in (3, 1009, 2 ** 20 + 7):
+            lc, wc = depth_interval_coeffs(periodic5, 2, 1)
+            coeffs = [den * l + (den // 3) * w for l, w in zip(lc, wc)]
+            oracle, wk = (ExactWalker.at_depth(periodic5, 1, coeffs, den)
+                          for _ in range(2))
+            tally = {"escalations": 0, "resyncs": 0}
+            expected = eager_until_below(oracle, tally, thr, thr_f)
+            assert wk.run_until_below(thr, thr_f) == expected
+            assert walker_state(wk) == walker_state(oracle)
 
 
 class TestTowers:

@@ -282,7 +282,7 @@ def skew_oracle(iet, cocycle, x0_list, n_steps, step_walk,
     table = float_table(cocycle, mirror)
     dim = cocycle.dim
     vals, consts = table.values, table.constants
-    eps_sorted = sorted(eps_list, reverse=True)
+    eps_sorted = sorted(set(eps_list), reverse=True)
     hits = {e: 0 for e in eps_sorted}
     histogram = [0] * 10
     min_norms = []
