@@ -8,6 +8,8 @@ split-multiply), and integer-valued step functions produce exactly
 summable walks.  The continued fraction of the dyadic representative is
 computed exactly, so every convergent-denominator statement tested here
 is a theorem about the simulated rotation, not a float approximation.
+The variation-bound check looks up doubling tables of block sums
+(2^k orbit steps at a time) instead of walking every step.
 """
 
 from __future__ import annotations
@@ -25,9 +27,10 @@ GRID_BITS = 53
 GRID = 1 << GRID_BITS
 _MASK = np.uint64(GRID - 1)
 _SPLIT = 26  # low bits; high part then fits 27 bits
-# (orbit step, sample) entries walked at once by denjoy_koksma_check,
-# a 2 MB uint64 block of positions (one orbit step when samples exceed it).
-_DK_BLOCK_ELEMENTS = 1 << 18
+# denjoy_koksma_check looks up blocks of at most 2^_DK_TABLE_DEPTH orbit
+# steps; each doubling table then has at most K * 2^_DK_TABLE_DEPTH pieces
+# for a step function with K breakpoints.
+_DK_TABLE_DEPTH = 12
 
 
 # ---------------------------------------------------------------------------
@@ -114,13 +117,17 @@ def _grid_positions(x0: int, step: int, count: int) -> np.ndarray:
     The multiply is split so every intermediate fits in uint64: the
     split guarantees j * step_high < 2^51 for j < 2^24.
     """
-    if count >= 1 << 24:
-        raise DomainError("grid walk limited to 2^24 points per block")
+    _check_walk_length(count)
     j = np.arange(count, dtype=np.uint64)
     hi = np.uint64(step >> _SPLIT)
     lo = np.uint64(step & ((1 << _SPLIT) - 1))
     pos = (((j * hi) << np.uint64(_SPLIT)) + j * lo + np.uint64(x0)) & _MASK
     return pos
+
+
+def _check_walk_length(count: int) -> None:
+    if count >= 1 << 24:
+        raise DomainError("grid walk limited to 2^24 points per block")
 
 
 @dataclass(frozen=True)
@@ -137,10 +144,20 @@ class CircleStep:
     scale: int = 1
 
     def __post_init__(self):
+        if not all(isinstance(b, int) and 0 <= b < GRID
+                   for b in self.breakpoints):
+            raise DomainError("breakpoints must be integer grid residues "
+                              "in [0, 2^53)")
         if list(self.breakpoints) != sorted(self.breakpoints):
             raise DomainError("breakpoints must be sorted grid residues")
+        if not self.breakpoints:
+            raise DomainError("need at least one breakpoint")
         if len(self.values) != len(self.breakpoints):
             raise DomainError("need one value per breakpoint")
+        if not all(isinstance(v, int) for v in self.values):
+            raise DomainError("values must be integers (scaled by scale)")
+        if not isinstance(self.scale, int) or self.scale < 1:
+            raise DomainError("scale must be a positive integer")
 
     def mean_numerator(self) -> int:
         """Integral times scale times the grid size (exact integer)."""
@@ -215,8 +232,15 @@ def denjoy_koksma_check(phi: CircleStep, alpha, depth: int,
     fraction is computed exactly, so each tested denominator really is
     a convergent denominator of the simulated rotation.  Sums are exact
     integers; a violation would be an arithmetic counterexample, not a
-    rounding artifact.  All sample starts are walked together, one block
-    of max(1, _DK_BLOCK_ELEMENTS // samples) orbit steps at a time.
+    rounding artifact.
+
+    All sample starts are walked together, by doubling tables instead of
+    step by step.  [0, limit) is split at the denominators and the sup
+    checkpoints, and each segment is covered by greedy blocks of
+    2^min(_DK_TABLE_DEPTH, floor(log2 rest)) orbit steps; one block is
+    one table lookup for every sample.  That is about limit / 2^12 plus
+    O(log limit) lookups per segment, with memory O(samples + K * 2^12)
+    for K breakpoints.
     """
     if samples < 0:
         raise DomainError(f"sample count must be >= 0, got {samples}")
@@ -241,36 +265,37 @@ def denjoy_koksma_check(phi: CircleStep, alpha, depth: int,
     if var.denominator != 1 and (var.numerator * phi.scale) % var.denominator:
         raise DomainError("variation times scale must be an integer")
     bound_int = (var.numerator * phi.scale) // var.denominator
+    _check_walk_length(limit)
     rng = _grid_samples(samples, seed)
     max_abs = {q: 0 for q in dens}
     violations = 0
     checkpoints = _log_checkpoints(limit)
-    base = _grid_positions(0, step, limit)
-    # col_max[n-1] = max over samples of |S_n|; its running max is the
-    # running sup over samples, since the two maxima commute.
-    col_max = np.zeros(limit, dtype=np.int64)
-    if rng:
-        x0s = np.array(rng, dtype=np.uint64)
-        rows = max(1, _DK_BLOCK_ELEMENTS // len(rng))
-        pos = np.empty((min(rows, limit), len(rng)), dtype=np.uint64)
-        carry = np.zeros(len(rng), dtype=np.int64)
-        for lo in range(0, limit, rows):
-            hi = min(limit, lo + rows)
-            block = np.add(base[lo:hi, None], x0s, out=pos[:hi - lo])
-            block &= _MASK
-            sums = phi.sample(block)
-            sums[0] += carry
-            np.cumsum(sums, axis=0, out=sums)   # row j: S_{lo+j+1} per sample
-            carry = sums[-1].copy()
-            np.abs(sums, out=sums)
-            for q in dens:
-                if lo < q <= hi:
-                    row = sums[q - 1 - lo]
-                    max_abs[q] = int(row.max())
-                    violations += int(np.count_nonzero(row > bound_int))
-            sums.max(axis=1, out=col_max[lo:hi])
-    np.maximum.accumulate(col_max, out=col_max)
-    sup_curve = [int(col_max[n - 1]) for n in checkpoints]
+    sup_at = set(checkpoints)
+    sup_curve = []
+    tables = _block_tables(phi, step,
+                           min(_DK_TABLE_DEPTH, limit.bit_length() - 1))
+    x0s = np.array(rng, dtype=np.uint64)
+    # per sample: S_pos and the max/min of S_1..S_pos (0 before any step,
+    # which leaves max |S_m| = max(run_max, -run_min) unchanged)
+    carry = np.zeros(len(rng), dtype=np.int64)
+    run_max = np.zeros(len(rng), dtype=np.int64)
+    run_min = np.zeros(len(rng), dtype=np.int64)
+    pos = 0
+    for stop in sorted(sup_at.union(dens)):
+        while pos < stop:
+            k = min(len(tables) - 1, (stop - pos).bit_length() - 1)
+            at = (x0s + np.uint64(pos * step % GRID)) & _MASK
+            s, high, low = _lookup(tables[k], at)
+            np.maximum(run_max, carry + high, out=run_max)
+            np.minimum(run_min, carry + low, out=run_min)
+            carry += s
+            pos += 1 << k
+        if stop in max_abs:
+            sums = np.abs(carry)
+            max_abs[stop] = int(sums.max(initial=0))
+            violations += int(np.count_nonzero(sums > bound_int))
+        if stop in sup_at:
+            sup_curve.append(int(np.maximum(run_max, -run_min).max(initial=0)))
     slope = _sup_log_slope(checkpoints, sup_curve, phi.scale)
     return VariationBoundReport(tuple(dens), tuple(quots[:len(dens)]),
                                 {q: Fraction(v, phi.scale)
@@ -280,6 +305,36 @@ def denjoy_koksma_check(phi: CircleStep, alpha, depth: int,
                                           [Fraction(v, phi.scale)
                                            for v in sup_curve])),
                                 slope)
+
+
+def _block_tables(phi: CircleStep, step: int, depth: int) -> list:
+    """Doubling tables T_0..T_depth of phi's block sums along the rotation.
+
+    T_k = (breaks, S, P, N) describes the 2^k orbit steps from x: on
+    the piece [breaks[i], breaks[i+1]) (the last piece wraps through 0)
+    S[i] is their sum and P[i], N[i] the max and min of the partial
+    sums S_1..S_{2^k}.  T_{k+1} joins the blocks at x and x + 2^k step,
+    so its breaks are those of T_k and their preimages under that shift.
+    """
+    breaks = np.unique(np.array(phi.breakpoints, dtype=np.uint64))
+    vals = phi.sample(breaks)
+    tables = [(breaks, vals, vals, vals)]
+    for k in range(depth):
+        shift = np.uint64((step << k) % GRID)
+        prev = tables[-1][0]
+        breaks = np.unique(np.concatenate([prev, (prev - shift) & _MASK]))
+        s1, p1, n1 = _lookup(tables[-1], breaks)
+        s2, p2, n2 = _lookup(tables[-1], (breaks + shift) & _MASK)
+        tables.append((breaks, s1 + s2, np.maximum(p1, s1 + p2),
+                       np.minimum(n1, s1 + n2)))
+    return tables
+
+
+def _lookup(table, x: np.ndarray) -> tuple:
+    """(S, P, N) of a doubling table at grid positions x."""
+    breaks, s, p, n = table
+    i = np.searchsorted(breaks, x, side="right") - 1   # -1: the wrap piece
+    return s[i], p[i], n[i]
 
 
 def _grid_samples(count: int, seed: int) -> list:

@@ -398,3 +398,18 @@ class TestDeterminism:
         code, out = capture(capsys, argv)
         assert code == 0
         assert out.encode() == (GOLDEN / f"{golden}.json").read_bytes()
+
+    @pytest.mark.parametrize("command, golden", [
+        ("rotations --mode dk --n 1000000 --samples 100", "rotations_dk_readme"),
+        ("rotations --mode dk --n 1000000 --depth 30 --samples 50 --seed 7",
+         "rotations_dk_seed"),
+        ("rotations --mode dk --n 20000 --samples 30 --format csv",
+         "rotations_dk_csv"),
+        ("rotations --mode dk --n 0", "rotations_dk_n0"),
+    ], ids=["readme", "seed", "csv", "n-zero"])
+    def test_dk_matches_committed_stdout(self, capsys, command, golden):
+        # tests/golden holds the stdout of the per-block walk: the doubling
+        # tables reproduce it byte for byte
+        code, out = capture(capsys, command.split())
+        assert code == 0
+        assert out.encode() == (GOLDEN / f"{golden}.json").read_bytes()

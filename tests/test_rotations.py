@@ -16,6 +16,7 @@ from iet_lab.rotations import (GRID, CircleStep, VariationBoundReport,
 
 GOLDEN = (math.sqrt(5) - 1) / 2
 SQRT2M1 = math.sqrt(2) - 1
+PI_M3 = math.pi - 3   # partial quotients 7, 15, 1, 292, ...
 
 STEP_FUNCTIONS = {
     "half": half_indicator(),
@@ -33,6 +34,34 @@ def searchsorted_sample(phi, positions):
     idx = np.searchsorted(bps, positions, side="right") - 1
     idx = np.where(idx < 0, len(phi.breakpoints) - 1, idx)
     return np.array(phi.values, dtype=np.int64)[idx]
+
+
+def random_zero_mean_step(seed):
+    """Seeded zero-mean step function with 2 to 8 breakpoints.
+
+    A sum of one or two terms c * (indicator of an arc minus indicator of
+    its translate), each with 2 (half circle), 3 (adjacent arcs) or 4
+    breakpoints, plus unused breakpoints up to 8; scale 1 to 3.
+    """
+    rng = np.random.default_rng(seed)
+    arcs = []       # (start, width, weight)
+    for _ in range(int(rng.integers(1, 3))):
+        a, w, t = (int(v) for v in rng.integers(1, GRID // 2, 3))
+        kind = int(rng.integers(0, 3))
+        if kind == 0:
+            w = t = GRID // 2
+        elif kind == 1:
+            t = w
+        c = int(rng.integers(1, 4)) * (1 if rng.integers(0, 2) else -1)
+        arcs += [(a, w, c), ((a + t) % GRID, w, -c)]
+    cuts = {b % GRID for a, w, _ in arcs for b in (a, a + w)}
+    while len(cuts) < 8 and rng.integers(0, 2):
+        cuts.add(int(rng.integers(0, GRID)))
+    bps = sorted(cuts)
+    values = [sum(c for a, w, c in arcs if (b - a) % GRID < w) for b in bps]
+    phi = CircleStep(tuple(bps), tuple(values), scale=int(rng.integers(1, 4)))
+    assert 2 <= len(bps) <= 8 and phi.mean_numerator() == 0
+    return phi
 
 
 def per_sample_dk(phi, alpha, depth, samples, n_max, seed=0):
@@ -153,15 +182,24 @@ class TestBlockKernel:
             assert (denjoy_koksma_check(phi, alpha, depth, samples, n_max, 5)
                     == per_sample_dk(phi, alpha, depth, samples, n_max, 5))
 
-    @pytest.mark.parametrize("budget", [1, 7 * 88, 7 * 89, 7 * 90])
+    @pytest.mark.parametrize("depth", [0, 3, 6, 7])
     @pytest.mark.parametrize("name", list(STEP_FUNCTIONS))
-    def test_denominator_on_block_edge(self, monkeypatch, name, budget):
-        # 7 samples: blocks of 1, 88, 89 and 90 rows, so q = 89 ends a
-        # block, starts one or lies inside one
-        monkeypatch.setattr(rotations, "_DK_BLOCK_ELEMENTS", budget)
+    def test_denominator_on_block_edge(self, monkeypatch, name, depth):
+        # blocks of at most 1, 8, 64 and 128 steps: q = 89 ends one block
+        # and starts the next, and depth 0 is a per-step walk
+        monkeypatch.setattr(rotations, "_DK_TABLE_DEPTH", depth)
         phi = STEP_FUNCTIONS[name]
         assert (denjoy_koksma_check(phi, GOLDEN, 40, 7, 200)
                 == per_sample_dk(phi, GOLDEN, 40, 7, 200))
+
+    @pytest.mark.parametrize("alpha", [GOLDEN, SQRT2M1, PI_M3],
+                             ids=["golden", "sqrt2", "pi"])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_zero_mean_family(self, seed, alpha):
+        phi = random_zero_mean_step(seed)
+        for n_max in (10 ** 3, 10 ** 5):
+            assert (denjoy_koksma_check(phi, alpha, 40, 7, n_max, seed)
+                    == per_sample_dk(phi, alpha, 40, 7, n_max, seed))
 
     @pytest.mark.parametrize("alpha", [GOLDEN, SQRT2M1], ids=["golden", "sqrt2"])
     def test_no_denominator_below_n_max(self, alpha):
@@ -176,6 +214,55 @@ class TestBlockKernel:
         with pytest.raises(DomainError) as ref:
             per_sample_dk(half_indicator(), GOLDEN, 40, samples, None)
         assert str(new.value) == str(ref.value)
+
+
+class TestDoublingTables:
+    """Each table T_k against direct partial sums of 2^k orbit steps."""
+
+    @pytest.mark.parametrize("alpha", [GOLDEN, SQRT2M1, PI_M3],
+                             ids=["golden", "sqrt2", "pi"])
+    @pytest.mark.parametrize("name", list(STEP_FUNCTIONS))
+    def test_tables_match_cumsum(self, name, alpha):
+        phi = STEP_FUNCTIONS[name]
+        step = dyadic_rotation(alpha)
+        tables = rotations._block_tables(phi, step, 6)
+        rng = np.random.default_rng(3)
+        edges = tables[-1][0]
+        # left of the first breakpoint lies the piece that wraps through 0
+        left = np.arange(min(phi.breakpoints[0], 20), dtype=np.uint64)
+        x = np.concatenate([edges, (edges - np.uint64(1)) & rotations._MASK,
+                            np.array([0, GRID - 1], dtype=np.uint64), left,
+                            rng.integers(0, GRID, 500, dtype=np.uint64)])
+        walk = (rotations._grid_positions(0, step, 64)[None, :]
+                + x[:, None]) & rotations._MASK
+        sums = np.cumsum(searchsorted_sample(phi, walk), axis=1)
+        for k, table in enumerate(tables):
+            part = sums[:, :1 << k]
+            got = rotations._lookup(table, x)
+            assert len(table[0]) <= len(phi.breakpoints) << k
+            assert np.array_equal(got[0], part[:, -1])
+            assert np.array_equal(got[1], part.max(axis=1))
+            assert np.array_equal(got[2], part.min(axis=1))
+
+
+class TestCircleStepInput:
+    @pytest.mark.parametrize("breakpoints, values, scale", [
+        ((0, GRID // 2), (0.5, -0.5), 1),
+        ((0, GRID // 2), (1, np.int64(-1)), 1),
+        ((-5, GRID // 2), (1, -1), 1),
+        ((0, GRID + 4), (1, -1), 1),
+        ((0, float(GRID // 2)), (1, -1), 1),
+        ((), (), 1),
+        ((0, GRID // 2), (1, -1), 0),
+    ], ids=["half-values", "numpy-value", "negative-breakpoint",
+            "breakpoint-past-grid", "float-breakpoint", "empty", "zero-scale"])
+    def test_rejected(self, breakpoints, values, scale):
+        with pytest.raises(DomainError):
+            CircleStep(breakpoints, values, scale)
+
+    def test_grid_edges_accepted(self):
+        phi = CircleStep((0, GRID - 1), (1, -1))
+        assert phi.mean_numerator() == GRID - 2
 
 
 class TestSample:
