@@ -182,15 +182,17 @@ class TestBlockKernel:
             assert (denjoy_koksma_check(phi, alpha, depth, samples, n_max, 5)
                     == per_sample_dk(phi, alpha, depth, samples, n_max, 5))
 
-    @pytest.mark.parametrize("depth", [0, 3, 6, 7])
+    @pytest.mark.parametrize("cells", [1, 7 * 88, 7 * 89, 7 * 90])
     @pytest.mark.parametrize("name", list(STEP_FUNCTIONS))
-    def test_denominator_on_block_edge(self, monkeypatch, name, depth):
-        # blocks of at most 1, 8, 64 and 128 steps: q = 89 ends one block
-        # and starts the next, and depth 0 is a per-step walk
-        monkeypatch.setattr(rotations, "_DK_TABLE_DEPTH", depth)
+    def test_denominator_on_block_edge(self, monkeypatch, name, cells):
+        # 7 samples over cells // 7 = 0, 88, 89 and 90 steps: q = 89 lies
+        # past the walk, on its last step or inside it; blocks of at most
+        # 1, 8, 64 and 128 steps, and depth 0 is a per-step walk
         phi = STEP_FUNCTIONS[name]
-        assert (denjoy_koksma_check(phi, GOLDEN, 40, 7, 200)
-                == per_sample_dk(phi, GOLDEN, 40, 7, 200))
+        for depth in (0, 3, 6, 7):
+            monkeypatch.setattr(rotations, "_DK_TABLE_DEPTH", depth)
+            assert (denjoy_koksma_check(phi, GOLDEN, 40, 7, cells // 7)
+                    == per_sample_dk(phi, GOLDEN, 40, 7, cells // 7))
 
     @pytest.mark.parametrize("alpha", [GOLDEN, SQRT2M1, PI_M3],
                              ids=["golden", "sqrt2", "pi"])
