@@ -182,17 +182,19 @@ class TestBlockKernel:
             assert (denjoy_koksma_check(phi, alpha, depth, samples, n_max, 5)
                     == per_sample_dk(phi, alpha, depth, samples, n_max, 5))
 
-    @pytest.mark.parametrize("cells", [1, 7 * 88, 7 * 89, 7 * 90])
+    @pytest.mark.parametrize("seed", [1, 616, 623, 630])
     @pytest.mark.parametrize("name", list(STEP_FUNCTIONS))
-    def test_denominator_on_block_edge(self, monkeypatch, name, cells):
-        # 7 samples over cells // 7 = 0, 88, 89 and 90 steps: q = 89 lies
-        # past the walk, on its last step or inside it; blocks of at most
-        # 1, 8, 64 and 128 steps, and depth 0 is a per-step walk
+    def test_denominator_on_block_edge(self, monkeypatch, name, seed):
+        # 7 seeded starts walked to q = 144, past q = 89.  Stops at the
+        # denominators and sup checkpoints leave segments of at most 36
+        # steps, [108, 144), so depths 0 (a per-step walk) to 5 (blocks
+        # of up to 32 steps) are every chunking the walk can use
         phi = STEP_FUNCTIONS[name]
-        for depth in (0, 3, 6, 7):
+        ref = per_sample_dk(phi, GOLDEN, 40, 7, 200, seed)
+        assert ref.denominators[-2:] == (89, 144)
+        for depth in range(6):
             monkeypatch.setattr(rotations, "_DK_TABLE_DEPTH", depth)
-            assert (denjoy_koksma_check(phi, GOLDEN, 40, 7, cells // 7)
-                    == per_sample_dk(phi, GOLDEN, 40, 7, cells // 7))
+            assert denjoy_koksma_check(phi, GOLDEN, 40, 7, 200, seed) == ref
 
     @pytest.mark.parametrize("alpha", [GOLDEN, SQRT2M1, PI_M3],
                              ids=["golden", "sqrt2", "pi"])
