@@ -13,7 +13,11 @@ exact.  The float lane (``float_walk``) serves ``deviation_sweep`` and
 the skew-product simulation: a guarded point, at any step including the
 first, or one within GUARD * |I| right of a step cocycle's jump in its
 interval, skips its sample (counted), so measure-zero collisions cannot
-silently poison the statistics.
+silently poison the statistics.  It walks a tower climb at a time: the
+Rokhlin towers of the first-return map to a short base interval
+(``FloatMirror.tower_table``) predict a climb's slots, one accumulate
+adds their moves, and the guard rule verifies every step, so the
+blocks are bit-identical to a per-step walk.
 
 Renormalization exploits self-similarity: for a periodic-type exchange
 the induced map at every depth rescales to the same unit exchange, so
@@ -26,6 +30,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
+from functools import cached_property
 from heapq import heappop, heappush
 from itertools import accumulate, chain, count
 
@@ -40,6 +45,9 @@ from .rauzy import DepthLattice, Iet, PeriodicIet, _lattice
 
 GUARD = 1e-9  # guard band around breakpoints, relative to |I| (both orbit engines)
 FLOAT_BLOCK = 1 << 14  # orbit steps per float_walk block
+TOWER_HEIGHT = 1 << 12  # |I| / |J|, J = [0, |J|) the base of the float towers
+_TOWER_REACH = 16  # tower build: no return within this many heights, dropped
+_NO_WORD = np.empty(0, np.intp)
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +254,8 @@ class FloatMirror:
     float shadows locate x in slot ``bisect_right(lefts, x, 1) - 1`` and
     guard it when ``x - lefts[slot]`` or ``rights[slot] - x`` is below
     ``guard``: ``float_walk`` then skips the sample, ``ExactWalker``
-    settles the slot exactly.
+    settles the slot exactly.  ``tower_table``, built on first use, is
+    the float lane's slot predictor.
     """
 
     lefts: tuple
@@ -254,6 +263,41 @@ class FloatMirror:
     moves: tuple
     letters: tuple
     guard: float  # GUARD * |I|
+
+    @cached_property
+    def tower_table(self) -> "TowerTable":
+        """First-return towers over [0, |I| / TOWER_HEIGHT), built on first
+        use (``float_walk`` reads them to predict its slots)."""
+        return _tower_table(self)
+
+
+@dataclass(frozen=True, eq=False)
+class TowerTable:
+    """Rokhlin towers of the float first-return map to J = [0, top).
+
+    Tower t stands on the J-interval ``bases[t]``; ``words[t]`` (an
+    intp array) holds its slots up to the first return to J, and its
+    level k is the base moved by the first k of them.  The arrays
+    ``lefts`` and ``rights`` hold every level's ends sorted by left end,
+    ``tower`` and ``level`` its t and k.  The table only predicts slots:
+    ``float_walk`` verifies every step it takes from it.
+    """
+
+    top: float
+    bases: tuple
+    words: tuple
+    lefts: np.ndarray
+    rights: np.ndarray
+    tower: np.ndarray
+    level: np.ndarray
+
+    def climb(self, x: float) -> np.ndarray:
+        """The rest of the word of x's level: x's predicted slots up to its
+        return to J; empty off every level."""
+        k = int(self.lefts.searchsorted(x, "right")) - 1
+        if k < 0 or not x < self.rights[k]:
+            return _NO_WORD
+        return self.words[self.tower[k]][self.level[k]:]
 
 
 def lattice_mirror(lattice: DepthLattice, lengths, order) -> FloatMirror:
@@ -1085,37 +1129,140 @@ def float_table(cocycle: Cocycle, mirror: FloatMirror) -> FloatTable:
 def float_walk(mirror: FloatMirror, x0: float, n_steps: int, tables=()):
     """Stream the float orbit of x0 in blocks: yield (slots, xs) arrays.
 
-    Each step locates x, checks the guard, stores x, then advances; a
-    block holds FLOAT_BLOCK steps (the last one the rest).  A point
-    within ``mirror.guard`` of either endpoint of its interval, or that
-    close to the right of a jump of one of ``tables`` in its slot,
-    raises NearBreakpoint with its step index: the caller drops the
-    sample rather than trust its side.  A stored point lies strictly
-    inside its interval, so one searchsorted per block recovers the
-    slots the bisect found.
+    Step k sits in slot ``bisect_right(lefts, xs[k], 1) - 1`` and
+    ``xs[k + 1] = xs[k] + moves[slot]``; a block holds FLOAT_BLOCK steps
+    (the last one the rest).  A point within ``mirror.guard`` of either
+    endpoint of its interval, or that close to the right of a jump of
+    one of ``tables`` in its slot, raises NearBreakpoint with its step
+    index once the blocks before it are out: the caller drops the
+    sample rather than trust its side.
+
+    The slots are predicted a climb at a time: the rest of the tower
+    word of x's level in ``mirror.tower_table`` (built only for walks
+    longer than TOWER_HEIGHT), else the word walked by bisect for up to
+    TOWER_HEIGHT steps.  One accumulate seeded with x adds the predicted
+    moves, the same additions in the same order as a per-step walk, and
+    every step is then verified by the guard rule on its predicted slot:
+    a point more than ``guard`` inside that interval and clear of its
+    marks lies in that slot.  At the first step that fails, bisect
+    finds its true slot; a guard hit there raises, anything else was a
+    wrong prediction, and the walk predicts again from the step after.
     """
     lefts, rights, moves = mirror.lefts, mirror.rights, mirror.moves
     guard = mirror.guard
-    marks = [[] for _ in lefts]
-    for table in tables:
-        for slot, gf, _j in table.jumps:
-            marks[slot].append(gf)
-    lefts_a = np.array(lefts)
-    buf = [0.0] * FLOAT_BLOCK
-    xf = x0
+    marks = [(slot, gf) for table in tables for slot, gf, _j in table.jumps]
+    lefts_a, rights_a, moves_a = map(np.array, (lefts, rights, moves))
+    rokhlin = mirror.tower_table if n_steps > TOWER_HEIGHT else None
+    top = rokhlin.top if rokhlin else 0.0
+    pred = _NO_WORD
+    x = x0
     for start in range(0, n_steps, FLOAT_BLOCK):
         m = min(FLOAT_BLOCK, n_steps - start)
-        for k in range(m):
-            lo = bisect_right(lefts, xf, 1) - 1
-            if (xf - lefts[lo] < guard or rights[lo] - xf < guard
-                    or (marks[lo]
-                        and any(0.0 <= xf - g < guard for g in marks[lo]))):
-                raise NearBreakpoint("float orbit entered the guard band",
-                                     start + k)
-            buf[k] = xf
-            xf += moves[lo]
-        xs = np.array(buf[:m])
-        yield np.searchsorted(lefts_a, xs, "right") - 1, xs
+        sl = np.empty(m, np.intp)
+        xs = np.empty(m + 1)  # xs[m]: the first point of the next block
+        xs[0] = x
+        done = 0
+        while done < m:
+            if not len(pred):
+                xf = float(xs[done])
+                pred = rokhlin.climb(xf) if rokhlin else _NO_WORD
+                if not len(pred):
+                    pred = np.array(_walked_word(
+                        lefts, moves, xf,
+                        min(TOWER_HEIGHT, n_steps - start - done), top)[0],
+                        np.intp)
+            take = min(len(pred), m - done)
+            p = pred[:take]
+            seg = xs[done:done + take + 1]
+            np.take(moves_a, p, out=seg[1:], mode="clip")
+            np.add.accumulate(seg, out=seg)
+            at = seg[:-1]
+            bad = (at - lefts_a[p] < guard) | (rights_a[p] - at < guard)
+            for slot, gf in marks:
+                off = at - gf
+                bad |= (p == slot) & (0.0 <= off) & (off < guard)
+            sl[done:done + take] = p
+            pred = pred[take:]
+            if bad.any():
+                j = int(bad.argmax())
+                xf = float(at[j])
+                lo = bisect_right(lefts, xf, 1) - 1
+                if (xf - lefts[lo] < guard or rights[lo] - xf < guard
+                        or any(0.0 <= xf - gf < guard
+                               for slot, gf in marks if slot == lo)):
+                    raise NearBreakpoint("float orbit entered the guard band",
+                                         start + done + j)
+                sl[done + j] = lo
+                take = j + 1
+                xs[done + take] = xf + moves[lo]
+                pred = _NO_WORD
+            done += take
+        x = xs[m]
+        yield sl, xs[:m]
+
+
+def _walked_word(lefts, moves, x: float, n: int, top: float) -> tuple:
+    """Slots of x's float orbit by bisect, without the guard, for n steps
+    or up to the step that lands in [0, top); returns (slots, end point)."""
+    word = []
+    for _ in range(n):
+        lo = bisect_right(lefts, x, 1) - 1
+        word.append(lo)
+        x += moves[lo]
+        if 0.0 <= x < top:
+            break
+    return word, x
+
+
+def _tower_table(mirror: FloatMirror) -> TowerTable:
+    """Rokhlin towers of the float first-return map to [0, |I| / H).
+
+    The cuts of J are the first backward hits in J of the interior left
+    ends and of J's right end; each J-interval's word is walked from its
+    midpoint up to its first return.  A cut or word not back in J within
+    _TOWER_REACH * H steps is dropped, so the build ends on exchanges
+    that are not minimal; the walk then falls back to walked words.
+    """
+    lefts, moves = mirror.lefts, mirror.moves
+    top = mirror.rights[-1] / TOWER_HEIGHT
+    reach = _TOWER_REACH * TOWER_HEIGHT
+    image = sorted((left + move, move) for left, move in zip(lefts, moves))
+    image_lefts = [left for left, _move in image]
+    image_moves = [move for _left, move in image]
+
+    def back(y):
+        return y - image_moves[bisect_right(image_lefts, y, 1) - 1]
+
+    def first_hit(y):
+        for _ in range(reach):
+            if 0.0 <= y < top:
+                return y
+            y = back(y)
+        return None
+
+    hits = [first_hit(y) for y in (*lefts[1:], back(top))]
+    cuts = sorted({0.0, top}.union(c for c in hits if c is not None))
+    moves_a = np.array(moves)
+    bases, words, level_lefts, level_rights, tower, level = ([] for _ in
+                                                             range(6))
+    for a, b in zip(cuts, cuts[1:]):
+        word, end = _walked_word(lefts, moves, (a + b) / 2, reach, top)
+        if not 0.0 <= end < top:
+            continue
+        word = np.array(word, np.intp)
+        at = np.add.accumulate(np.concatenate(([a], moves_a[word[:-1]])))
+        level_lefts.append(at)
+        level_rights.append(at + (b - a))
+        tower.append(np.full(len(word), len(words)))
+        level.append(np.arange(len(word)))
+        bases.append((a, b))
+        words.append(word)
+    if not words:
+        return TowerTable(top, (), (), *(np.empty(0, np.intp),) * 4)
+    order = np.argsort(np.concatenate(level_lefts), kind="stable")
+    return TowerTable(top, tuple(bases), tuple(words),
+                      *(np.concatenate(v)[order]
+                        for v in (level_lefts, level_rights, tower, level)))
 
 
 def _sweep_one_sample(args):

@@ -31,6 +31,10 @@ _SPLIT = 26  # low bits; high part then fits 27 bits
 # steps; each doubling table then has at most K * 2^_DK_TABLE_DEPTH pieces
 # for a step function with K breakpoints.
 _DK_TABLE_DEPTH = 12
+# |value| < 2^_VALUE_BITS: a sum of fewer than 2^24 steps (the longest grid
+# walk), and so every block sum, table sum and partial max/min, stays
+# below 2^62 in int64.
+_VALUE_BITS = 38
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +160,9 @@ class CircleStep:
             raise DomainError("need one value per breakpoint")
         if not all(isinstance(v, int) for v in self.values):
             raise DomainError("values must be integers (scaled by scale)")
+        if not all(abs(v) < 1 << _VALUE_BITS for v in self.values):
+            raise DomainError(f"values must lie strictly between -2^"
+                              f"{_VALUE_BITS} and 2^{_VALUE_BITS}")
         if not isinstance(self.scale, int) or self.scale < 1:
             raise DomainError("scale must be a positive integer")
 
@@ -419,6 +426,9 @@ def product_rotation_simulate(alpha1, alpha2, phi1: CircleStep,
         raise DomainError(f"walk length must be >= 1, got {n_steps}")
     if phi1.mean_numerator() != 0 or phi2.mean_numerator() != 0:
         raise DomainError("component functions must have zero mean")
+    if n_steps * max(map(abs, (*phi1.values, *phi2.values))) >= 1 << 63:
+        raise DomainError(f"a walk of {n_steps} steps can overflow the "
+                          f"int64 component sums")
     if start is None:
         g = (math.sqrt(5) - 1) / 2
         start = (((seed % 997) / 997 + 0.2371) % 1.0,

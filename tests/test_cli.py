@@ -295,6 +295,7 @@ class TestErrors:
         ("simulate --iet {four} --cocycle {bad}", HUGE_STEP, "overflow"),
         ("deviation --iet {four} --cocycle {bad} --n-max 100", HUGE_STEP,
          "overflow"),
+        ("rotations --mode product --n 9223372036854775808", "", "overflow"),
     ], ids=["pair-without-pi0", "not-json", "step-without-values",
             "birkhoff-n-0", "deviation-n-max-0", "simulate-eps-not-a-number",
             "classify-vector-not-numbers", "spectrum-matrix-not-integers",
@@ -308,7 +309,7 @@ class TestErrors:
             "correct-k-max-0", "correct-k-max-negative", "rauzy-steps-negative",
             "essential-values-n-max-negative", "dk-depth-0",
             "simulate-nan-entry", "deviation-nan-entry", "simulate-overflow",
-            "deviation-overflow"])
+            "deviation-overflow", "product-sums-past-int64"])
     def test_malformed_spec_one_line_error(self, capsys, specs, tmp_path,
                                            command, content, named):
         bad = tmp_path / "bad.json"

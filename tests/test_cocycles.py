@@ -2,15 +2,17 @@
 
 import math
 from bisect import bisect_right
+from dataclasses import replace
 from itertools import islice
 
+import numpy as np
 import pytest
 
 from iet_lab import cocycles as cocycles_module
 from iet_lab import intmat
-from iet_lab.cocycles import (FLOAT_BLOCK, ExactWalker,
-                              PiecewiseLinearCocycle, StepCocycle,
-                              _sweep_value, birkhoff_sum,
+from iet_lab.cocycles import (_TOWER_REACH, FLOAT_BLOCK, TOWER_HEIGHT,
+                              ExactWalker, PiecewiseLinearCocycle,
+                              StepCocycle, _sweep_value, birkhoff_sum,
                               birkhoff_visit_counts, certified_lattice_sign,
                               depth_interval_coeffs, depth_lattice,
                               depth_total_coeffs, deviation_sweep, evaluate,
@@ -21,7 +23,7 @@ from iet_lab.cocycles import (FLOAT_BLOCK, ExactWalker,
                               return_time_matrix, towers,
                               zero_mean_version)
 from iet_lab.errors import DomainError, NearBreakpoint
-from iet_lab.perms import make_symmetric_pair
+from iet_lab.perms import make_pair, make_symmetric_pair
 from iet_lab.precision import kronecker_samples
 from iet_lab.rauzy import Iet
 
@@ -711,6 +713,187 @@ class TestBlockWalk:
                     for _ in walk(mirror, float(x0), 3 * FLOAT_BLOCK):
                         pass
                 assert hit.value.step_index == k
+
+
+def block_trace(mirror, x0, n, tables=()):
+    """``float_walk``'s blocks as (slot, x) steps, the block sizes and the
+    guard hit's step index (None without one)."""
+    steps, sizes = [], []
+    try:
+        for sl, xs in float_walk(mirror, x0, n, tables):
+            sizes.append(len(xs))
+            steps += zip(sl.tolist(), xs.tolist())
+    except NearBreakpoint as hit:
+        return steps, sizes, hit.step_index
+    return steps, sizes, None
+
+
+def assert_same_walk(step_walk, mirror, x0, n, tables=()):
+    """``float_walk`` is the per-step walk cut every FLOAT_BLOCK, up to
+    the last whole block before a guard hit; returns the hit's step."""
+    got, sizes, hit = block_trace(mirror, x0, n, tables)
+    want = []
+    try:
+        for step in step_walk(mirror, x0, n, tables):
+            want.append(step)
+        want_hit = None
+    except NearBreakpoint as oracle_hit:
+        want_hit = oracle_hit.step_index
+    assert hit == want_hit
+    done = n if hit is None else hit // FLOAT_BLOCK * FLOAT_BLOCK
+    assert sizes == [min(FLOAT_BLOCK, done - s)
+                     for s in range(0, done, FLOAT_BLOCK)]
+    assert got == want[:done]
+    return hit
+
+
+def float_preimages(mirror, x, n):
+    """[x, T^-1 x, ..., T^-n x] by the float inverse of the mirror's map."""
+    image = sorted((left + move, move)
+                   for left, move in zip(mirror.lefts, mirror.moves))
+    image_lefts = [left for left, _move in image]
+    out = [x]
+    for _ in range(n):
+        x -= image[bisect_right(image_lefts, x, 1) - 1][1]
+        out.append(x)
+    return out
+
+
+SYSTEMS = ["periodic4", "periodic5", "periodic7"]
+
+
+class TestTowerWalk:
+    """The tower-predicted walk is the per-step walk, ``==``, whatever its
+    tower table predicts."""
+
+    @pytest.mark.parametrize("n", [TOWER_HEIGHT, TOWER_HEIGHT + 1,
+                                   FLOAT_BLOCK - 1, FLOAT_BLOCK,
+                                   FLOAT_BLOCK + 1, 3 * FLOAT_BLOCK + 7])
+    @pytest.mark.parametrize("system", SYSTEMS)
+    def test_matches_step_walk(self, request, ctx, step_walk, lane_cocycles4,
+                               system, n):
+        p = request.getfixturevalue(system)
+        mirror = float_mirror(p.iet)
+        tables = [float_table(phi, mirror) for phi in lane_cocycles4.values()
+                  ] if p.d == 4 else []
+        if n >= FLOAT_BLOCK - 1:  # longer than a climb: crosses returns
+            assert max(map(len, mirror.tower_table.words)) < n
+        for x0 in kronecker_samples(ctx, 3, p.iet.total, 9):
+            assert assert_same_walk(step_walk, mirror, float(x0), n,
+                                    tables) is None
+
+    @pytest.mark.parametrize("system", SYSTEMS)
+    def test_guard_hits(self, request, ctx, step_walk, system):
+        """Half a guard width either side of every interior left end, and
+        right of a jump mark in J and of one mid-interval, reached at
+        step 0, mid-chunk, at the block edges and after a tower return
+        (for the mark in J: on a return)."""
+        p = request.getfixturevalue(system)
+        mirror = float_mirror(p.iet)
+        g, top = mirror.guard, mirror.tower_table.top
+        marks = (top / 3, (mirror.lefts[1] + mirror.rights[1]) / 2)
+        phi = StepCocycle(1, ((0,),) * p.d,
+                          tuple((ctx.real(m), (1,)) for m in marks))
+        tables = [float_table(phi, mirror)]
+        targets = [edge + side for edge in mirror.lefts[1:]
+                   for side in (-g / 2, g / 2)]
+        targets += [m + g / 2 for m in marks]
+        for target in targets:
+            back = float_preimages(mirror, target, 2 * FLOAT_BLOCK)
+            returns = [i for i, x in enumerate(back) if i and 0.0 <= x < top]
+            for k in (0, 5000, FLOAT_BLOCK - 1, FLOAT_BLOCK,
+                      FLOAT_BLOCK + 1, returns[1]):
+                assert assert_same_walk(step_walk, mirror, back[k],
+                                        3 * FLOAT_BLOCK, tables) == k
+
+    @pytest.mark.parametrize("corrupt", ["shifted-levels", "swapped-words"])
+    def test_corrupt_table_changes_nothing(self, ctx, periodic4, step_walk,
+                                           lane_cocycles4, guard_hit_starts,
+                                           corrupt):
+        iet = periodic4.iet
+        mirror = float_mirror(iet)
+        table = mirror.tower_table
+        if corrupt == "shifted-levels":
+            half = (table.rights - table.lefts) / 2
+            bad = replace(table, lefts=table.lefts + half,
+                          rights=table.rights + half)
+        else:
+            bad = replace(table, words=table.words[::-1])
+        vars(mirror)["tower_table"] = bad  # the cached property's slot
+        tables = [float_table(phi, mirror) for phi in lane_cocycles4.values()]
+        for x0 in kronecker_samples(ctx, 2, iet.total, 9):
+            assert assert_same_walk(step_walk, mirror, float(x0),
+                                    FLOAT_BLOCK + 1, tables) is None
+            steps = block_trace(mirror, float(x0), FLOAT_BLOCK + 1)[0]
+            climbs = [float(x0)] + [x for _slot, x in steps[1:]
+                                    if 0.0 <= x < table.top]
+            assert any(not np.array_equal(bad.climb(x), table.climb(x))
+                       for x in climbs)  # the corruption mispredicts
+        x0 = float(guard_hit_starts[FLOAT_BLOCK])
+        assert assert_same_walk(step_walk, mirror, x0, 2 * FLOAT_BLOCK,
+                                tables) == FLOAT_BLOCK
+
+    @pytest.mark.parametrize("pi0, pi1, lengths", [
+        ([1, 2], [2, 1], ("0.25", "0.75")),
+        ([1, 2, 3], [1, 3, 2], ("0.3", "0.3", "0.4")),
+    ], ids=["rational-rotation", "reducible"])
+    def test_non_minimal_exchange(self, ctx, step_walk, pi0, pi1, lengths):
+        iet = Iet(make_pair(pi0, pi1), ctx.vector(map(ctx.real, lengths)))
+        mirror = float_mirror(iet)
+        table = mirror.tower_table  # the build ends
+        covered = sum(len(w) * (b - a)
+                      for (a, b), w in zip(table.bases, table.words))
+        assert covered < mirror.rights[-1] / 2  # no tower over most points
+        for x0 in kronecker_samples(ctx, 3, iet.total, 0):
+            assert assert_same_walk(step_walk, mirror, float(x0),
+                                    2 * FLOAT_BLOCK + 5) is None
+
+    def test_criterion5_starts_never_fall_back(self, ctx, periodic4,
+                                               monkeypatch):
+        """Every climb of criterion 5's 6 x 10^6 steps is predicted by a
+        tower: a silent slowdown to walked words fails here."""
+        iet = periodic4.iet
+        mirror = float_mirror(iet)
+        assert mirror.tower_table.words  # the build walks its own words
+        walked = cocycles_module._walked_word
+        calls = []
+        monkeypatch.setattr(cocycles_module, "_walked_word",
+                            lambda *args: calls.append(args[2])
+                            or walked(*args))
+        for x0 in kronecker_samples(ctx, 6, iet.total, 3):
+            for _block in float_walk(mirror, float(x0), 10 ** 6):
+                pass
+        assert calls == []
+
+
+class TestTowerTable:
+    @pytest.mark.parametrize("system", SYSTEMS)
+    def test_kac_identity(self, request, system):
+        p = request.getfixturevalue(system)
+        mirror = float_mirror(p.iet)
+        table = mirror.tower_table
+        total = mirror.rights[-1]
+        covered = math.fsum(len(w) * (b - a)
+                            for (a, b), w in zip(table.bases, table.words))
+        assert abs(covered - total) <= 1e-12 * total
+        assert len(table.lefts) == sum(map(len, table.words))
+        assert np.all(np.diff(table.lefts) > 0)
+
+    @pytest.mark.parametrize("system", SYSTEMS)
+    def test_words_are_first_return_itineraries(self, request, step_walk,
+                                                system):
+        p = request.getfixturevalue(system)
+        mirror = float_mirror(p.iet)
+        table = mirror.tower_table
+        assert table.bases[0][0] == 0.0 and table.bases[-1][1] == table.top
+        for (a, b), word in zip(table.bases, table.words):
+            itinerary = []
+            for slot, x in step_walk(mirror, (a + b) / 2,
+                                     _TOWER_REACH * TOWER_HEIGHT):
+                if itinerary and 0.0 <= x < table.top:
+                    break
+                itinerary.append(slot)
+            assert word.tolist() == itinerary
 
 
 class TestBlockSweep:

@@ -268,6 +268,24 @@ class TestCircleStepInput:
         phi = CircleStep((0, GRID - 1), (1, -1))
         assert phi.mean_numerator() == GRID - 2
 
+    @pytest.mark.parametrize("values", [(2 ** 62, 2 ** 62, -2 ** 62),
+                                        (2 ** 64, 0, -2 ** 64),
+                                        (2 ** 38, -2 ** 38, 0)],
+                             ids=["wraps-int64", "past-int64", "first-refused"])
+    def test_values_whose_sums_leave_int64_rejected(self, values):
+        with pytest.raises(DomainError, match="strictly between"):
+            CircleStep((0, GRID // 4, GRID // 2), values)
+
+    def test_largest_values_sum_exactly(self):
+        # (v, -v) is v times (1, -1): every sum scales by v, none wraps
+        v = 2 ** 38 - 1
+        unit = denjoy_koksma_check(half_indicator(), GOLDEN, depth=20,
+                                   samples=20, n_max=10 ** 5)
+        big = denjoy_koksma_check(CircleStep((0, GRID // 2), (v, -v), 2),
+                                  GOLDEN, depth=20, samples=20, n_max=10 ** 5)
+        assert big.max_abs == {q: v * s for q, s in unit.max_abs.items()}
+        assert big.sup_curve == tuple((n, v * s) for n, s in unit.sup_curve)
+
 
 class TestSample:
     @pytest.mark.parametrize("name", list(STEP_FUNCTIONS))
@@ -322,6 +340,13 @@ class TestProductRotation:
         vals = half_indicator().sample(pos)
         ones = int((np.cumsum(vals) == 0).sum())
         assert rep.zero_returns == ones
+
+    def test_sums_past_int64_refused(self):
+        # 2^26 steps of |value| 2^37 can reach 2^63: refused before walking
+        phi = CircleStep((0, GRID // 2), (2 ** 37, -2 ** 37))
+        with pytest.raises(DomainError, match="overflow"):
+            product_rotation_simulate(GOLDEN, SQRT2M1, half_indicator(), phi,
+                                      1 << 26)
 
     def test_exceptional_start_documented(self):
         # starting exactly on the discontinuity can suppress returns
