@@ -1,23 +1,20 @@
 """Cocycles over interval exchanges: evaluation, Birkhoff sums, towers,
 partitions, and renormalization.
 
-Two orbit engines back the heavy operations, on one interval geometry:
-``lattice_mirror`` turns an exchange's integer lattice (``Iet.lattice``
-at depth 0, ``depth_lattice`` from A^-n at depth n) into a
-``FloatMirror``; both engines locate a point by one bisect on it and
-guard it within GUARD * |I| of either end of its interval, |I| the
-total length of the exchange walked.  The exact engine (``ExactWalker``)
-carries positions as integer combinations of the length vector and
-settles a guarded step by high-precision signs, so its visit counts are
-exact.  The float lane (``float_walk``) serves ``deviation_sweep`` and
-the skew-product simulation: a guarded point, at any step including the
-first, or one within GUARD * |I| right of a step cocycle's jump in its
-interval, skips its sample (counted), so measure-zero collisions cannot
-silently poison the statistics.  It walks a tower climb at a time: the
-Rokhlin towers of the first-return map to a short base interval
-(``FloatMirror.tower_table``) predict a climb's slots, one accumulate
-adds their moves, and the guard rule verifies every step, so the
-blocks are bit-identical to a per-step walk.
+Two orbit engines back the heavy operations, and both walk one float
+shadow (``shadow.shadow_walk``) of one interval geometry: an exchange's
+``FloatMirror`` (``Iet.mirror`` at depth 0, ``lattice_mirror`` of
+``depth_lattice`` from A^-n at depth n).  The shadow predicts its slots
+a tower climb at a time, adds the moves by one accumulate and verifies
+every step by the guard rule, so both engines see a per-step walk bit
+for bit.  The exact engine (``ExactWalker``) carries positions as
+integer combinations of the length vector, resynchronizes the shadow
+from them and settles a guarded step by high-precision signs, so its
+visit counts are exact.  The float lane (``float_walk``) serves
+``deviation_sweep`` and the skew-product simulation: a guarded point,
+at any step including the first, or one within GUARD * |I| right of a
+step cocycle's jump in its interval, skips its sample (counted), so
+measure-zero collisions cannot silently poison the statistics.
 
 Renormalization exploits self-similarity: for a periodic-type exchange
 the induced map at every depth rescales to the same unit exchange, so
@@ -30,9 +27,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
-from functools import cached_property
 from heapq import heappop, heappush
-from itertools import accumulate, chain, count
+from itertools import accumulate, chain
 
 import mpmath
 import numpy as np
@@ -42,12 +38,9 @@ from .errors import (DomainError, KeaneViolation, NearBreakpoint,
                      NotNormalized, Unsupported, reading_spec)
 from .precision import kronecker_samples
 from .rauzy import DepthLattice, Iet, PeriodicIet, _lattice
+from .shadow import FloatMirror, lattice_mirror, shadow_walk
 
-GUARD = 1e-9  # guard band around breakpoints, relative to |I| (both orbit engines)
 FLOAT_BLOCK = 1 << 14  # orbit steps per float_walk block
-TOWER_HEIGHT = 1 << 12  # |I| / |J|, J = [0, |J|) the base of the float towers
-_TOWER_REACH = 16  # tower build: no return within this many heights, dropped
-_NO_WORD = np.empty(0, np.intp)
 
 
 # ---------------------------------------------------------------------------
@@ -246,74 +239,9 @@ def sup_norm(cocycle: Cocycle, iet: Iet):
 # float geometry and the exact orbit engine
 
 
-@dataclass(frozen=True)
-class FloatMirror:
-    """Float geometry of an exchange, intervals in position order.
-
-    ``rights[k]`` is ``lefts[k + 1]``, and |I| for the last slot.  Both
-    float shadows locate x in slot ``bisect_right(lefts, x, 1) - 1`` and
-    guard it when ``x - lefts[slot]`` or ``rights[slot] - x`` is below
-    ``guard``: ``float_walk`` then skips the sample, ``ExactWalker``
-    settles the slot exactly.  ``tower_table``, built on first use, is
-    the float lane's slot predictor.
-    """
-
-    lefts: tuple
-    rights: tuple
-    moves: tuple
-    letters: tuple
-    guard: float  # GUARD * |I|
-
-    @cached_property
-    def tower_table(self) -> "TowerTable":
-        """First-return towers over [0, |I| / TOWER_HEIGHT), built on first
-        use (``float_walk`` reads them to predict its slots)."""
-        return _tower_table(self)
-
-
-@dataclass(frozen=True, eq=False)
-class TowerTable:
-    """Rokhlin towers of the float first-return map to J = [0, top).
-
-    Tower t stands on the J-interval ``bases[t]``; ``words[t]`` (an
-    intp array) holds its slots up to the first return to J, and its
-    level k is the base moved by the first k of them.  The arrays
-    ``lefts`` and ``rights`` hold every level's ends sorted by left end,
-    ``tower`` and ``level`` its t and k.  The table only predicts slots:
-    ``float_walk`` verifies every step it takes from it.
-    """
-
-    top: float
-    bases: tuple
-    words: tuple
-    lefts: np.ndarray
-    rights: np.ndarray
-    tower: np.ndarray
-    level: np.ndarray
-
-    def climb(self, x: float) -> np.ndarray:
-        """The rest of the word of x's level: x's predicted slots up to its
-        return to J; empty off every level."""
-        k = int(self.lefts.searchsorted(x, "right")) - 1
-        if k < 0 or not x < self.rights[k]:
-            return _NO_WORD
-        return self.words[self.tower[k]][self.level[k]:]
-
-
-def lattice_mirror(lattice: DepthLattice, lengths, order) -> FloatMirror:
-    """Float geometry of ``lattice`` over the lengths, slots in ``order``."""
-    dot, lam = lengths.ctx.dot_int, lengths.values
-    lefts = [dot(lattice.lefts[a], lam) for a in order]
-    moves = tuple(float(dot(lattice.image_lefts[a], lam) - left)
-                  for a, left in zip(order, lefts))
-    lefts = tuple(map(float, lefts))
-    total = float(dot(lattice.total, lam))
-    return FloatMirror(lefts, lefts[1:] + (total,), moves, tuple(order),
-                       GUARD * total)
-
-
 def float_mirror(iet: Iet) -> FloatMirror:
-    return lattice_mirror(iet.lattice, iet.lengths, iet.order0)
+    """The exchange's float geometry, built once per exchange."""
+    return iet.mirror
 
 
 class ExactWalker:
@@ -321,21 +249,24 @@ class ExactWalker:
 
     The position is (coeffs . lambda) / den with integer coeffs; every
     translation adds an integer vector, so the representation is closed
-    and never drifts.  Locating intervals uses a float shadow on the
-    walked exchange's ``FloatMirror``; it is resynchronized every RESYNC
-    steps and settled by exact signs wherever the mirror's guard rule
-    fires.  Since the position is linear in the visit counts, a walk
-    only counts visits per slot and folds them into ``coeffs`` and
-    ``counts`` where it reads the exact position (escalation, resync,
-    guard-band threshold check) and when it returns; between walks both
-    are exact.  ``escalations`` counts exact settles (``_locate_exact``
-    calls and guard-band threshold checks), ``resyncs`` the resyncs.
+    and never drifts.  Intervals are located on the float shadow of the
+    walked exchange's ``FloatMirror`` (``Iet.mirror`` at depth 0):
+    ``shadow_walk`` walks it in verified chunks that end at the resyncs,
+    every RESYNC steps, where the shadow is reset from the exact
+    position; a step the mirror's guard rule flags is settled by exact
+    signs.  Since the position is linear in the visit counts, a chunk's
+    slots are counted by one bincount and folded into ``coeffs`` and
+    ``counts`` before the exact position is read (escalation, resync,
+    guard-band threshold check) and when the walk returns; between
+    walks both are exact.  ``escalations`` counts exact settles
+    (``_locate_exact`` calls and guard-band threshold checks),
+    ``resyncs`` the resyncs.
     """
 
     RESYNC = 4096
 
     def __init__(self, iet: Iet, coeffs, den: int = 1):
-        self._set_up(iet, iet.lattice, coeffs, den)
+        self._set_up(iet, iet.lattice, iet.mirror, coeffs, den)
 
     @classmethod
     def at_depth(cls, periodic: PeriodicIet, level: int, coeffs, den: int = 1
@@ -345,13 +276,19 @@ class ExactWalker:
         The induced exchange has the same pair with lengths contracted
         by the period scale; all its lattice data stays integral because
         the period matrix is unimodular.  One step of this walker is one
-        step of the induced map, not of the base map.
+        step of the induced map, not of the base map.  At depth 0 the
+        walker shares the exchange's own mirror.
         """
+        iet = periodic.iet
+        lattice = depth_lattice(periodic, level)
+        mirror = iet.mirror if level == 0 else lattice_mirror(
+            lattice, iet.lengths, iet.order0)
         walker = cls.__new__(cls)
-        walker._set_up(periodic.iet, depth_lattice(periodic, level), coeffs, den)
+        walker._set_up(iet, lattice, mirror, coeffs, den)
         return walker
 
-    def _set_up(self, iet: Iet, lattice: DepthLattice, coeffs, den: int):
+    def _set_up(self, iet: Iet, lattice: DepthLattice, mirror: FloatMirror,
+                coeffs, den: int):
         self.iet = iet
         d = self.d = iet.d
         self.den = int(den)
@@ -359,7 +296,7 @@ class ExactWalker:
         if len(self.coeffs) != d:
             raise DomainError("coefficient vector must have length d")
         self.lam_mpf = iet.lengths.values
-        self.mirror = lattice_mirror(lattice, iet.lengths, iet.order0)
+        self.mirror = mirror
         self.left_coeffs = lattice.lefts
         self.w_coeffs = [tuple(i - l for i, l in zip(img, left))
                          for img, left in zip(lattice.image_lefts, lattice.lefts)]
@@ -392,19 +329,24 @@ class ExactWalker:
         self.x_f = self._exact_float()
         return pos
 
-    def _fold(self, pending) -> None:
-        """Add the pending per-slot visits to ``counts`` and ``coeffs``.
-
-        Zeroes ``pending`` on the way.
-        """
+    def _fold(self, slots) -> None:
+        """Add one visit per entry of ``slots`` to ``counts`` and ``coeffs``."""
+        if not len(slots):
+            return
         den, coeffs, counts = self.den, self.coeffs, self.counts
-        for slot, k in enumerate(pending):
+        for slot, k in enumerate(np.bincount(slots, minlength=self.d).tolist()):
             if k:
                 a = self.mirror.letters[slot]
                 counts[a] += k
                 for j, w in enumerate(self.w_coeffs[a]):
                     coeffs[j] += den * k * w
-                pending[slot] = 0
+        self.steps += len(slots)
+
+    def _exact_below(self, threshold_coeffs) -> bool:
+        """Exact sign of threshold - position, for a guard-band check."""
+        self.escalations += 1
+        diff = [self.den * t - c for c, t in zip(self.coeffs, threshold_coeffs)]
+        return certified_lattice_sign(self.iet, diff) > 0
 
     def position(self):
         """Current position as an exact context real."""
@@ -416,54 +358,58 @@ class ExactWalker:
     def _walk(self, n_steps, threshold_coeffs=None, threshold_f: float = 0.0):
         """Advance ``n_steps`` steps, or (``None``) until below the threshold.
 
-        Each step locates the float shadow by the mirror's bisect and
-        guard rule, counts one visit of its slot and adds the slot's
-        move; every RESYNC steps the shadow is reset from the exact
-        position.  With a threshold (threshold_coeffs . lambda), the walk
-        stops after the first step whose shadow is below it by more than
-        the guard, or that an exact sign puts below it inside the guard
-        band.  Returns the letter left by the last step.
+        Each chunk runs ``shadow_walk`` up to the next resync, with the
+        tower table once the walk is longer than TOWER_HEIGHT steps; at a
+        guarded step its verified steps are folded and the step's slot
+        is settled exactly, and at a resync the shadow is reset from the
+        exact position.  With a threshold (threshold_coeffs . lambda),
+        the walk stops after the first step whose shadow is below it by
+        more than the guard, or that an exact sign puts below it inside
+        the guard band; a resync step is checked on its resynced shadow.
+        Returns the letter left by the last step.
         """
         m = self.mirror
-        lefts, rights, moves, letters, guard = (m.lefts, m.rights, m.moves,
-                                                m.letters, m.guard)
         resync = self.RESYNC
-        pending = [0] * self.d
-        x_f = self.x_f
-        below = threshold_f - guard
-        band = -math.inf if threshold_coeffs is None else threshold_f + guard
-        due = resync - 1 - self.steps % resync  # step index of the next resync
-        i = slot = -1
-        try:
-            for i in range(n_steps) if n_steps is not None else count():
-                slot = bisect_right(lefts, x_f, 1) - 1
-                if x_f - lefts[slot] < guard or rights[slot] - x_f < guard:
-                    self._fold(pending)
-                    self.escalations += 1
-                    slot = self._locate_exact()
-                    x_f = self.x_f
-                pending[slot] += 1
-                x_f += moves[slot]
-                if i == due:
-                    self._fold(pending)
-                    x_f = self._exact_float()
-                    self.resyncs += 1
-                    due += resync
-                if x_f < band:
-                    if x_f < below:
-                        break
-                    self._fold(pending)
-                    self.escalations += 1
-                    diff = [self.den * t - c for c, t in
-                            zip(self.coeffs, threshold_coeffs)]
-                    if certified_lattice_sign(self.iet, diff) > 0:
-                        break
-                    # exact hit means the point is on the boundary: keep going
-        finally:
-            self._fold(pending)
-            self.x_f = x_f
-            self.steps += i + 1
-        return letters[slot] if i >= 0 else None
+        below = threshold_f - m.guard
+        band = -math.inf if threshold_coeffs is None else threshold_f + m.guard
+        size = resync if n_steps is None else min(resync, max(n_steps, 0))
+        sl, xs = np.empty(size, np.intp), np.empty(size + 1)
+        x, slot, done = self.x_f, None, 0
+        while n_steps is None or done < n_steps:
+            k = resync - self.steps % resync  # up to the next resync
+            if n_steps is not None:
+                k = min(k, n_steps - done)
+            table = m.predictor(done + 1 if n_steps is None else n_steps)
+            v, hit = shadow_walk(m, x, k, sl, xs, table, low=band)
+            due = v == k and (self.steps + k) % resync == 0
+            folded = 0
+            if band > -math.inf:  # each point after a step, bar a resynced one
+                for t in np.flatnonzero(xs[1:v + 1 - due] < band).tolist():
+                    self._fold(sl[folded:t + 1])
+                    folded = t + 1
+                    if xs[folded] < below or self._exact_below(threshold_coeffs):
+                        self.x_f = float(xs[folded])
+                        return m.letters[sl[t]]
+            self._fold(sl[folded:v])
+            done += v
+            x = float(xs[v])
+            if v:
+                slot = int(sl[v - 1])
+            if hit:  # step v is guarded: settle its slot exactly
+                self.escalations += 1
+                slot = self._locate_exact()
+                x = self.x_f + m.moves[slot]
+                self._fold((slot,))
+                done += 1
+                due = self.steps % resync == 0
+            if due:
+                x = self._exact_float()
+                self.resyncs += 1
+            if ((hit or due) and x < band
+                    and (x < below or self._exact_below(threshold_coeffs))):
+                break
+        self.x_f = x
+        return None if slot is None else m.letters[slot]
 
     def step(self) -> int:
         """Advance one step; returns the interval index that was left."""
@@ -1135,134 +1081,22 @@ def float_walk(mirror: FloatMirror, x0: float, n_steps: int, tables=()):
     endpoint of its interval, or that close to the right of a jump of
     one of ``tables`` in its slot, raises NearBreakpoint with its step
     index once the blocks before it are out: the caller drops the
-    sample rather than trust its side.
-
-    The slots are predicted a climb at a time: the rest of the tower
-    word of x's level in ``mirror.tower_table`` (built only for walks
-    longer than TOWER_HEIGHT), else the word walked by bisect for up to
-    TOWER_HEIGHT steps.  One accumulate seeded with x adds the predicted
-    moves, the same additions in the same order as a per-step walk, and
-    every step is then verified by the guard rule on its predicted slot:
-    a point more than ``guard`` inside that interval and clear of its
-    marks lies in that slot.  At the first step that fails, bisect
-    finds its true slot; a guard hit there raises, anything else was a
-    wrong prediction, and the walk predicts again from the step after.
+    sample rather than trust its side.  Each block is one
+    ``shadow_walk``, predicted by ``mirror.tower_table`` for walks longer
+    than TOWER_HEIGHT steps and verified at every step.
     """
-    lefts, rights, moves = mirror.lefts, mirror.rights, mirror.moves
-    guard = mirror.guard
     marks = [(slot, gf) for table in tables for slot, gf, _j in table.jumps]
-    lefts_a, rights_a, moves_a = map(np.array, (lefts, rights, moves))
-    rokhlin = mirror.tower_table if n_steps > TOWER_HEIGHT else None
-    top = rokhlin.top if rokhlin else 0.0
-    pred = _NO_WORD
-    x = x0
+    rokhlin = mirror.predictor(n_steps)
     for start in range(0, n_steps, FLOAT_BLOCK):
         m = min(FLOAT_BLOCK, n_steps - start)
         sl = np.empty(m, np.intp)
         xs = np.empty(m + 1)  # xs[m]: the first point of the next block
-        xs[0] = x
-        done = 0
-        while done < m:
-            if not len(pred):
-                xf = float(xs[done])
-                pred = rokhlin.climb(xf) if rokhlin else _NO_WORD
-                if not len(pred):
-                    pred = np.array(_walked_word(
-                        lefts, moves, xf,
-                        min(TOWER_HEIGHT, n_steps - start - done), top)[0],
-                        np.intp)
-            take = min(len(pred), m - done)
-            p = pred[:take]
-            seg = xs[done:done + take + 1]
-            np.take(moves_a, p, out=seg[1:], mode="clip")
-            np.add.accumulate(seg, out=seg)
-            at = seg[:-1]
-            bad = (at - lefts_a[p] < guard) | (rights_a[p] - at < guard)
-            for slot, gf in marks:
-                off = at - gf
-                bad |= (p == slot) & (0.0 <= off) & (off < guard)
-            sl[done:done + take] = p
-            pred = pred[take:]
-            if bad.any():
-                j = int(bad.argmax())
-                xf = float(at[j])
-                lo = bisect_right(lefts, xf, 1) - 1
-                if (xf - lefts[lo] < guard or rights[lo] - xf < guard
-                        or any(0.0 <= xf - gf < guard
-                               for slot, gf in marks if slot == lo)):
-                    raise NearBreakpoint("float orbit entered the guard band",
-                                         start + done + j)
-                sl[done + j] = lo
-                take = j + 1
-                xs[done + take] = xf + moves[lo]
-                pred = _NO_WORD
-            done += take
-        x = xs[m]
+        k, hit = shadow_walk(mirror, x0, m, sl, xs, rokhlin, marks)
+        if hit:
+            raise NearBreakpoint("float orbit entered the guard band",
+                                 start + k)
+        x0 = float(xs[m])
         yield sl, xs[:m]
-
-
-def _walked_word(lefts, moves, x: float, n: int, top: float) -> tuple:
-    """Slots of x's float orbit by bisect, without the guard, for n steps
-    or up to the step that lands in [0, top); returns (slots, end point)."""
-    word = []
-    for _ in range(n):
-        lo = bisect_right(lefts, x, 1) - 1
-        word.append(lo)
-        x += moves[lo]
-        if 0.0 <= x < top:
-            break
-    return word, x
-
-
-def _tower_table(mirror: FloatMirror) -> TowerTable:
-    """Rokhlin towers of the float first-return map to [0, |I| / H).
-
-    The cuts of J are the first backward hits in J of the interior left
-    ends and of J's right end; each J-interval's word is walked from its
-    midpoint up to its first return.  A cut or word not back in J within
-    _TOWER_REACH * H steps is dropped, so the build ends on exchanges
-    that are not minimal; the walk then falls back to walked words.
-    """
-    lefts, moves = mirror.lefts, mirror.moves
-    top = mirror.rights[-1] / TOWER_HEIGHT
-    reach = _TOWER_REACH * TOWER_HEIGHT
-    image = sorted((left + move, move) for left, move in zip(lefts, moves))
-    image_lefts = [left for left, _move in image]
-    image_moves = [move for _left, move in image]
-
-    def back(y):
-        return y - image_moves[bisect_right(image_lefts, y, 1) - 1]
-
-    def first_hit(y):
-        for _ in range(reach):
-            if 0.0 <= y < top:
-                return y
-            y = back(y)
-        return None
-
-    hits = [first_hit(y) for y in (*lefts[1:], back(top))]
-    cuts = sorted({0.0, top}.union(c for c in hits if c is not None))
-    moves_a = np.array(moves)
-    bases, words, level_lefts, level_rights, tower, level = ([] for _ in
-                                                             range(6))
-    for a, b in zip(cuts, cuts[1:]):
-        word, end = _walked_word(lefts, moves, (a + b) / 2, reach, top)
-        if not 0.0 <= end < top:
-            continue
-        word = np.array(word, np.intp)
-        at = np.add.accumulate(np.concatenate(([a], moves_a[word[:-1]])))
-        level_lefts.append(at)
-        level_rights.append(at + (b - a))
-        tower.append(np.full(len(word), len(words)))
-        level.append(np.arange(len(word)))
-        bases.append((a, b))
-        words.append(word)
-    if not words:
-        return TowerTable(top, (), (), *(np.empty(0, np.intp),) * 4)
-    order = np.argsort(np.concatenate(level_lefts), kind="stable")
-    return TowerTable(top, tuple(bases), tuple(words),
-                      *(np.concatenate(v)[order]
-                        for v in (level_lefts, level_rights, tower, level)))
 
 
 def _sweep_one_sample(args):
@@ -1327,8 +1161,9 @@ def deviation_sweep(iet: Iet, cocycles, n_max: int, samples: int = 8,
     per-interval visit-count and position-sum skeleton, so the per-step
     cost is independent of how many cocycles are profiled.  Samples that
     enter the guard band (``float_walk``) are skipped and counted.
-    With workers > 1 the samples run in worker processes; the merge is
-    a pointwise maximum, so results match the serial run exactly.
+    With workers > 1 the samples run in worker processes, each sent the
+    mirror with its tower table built once here; the merge is a
+    pointwise maximum, so results match the serial run exactly.
     """
     mirror = float_mirror(iet)
     checkpoints = _geometric_checkpoints(n_max)
@@ -1337,6 +1172,8 @@ def deviation_sweep(iet: Iet, cocycles, n_max: int, samples: int = 8,
     jobs = [(float(x0), mirror, tables, checkpoints) for x0 in starts]
     if workers > 1 and len(jobs) > 1:
         from concurrent.futures import ProcessPoolExecutor
+
+        mirror.predictor(checkpoints[-1])
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_one_sample, jobs))

@@ -21,6 +21,7 @@ from .errors import (DomainError, KeaneViolation, NearBreakpoint, NotALoop,
 from .intmat import IntMatrix
 from .perms import PermutationPair, make_pair
 from .precision import PrecisionContext, RealVector, side_of_breakpoint
+from .shadow import FloatMirror, lattice_mirror
 
 
 def omega_matrix(pair: PermutationPair) -> IntMatrix:
@@ -123,6 +124,12 @@ class Iet:
     @property
     def d(self) -> int:
         return self.pair.d
+
+    @cached_property
+    def mirror(self) -> FloatMirror:
+        """Float geometry of the exchange, built once: the shadow both
+        orbit engines walk, with its tower table once one is built."""
+        return lattice_mirror(self.lattice, self.lengths, self.order0)
 
     def _letter_at(self, x) -> int:
         """Letter whose interval [l_a, r_a) holds x, without any guard."""

@@ -1,0 +1,247 @@
+"""The float shadow of an exchange, walked by both orbit engines.
+
+``FloatMirror`` holds an exchange's intervals as floats, in position
+order; ``lattice_mirror`` rounds it from integer lattice data, and
+``Iet.mirror`` keeps the depth-0 one, built once per exchange.  Both
+engines locate a point x in slot ``bisect_right(lefts, x, 1) - 1`` and
+guard it within GUARD * |I| of either end of that interval, |I| the
+total length of the exchange walked.
+
+``shadow_walk`` is the one walk of the shadow.  It predicts a climb at
+a time: the rest of x's tower word in ``FloatMirror.tower_table`` (the
+Rokhlin towers of the first-return map to a short base interval), or,
+off every level and for walks too short to pay for the table, the
+steps of one scalar bisect-and-guard loop.  One accumulate seeded with
+x adds the predicted moves, the same additions in the same order as a
+per-step walk, and the guard rule verifies every step, so the walk is
+bit-identical to the per-step one whatever the table predicts.  It
+stops at the first guarded step; the float lane skips its sample
+there, the exact engine settles the step by exact signs.
+"""
+
+from __future__ import annotations
+
+import math
+from bisect import bisect_right
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
+
+import numpy as np
+
+GUARD = 1e-9  # guard band around breakpoints, relative to |I| (both orbit engines)
+TOWER_HEIGHT = 1 << 12  # |I| / |J|, J = [0, |J|) the base of the float towers
+_TOWER_REACH = 16  # tower build: no return within this many heights, dropped
+_NO_WORD = np.empty(0, np.uint8)
+
+
+@dataclass(frozen=True)
+class FloatMirror:
+    """Float geometry of an exchange, intervals in position order.
+
+    ``rights[k]`` is ``lefts[k + 1]``, and |I| for the last slot;
+    ``letters[k]`` is the letter of slot k and ``moves[k]`` its
+    translation.  A point x lies in slot ``bisect_right(lefts, x, 1) - 1``
+    and is guarded when ``x - lefts[slot]`` or ``rights[slot] - x`` is
+    below ``guard``: ``float_walk`` then skips the sample, ``ExactWalker``
+    settles the slot exactly.  ``tower_table``, built on first use by a
+    walk longer than TOWER_HEIGHT steps, predicts the slots of both.
+    """
+
+    lefts: tuple
+    rights: tuple
+    moves: tuple
+    letters: tuple
+    guard: float  # GUARD * |I|
+
+    @cached_property
+    def tower_table(self) -> "TowerTable":
+        """First-return towers over [0, |I| / TOWER_HEIGHT)."""
+        return _tower_table(self)
+
+    @cached_property
+    def arrays(self) -> tuple:
+        """``lefts``, ``rights`` and ``moves`` as float arrays."""
+        return tuple(map(np.array, (self.lefts, self.rights, self.moves)))
+
+    def predictor(self, steps: int) -> "TowerTable | None":
+        """The tower table for a walk known to reach ``steps`` steps: only
+        a walk longer than TOWER_HEIGHT builds or reads it."""
+        return self.tower_table if steps > TOWER_HEIGHT else None
+
+
+@dataclass(frozen=True, eq=False)
+class TowerTable:
+    """Rokhlin towers of the float first-return map to J = [0, top).
+
+    Tower t stands on the J-interval ``bases[t]``; its word, the slots
+    up to the first return to J, is ``words[ends[t - 1]:ends[t]]`` (from
+    0 for t = 0) in one uint8 array, and its level k is the base moved
+    by the first k of them.  Per level, sorted by left end, ``lefts``
+    holds the left end and ``starts`` the index in ``words`` where the
+    rest of its word starts, so a level costs 13 bytes; its width is
+    its tower's.  The table only predicts slots: ``shadow_walk``
+    verifies every step it takes from it.
+    """
+
+    top: float
+    bases: tuple
+    ends: tuple
+    lefts: np.ndarray
+    starts: np.ndarray
+    words: np.ndarray
+
+    def climb(self, x: float) -> np.ndarray:
+        """The rest of the word of x's level: x's predicted slots up to its
+        return to J; empty off every level."""
+        k = int(self.lefts.searchsorted(x, "right")) - 1
+        if k < 0:
+            return _NO_WORD
+        start = int(self.starts[k])
+        t = bisect_right(self.ends, start)
+        a, b = self.bases[t]
+        if not x < self.lefts[k] + (b - a):
+            return _NO_WORD
+        return self.words[start:self.ends[t]]
+
+
+def lattice_mirror(lattice, lengths, order) -> FloatMirror:
+    """Float geometry of ``lattice`` (a ``rauzy.DepthLattice``) over the
+    lengths, slots in ``order``."""
+    dot, lam = lengths.ctx.dot_int, lengths.values
+    lefts = [dot(lattice.lefts[a], lam) for a in order]
+    moves = tuple(float(dot(lattice.image_lefts[a], lam) - left)
+                  for a, left in zip(order, lefts))
+    lefts = tuple(map(float, lefts))
+    total = float(dot(lattice.total, lam))
+    return FloatMirror(lefts, lefts[1:] + (total,), moves, tuple(order),
+                       GUARD * total)
+
+
+def shadow_walk(mirror: FloatMirror, x: float, n: int, sl, xs, table=None,
+                marks=(), low: float = -math.inf) -> tuple:
+    """Walk x's float shadow for up to n verified steps: return (k, hit).
+
+    Fills ``sl[:k]`` with the slots and ``xs[:k + 1]`` with the points:
+    ``xs[0] = x`` and ``xs[j + 1] = xs[j] + moves[sl[j]]``.  ``hit``
+    means step k is guarded in its true slot: within ``guard`` of either
+    end of the interval, or that close right of a mark (slot, gamma) of
+    that slot.  ``table`` (a ``TowerTable`` or None) predicts the slots
+    a climb at a time; off every level the scalar walk takes up to
+    TOWER_HEIGHT steps, up to a point below the table's base or below
+    ``low``, and the walk ends early, without a hit, after a scalar step
+    to a point below ``low``.  At a predicted step that fails the guard
+    rule the scalar walk settles that one step, so a wrong prediction
+    costs one step and is then predicted again.
+    """
+    lefts_a, rights_a, moves_a = mirror.arrays
+    guard = mirror.guard
+    by_slot = [[gf for s, gf in marks if s == slot]
+               for slot in range(len(lefts_a))] if marks else ()
+    top = max(low, table.top if table is not None else 0.0)
+    xs[0] = x
+    done = 0
+    while done < n:
+        pred = table.climb(float(xs[done])) if table is not None else _NO_WORD
+        steps = min(TOWER_HEIGHT, n - done)
+        if len(pred):
+            take = min(len(pred), n - done)
+            p = sl[done:done + take]
+            p[:] = pred[:take]  # one cast of the uint8 word to indices
+            seg = xs[done:done + take + 1]
+            moves_a.take(p, out=seg[1:], mode="clip")
+            np.add.accumulate(seg, out=seg)
+            at = seg[:-1]
+            bad = (at - lefts_a[p] < guard) | (rights_a[p] - at < guard)
+            for slot, gf in marks:
+                off = at - gf
+                bad |= (p == slot) & (0.0 <= off) & (off < guard)
+            if not bad.any():
+                done += take
+                continue
+            done += int(bad.argmax())
+            steps = 1
+        slots, end, hit = _scalar_walk(mirror, float(xs[done]), steps, top,
+                                       guard, by_slot)
+        if slots:  # the scalar walk's points, added again in the same order
+            take = len(slots)
+            sl[done:done + take] = slots
+            seg = xs[done:done + take + 1]
+            moves_a.take(sl[done:done + take], out=seg[1:], mode="clip")
+            np.add.accumulate(seg, out=seg)
+            done += take
+        if hit or slots and end < low:
+            return done, hit
+    return n, False
+
+
+def _scalar_walk(mirror: FloatMirror, x: float, n: int, top: float,
+                 guard: float, marks=()) -> tuple:
+    """Up to n steps of x's orbit by bisect and the guard rule, stopping
+    after the first point below ``top``; returns (slots, the last point,
+    whether the walk stopped at a guarded point).  ``marks`` lists each
+    slot's marks, or is empty."""
+    lefts, rights, moves = mirror.lefts, mirror.rights, mirror.moves
+    slots = []
+    for _ in range(n):
+        lo = bisect_right(lefts, x, 1) - 1
+        if (x - lefts[lo] < guard or rights[lo] - x < guard
+                or marks and any(0.0 <= x - g < guard for g in marks[lo])):
+            return slots, x, True
+        slots.append(lo)
+        x += moves[lo]
+        if x < top:
+            break
+    return slots, x, False
+
+
+def _tower_table(mirror: FloatMirror) -> TowerTable:
+    """Rokhlin towers of the float first-return map to [0, |I| / H).
+
+    The cuts of J are the first backward hits in J of the interior left
+    ends and of J's right end; each J-interval's word is walked from its
+    midpoint, without the guard, up to its first return.  A cut or word
+    not back in J within _TOWER_REACH * H steps is dropped, so the build
+    ends on exchanges that are not minimal; their walks then fall back
+    to the scalar walk.  The level left ends are one accumulate per tower
+    seeded with its base, written in place and sorted once.
+    """
+    lefts, moves = mirror.lefts, mirror.moves
+    top = mirror.rights[-1] / TOWER_HEIGHT
+    reach = _TOWER_REACH * TOWER_HEIGHT
+    image = sorted((left + move, move) for left, move in zip(lefts, moves))
+    image_lefts = [left for left, _move in image]
+    image_moves = [move for _left, move in image]
+
+    def back(y):
+        return y - image_moves[bisect_right(image_lefts, y, 1) - 1]
+
+    def first_hit(y):
+        for _ in range(reach):
+            if 0.0 <= y < top:
+                return y
+            y = back(y)
+        return None
+
+    hits = [first_hit(y) for y in (*lefts[1:], back(top))]
+    cuts = sorted({0.0, top}.union(c for c in hits if c is not None))
+    slot_type = np.min_scalar_type(len(lefts) - 1)
+    bases, words = [], []
+    for a, b in zip(cuts, cuts[1:]):
+        word, end, _hit = _scalar_walk(mirror, (a + b) / 2, reach, top,
+                                       -math.inf)
+        if 0.0 <= end < top:
+            bases.append((a, b))
+            words.append(np.array(word, slot_type))
+    ends = tuple(accumulate(map(len, words)))
+    level_lefts = np.empty(ends[-1] if ends else 0)
+    moves_a = mirror.arrays[2]
+    for (a, _b), word, end in zip(bases, words, ends):
+        seg = level_lefts[end - len(word):end]
+        seg[0] = a
+        np.take(moves_a, word[:-1], out=seg[1:])
+        np.add.accumulate(seg, out=seg)
+    starts = level_lefts.argsort(kind="stable").astype(np.int32)
+    level_lefts.sort(kind="stable")
+    words = np.concatenate(words) if words else _NO_WORD
+    return TowerTable(top, tuple(bases), ends, level_lefts, starts, words)

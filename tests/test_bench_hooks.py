@@ -11,7 +11,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-from iet_lab import cocycles
+from iet_lab import cocycles, intmat
+from iet_lab.shadow import TOWER_HEIGHT
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -54,6 +55,27 @@ def test_traced_walker_counts_its_steps(periodic4):
     assert tracer.layers["cocycles.walker"].counts["steps"] == 10000
     assert wk.escalations >= 1
     assert tracer.layers["cocycles.lattice_sign"].calls >= wk.escalations
+
+
+def test_traced_climb_counts_every_chunk(periodic5):
+    """A full depth-2 climb, longer than TOWER_HEIGHT steps, walks in
+    tower-predicted chunks; the traced step count is its column sum, as
+    each ``exact_orbits`` climb's must be."""
+    p = periodic5
+    lc, wc = cocycles.depth_interval_coeffs(p, 2, 0)
+    coeffs = [1009 * left + 500 * w for left, w in zip(lc, wc)]
+    column = [row[0] for row in intmat.matpow(p.step_matrix, 2)]
+    assert sum(column) > TOWER_HEIGHT
+    tracer = load("tracer").Tracer()
+    try:
+        load("run").install_layers(tracer)
+        wk = cocycles.ExactWalker(p.iet, coeffs, 1009)
+        counts = wk.run_until_below(cocycles.depth_total_coeffs(p, 2),
+                                    float(p.step_scale ** -2))
+    finally:
+        tracer.uninstall()
+    assert list(counts) == column
+    assert tracer.layers["cocycles.walker"].counts["steps"] == sum(column)
 
 
 def test_selftest_rejects_every_corruption():

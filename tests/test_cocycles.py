@@ -10,8 +10,8 @@ import pytest
 
 from iet_lab import cocycles as cocycles_module
 from iet_lab import intmat
-from iet_lab.cocycles import (_TOWER_REACH, FLOAT_BLOCK, TOWER_HEIGHT,
-                              ExactWalker, PiecewiseLinearCocycle,
+from iet_lab import shadow as shadow_module
+from iet_lab.cocycles import (FLOAT_BLOCK, ExactWalker, PiecewiseLinearCocycle,
                               StepCocycle, _sweep_value, birkhoff_sum,
                               birkhoff_visit_counts, certified_lattice_sign,
                               depth_interval_coeffs, depth_lattice,
@@ -22,10 +22,12 @@ from iet_lab.cocycles import (_TOWER_REACH, FLOAT_BLOCK, TOWER_HEIGHT,
                               mean, partition_pn, renormalize,
                               return_time_matrix, towers,
                               zero_mean_version)
+from iet_lab.ergodicity import skew_simulate
 from iet_lab.errors import DomainError, NearBreakpoint
 from iet_lab.perms import make_pair, make_symmetric_pair
 from iet_lab.precision import kronecker_samples
 from iet_lab.rauzy import Iet
+from iet_lab.shadow import _TOWER_REACH, TOWER_HEIGHT, lattice_mirror
 
 
 class TestApply:
@@ -263,7 +265,9 @@ class TestReturnTimes:
             iet = p.iet
             for wk in (ExactWalker(iet, [0] * p.d),
                        ExactWalker.at_depth(p, 0, [0] * p.d)):
-                assert wk.mirror == float_mirror(iet)
+                assert wk.mirror is float_mirror(iet) is iet.mirror
+            assert iet.mirror == lattice_mirror(depth_lattice(p, 0),
+                                                iet.lengths, iet.order0)
 
     def test_column_sums_are_return_times(self, ctx, periodic4):
         # measured first-return times of depth-1 intervals
@@ -307,18 +311,19 @@ class TestGuardRule:
                                    or not 0 <= xf < total)
 
 
-def eager_step(wk, tally):
-    """The walker's step with eager coordinates, as before lazy folding.
+def eager_step(wk):
+    """The walker's step with eager coordinates, one step at a time.
 
     The oracle for ``ExactWalker._walk``: locate and guard on the
     mirror, add den * w[a] to the coefficients at once, resync every
-    RESYNC steps.  ``tally`` counts exact settles and resyncs.
+    RESYNC steps; the walker's ``escalations`` and ``resyncs`` count
+    exact settles and resyncs.
     """
     m = wk.mirror
     xf = wk.x_f
     slot = bisect_right(m.lefts, xf, 1) - 1
     if xf - m.lefts[slot] < m.guard or m.rights[slot] - xf < m.guard:
-        tally["escalations"] += 1
+        wk.escalations += 1
         slot = wk._locate_exact()
     a = m.letters[slot]
     for j, w in enumerate(wk.w_coeffs[a]):
@@ -327,20 +332,20 @@ def eager_step(wk, tally):
     wk.counts[a] += 1
     wk.steps += 1
     if wk.steps % wk.RESYNC == 0:
-        tally["resyncs"] += 1
+        wk.resyncs += 1
         wk.x_f = wk._exact_float()
     return a
 
 
-def eager_until_below(wk, tally, threshold_coeffs, threshold_f):
+def eager_until_below(wk, threshold_coeffs, threshold_f):
     """``run_until_below`` over ``eager_step``."""
     guard = wk.mirror.guard
     while True:
-        eager_step(wk, tally)
+        eager_step(wk)
         if wk.x_f < threshold_f - guard:
             break
         if wk.x_f < threshold_f + guard:
-            tally["escalations"] += 1
+            wk.escalations += 1
             diff = [wk.den * t - c
                     for c, t in zip(wk.coeffs, threshold_coeffs)]
             if certified_lattice_sign(wk.iet, diff) > 0:
@@ -349,7 +354,8 @@ def eager_until_below(wk, tally, threshold_coeffs, threshold_f):
 
 
 def walker_state(wk):
-    return wk.coeff_snapshot(), wk.counts, wk.steps, wk.x_f
+    return (wk.coeff_snapshot(), wk.counts, wk.steps, wk.escalations,
+            wk.resyncs, wk.x_f)
 
 
 def lattice_float(p, coeffs):
@@ -388,13 +394,12 @@ class TestLazyWalker:
     def test_every_step_across_resyncs(self, request, system, depth, start):
         p = request.getfixturevalue(system)
         oracle, wk = self.pair(p, depth, start)
-        tally = {"escalations": 0, "resyncs": 0}
         for _ in range(2 * ExactWalker.RESYNC + 100):
-            assert wk.step() == eager_step(oracle, tally)
+            assert wk.step() == eager_step(oracle)
             assert walker_state(wk) == walker_state(oracle)
         # both starts meet a left endpoint exactly; two resyncs were crossed
-        assert wk.escalations == tally["escalations"] >= 1
-        assert wk.resyncs == tally["resyncs"] == 2
+        assert wk.escalations >= 1
+        assert wk.resyncs == 2
 
     @pytest.mark.parametrize("start", ["left", "preimage"])
     @pytest.mark.parametrize("depth", [0, 1, 2])
@@ -402,19 +407,18 @@ class TestLazyWalker:
     def test_runs_across_resyncs(self, request, system, depth, start):
         p = request.getfixturevalue(system)
         oracle, wk = self.pair(p, depth, start)
-        tally = {"escalations": 0, "resyncs": 0}
         resync = ExactWalker.RESYNC
         for n in (0, 1, resync - 2, 3, 7, resync, 2 * resync):
             for _ in range(n):
-                eager_step(oracle, tally)
+                eager_step(oracle)
             assert wk.run(n) == tuple(oracle.counts)
             assert walker_state(wk) == walker_state(oracle)
-        assert wk.escalations == tally["escalations"] >= 1
-        assert wk.resyncs == tally["resyncs"] == 4
+        assert wk.escalations >= 1
+        assert wk.resyncs == 4
         wk.counts = [0] * p.d  # callers may reset the counts between runs
         oracle.counts = [0] * p.d
         for _ in range(50):
-            eager_step(oracle, tally)
+            eager_step(oracle)
         assert wk.run(50) == tuple(oracle.counts)
         assert walker_state(wk) == walker_state(oracle)
 
@@ -434,13 +438,12 @@ class TestLazyWalker:
             if probe.x_f < low:
                 low, threshold, k = probe.x_f, list(probe.coeffs), probe.steps
         oracle, wk = self.pair(p, depth, start)
-        tally = {"escalations": 0, "resyncs": 0}
-        expected = eager_until_below(oracle, tally, threshold, low)
+        expected = eager_until_below(oracle, threshold, low)
         assert wk.run_until_below(threshold, low) == expected
         assert walker_state(wk) == walker_state(oracle)
         assert wk.steps > ExactWalker.RESYNC > k
-        assert wk.escalations == tally["escalations"] >= 2
-        assert wk.resyncs == tally["resyncs"] >= 1
+        assert wk.escalations >= 2
+        assert wk.resyncs >= 1
 
     @pytest.mark.parametrize("depth", [0, 1, 2])
     @pytest.mark.parametrize("system", ["periodic4", "periodic5", "periodic7"])
@@ -467,13 +470,11 @@ class TestLazyWalker:
         oracle, wk = (ExactWalker.at_depth(p, depth, start, den)
                       for _ in range(2))
         assert 0 < lattice_float(p, lat.widths[0]) / den < wk.mirror.guard
-        tally = {"escalations": 0, "resyncs": 0}
-        expected = eager_until_below(oracle, tally, threshold, low)
+        expected = eager_until_below(oracle, threshold, low)
         assert wk.run_until_below(threshold, low) == expected
         assert walker_state(wk) == walker_state(oracle)
         assert wk.steps == k
-        assert wk.escalations == tally["escalations"] >= 1
-        assert wk.resyncs == tally["resyncs"]
+        assert wk.escalations >= 1
 
     def test_den_and_inner_starts(self, periodic5):
         thr = depth_total_coeffs(periodic5, 2)
@@ -483,8 +484,7 @@ class TestLazyWalker:
             coeffs = [den * l + (den // 3) * w for l, w in zip(lc, wc)]
             oracle, wk = (ExactWalker.at_depth(periodic5, 1, coeffs, den)
                           for _ in range(2))
-            tally = {"escalations": 0, "resyncs": 0}
-            expected = eager_until_below(oracle, tally, thr, thr_f)
+            expected = eager_until_below(oracle, thr, thr_f)
             assert wk.run_until_below(thr, thr_f) == expected
             assert walker_state(wk) == walker_state(oracle)
 
@@ -762,6 +762,22 @@ def float_preimages(mirror, x, n):
 SYSTEMS = ["periodic4", "periodic5", "periodic7"]
 
 
+def corrupt_table(table, how):
+    """A tower table that mispredicts: every level moved right by half its
+    width, or the one word array reversed (each word reversed, and the
+    words misaligned with their ends)."""
+    if how == "shifted-levels":
+        widths = np.array([b - a for a, b in table.bases])
+        towers = np.searchsorted(table.ends, table.starts, "right")
+        return replace(table, lefts=table.lefts + widths[towers] / 2)
+    return replace(table, words=table.words[::-1])
+
+
+def tower_words(table):
+    """Each tower's word, cut from the table's one word array."""
+    return np.split(table.words, table.ends[:-1])
+
+
 class TestTowerWalk:
     """The tower-predicted walk is the per-step walk, ``==``, whatever its
     tower table predicts."""
@@ -777,7 +793,7 @@ class TestTowerWalk:
         tables = [float_table(phi, mirror) for phi in lane_cocycles4.values()
                   ] if p.d == 4 else []
         if n >= FLOAT_BLOCK - 1:  # longer than a climb: crosses returns
-            assert max(map(len, mirror.tower_table.words)) < n
+            assert max(map(len, tower_words(mirror.tower_table))) < n
         for x0 in kronecker_samples(ctx, 3, p.iet.total, 9):
             assert assert_same_walk(step_walk, mirror, float(x0), n,
                                     tables) is None
@@ -809,17 +825,13 @@ class TestTowerWalk:
     @pytest.mark.parametrize("corrupt", ["shifted-levels", "swapped-words"])
     def test_corrupt_table_changes_nothing(self, ctx, periodic4, step_walk,
                                            lane_cocycles4, guard_hit_starts,
-                                           corrupt):
+                                           corrupt, monkeypatch):
         iet = periodic4.iet
         mirror = float_mirror(iet)
         table = mirror.tower_table
-        if corrupt == "shifted-levels":
-            half = (table.rights - table.lefts) / 2
-            bad = replace(table, lefts=table.lefts + half,
-                          rights=table.rights + half)
-        else:
-            bad = replace(table, words=table.words[::-1])
-        vars(mirror)["tower_table"] = bad  # the cached property's slot
+        bad = corrupt_table(table, corrupt)
+        # the cached property's slot, on the exchange's one mirror
+        monkeypatch.setitem(vars(mirror), "tower_table", bad)
         tables = [float_table(phi, mirror) for phi in lane_cocycles4.values()]
         for x0 in kronecker_samples(ctx, 2, iet.total, 9):
             assert assert_same_walk(step_walk, mirror, float(x0),
@@ -842,7 +854,7 @@ class TestTowerWalk:
         mirror = float_mirror(iet)
         table = mirror.tower_table  # the build ends
         covered = sum(len(w) * (b - a)
-                      for (a, b), w in zip(table.bases, table.words))
+                      for (a, b), w in zip(table.bases, tower_words(table)))
         assert covered < mirror.rights[-1] / 2  # no tower over most points
         for x0 in kronecker_samples(ctx, 3, iet.total, 0):
             assert assert_same_walk(step_walk, mirror, float(x0),
@@ -854,10 +866,10 @@ class TestTowerWalk:
         tower: a silent slowdown to walked words fails here."""
         iet = periodic4.iet
         mirror = float_mirror(iet)
-        assert mirror.tower_table.words  # the build walks its own words
-        walked = cocycles_module._walked_word
+        assert len(mirror.tower_table.words)  # the build walks its own words
+        walked = shadow_module._scalar_walk
         calls = []
-        monkeypatch.setattr(cocycles_module, "_walked_word",
+        monkeypatch.setattr(shadow_module, "_scalar_walk",
                             lambda *args: calls.append(args[2])
                             or walked(*args))
         for x0 in kronecker_samples(ctx, 6, iet.total, 3):
@@ -873,11 +885,17 @@ class TestTowerTable:
         mirror = float_mirror(p.iet)
         table = mirror.tower_table
         total = mirror.rights[-1]
-        covered = math.fsum(len(w) * (b - a)
-                            for (a, b), w in zip(table.bases, table.words))
+        covered = math.fsum(len(w) * (b - a) for (a, b), w in
+                            zip(table.bases, tower_words(table)))
         assert abs(covered - total) <= 1e-12 * total
-        assert len(table.lefts) == sum(map(len, table.words))
+        assert len(table.lefts) == len(table.words) == table.ends[-1]
         assert np.all(np.diff(table.lefts) > 0)
+        # each level's rest of word starts at its own index: a permutation
+        assert np.array_equal(np.sort(table.starts),
+                              np.arange(len(table.lefts)))
+        # a level costs a float64 left end, an int32 start and a uint8 slot
+        assert (table.lefts.dtype, table.starts.dtype, table.words.dtype) == \
+            (np.float64, np.int32, np.uint8)
 
     @pytest.mark.parametrize("system", SYSTEMS)
     def test_words_are_first_return_itineraries(self, request, step_walk,
@@ -886,7 +904,7 @@ class TestTowerTable:
         mirror = float_mirror(p.iet)
         table = mirror.tower_table
         assert table.bases[0][0] == 0.0 and table.bases[-1][1] == table.top
-        for (a, b), word in zip(table.bases, table.words):
+        for (a, b), word in zip(table.bases, tower_words(table)):
             itinerary = []
             for slot, x in step_walk(mirror, (a + b) / 2,
                                      _TOWER_REACH * TOWER_HEIGHT):
@@ -894,6 +912,230 @@ class TestTowerTable:
                     break
                 itinerary.append(slot)
             assert word.tolist() == itinerary
+
+
+def lattice_preimage(iet, coeffs, den, k):
+    """Lattice coefficients of T^-k of the point (coeffs . lambda) / den,
+    each preimage's letter found at working precision."""
+    inv = iet.inverse()  # its letter a's interval is a's image
+    lat = iet.lattice
+    w = [[i - left for i, left in zip(img, lefts)]
+         for img, lefts in zip(lat.image_lefts, lat.lefts)]
+    for _ in range(k):
+        a = inv._letter_at(iet.ctx.dot_int(coeffs, iet.lengths.values) / den)
+        coeffs = [c - den * wi for c, wi in zip(coeffs, w[a])]
+    return coeffs
+
+
+def new_lows(points, k):
+    """Indices i >= k whose point is below each of the k - 1 before it."""
+    lower, out = [], []  # indices of a rising run of points
+    for i, x in enumerate(points):
+        while lower and points[lower[-1]] > x:
+            lower.pop()
+        if i >= k and (not lower or i - lower[-1] >= k):
+            out.append(i)
+        lower.append(i)
+    return out
+
+
+def eager_run(oracle, n):
+    for _ in range(n):
+        eager_step(oracle)
+    return tuple(oracle.counts)
+
+
+class TestWalkerKernel:
+    """The walker's ``shadow_walk`` chunks, predicted by the tower table,
+    give the eager per-step walk: coefficients, counts, steps,
+    escalations, resyncs and shadow, ``==``."""
+
+    @pytest.mark.parametrize("n", [TOWER_HEIGHT + 1,
+                                   3 * ExactWalker.RESYNC + 7,
+                                   FLOAT_BLOCK + 1, 3 * 10 ** 4])
+    @pytest.mark.parametrize("den", [1, 1009])
+    @pytest.mark.parametrize("system", SYSTEMS)
+    def test_runs_match_eager(self, request, monkeypatch, system, den, n):
+        p = request.getfixturevalue(system)
+        lc, wc = depth_interval_coeffs(p, 1, 1)
+        start = [den * left + den // 3 * w for left, w in zip(lc, wc)]
+        oracle, wk = (ExactWalker(p.iet, start, den) for _ in range(2))
+        climbs = []
+        climb = shadow_module.TowerTable.climb
+        monkeypatch.setattr(shadow_module.TowerTable, "climb",
+                            lambda table, x: climbs.append(x)
+                            or climb(table, x))
+        assert wk.run(n) == eager_run(oracle, n)
+        assert walker_state(wk) == walker_state(oracle)
+        assert climbs  # the walk read the tower table
+        assert wk.resyncs == n // ExactWalker.RESYNC
+
+    @pytest.mark.parametrize("side", ["on", "left-of"])
+    @pytest.mark.parametrize("system", SYSTEMS)
+    def test_guard_hit_mid_chunk(self, request, system, side):
+        """Step k = TOWER_HEIGHT + 1000, inside the predicted chunk of
+        steps 4096-8191, lands on an interior left end, or a hair left of
+        it, and only there does the guard rule fire."""
+        p = request.getfixturevalue(system)
+        iet = p.iet
+        k = TOWER_HEIGHT + 1000
+        den = 1
+        start = lattice_preimage(iet, list(iet.lattice.lefts[iet.order0[1]]),
+                                 den, k)
+        if side == "left-of":
+            den = 2 ** 40
+            start = [den * c - w for c, w in zip(start, iet.lattice.widths[0])]
+        probe = ExactWalker(iet, start, den)
+        probe.run(k)
+        assert probe.escalations == 0
+        probe.step()
+        assert probe.escalations == 1
+        n = 3 * ExactWalker.RESYNC + 7
+        oracle, wk = (ExactWalker(iet, start, den) for _ in range(2))
+        assert wk.run(n) == eager_run(oracle, n)
+        assert walker_state(wk) == walker_state(oracle)
+
+    @pytest.mark.parametrize("k", [2 * ExactWalker.RESYNC,
+                                   2 * ExactWalker.RESYNC + 1000],
+                             ids=["on-resync", "mid-chunk"])
+    @pytest.mark.parametrize("depth", [0, 1])
+    @pytest.mark.parametrize("system", SYSTEMS)
+    def test_stop_inside_guard_band(self, request, system, depth, k):
+        """The walk starts a hair below an orbit point whose k-th iterate
+        is lower than the k - 1 before it; the threshold is that iterate,
+        so the walk is a hair below it at step k, inside the guard band,
+        where only the exact sign of the folded position stops it (for
+        k = 2 RESYNC, the sign of the resynced position)."""
+        p = request.getfixturevalue(system)
+        lat = depth_lattice(p, depth)
+        c0 = next(v for v in lat.image_lefts
+                  if all(abs(lattice_float(p, v) - lattice_float(p, left))
+                         > 1e-6 * lattice_float(p, lat.total)
+                         for left in lat.lefts))
+        mirror = ExactWalker.at_depth(p, depth, c0).mirror
+        points = np.concatenate([xs for _sl, xs in float_walk(
+            mirror, lattice_float(p, c0), 4 * k)]).tolist()
+        i = new_lows(points, k)[0]
+        before, at = (ExactWalker.at_depth(p, depth, c0) for _ in range(2))
+        before.run(i - k)
+        at.run(i)
+        threshold, low = list(at.coeffs), at.x_f
+        den = 2 ** 40
+        start = [den * c - w for c, w in zip(before.coeffs, lat.widths[0])]
+        oracle, wk = (ExactWalker.at_depth(p, depth, start, den)
+                      for _ in range(2))
+        expected = eager_until_below(oracle, threshold, low)
+        assert wk.run_until_below(threshold, low) == expected
+        assert walker_state(wk) == walker_state(oracle)
+        assert wk.steps == k
+        assert wk.escalations >= 1
+        assert wk.resyncs == k // ExactWalker.RESYNC
+
+    @pytest.mark.parametrize("depth", [0, 1])
+    @pytest.mark.parametrize("system", SYSTEMS)
+    def test_stop_after_a_guarded_step(self, request, system, depth):
+        """A walk from an interior left end is settled exactly at step 0,
+        and its image is below the threshold: the walk stops there."""
+        p = request.getfixturevalue(system)
+        lat = depth_lattice(p, depth)
+        a = p.iet.order0[0]
+        for b in p.iet.order0[1:]:
+            threshold = [i + w for i, w in zip(lat.image_lefts[b],
+                                               lat.widths[a])]
+            low = lattice_float(p, threshold)
+            oracle, wk = (ExactWalker.at_depth(p, depth, lat.lefts[b])
+                          for _ in range(2))
+            expected = eager_until_below(oracle, threshold, low)
+            assert wk.run_until_below(threshold, low) == expected
+            assert walker_state(wk) == walker_state(oracle)
+            assert (wk.steps, wk.escalations) == (1, 1)
+
+    @pytest.mark.parametrize("corrupt", ["shifted-levels", "swapped-words"])
+    def test_corrupt_table_changes_nothing(self, periodic4, monkeypatch,
+                                           corrupt):
+        iet = periodic4.iet
+        mirror = float_mirror(iet)
+        table = mirror.tower_table
+        bad = corrupt_table(table, corrupt)
+        monkeypatch.setitem(vars(mirror), "tower_table", bad)
+        lc, wc = depth_interval_coeffs(periodic4, 1, 2)
+        start = [1009 * left + 500 * w for left, w in zip(lc, wc)]
+        oracle, wk = (ExactWalker(iet, start, 1009) for _ in range(2))
+        n = FLOAT_BLOCK + 1
+        points = []
+        for _ in range(n):
+            points.append(oracle.x_f)
+            eager_step(oracle)
+        assert wk.run(n) == tuple(oracle.counts)
+        assert walker_state(wk) == walker_state(oracle)
+        climbs = points[:1] + [x for x in points if 0.0 <= x < table.top]
+        assert any(not np.array_equal(bad.climb(x), table.climb(x))
+                   for x in climbs)  # the corruption mispredicts
+
+    @pytest.mark.parametrize("pi0, pi1, lengths", [
+        ([1, 2], [2, 1], ("0.25", "0.75")),
+        ([1, 2, 3], [1, 3, 2], ("0.3", "0.3", "0.4")),
+    ], ids=["rational-rotation", "reducible"])
+    def test_non_minimal_exchange(self, ctx, pi0, pi1, lengths):
+        iet = Iet(make_pair(pi0, pi1), ctx.vector(map(ctx.real, lengths)))
+        lat = iet.lattice
+        n = TOWER_HEIGHT + 7  # the den-1 start escalates every few steps
+        for den, num in ((1, 0), (1009, 500)):
+            start = [den * left + num * w
+                     for left, w in zip(lat.lefts[1], lat.widths[1])]
+            oracle, wk = (ExactWalker(iet, start, den) for _ in range(2))
+            assert wk.run(n) == eager_run(oracle, n)
+            assert walker_state(wk) == walker_state(oracle)
+
+    @pytest.mark.parametrize("d, k, b, how", [
+        (4, 4, 3, "return"), (5, 3, 0, "birkhoff"), (7, 4, 5, "return"),
+        (7, 3, 2, "birkhoff")])
+    def test_full_tower_climbs(self, request, d, k, b, how):
+        """The benchmark's four climbs: a lattice point of the depth-k
+        interval of letter b visits each letter a A^k[a][b] times before
+        it returns."""
+        p = request.getfixturevalue(f"periodic{d}")
+        lc, wc = depth_interval_coeffs(p, k, b)
+        coeffs = [1009 * left + 500 * w for left, w in zip(lc, wc)]
+        column = [row[b] for row in intmat.matpow(p.step_matrix, k)]
+        if how == "birkhoff":
+            counts = birkhoff_visit_counts(p.iet, (coeffs, 1009), sum(column))
+        else:
+            wk = ExactWalker(p.iet, coeffs, 1009)
+            counts = wk.run_until_below(depth_total_coeffs(p, k),
+                                        float(p.step_scale ** -k))
+            assert wk.steps == sum(column)
+        assert list(counts) == column
+
+
+class TestOneMirror:
+    """One float mirror, and one tower table, per exchange."""
+
+    def test_one_table_per_exchange(self, periodic4, monkeypatch):
+        p = replace(periodic4)  # the same exchange, no mirror built yet
+        builds = []
+        build = shadow_module._tower_table
+        monkeypatch.setattr(shadow_module, "_tower_table",
+                            lambda mirror: builds.append(mirror)
+                            or build(mirror))
+        phi = StepCocycle.from_vector((1, -2, 3, -1))
+        n = TOWER_HEIGHT + 1
+        for seed in (0, 1):
+            deviation_sweep(p.iet, [phi], n, samples=2, seed=seed)
+        skew_simulate(p.iet, phi, None, n)
+        wk = ExactWalker.at_depth(p, 0, p.iet.lattice.lefts[1])
+        wk.run(n)
+        assert wk.mirror is float_mirror(p.iet)
+        assert builds == [p.iet.mirror]
+
+    def test_workers_match_serial(self, periodic4, lane_cocycles4):
+        p = replace(periodic4)
+        cocycles = list(lane_cocycles4.values())
+        n = 2 * TOWER_HEIGHT
+        two = deviation_sweep(p.iet, cocycles, n, samples=3, workers=2)
+        # built once here and sent built to the workers
+        assert "tower_table" in vars(float_mirror(p.iet))
+        assert two == deviation_sweep(p.iet, cocycles, n, samples=3)
 
 
 class TestBlockSweep:

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from iet_lab import intmat
-from iet_lab.cocycles import GUARD, FloatMirror, float_mirror
+from iet_lab.cocycles import float_mirror
 from iet_lab.errors import (DomainError, IetLabError, KeaneViolation,
                             NotALoop, NotPrimitive, ReduciblePair)
 from iet_lab.perms import make_pair, make_symmetric_pair
@@ -15,6 +15,7 @@ from iet_lab.rauzy import (Iet, build_periodic_from_matrix,
                            rauzy_step, replay_loop)
 from iet_lab.precision import side_of_breakpoint
 from iet_lab.repro import SEVEN_LOOP, SEVEN_LOOP_MATRIX, seven_letter_pair
+from iet_lab.shadow import GUARD, FloatMirror
 from iet_lab.spectral import singularity_data
 
 
