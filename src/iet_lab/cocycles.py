@@ -5,12 +5,14 @@ Two orbit engines back the heavy operations, and both walk one float
 shadow (``shadow.shadow_walk``) of one interval geometry: an exchange's
 ``FloatMirror`` (``Iet.mirror`` at depth 0, ``lattice_mirror`` of
 ``depth_lattice`` from A^-n at depth n).  The shadow predicts its slots
-a tower climb at a time, adds the moves by one accumulate and verifies
-every step by the guard rule, so both engines see a per-step walk bit
-for bit.  The exact engine (``ExactWalker``) carries positions as
-integer combinations of the length vector, resynchronizes the shadow
-from them and settles a guarded step by high-precision signs, so its
-visit counts are exact.  The float lane (``float_walk``) serves
+a tower climb at a time, adds the moves by one accumulate and checks
+the guard rule, for a whole climb at once where the tower table's
+bounds certify it and step by step elsewhere, so both engines see a
+per-step walk bit for bit.  The exact engine (``ExactWalker``) carries
+positions as integer combinations of the length vector, resynchronizes
+the shadow from them and settles a guarded step by high-precision
+signs, so its visit counts are exact.  The float lane (``float_walk``)
+serves
 ``deviation_sweep`` and the skew-product simulation: a guarded point,
 at any step including the first, or one within GUARD * |I| right of a
 step cocycle's jump in its interval, skips its sample (counted), so
@@ -260,7 +262,8 @@ class ExactWalker:
     guard-band threshold check) and when the walk returns; between
     walks both are exact.  ``escalations`` counts exact settles
     (``_locate_exact`` calls and guard-band threshold checks),
-    ``resyncs`` the resyncs.
+    ``resyncs`` the resyncs and ``checked`` the predicted climbs the
+    tower table's bounds did not certify, checked step by step.
     """
 
     RESYNC = 4096
@@ -304,6 +307,8 @@ class ExactWalker:
         self.steps = 0
         self.escalations = 0
         self.resyncs = 0
+        self.checked = 0
+        self._trail = None  # the slots walked, while ``itinerary`` asks
         self.x_f = self._exact_float()
 
     def _exact_mpf(self):
@@ -333,6 +338,8 @@ class ExactWalker:
         """Add one visit per entry of ``slots`` to ``counts`` and ``coeffs``."""
         if not len(slots):
             return
+        if self._trail is not None:
+            self._trail.extend(slots)
         den, coeffs, counts = self.den, self.coeffs, self.counts
         for slot, k in enumerate(np.bincount(slots, minlength=self.d).tolist()):
             if k:
@@ -359,14 +366,15 @@ class ExactWalker:
         """Advance ``n_steps`` steps, or (``None``) until below the threshold.
 
         Each chunk runs ``shadow_walk`` up to the next resync, with the
-        tower table once the walk is longer than TOWER_HEIGHT steps; at a
-        guarded step its verified steps are folded and the step's slot
-        is settled exactly, and at a resync the shadow is reset from the
-        exact position.  With a threshold (threshold_coeffs . lambda),
-        the walk stops after the first step whose shadow is below it by
-        more than the guard, or that an exact sign puts below it inside
-        the guard band; a resync step is checked on its resynced shadow.
-        Returns the letter left by the last step.
+        tower table once the walk is longer than TOWER_HEIGHT steps or
+        the table is built; at a guarded step its verified steps are
+        folded and the step's slot is settled exactly, and at a resync
+        the shadow is reset from the exact position.  With a threshold
+        (threshold_coeffs . lambda), the walk stops after the first step
+        whose shadow is below it by more than the guard, or that an
+        exact sign puts below it inside the guard band; a resync step is
+        checked on its resynced shadow.  Returns the letter left by the
+        last step.
         """
         m = self.mirror
         resync = self.RESYNC
@@ -380,7 +388,8 @@ class ExactWalker:
             if n_steps is not None:
                 k = min(k, n_steps - done)
             table = m.predictor(done + 1 if n_steps is None else n_steps)
-            v, hit = shadow_walk(m, x, k, sl, xs, table, low=band)
+            v, hit, checked = shadow_walk(m, x, k, sl, xs, table, low=band)
+            self.checked += checked
             due = v == k and (self.steps + k) % resync == 0
             folded = 0
             if band > -math.inf:  # each point after a step, bar a resynced one
@@ -418,6 +427,23 @@ class ExactWalker:
     def run(self, n_steps: int) -> tuple:
         self._walk(n_steps)
         return tuple(self.counts)
+
+    def itinerary(self, n_steps: int) -> tuple:
+        """Advance ``n_steps`` steps in one walk: return the letter each
+        step leaves and the lattice coefficients of the point it leaves
+        from, rebuilt exactly from the letters."""
+        start, trail = tuple(self.coeffs), []
+        self._trail = trail
+        try:
+            self._walk(n_steps)
+        finally:
+            self._trail = None
+        letters = tuple(self.mirror.letters[slot] for slot in trail)
+        points = [start]
+        for a in letters[:-1]:
+            points.append(tuple(c + self.den * w
+                                for c, w in zip(points[-1], self.w_coeffs[a])))
+        return letters, points
 
     def run_until_below(self, threshold_coeffs, threshold_f: float) -> tuple:
         """Step until the position drops below an exact lattice threshold.
@@ -717,16 +743,12 @@ def towers(periodic: PeriodicIet, n: int, with_levels: bool = False,
         if total_steps > level_budget:
             raise DomainError(
                 f"level enumeration needs {total_steps} steps, over the budget")
-        levels = []
         lattice = depth_lattice(periodic, n + 1)
-        for a in range(periodic.d):
-            walker = ExactWalker(iet, lattice.lefts[a], 1)
-            lvl = []
-            for _i in range(sub_h):
-                lvl.append(walker.position())
-                walker.step()
-            levels.append(tuple(lvl))
-        levels = tuple(levels)
+        lam = iet.lengths.values
+        levels = tuple(
+            tuple(iet.ctx.dot_int(c, lam) for c in ExactWalker(
+                iet, lattice.lefts[a], 1).itinerary(sub_h)[1])
+            for a in range(periodic.d))
     return TowerStructure(n, heights_n, heights_n1, sub_h, base_left,
                           base_width, measures, levels)
 
@@ -771,10 +793,12 @@ class Renormalizer:
         """Per letter: the tower levels (position, interval) of one period.
 
         Tower level endpoints genuinely coincide with interval
-        breakpoints, so the walk runs on the exact lattice engine; the
-        level positions are read back at working precision.
+        breakpoints, so the walk runs on the exact lattice engine, one
+        walk per letter; the level positions are rebuilt exactly from
+        its letters and read back at working precision.
         """
         iet = self.iet
+        lam = iet.lengths.values
         width_mpf = [iet.lengths[b] / self.rho for b in range(iet.d)]
         base = iet.lattice
         right_coeffs = [tuple(map(sum, zip(left, width)))
@@ -782,24 +806,19 @@ class Renormalizer:
         depth1 = depth_lattice(self.periodic, 1)
         stage = []
         for b in range(iet.d):
-            q = self.colsums[b]
             wc = depth1.widths[b]
-            walker = ExactWalker(iet, depth1.lefts[b], 1)
-            positions = []
-            alphas = []
-            for _i in range(q):
-                positions.append(walker.position())
-                start, den = walker.coeff_snapshot()
-                a = walker.step()
-                alphas.append(a)
+            alphas, points = ExactWalker(iet, depth1.lefts[b], 1).itinerary(
+                self.colsums[b])
+            for start, a in zip(points, alphas):
                 # the whole level must nest in one exchanged interval:
                 # level left + width <= right endpoint of that interval
-                diff = [s + w - den * r for s, w, r in
+                diff = [s + w - r for s, w, r in
                         zip(start, wc, right_coeffs[a])]
                 if certified_lattice_sign(iet, diff) > 0:
                     raise NotNormalized(
                         "tower level crosses an exchanged-interval boundary")
-            stage.append((tuple(positions), tuple(alphas), width_mpf[b]))
+            positions = tuple(iet.ctx.dot_int(c, lam) for c in points)
+            stage.append((positions, alphas, width_mpf[b]))
         # internal consistency: visit counts reproduce the period matrix
         for b in range(iet.d):
             _positions, alphas, _w = stage[b]
@@ -1083,7 +1102,8 @@ def float_walk(mirror: FloatMirror, x0: float, n_steps: int, tables=()):
     index once the blocks before it are out: the caller drops the
     sample rather than trust its side.  Each block is one
     ``shadow_walk``, predicted by ``mirror.tower_table`` for walks longer
-    than TOWER_HEIGHT steps and verified at every step.
+    than TOWER_HEIGHT steps (or once the table is built) and checked
+    climb by climb.
     """
     marks = [(slot, gf) for table in tables for slot, gf, _j in table.jumps]
     rokhlin = mirror.predictor(n_steps)
@@ -1091,7 +1111,7 @@ def float_walk(mirror: FloatMirror, x0: float, n_steps: int, tables=()):
         m = min(FLOAT_BLOCK, n_steps - start)
         sl = np.empty(m, np.intp)
         xs = np.empty(m + 1)  # xs[m]: the first point of the next block
-        k, hit = shadow_walk(mirror, x0, m, sl, xs, rokhlin, marks)
+        k, hit, _checked = shadow_walk(mirror, x0, m, sl, xs, rokhlin, marks)
         if hit:
             raise NearBreakpoint("float orbit entered the guard band",
                                  start + k)

@@ -412,12 +412,10 @@ def _skew_sample(mirror, table, x0: float, n_steps: int, eps_sorted):
             raise DomainError("skew-product displacement overflowed the "
                               "float lane")
         best = min(best, float(norms.min()))
-        below = np.ones(len(norms), bool)
-        for e in eps_sorted:  # a per-step scan stops at its first miss
-            below &= norms < e
-            s_hits[e] += int(np.count_nonzero(below))
+        for e in eps_sorted:
+            s_hits[e] += int(np.count_nonzero(norms < e))
         s_zero += int(np.count_nonzero(norms == 0.0))
-        s_histogram += np.bincount(_decade_bins(norms), minlength=10)
+        s_histogram += _decade_histogram(norms)
     return best, s_hits, s_histogram.tolist(), s_zero
 
 
@@ -449,19 +447,21 @@ def _decade_edges():
     return np.array(edges)
 
 
-_DECADE_EDGES = _decade_edges()
+# a norm is in bin k or above (k = 1..9) when it is at least _BIN_FLOORS[k - 1]
+_BIN_FLOORS = np.maximum(_decade_edges(), math.nextafter(1e-6, math.inf))
 
 
-def _decade_bins(norms):
-    """Histogram bin of each norm: 0 up to 1e-6, one per decade, 9 from 1e2.
+def _decade_histogram(norms) -> np.ndarray:
+    """Norms per bin: 0 up to 1e-6, one per decade, 9 from 1e2.
 
-    Equal to ``0 if n <= 1e-6 else min(9, int(6 + math.floor(math.log10(n)))
-    + 1)``: the edges are where that floor steps, so no vector log10
-    rounds a norm next to a power of ten into the wrong decade.
+    A norm n is in bin ``0 if n <= 1e-6 else min(9, int(6 +
+    math.floor(math.log10(n))) + 1)``: the decade edges are where that
+    floor steps, so no vector log10 rounds a norm next to a power of ten
+    into the wrong decade.  The floors are nested, so the count of norms
+    at or above each gives the histogram.
     """
-    bins = np.searchsorted(_DECADE_EDGES, norms, "right")
-    bins[norms <= 1e-6] = 0
-    return bins
+    above = [np.count_nonzero(norms >= f) for f in _BIN_FLOORS]
+    return -np.diff([len(norms), *above, 0])
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,28 @@ Rokhlin towers of the first-return map to a short base interval), or,
 off every level and for walks too short to pay for the table, the
 steps of one scalar bisect-and-guard loop.  One accumulate seeded with
 x adds the predicted moves, the same additions in the same order as a
-per-step walk, and the guard rule verifies every step, so the walk is
-bit-identical to the per-step one whatever the table predicts.  It
-stops at the first guarded step; the float lane skips its sample
-there, the exact engine settles the step by exact signs.
+per-step walk, so the walk is bit-identical to the per-step one
+whatever the table predicts.  It stops at the first guarded step; the
+float lane skips its sample there, the exact engine settles the step
+by exact signs.
+
+A predicted climb is checked by the guard rule at every step, or, when
+the table's bounds certify it, by one pair of comparisons.  The bounds
+``lo[s]`` and ``hi[s]`` at word position s are the float orbits of two
+base points of the tower, 2 guard inside either end of its base,
+walked along the tower's own word by the same seeded accumulate, and
+kept only where both pass the guard rule at every step.  Rounding to
+nearest is monotone: x <= y gives fl(x + m) <= fl(y + m),
+fl(x - L) <= fl(y - L) and fl(R - x) >= fl(R - y).  So a start x with
+``lo[s] <= x <= hi[s]`` stays between the two orbits at every later
+step of the word, where ``fl(x - left) >= fl(lo - left) >= guard`` and
+``fl(right - x) >= fl(right - hi) >= guard``: it passes the guard rule
+on every predicted slot, and a point that passes lies inside that
+slot's interval, where the bisect finds the same slot.  The bounds are
+built from the table's own bases, ends and words, so a table that
+predicts wrongly certifies nothing wrongly.  The certificate covers the
+guard rule only; jump marks of step cocycles are checked at every step,
+and closeness of the float orbit to the exact one is not claimed.
 """
 
 from __future__ import annotations
@@ -33,6 +51,7 @@ GUARD = 1e-9  # guard band around breakpoints, relative to |I| (both orbit engin
 TOWER_HEIGHT = 1 << 12  # |I| / |J|, J = [0, |J|) the base of the float towers
 _TOWER_REACH = 16  # tower build: no return within this many heights, dropped
 _NO_WORD = np.empty(0, np.uint8)
+_NO_CLIMB = (_NO_WORD, False)
 
 
 @dataclass(frozen=True)
@@ -66,8 +85,11 @@ class FloatMirror:
 
     def predictor(self, steps: int) -> "TowerTable | None":
         """The tower table for a walk known to reach ``steps`` steps: only
-        a walk longer than TOWER_HEIGHT builds or reads it."""
-        return self.tower_table if steps > TOWER_HEIGHT else None
+        a walk longer than TOWER_HEIGHT builds it, and once built it
+        predicts every walk."""
+        if steps > TOWER_HEIGHT or "tower_table" in vars(self):
+            return self.tower_table
+        return None
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,11 +101,13 @@ class TowerTable:
     0 for t = 0) in one uint8 array, and its level k is the base moved
     by the first k of them.  Per level, sorted by left end, ``lefts``
     holds the left end and ``starts`` the index in ``words`` where the
-    rest of its word starts, so a level costs 13 bytes; its width is
-    its tower's.  The table only predicts slots: ``shadow_walk``
-    verifies every step it takes from it.
+    rest of its word starts; its width is its tower's.  With the two
+    float64 ``bounds`` per word position, built on the first climb, a
+    level costs 29 bytes.  The table only predicts slots: ``shadow_walk``
+    checks every step the bounds do not certify.
     """
 
+    mirror: FloatMirror
     top: float
     bases: tuple
     ends: tuple
@@ -91,18 +115,45 @@ class TowerTable:
     starts: np.ndarray
     words: np.ndarray
 
-    def climb(self, x: float) -> np.ndarray:
-        """The rest of the word of x's level: x's predicted slots up to its
-        return to J; empty off every level."""
+    def climb(self, x: float) -> tuple:
+        """(word, sure): the rest of the word of x's level, x's predicted
+        slots up to its return to J, and whether the bounds certify that
+        x passes the guard rule on all of them; an empty word off every
+        level."""
         k = int(self.lefts.searchsorted(x, "right")) - 1
         if k < 0:
-            return _NO_WORD
+            return _NO_CLIMB
         start = int(self.starts[k])
         t = bisect_right(self.ends, start)
         a, b = self.bases[t]
         if not x < self.lefts[k] + (b - a):
-            return _NO_WORD
-        return self.words[start:self.ends[t]]
+            return _NO_CLIMB
+        lo, hi = self.bounds
+        return self.words[start:self.ends[t]], lo[start] <= x <= hi[start]
+
+    @cached_property
+    def bounds(self) -> tuple:
+        """(lo, hi) per word position: the float orbits of base points
+        ``a + 2 guard`` and ``b - 2 guard`` of each tower [a, b) along its
+        word, or (inf, -inf) on all of a tower where either fails the
+        guard rule at some step."""
+        lefts_a, rights_a, moves_a = self.mirror.arrays
+        guard = self.mirror.guard
+        lo, hi = np.empty(len(self.words)), np.empty(len(self.words))
+        heads = (0,) + self.ends[:-1]
+        for (a, b), head, end in zip(self.bases, heads, self.ends):
+            for orbit, x in ((lo, a + 2 * guard), (hi, b - 2 * guard)):
+                seg = orbit[head:end]
+                seg[0] = x
+                np.take(moves_a, self.words[head:end - 1], out=seg[1:])
+                np.add.accumulate(seg, out=seg)
+        left, right = lefts_a[self.words], rights_a[self.words]
+        fails = ((lo - left < guard) | (right - lo < guard)
+                 | (hi - left < guard) | (right - hi < guard))
+        tower = np.repeat(np.arange(len(self.ends)), np.diff((0,) + self.ends))
+        dropped = np.isin(tower, tower[fails])
+        lo[dropped], hi[dropped] = math.inf, -math.inf
+        return lo, hi
 
 
 def lattice_mirror(lattice, lengths, order) -> FloatMirror:
@@ -120,19 +171,23 @@ def lattice_mirror(lattice, lengths, order) -> FloatMirror:
 
 def shadow_walk(mirror: FloatMirror, x: float, n: int, sl, xs, table=None,
                 marks=(), low: float = -math.inf) -> tuple:
-    """Walk x's float shadow for up to n verified steps: return (k, hit).
+    """Walk x's float shadow for up to n verified steps: return (k, hit,
+    checked).
 
     Fills ``sl[:k]`` with the slots and ``xs[:k + 1]`` with the points:
     ``xs[0] = x`` and ``xs[j + 1] = xs[j] + moves[sl[j]]``.  ``hit``
     means step k is guarded in its true slot: within ``guard`` of either
     end of the interval, or that close right of a mark (slot, gamma) of
     that slot.  ``table`` (a ``TowerTable`` or None) predicts the slots
-    a climb at a time; off every level the scalar walk takes up to
-    TOWER_HEIGHT steps, up to a point below the table's base or below
-    ``low``, and the walk ends early, without a hit, after a scalar step
-    to a point below ``low``.  At a predicted step that fails the guard
-    rule the scalar walk settles that one step, so a wrong prediction
-    costs one step and is then predicted again.
+    a climb at a time; a climb its bounds certify skips the guard rule,
+    the others (``checked`` counts them) apply it at every step, and
+    marks are checked at every step of both.  Off every level the
+    scalar walk takes up to TOWER_HEIGHT steps, up to a point below the
+    table's base or below ``low``, and the walk ends early, without a
+    hit, after a scalar step to a point below ``low``.  At a predicted
+    step that fails the guard rule the scalar walk settles that one
+    step, so a wrong prediction costs one step and is then predicted
+    again.
     """
     lefts_a, rights_a, moves_a = mirror.arrays
     guard = mirror.guard
@@ -140,9 +195,10 @@ def shadow_walk(mirror: FloatMirror, x: float, n: int, sl, xs, table=None,
                for slot in range(len(lefts_a))] if marks else ()
     top = max(low, table.top if table is not None else 0.0)
     xs[0] = x
-    done = 0
+    done = checked = 0
     while done < n:
-        pred = table.climb(float(xs[done])) if table is not None else _NO_WORD
+        pred, sure = (table.climb(float(xs[done])) if table is not None
+                      else _NO_CLIMB)
         steps = min(TOWER_HEIGHT, n - done)
         if len(pred):
             take = min(len(pred), n - done)
@@ -152,11 +208,15 @@ def shadow_walk(mirror: FloatMirror, x: float, n: int, sl, xs, table=None,
             moves_a.take(p, out=seg[1:], mode="clip")
             np.add.accumulate(seg, out=seg)
             at = seg[:-1]
-            bad = (at - lefts_a[p] < guard) | (rights_a[p] - at < guard)
+            bad = None
+            if not sure:
+                checked += 1
+                bad = (at - lefts_a[p] < guard) | (rights_a[p] - at < guard)
             for slot, gf in marks:
                 off = at - gf
-                bad |= (p == slot) & (0.0 <= off) & (off < guard)
-            if not bad.any():
+                near = (p == slot) & (0.0 <= off) & (off < guard)
+                bad = near if bad is None else bad | near
+            if bad is None or not bad.any():
                 done += take
                 continue
             done += int(bad.argmax())
@@ -171,8 +231,8 @@ def shadow_walk(mirror: FloatMirror, x: float, n: int, sl, xs, table=None,
             np.add.accumulate(seg, out=seg)
             done += take
         if hit or slots and end < low:
-            return done, hit
-    return n, False
+            return done, hit, checked
+    return n, False, checked
 
 
 def _scalar_walk(mirror: FloatMirror, x: float, n: int, top: float,
@@ -244,4 +304,5 @@ def _tower_table(mirror: FloatMirror) -> TowerTable:
     starts = level_lefts.argsort(kind="stable").astype(np.int32)
     level_lefts.sort(kind="stable")
     words = np.concatenate(words) if words else _NO_WORD
-    return TowerTable(top, tuple(bases), ends, level_lefts, starts, words)
+    return TowerTable(mirror, top, tuple(bases), ends, level_lefts, starts,
+                      words)

@@ -2,7 +2,7 @@
 
 import math
 from bisect import bisect_right
-from dataclasses import replace
+from dataclasses import fields, replace
 from itertools import islice
 
 import numpy as np
@@ -20,14 +20,17 @@ from iet_lab.cocycles import (FLOAT_BLOCK, ExactWalker, PiecewiseLinearCocycle,
                               forward_birkhoff, gap_statistics,
                               m_index, m_index_bruteforce,
                               mean, partition_pn, renormalize,
-                              return_time_matrix, towers,
+                              Renormalizer, return_time_matrix, towers,
                               zero_mean_version)
 from iet_lab.ergodicity import skew_simulate
-from iet_lab.errors import DomainError, NearBreakpoint
+from iet_lab.errors import DomainError, NearBreakpoint, NotNormalized
 from iet_lab.perms import make_pair, make_symmetric_pair
 from iet_lab.precision import kronecker_samples
 from iet_lab.rauzy import Iet
-from iet_lab.shadow import _TOWER_REACH, TOWER_HEIGHT, lattice_mirror
+from iet_lab.shadow import (_TOWER_REACH, TOWER_HEIGHT, lattice_mirror,
+                            shadow_walk)
+
+SYSTEMS = ["periodic4", "periodic5", "periodic7"]
 
 
 class TestApply:
@@ -230,6 +233,72 @@ class TestSevenLetterRenormalizer:
         expect = intmat.mat_vec(intmat.mat_transpose(periodic7.matrix), v)
         got = tuple(state.cocycle.values[a][0] for a in range(7))
         assert got == tuple(expect)
+
+
+def stepwise_levels(iet, coeffs, den, n):
+    """The points (coefficients, position) and letters of n steps of a
+    walker, one ``step()`` at a time."""
+    wk = ExactWalker(iet, coeffs, den)
+    points, positions, letters = [], [], []
+    for _ in range(n):
+        points.append(wk.coeff_snapshot()[0])
+        positions.append(wk.position())
+        letters.append(wk.step())
+    return points, tuple(positions), tuple(letters)
+
+
+class TestOneWalkPerLevelSet:
+    """The stage and tower levels come from one walk per letter; they are
+    ``==`` to the ones of a walk of one ``step()`` per level."""
+
+    @pytest.mark.parametrize("system", SYSTEMS)
+    def test_stage_is_the_stepwise_walk(self, request, system):
+        p = request.getfixturevalue(system)
+        lefts = depth_lattice(p, 1).lefts
+        colsums = intmat.column_sums(p.step_matrix)
+        for b, (positions, letters, _w) in enumerate(Renormalizer(p)._stage):
+            want = stepwise_levels(p.iet, lefts[b], 1, colsums[b])
+            assert (positions, letters) == want[1:]
+
+    @pytest.mark.parametrize("n", [0, 1])
+    @pytest.mark.parametrize("system", SYSTEMS)
+    def test_tower_levels_are_the_stepwise_walk(self, request, system, n):
+        p = request.getfixturevalue(system)
+        tw = towers(p, n, with_levels=True)
+        lefts = depth_lattice(p, n + 1).lefts
+        assert tw.levels == tuple(
+            stepwise_levels(p.iet, lefts[a], 1, tw.sub_height)[1]
+            for a in range(p.d))
+
+    @pytest.mark.parametrize("den", [1, 1009])
+    @pytest.mark.parametrize("n", [1, 57, TOWER_HEIGHT + 3])
+    def test_itinerary_points(self, periodic5, den, n):
+        lc, wc = depth_interval_coeffs(periodic5, 1, 2)
+        start = [den * left + den // 3 * w for left, w in zip(lc, wc)]
+        points, _positions, letters = stepwise_levels(periodic5.iet, start,
+                                                      den, n)
+        wk = ExactWalker(periodic5.iet, start, den)
+        assert wk.itinerary(n) == (letters, points)
+        oracle = ExactWalker(periodic5.iet, start, den)
+        oracle.run(n)
+        assert walker_state(wk) == walker_state(oracle)
+
+    def test_nesting_checks_stay(self, periodic4, monkeypatch):
+        monkeypatch.setattr(cocycles_module, "certified_lattice_sign",
+                            lambda iet, coeffs: 1)
+        with pytest.raises(NotNormalized, match="crosses"):
+            Renormalizer(periodic4)
+        monkeypatch.setattr(cocycles_module, "certified_lattice_sign",
+                            lambda iet, coeffs: -1)  # every level nests
+        itinerary = ExactWalker.itinerary
+
+        def last_letter_swapped(wk, n):  # one visit moved to another letter
+            letters, points = itinerary(wk, n)
+            return letters[:-1] + ((letters[-1] + 1) % wk.d,), points
+
+        monkeypatch.setattr(ExactWalker, "itinerary", last_letter_swapped)
+        with pytest.raises(NotNormalized, match="matrix"):
+            Renormalizer(periodic4)
 
 
 class TestReturnTimes:
@@ -759,9 +828,6 @@ def float_preimages(mirror, x, n):
     return out
 
 
-SYSTEMS = ["periodic4", "periodic5", "periodic7"]
-
-
 def corrupt_table(table, how):
     """A tower table that mispredicts: every level moved right by half its
     width, or the one word array reversed (each word reversed, and the
@@ -839,7 +905,7 @@ class TestTowerWalk:
             steps = block_trace(mirror, float(x0), FLOAT_BLOCK + 1)[0]
             climbs = [float(x0)] + [x for _slot, x in steps[1:]
                                     if 0.0 <= x < table.top]
-            assert any(not np.array_equal(bad.climb(x), table.climb(x))
+            assert any(not np.array_equal(bad.climb(x)[0], table.climb(x)[0])
                        for x in climbs)  # the corruption mispredicts
         x0 = float(guard_hit_starts[FLOAT_BLOCK])
         assert assert_same_walk(step_walk, mirror, x0, 2 * FLOAT_BLOCK,
@@ -877,6 +943,26 @@ class TestTowerWalk:
                 pass
         assert calls == []
 
+    def test_criterion5_climbs_are_certified(self, ctx, periodic4,
+                                             monkeypatch):
+        """No climb of criterion 5's 6 x 10^6 steps falls back to the
+        per-step check: a silent loss of the certificate fails here."""
+        iet = periodic4.iet
+        walk = cocycles_module.shadow_walk
+        checked = []
+
+        def counted(*args, **kwargs):
+            out = walk(*args, **kwargs)
+            checked.append(out[2])
+            return out
+
+        monkeypatch.setattr(cocycles_module, "shadow_walk", counted)
+        for x0 in kronecker_samples(ctx, 6, iet.total, 3):
+            for _block in float_walk(float_mirror(iet), float(x0), 10 ** 6):
+                pass
+        assert len(checked) == 6 * -(-10 ** 6 // FLOAT_BLOCK)
+        assert sum(checked) == 0
+
 
 class TestTowerTable:
     @pytest.mark.parametrize("system", SYSTEMS)
@@ -912,6 +998,139 @@ class TestTowerTable:
                     break
                 itinerary.append(slot)
             assert word.tolist() == itinerary
+
+
+def climb_trace(mirror, x, n, tables=()):
+    """One ``shadow_walk`` of n steps from x, predicted by the mirror's
+    tower table: its (slot, x) steps, the guard hit's step (None without
+    one) and its checked climbs."""
+    marks = [(slot, gf) for table in tables for slot, gf, _j in table.jumps]
+    sl, xs = np.empty(n, np.intp), np.empty(n + 1)
+    k, hit, checked = shadow_walk(mirror, x, n, sl, xs, mirror.tower_table,
+                                  marks)
+    return (list(zip(sl[:k].tolist(), xs[:k].tolist())), k if hit else None,
+            checked)
+
+
+def step_trace(step_walk, mirror, x, n, tables=()):
+    """``_step_walk``'s steps and guard hit, in ``climb_trace``'s form."""
+    steps = []
+    try:
+        for step in step_walk(mirror, x, n, tables):
+            steps.append(step)
+    except NearBreakpoint as hit:
+        return steps, hit.step_index
+    return steps, None
+
+
+def sample_positions(table, count, seed=14):
+    """Word positions to start from: every tower's base and top level
+    and ``count`` seeded others."""
+    heads = (0,) + table.ends[:-1]
+    tops = [end - 1 for end in table.ends]
+    rng = np.random.default_rng(seed)
+    return sorted({*heads, *tops,
+                   *rng.integers(0, len(table.words), count).tolist()})
+
+
+class TestClimbCertificate:
+    """A climb the tower table's bounds certify skips the per-step guard
+    rule and is still the per-step walk, ``==``; a start the bounds do
+    not cover is checked step by step."""
+
+    @pytest.mark.parametrize("system", SYSTEMS)
+    def test_every_bundled_level_certified(self, request, system):
+        table = float_mirror(request.getfixturevalue(system).iet).tower_table
+        lo, hi = table.bounds
+        assert lo.shape == hi.shape == table.words.shape
+        assert lo.dtype == hi.dtype == np.float64  # 16 bytes per level
+        assert np.all(lo <= hi)
+        # the bounds are built from the object's own words: not a field,
+        # so a copy never inherits them
+        assert "bounds" not in {f.name for f in fields(table)}
+        assert replace(table).bounds[0] is not lo
+
+    @pytest.mark.parametrize("system", SYSTEMS)
+    def test_starts_at_the_bounds(self, request, step_walk, system):
+        """Starts at lo[s] and hi[s] are certified, starts one ulp
+        outside them are not; each walks the rest of its word."""
+        mirror = float_mirror(request.getfixturevalue(system).iet)
+        table = mirror.tower_table
+        lo, hi = table.bounds
+        for s in sample_positions(table, 4):
+            rest = table.ends[bisect_right(table.ends, s)] - s
+            for x, inside in ((lo[s], True), (hi[s], True),
+                              (np.nextafter(lo[s], -np.inf), False),
+                              (np.nextafter(hi[s], np.inf), False)):
+                x = float(x)
+                word, sure = table.climb(x)
+                assert (len(word), sure) == (rest, inside)
+                steps, hit, checked = climb_trace(mirror, x, rest)
+                assert (steps, hit) == step_trace(step_walk, mirror, x, rest)
+                assert (hit, checked) == (None, int(not inside))
+
+    @pytest.mark.parametrize("system", SYSTEMS)
+    def test_starts_near_level_edges(self, request, step_walk, system):
+        """Starts within 2 guard of either end of a level are not
+        certified; checked step by step, they walk as the per-step walk,
+        into the guard band where a level end meets a breakpoint."""
+        mirror = float_mirror(request.getfixturevalue(system).iet)
+        table = mirror.tower_table
+        g = mirror.guard
+        level = np.argsort(table.starts)  # word position -> level
+        hits = []
+        for s in sample_positions(table, 2):
+            t = bisect_right(table.ends, s)
+            a, b = table.bases[t]
+            left = float(table.lefts[level[s]])
+            right = left + (b - a)
+            for x in (left, left + g / 2, left + g, left + 1.5 * g,
+                      right - 1.5 * g, right - g, right - g / 2):
+                word, sure = table.climb(x)
+                assert len(word) == table.ends[t] - s and not sure
+                got = climb_trace(mirror, x, len(word))
+                assert got[:2] == step_trace(step_walk, mirror, x, len(word))
+                assert got[2] >= 1
+                hits.append(got[1])
+        assert any(hit is not None for hit in hits)
+
+    def test_guard_hits_are_never_certified(self, periodic4, step_walk,
+                                            guard_hit_starts):
+        """A climb that reaches the guard band is checked step by step."""
+        mirror = float_mirror(periodic4.iet)
+        for k, x0 in guard_hit_starts.items():
+            steps, hit, checked = climb_trace(mirror, float(x0), k + 1)
+            assert (steps, hit) == step_trace(step_walk, mirror, float(x0),
+                                              k + 1)
+            assert hit == k and checked >= 1
+
+    def test_marks_checked_in_certified_climbs(self, ctx, periodic4,
+                                               step_walk, lane_cocycles4):
+        """Jump marks are checked at every step of a certified climb."""
+        iet = periodic4.iet
+        mirror = float_mirror(iet)
+        tables = [float_table(phi, mirror) for phi in lane_cocycles4.values()]
+        for x0 in kronecker_samples(ctx, 3, iet.total, 9):
+            got = climb_trace(mirror, float(x0), FLOAT_BLOCK, tables)
+            assert got[:2] == step_trace(step_walk, mirror, float(x0),
+                                         FLOAT_BLOCK, tables)
+            assert got[1:] == (None, 0)
+        for _slot, gf, _j in tables[1].jumps:
+            x0 = float_preimages(mirror, gf + mirror.guard / 2, 5000)[5000]
+            got = climb_trace(mirror, x0, FLOAT_BLOCK, tables)
+            assert got[:2] == step_trace(step_walk, mirror, x0, FLOAT_BLOCK,
+                                         tables)
+            assert got[1:] == (5000, 0)  # only the mark check fires
+
+    @pytest.mark.parametrize("system", SYSTEMS)
+    def test_corrupt_tables(self, request, system):
+        """Swapped words certify no position; shifted levels keep the
+        table's bounds, since only their lookup is wrong."""
+        table = float_mirror(request.getfixturevalue(system).iet).tower_table
+        lo, hi = corrupt_table(table, "swapped-words").bounds
+        assert not np.any(lo <= hi)
+        shifted = corrupt_table(table, "shifted-levels").bounds
+        assert all(map(np.array_equal, shifted, table.bounds))
 
 
 def lattice_preimage(iet, coeffs, den, k):
@@ -1069,7 +1288,7 @@ class TestWalkerKernel:
         assert wk.run(n) == tuple(oracle.counts)
         assert walker_state(wk) == walker_state(oracle)
         climbs = points[:1] + [x for x in points if 0.0 <= x < table.top]
-        assert any(not np.array_equal(bad.climb(x), table.climb(x))
+        assert any(not np.array_equal(bad.climb(x)[0], table.climb(x)[0])
                    for x in climbs)  # the corruption mispredicts
 
     @pytest.mark.parametrize("pi0, pi1, lengths", [
@@ -1106,6 +1325,48 @@ class TestWalkerKernel:
                                         float(p.step_scale ** -k))
             assert wk.steps == sum(column)
         assert list(counts) == column
+
+
+    @pytest.mark.parametrize("d, k, b, how", [
+        (4, 4, 3, "return"), (5, 3, 0, "birkhoff"), (7, 4, 5, "return"),
+        (7, 3, 2, "birkhoff")])
+    def test_full_climbs_take_no_checked_climb(self, request, d, k, b, how):
+        """The benchmark's four climbs are certified climb by climb."""
+        p = request.getfixturevalue(f"periodic{d}")
+        lc, wc = depth_interval_coeffs(p, k, b)
+        wk = ExactWalker(p.iet, [1009 * left + 500 * w
+                                 for left, w in zip(lc, wc)], 1009)
+        height = sum(row[b] for row in intmat.matpow(p.step_matrix, k))
+        if how == "birkhoff":
+            wk.run(height)
+        else:
+            wk.run_until_below(depth_total_coeffs(p, k),
+                               float(p.step_scale ** -k))
+        assert (wk.steps, wk.escalations, wk.checked) == (height, 0, 0)
+
+    def test_checked_counts_climbs(self, periodic4, monkeypatch):
+        """Under a table that certifies nothing, each predicted climb is
+        checked step by step and counted once, not once per step."""
+        iet = periodic4.iet
+        mirror = float_mirror(iet)
+        bad = corrupt_table(mirror.tower_table, "swapped-words")
+        monkeypatch.setitem(vars(mirror), "tower_table", bad)
+        climbs = []
+        climb = shadow_module.TowerTable.climb
+
+        def counted(table, x):
+            word, sure = climb(table, x)
+            climbs.append(len(word) > 0 and not sure)
+            return word, sure
+
+        monkeypatch.setattr(shadow_module.TowerTable, "climb", counted)
+        lc, wc = depth_interval_coeffs(periodic4, 1, 2)
+        start = [1009 * left + 500 * w for left, w in zip(lc, wc)]
+        oracle, wk = (ExactWalker(iet, start, 1009) for _ in range(2))
+        n = FLOAT_BLOCK + 1
+        assert wk.run(n) == eager_run(oracle, n)
+        assert walker_state(wk) == walker_state(oracle)
+        assert 0 < wk.checked == sum(climbs) < n
 
 
 class TestOneMirror:

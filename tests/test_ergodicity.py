@@ -15,7 +15,8 @@ from iet_lab.ergodicity import (CENTRAL_UNDETERMINED, COBOUNDARY,
                                 compose_linear, dense_image_matrix,
                                 essential_value_probe, fixed_space_basis,
                                 lattice_containment, skew_simulate,
-                                special_flow_step, _decade_bins)
+                                special_flow_step, _decade_histogram,
+                                _BIN_FLOORS)
 from iet_lab.errors import (DomainError, EmptyFixedSpace, NearBreakpoint,
                             NotZeroMean)
 from iet_lab.precision import kronecker_samples
@@ -372,7 +373,10 @@ class TestBlockSkew:
         assert block == skew_oracle(iet, phi, starts, 3000, step_walk, eps)
 
     def test_decade_bins_match_log10_rule(self):
-        norms = [1e-6]
+        """The histogram counts each norm in its ``scalar_bin``: 64 ulps
+        either side of every power of ten, every bin floor and 1e-6 and
+        one ulp either side, 0.0 and norms from 1e2 up."""
+        norms = [0.0, 1e-6, 1e2, 1e5, 1e300]
         for k in range(-6, 4):
             x = up = 10.0 ** k
             for _ in range(64):
@@ -380,8 +384,14 @@ class TestBlockSkew:
                 up = math.nextafter(up, math.inf)
                 norms += [x, up]
             norms.append(10.0 ** k)
-        got = _decade_bins(np.array(norms)).tolist()
-        assert got == [scalar_bin(n) for n in norms]
+        for edge in [1e-6, *_BIN_FLOORS.tolist()]:
+            norms += [math.nextafter(edge, 0.0), edge,
+                      math.nextafter(edge, math.inf)]
+        for n in norms:  # each norm alone: one count, in its bin
+            assert _decade_histogram(np.array([n])).tolist() == \
+                [int(k == scalar_bin(n)) for k in range(10)]
+        want = np.bincount([scalar_bin(n) for n in norms], minlength=10)
+        assert _decade_histogram(np.array(norms)).tolist() == want.tolist()
 
     @pytest.mark.parametrize("values", [(1e308, 1e308, 1e308, 1e308),
                                         (1e308, -1e308, 1e308, -1e308)],
