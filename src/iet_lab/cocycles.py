@@ -10,9 +10,13 @@ the guard rule, for a whole climb at once where the tower table's
 bounds certify it and step by step elsewhere, so both engines see a
 per-step walk bit for bit.  The exact engine (``ExactWalker``) carries
 positions as integer combinations of the length vector, resynchronizes
-the shadow from them and settles a guarded step by high-precision
-signs, so its visit counts are exact.  The float lane (``float_walk``)
-serves
+the shadow from them and settles a guarded step by exact signs, so its
+visit counts are exact.  Every stored length is a dyadic rational, so
+one integer dot of a coefficient vector with the lengths' mantissas
+(``RealVector.int_dot``) gives a lattice value exactly: its sign is
+``certified_lattice_sign``, and a resync float, like every mirror entry,
+is that value rounded once to the nearest float.  The float lane
+(``float_walk``) serves
 ``deviation_sweep`` and the skew-product simulation: a guarded point,
 at any step including the first, or one within GUARD * |I| right of a
 step cocycle's jump in its interval, skips its sample (counted), so
@@ -241,11 +245,6 @@ def sup_norm(cocycle: Cocycle, iet: Iet):
 # float geometry and the exact orbit engine
 
 
-def float_mirror(iet: Iet) -> FloatMirror:
-    """The exchange's float geometry, built once per exchange."""
-    return iet.mirror
-
-
 class ExactWalker:
     """Forward orbit with positions as integer combinations of the lengths.
 
@@ -254,16 +253,19 @@ class ExactWalker:
     and never drifts.  Intervals are located on the float shadow of the
     walked exchange's ``FloatMirror`` (``Iet.mirror`` at depth 0):
     ``shadow_walk`` walks it in verified chunks that end at the resyncs,
-    every RESYNC steps, where the shadow is reset from the exact
-    position; a step the mirror's guard rule flags is settled by exact
-    signs.  Since the position is linear in the visit counts, a chunk's
-    slots are counted by one bincount and folded into ``coeffs`` and
-    ``counts`` before the exact position is read (escalation, resync,
-    guard-band threshold check) and when the walk returns; between
-    walks both are exact.  ``escalations`` counts exact settles
+    every RESYNC steps, where the shadow is reset to the exact position
+    rounded once to the nearest float; a step the mirror's guard rule
+    flags is settled by exact signs.  Since the position is linear in
+    the visit counts, a chunk's slots are counted by one bincount and
+    folded into ``coeffs`` and ``counts`` before the exact position is
+    read (escalation, resync, guard-band threshold check) and when the
+    walk returns; between walks both are exact.  ``escalations`` counts exact settles
     (``_locate_exact`` calls and guard-band threshold checks),
     ``resyncs`` the resyncs and ``checked`` the predicted climbs the
-    tower table's bounds did not certify, checked step by step.
+    tower table's bounds did not certify, checked step by step.  A
+    start outside [0, |I|) of the walked exchange, or an exchange with a
+    width that is not positive for the stored lengths (deep enough
+    inverse period powers outrun the lengths' precision), is refused.
     """
 
     RESYNC = 4096
@@ -298,7 +300,8 @@ class ExactWalker:
         self.coeffs = [int(c) for c in coeffs]
         if len(self.coeffs) != d:
             raise DomainError("coefficient vector must have length d")
-        self.lam_mpf = iet.lengths.values
+        if self.den < 1:
+            raise DomainError("denominator must be positive")
         self.mirror = mirror
         self.left_coeffs = lattice.lefts
         self.w_coeffs = [tuple(i - l for i, l in zip(img, left))
@@ -309,14 +312,35 @@ class ExactWalker:
         self.resyncs = 0
         self.checked = 0
         self._trail = None  # the slots walked, while ``itinerary`` asks
-        self.x_f = self._exact_float()
+        self.x_f = self._checked_start(lattice.widths, lattice.total)
 
-    def _exact_mpf(self):
-        ctx = self.iet.ctx
-        return ctx.dot_int(self.coeffs, self.lam_mpf) / self.den
+    def _checked_start(self, widths, total) -> float:
+        """The start's float, once the widths and the start are checked.
+
+        Mirror entries and the start's float are correctly rounded, and
+        rounding is monotone: where two floats differ they order the
+        exact values, and an integer sign settles a tie.
+        """
+        m, lengths = self.mirror, self.iet.lengths
+        for slot, (left, right) in enumerate(zip(m.lefts, m.rights)):
+            if not left < right and (
+                    right < left
+                    or lengths.int_dot(widths[m.letters[slot]]) <= 0):
+                raise DomainError(
+                    f"the walked exchange has a width that is not positive "
+                    f"for the stored {self.iet.ctx.bits}-bit lengths")
+        n = lengths.int_dot(self.coeffs)
+        x = lengths.exact_float(n, self.den)
+        if n < 0 or x > m.rights[-1] or (
+                x == m.rights[-1] and n >= self.den * lengths.int_dot(total)):
+            raise DomainError("walker start outside [0, |I|) of the "
+                              "exchange it walks")
+        return x
 
     def _exact_float(self) -> float:
-        return float(self._exact_mpf())
+        """The exact position rounded once to the nearest float."""
+        lengths = self.iet.lengths
+        return lengths.exact_float(lengths.int_dot(self.coeffs), self.den)
 
     def _exact_side(self, endpoint_coeffs) -> int:
         """Sign of (position - endpoint); 0 only for exact lattice equality."""
@@ -354,10 +378,6 @@ class ExactWalker:
         self.escalations += 1
         diff = [self.den * t - c for c, t in zip(self.coeffs, threshold_coeffs)]
         return certified_lattice_sign(self.iet, diff) > 0
-
-    def position(self):
-        """Current position as an exact context real."""
-        return self._exact_mpf()
 
     def coeff_snapshot(self) -> tuple:
         return tuple(self.coeffs), self.den
@@ -459,28 +479,15 @@ class ExactWalker:
 def certified_lattice_sign(iet: Iet, coeffs) -> int:
     """Exact sign of an integer combination of the stored lengths.
 
-    The stored lengths are dyadic rationals, so a wide-enough mantissa
-    makes the weighted sum exact; the fast path only needs the working
-    precision when the value clears a rounding margin.  Zero means the
-    combination vanishes for the simulated lengths (a genuine boundary
-    hit, handled by the left-closed convention).
+    The stored lengths are dyadic rationals, mantissas times one power
+    of two, so the combination is that power of two times the integer
+    dot of the coefficients with the mantissas, and its sign is the
+    integer's.  Zero means the combination vanishes for the simulated
+    lengths (a genuine boundary hit, handled by the left-closed
+    convention).
     """
-    if all(c == 0 for c in coeffs):
-        return 0
-    ctx = iet.ctx
-    val = ctx.dot_int(coeffs, iet.lengths.values)
-    scale = max(abs(c) for c in coeffs)
-    margin = ctx.mp.mpf(2) ** (-(ctx.bits - 16)) * max(scale, 1)
-    if abs(val) > margin:
-        return 1 if val > 0 else -1
-    # widen until the dyadic sum is exact: mantissas + coefficient bits
-    extra = 64 + max(abs(c) for c in coeffs).bit_length()
-    wide = ctx.spawn(ctx.bits + extra)
-    lam_wide = [wide.real(v) for v in iet.lengths.values]
-    val = wide.dot_int(coeffs, lam_wide)
-    if val == 0:
-        return 0
-    return 1 if val > 0 else -1
+    n = iet.lengths.int_dot(coeffs)
+    return (n > 0) - (n < 0)
 
 
 def depth_lattice(periodic: PeriodicIet, n: int) -> DepthLattice:
@@ -1185,7 +1192,7 @@ def deviation_sweep(iet: Iet, cocycles, n_max: int, samples: int = 8,
     mirror with its tower table built once here; the merge is a
     pointwise maximum, so results match the serial run exactly.
     """
-    mirror = float_mirror(iet)
+    mirror = iet.mirror
     checkpoints = _geometric_checkpoints(n_max)
     starts = kronecker_samples(iet.ctx, samples, iet.total, seed)
     tables = [float_table(c, mirror) for c in cocycles]

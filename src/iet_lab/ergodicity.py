@@ -18,8 +18,7 @@ import numpy as np
 
 from . import intmat
 from .cocycles import (Cocycle, PiecewiseLinearCocycle, Renormalizer,
-                       StepCocycle, evaluate, float_mirror, float_table,
-                       float_walk)
+                       StepCocycle, evaluate, float_table, float_walk)
 from .errors import (DomainError, EmptyFixedSpace, NearBreakpoint,
                      NotZeroMean, Unsupported)
 from .precision import PrecisionContext, kronecker_samples
@@ -355,7 +354,7 @@ def skew_simulate(iet: Iet, cocycle: Cocycle, x0_list, n_steps: int,
         raise DomainError("need >= 1 sample start, got none")
     if n_steps < 1:
         raise DomainError(f"walk length must be >= 1, got {n_steps}")
-    mirror = float_mirror(iet)
+    mirror = iet.mirror
     table = float_table(cocycle, mirror)
     eps_sorted = sorted(set(eps_list), reverse=True)  # a repeat counts once
     hits = {e: 0 for e in eps_sorted}

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from operator import mul
 from typing import Iterable, Sequence
 
 from mpmath.ctx_mp import MPContext
@@ -54,7 +56,10 @@ class PrecisionContext:
         return RealVector(tuple(self.real(x) for x in xs), self)
 
     def dot_int(self, coeffs: Sequence[int], values: Sequence):
-        """Exact-integer-weighted sum of mpf values (single rounding via fsum)."""
+        """Integer-weighted sum of mpf values at working precision: each
+        product ``c * v`` is rounded, then fsum adds the rounded terms.
+        Exact signs and floats of such sums come from
+        ``RealVector.int_dot`` instead."""
         return self.mp.fsum(c * v for c, v in zip(coeffs, values) if c)
 
     def str_of(self, x, digits: int | None = None) -> str:
@@ -97,6 +102,27 @@ class RealVector:
 
     def __getitem__(self, i):
         return self.values[i]
+
+    @cached_property
+    def int_form(self) -> tuple:
+        """(mantissas, exp) with ``values[j] == mantissas[j] * 2**exp``
+        exactly, one exponent for all: every mpf is a dyadic rational, so
+        (c . values) / den is the exact rational
+        ``int_dot(c) * 2**exp / den``."""
+        pairs = [v.man_exp for v in self.values]  # |mantissa|, exponent
+        exp = min((e for m, e in pairs if m), default=0)
+        return tuple(-m << (e - exp) if v < 0 else m << (e - exp)
+                     for v, (m, e) in zip(self.values, pairs)), exp
+
+    def int_dot(self, coeffs: Sequence[int]) -> int:
+        """(coeffs . values) / 2**exp, exactly, as one Python int."""
+        return sum(map(mul, coeffs, self.int_form[0]))
+
+    def exact_float(self, n: int, den: int = 1) -> float:
+        """The float nearest to ``n * 2**exp / den`` (``n`` from
+        ``int_dot``): one int/int division, which rounds correctly."""
+        exp = self.int_form[1]
+        return (n << exp) / den if exp >= 0 else n / (den << -exp)
 
     def norm_max(self):
         return max(abs(v) for v in self.values)

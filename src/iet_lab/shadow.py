@@ -2,7 +2,11 @@
 
 ``FloatMirror`` holds an exchange's intervals as floats, in position
 order; ``lattice_mirror`` rounds it from integer lattice data, and
-``Iet.mirror`` keeps the depth-0 one, built once per exchange.  Both
+``Iet.mirror`` keeps the depth-0 one, built once per exchange.  Each
+entry is the exact lattice value rounded once to the nearest float: an
+integer dot of the coefficients with the lengths' mantissas
+(``RealVector.int_dot``) over a power of two, so a mirror is correctly
+rounded at any depth, however large the coefficients of A^-n grow.  Both
 engines locate a point x in slot ``bisect_right(lefts, x, 1) - 1`` and
 guard it within GUARD * |I| of either end of that interval, |I| the
 total length of the exchange walked.
@@ -158,13 +162,14 @@ class TowerTable:
 
 def lattice_mirror(lattice, lengths, order) -> FloatMirror:
     """Float geometry of ``lattice`` (a ``rauzy.DepthLattice``) over the
-    lengths, slots in ``order``."""
-    dot, lam = lengths.ctx.dot_int, lengths.values
-    lefts = [dot(lattice.lefts[a], lam) for a in order]
-    moves = tuple(float(dot(lattice.image_lefts[a], lam) - left)
+    lengths (a ``precision.RealVector``), slots in ``order``: every entry
+    is the correctly rounded exact value, at any depth."""
+    dot, fl = lengths.int_dot, lengths.exact_float
+    lefts = [dot(lattice.lefts[a]) for a in order]
+    moves = tuple(fl(dot(lattice.image_lefts[a]) - left)
                   for a, left in zip(order, lefts))
-    lefts = tuple(map(float, lefts))
-    total = float(dot(lattice.total, lam))
+    lefts = tuple(map(fl, lefts))
+    total = fl(dot(lattice.total))
     return FloatMirror(lefts, lefts[1:] + (total,), moves, tuple(order),
                        GUARD * total)
 

@@ -5,8 +5,7 @@ from bisect import bisect_right
 import pytest
 
 from iet_lab.cocycles import (FLOAT_BLOCK, PiecewiseLinearCocycle,
-                              Renormalizer, StepCocycle, float_mirror,
-                              zero_mean_version)
+                              Renormalizer, StepCocycle, zero_mean_version)
 from iet_lab.errors import NearBreakpoint
 from iet_lab.perms import make_symmetric_pair
 from iet_lab.precision import PrecisionContext
@@ -106,7 +105,7 @@ def guard_hit_starts(ctx, periodic4):
     backward orbit of that point, walked at working precision).
     """
     iet = periodic4.iet
-    target = iet.left[1] + ctx.real(float_mirror(iet).guard / 2)
+    target = iet.left[1] + ctx.real(iet.mirror.guard / 2)
     steps = (0, 5000, FLOAT_BLOCK - 1, FLOAT_BLOCK, FLOAT_BLOCK + 1)
     back = iet.orbit(target, -max(steps))
     return {k: back[k] for k in steps}

@@ -3,6 +3,7 @@
 import math
 from bisect import bisect_right
 from dataclasses import fields, replace
+from fractions import Fraction
 from itertools import islice
 
 import numpy as np
@@ -16,7 +17,7 @@ from iet_lab.cocycles import (FLOAT_BLOCK, ExactWalker, PiecewiseLinearCocycle,
                               birkhoff_visit_counts, certified_lattice_sign,
                               depth_interval_coeffs, depth_lattice,
                               depth_total_coeffs, deviation_sweep, evaluate,
-                              float_mirror, float_table, float_walk,
+                              float_table, float_walk,
                               forward_birkhoff, gap_statistics,
                               m_index, m_index_bruteforce,
                               mean, partition_pn, renormalize,
@@ -25,8 +26,9 @@ from iet_lab.cocycles import (FLOAT_BLOCK, ExactWalker, PiecewiseLinearCocycle,
 from iet_lab.ergodicity import skew_simulate
 from iet_lab.errors import DomainError, NearBreakpoint, NotNormalized
 from iet_lab.perms import make_pair, make_symmetric_pair
-from iet_lab.precision import kronecker_samples
-from iet_lab.rauzy import Iet
+from iet_lab.precision import PrecisionContext, kronecker_samples
+from iet_lab.rauzy import Iet, build_periodic_from_matrix
+from iet_lab.repro import FIVE_MATRIX
 from iet_lab.shadow import (_TOWER_REACH, TOWER_HEIGHT, lattice_mirror,
                             shadow_walk)
 
@@ -242,7 +244,8 @@ def stepwise_levels(iet, coeffs, den, n):
     points, positions, letters = [], [], []
     for _ in range(n):
         points.append(wk.coeff_snapshot()[0])
-        positions.append(wk.position())
+        positions.append(iet.ctx.dot_int(points[-1], iet.lengths.values)
+                         / den)
         letters.append(wk.step())
     return points, tuple(positions), tuple(letters)
 
@@ -320,7 +323,7 @@ class TestReturnTimes:
         monkeypatch.setattr(intmat, "inverse_unimodular", counted)
         for level in (1, 2, 3):
             before = len(calls)
-            ExactWalker.at_depth(periodic4, level, [1, 0, 0, 0])
+            ExactWalker.at_depth(periodic4, level, [0, 0, 0, 0])
             assert len(calls) - before == 1
             depth_interval_coeffs(periodic4, level, 2)
             assert len(calls) - before == 2
@@ -334,7 +337,7 @@ class TestReturnTimes:
             iet = p.iet
             for wk in (ExactWalker(iet, [0] * p.d),
                        ExactWalker.at_depth(p, 0, [0] * p.d)):
-                assert wk.mirror is float_mirror(iet) is iet.mirror
+                assert wk.mirror is iet.mirror
             assert iet.mirror == lattice_mirror(depth_lattice(p, 0),
                                                 iet.lengths, iet.order0)
 
@@ -359,7 +362,7 @@ class TestGuardRule:
     def test_same_decision_at_every_endpoint(self, request, system, depth):
         p = request.getfixturevalue(system)
         wk = ExactWalker.at_depth(p, depth, [0] * p.d)
-        mirror = float_mirror(p.iet) if depth == 0 else wk.mirror
+        mirror = p.iet.mirror if depth == 0 else wk.mirror
         escalations = []
         wk._locate_exact = lambda: escalations.append(wk.x_f) or 0
         g = mirror.guard
@@ -761,7 +764,7 @@ class TestBlockWalk:
     def test_blocks_concatenate_to_step_walk(self, ctx, periodic4, step_walk,
                                              lane_cocycles4, n):
         iet = periodic4.iet
-        mirror = float_mirror(iet)
+        mirror = iet.mirror
         tables = [float_table(phi, mirror) for phi in lane_cocycles4.values()]
         x0 = float(kronecker_samples(ctx, 1, iet.total, 5)[0])
         blocks = list(float_walk(mirror, x0, n, tables))
@@ -774,7 +777,7 @@ class TestBlockWalk:
 
     def test_guard_hit_reports_its_step(self, periodic4, step_walk,
                                         guard_hit_starts):
-        mirror = float_mirror(periodic4.iet)
+        mirror = periodic4.iet.mirror
         assert FLOAT_BLOCK in guard_hit_starts
         for k, x0 in guard_hit_starts.items():
             for walk in (float_walk, step_walk):
@@ -855,7 +858,7 @@ class TestTowerWalk:
     def test_matches_step_walk(self, request, ctx, step_walk, lane_cocycles4,
                                system, n):
         p = request.getfixturevalue(system)
-        mirror = float_mirror(p.iet)
+        mirror = p.iet.mirror
         tables = [float_table(phi, mirror) for phi in lane_cocycles4.values()
                   ] if p.d == 4 else []
         if n >= FLOAT_BLOCK - 1:  # longer than a climb: crosses returns
@@ -871,7 +874,7 @@ class TestTowerWalk:
         step 0, mid-chunk, at the block edges and after a tower return
         (for the mark in J: on a return)."""
         p = request.getfixturevalue(system)
-        mirror = float_mirror(p.iet)
+        mirror = p.iet.mirror
         g, top = mirror.guard, mirror.tower_table.top
         marks = (top / 3, (mirror.lefts[1] + mirror.rights[1]) / 2)
         phi = StepCocycle(1, ((0,),) * p.d,
@@ -893,7 +896,7 @@ class TestTowerWalk:
                                            lane_cocycles4, guard_hit_starts,
                                            corrupt, monkeypatch):
         iet = periodic4.iet
-        mirror = float_mirror(iet)
+        mirror = iet.mirror
         table = mirror.tower_table
         bad = corrupt_table(table, corrupt)
         # the cached property's slot, on the exchange's one mirror
@@ -917,7 +920,7 @@ class TestTowerWalk:
     ], ids=["rational-rotation", "reducible"])
     def test_non_minimal_exchange(self, ctx, step_walk, pi0, pi1, lengths):
         iet = Iet(make_pair(pi0, pi1), ctx.vector(map(ctx.real, lengths)))
-        mirror = float_mirror(iet)
+        mirror = iet.mirror
         table = mirror.tower_table  # the build ends
         covered = sum(len(w) * (b - a)
                       for (a, b), w in zip(table.bases, tower_words(table)))
@@ -931,7 +934,7 @@ class TestTowerWalk:
         """Every climb of criterion 5's 6 x 10^6 steps is predicted by a
         tower: a silent slowdown to walked words fails here."""
         iet = periodic4.iet
-        mirror = float_mirror(iet)
+        mirror = iet.mirror
         assert len(mirror.tower_table.words)  # the build walks its own words
         walked = shadow_module._scalar_walk
         calls = []
@@ -958,7 +961,7 @@ class TestTowerWalk:
 
         monkeypatch.setattr(cocycles_module, "shadow_walk", counted)
         for x0 in kronecker_samples(ctx, 6, iet.total, 3):
-            for _block in float_walk(float_mirror(iet), float(x0), 10 ** 6):
+            for _block in float_walk(iet.mirror, float(x0), 10 ** 6):
                 pass
         assert len(checked) == 6 * -(-10 ** 6 // FLOAT_BLOCK)
         assert sum(checked) == 0
@@ -968,7 +971,7 @@ class TestTowerTable:
     @pytest.mark.parametrize("system", SYSTEMS)
     def test_kac_identity(self, request, system):
         p = request.getfixturevalue(system)
-        mirror = float_mirror(p.iet)
+        mirror = p.iet.mirror
         table = mirror.tower_table
         total = mirror.rights[-1]
         covered = math.fsum(len(w) * (b - a) for (a, b), w in
@@ -987,7 +990,7 @@ class TestTowerTable:
     def test_words_are_first_return_itineraries(self, request, step_walk,
                                                 system):
         p = request.getfixturevalue(system)
-        mirror = float_mirror(p.iet)
+        mirror = p.iet.mirror
         table = mirror.tower_table
         assert table.bases[0][0] == 0.0 and table.bases[-1][1] == table.top
         for (a, b), word in zip(table.bases, tower_words(table)):
@@ -1040,7 +1043,7 @@ class TestClimbCertificate:
 
     @pytest.mark.parametrize("system", SYSTEMS)
     def test_every_bundled_level_certified(self, request, system):
-        table = float_mirror(request.getfixturevalue(system).iet).tower_table
+        table = request.getfixturevalue(system).iet.mirror.tower_table
         lo, hi = table.bounds
         assert lo.shape == hi.shape == table.words.shape
         assert lo.dtype == hi.dtype == np.float64  # 16 bytes per level
@@ -1054,7 +1057,7 @@ class TestClimbCertificate:
     def test_starts_at_the_bounds(self, request, step_walk, system):
         """Starts at lo[s] and hi[s] are certified, starts one ulp
         outside them are not; each walks the rest of its word."""
-        mirror = float_mirror(request.getfixturevalue(system).iet)
+        mirror = request.getfixturevalue(system).iet.mirror
         table = mirror.tower_table
         lo, hi = table.bounds
         for s in sample_positions(table, 4):
@@ -1074,7 +1077,7 @@ class TestClimbCertificate:
         """Starts within 2 guard of either end of a level are not
         certified; checked step by step, they walk as the per-step walk,
         into the guard band where a level end meets a breakpoint."""
-        mirror = float_mirror(request.getfixturevalue(system).iet)
+        mirror = request.getfixturevalue(system).iet.mirror
         table = mirror.tower_table
         g = mirror.guard
         level = np.argsort(table.starts)  # word position -> level
@@ -1097,7 +1100,7 @@ class TestClimbCertificate:
     def test_guard_hits_are_never_certified(self, periodic4, step_walk,
                                             guard_hit_starts):
         """A climb that reaches the guard band is checked step by step."""
-        mirror = float_mirror(periodic4.iet)
+        mirror = periodic4.iet.mirror
         for k, x0 in guard_hit_starts.items():
             steps, hit, checked = climb_trace(mirror, float(x0), k + 1)
             assert (steps, hit) == step_trace(step_walk, mirror, float(x0),
@@ -1108,7 +1111,7 @@ class TestClimbCertificate:
                                                step_walk, lane_cocycles4):
         """Jump marks are checked at every step of a certified climb."""
         iet = periodic4.iet
-        mirror = float_mirror(iet)
+        mirror = iet.mirror
         tables = [float_table(phi, mirror) for phi in lane_cocycles4.values()]
         for x0 in kronecker_samples(ctx, 3, iet.total, 9):
             got = climb_trace(mirror, float(x0), FLOAT_BLOCK, tables)
@@ -1126,7 +1129,7 @@ class TestClimbCertificate:
     def test_corrupt_tables(self, request, system):
         """Swapped words certify no position; shifted levels keep the
         table's bounds, since only their lookup is wrong."""
-        table = float_mirror(request.getfixturevalue(system).iet).tower_table
+        table = request.getfixturevalue(system).iet.mirror.tower_table
         lo, hi = corrupt_table(table, "swapped-words").bounds
         assert not np.any(lo <= hi)
         shifted = corrupt_table(table, "shifted-levels").bounds
@@ -1273,7 +1276,7 @@ class TestWalkerKernel:
     def test_corrupt_table_changes_nothing(self, periodic4, monkeypatch,
                                            corrupt):
         iet = periodic4.iet
-        mirror = float_mirror(iet)
+        mirror = iet.mirror
         table = mirror.tower_table
         bad = corrupt_table(table, corrupt)
         monkeypatch.setitem(vars(mirror), "tower_table", bad)
@@ -1348,7 +1351,7 @@ class TestWalkerKernel:
         """Under a table that certifies nothing, each predicted climb is
         checked step by step and counted once, not once per step."""
         iet = periodic4.iet
-        mirror = float_mirror(iet)
+        mirror = iet.mirror
         bad = corrupt_table(mirror.tower_table, "swapped-words")
         monkeypatch.setitem(vars(mirror), "tower_table", bad)
         climbs = []
@@ -1386,7 +1389,7 @@ class TestOneMirror:
         skew_simulate(p.iet, phi, None, n)
         wk = ExactWalker.at_depth(p, 0, p.iet.lattice.lefts[1])
         wk.run(n)
-        assert wk.mirror is float_mirror(p.iet)
+        assert wk.mirror is p.iet.mirror
         assert builds == [p.iet.mirror]
 
     def test_workers_match_serial(self, periodic4, lane_cocycles4):
@@ -1395,8 +1398,213 @@ class TestOneMirror:
         n = 2 * TOWER_HEIGHT
         two = deviation_sweep(p.iet, cocycles, n, samples=3, workers=2)
         # built once here and sent built to the workers
-        assert "tower_table" in vars(float_mirror(p.iet))
+        assert "tower_table" in vars(p.iet.mirror)
         assert two == deviation_sweep(p.iet, cocycles, n, samples=3)
+
+
+def exact_dot(lengths, coeffs) -> Fraction:
+    """(coeffs . lengths) as a Fraction, from each mpf's raw (sign,
+    mantissa, exponent) tuple."""
+    out = Fraction(0)
+    for c, v in zip(coeffs, lengths.values):
+        sign, man, exp, _bc = v._mpf_
+        out += c * (-1) ** sign * man * Fraction(2) ** exp
+    return out
+
+
+def exact_mirror(p, lat):
+    """The mirror's entries, (lefts, moves, total), each the float of the
+    exact Fraction."""
+    lam, order = p.iet.lengths, p.iet.order0
+    lefts = [exact_dot(lam, lat.lefts[a]) for a in order]
+    moves = [exact_dot(lam, lat.image_lefts[a]) - left
+             for a, left in zip(order, lefts)]
+    return (tuple(map(float, lefts)), tuple(map(float, moves)),
+            float(exact_dot(lam, lat.total)))
+
+
+def lattice_unit(lengths):
+    """(c, g): integer coefficients whose value c . lengths = g / D is the
+    least positive one, D the lengths' common denominator and g the gcd
+    of their numerators over it (extended Euclid, letter by letter)."""
+    d = len(lengths)
+    fr = [exact_dot(lengths, [int(j == i) for j in range(d)])
+          for i in range(d)]
+    den = math.lcm(*(f.denominator for f in fr))
+    g, c = 0, [0] * d
+    for i, f in enumerate(fr):
+        r0, r1, x0, x1, y0, y1 = g, int(f * den), 1, 0, 0, 1
+        while r1:
+            q = r0 // r1
+            r0, r1, x0, x1, y0, y1 = r1, r0 - q * r1, x1, x0 - q * x1, \
+                y1, y0 - q * y1
+        c = [x0 * ci for ci in c]  # r0 = x0 g + y0 numerator_i
+        c[i] += y0
+        g = r0
+    return c, g
+
+
+def valid_depth(p, n):
+    """Every exact depth-n width is positive for the stored lengths."""
+    return all(exact_dot(p.iet.lengths, w) > 0
+               for w in depth_lattice(p, n).widths)
+
+
+def sign(x):
+    return (x > 0) - (x < 0)
+
+
+# the deepest climb depth whose depth n + 1 lattice is valid at 128 bits
+CLIMB_DEPTHS = {"periodic4": 12, "periodic5": 8, "periodic7": 12}
+
+
+class TestExactLattice:
+    """Signs, resync floats and mirrors come from one integer dot of the
+    coefficients with the lengths' mantissas: exact at any depth."""
+
+    @pytest.mark.parametrize("bits", [64, 128, 256])
+    def test_lattice_sign_is_exact(self, bits):
+        p = build_periodic_from_matrix(make_symmetric_pair(5), FIVE_MATRIX,
+                                       PrecisionContext(bits))
+        lam = p.iet.lengths
+        cases = []
+        for n in range(4):  # lattice identities: the zero vector
+            lat = depth_lattice(p, n)
+            cases.append([t - sum(col) for t, col in
+                          zip(lat.total, zip(*lat.widths))])
+        fr = [exact_dot(lam, [int(a == b) for b in range(5)])
+              for a in range(5)]
+        margin = Fraction(2) ** -(bits - 16)
+        tiny = []
+        for a, b in ((0, 1), (1, 3), (2, 4)):
+            # c_a lam_a + c_b lam_b = 0, coefficients of about 2^(2 bits)
+            c = [0] * 5
+            c[a] = fr[b].numerator * fr[a].denominator
+            c[b] = -fr[a].numerator * fr[b].denominator
+            cases.append(c)
+            for da, db in ((1, 0), (0, 1), (-1, 0), (0, -1)):
+                near = list(c)
+                near[a] += da
+                near[b] += db
+                tiny.append(near)
+            # a third letter, scaled, leaves a value far below the margin
+            near = [k * 2 ** bits for k in c]
+            near[(b + 1) % 5] += 1 if a % 2 else -1
+            tiny.append(near)
+        cases += tiny
+        for c in cases:
+            assert certified_lattice_sign(p.iet, c) == sign(exact_dot(lam, c))
+        assert all(exact_dot(lam, c) == 0 for c in cases[:7])
+        for c in tiny:
+            assert 0 < abs(exact_dot(lam, c)) < margin * max(map(abs, c))
+
+    @pytest.mark.parametrize("system", SYSTEMS)
+    def test_mirrors_round_correctly(self, request, system):
+        p = request.getfixturevalue(system)
+        assert (p.iet.mirror.lefts, p.iet.mirror.moves,
+                p.iet.mirror.rights[-1]) == exact_mirror(p, p.iet.lattice)
+        for n in range(13):
+            if not valid_depth(p, n):
+                with pytest.raises(DomainError, match="width"):
+                    ExactWalker.at_depth(p, n, [0] * p.d)
+                continue
+            m = ExactWalker.at_depth(p, n, [0] * p.d).mirror
+            want = exact_mirror(p, depth_lattice(p, n))
+            assert (m.lefts, m.moves, m.rights[-1]) == want
+            assert m.rights == m.lefts[1:] + (want[2],)
+
+    def test_negative_widths_refused(self, periodic5):
+        # at 128 bits the 5-letter lengths carry depths 0..9 only
+        assert [valid_depth(periodic5, n) for n in range(13)] \
+            == [True] * 10 + [False] * 3
+        for n in (10, 11, 12):
+            with pytest.raises(DomainError, match="width"):
+                ExactWalker.at_depth(periodic5, n, [0] * 5)
+
+    @pytest.mark.parametrize("system", SYSTEMS)
+    def test_starts_outside_refused(self, request, system):
+        p = request.getfixturevalue(system)
+        lat = depth_lattice(p, 1)
+        w0 = lat.widths[0]
+        unit, g = lattice_unit(p.iet.lengths)
+        assert g == 1 and exact_dot(p.iet.lengths, unit) > 0
+        for den, start, inside in (
+                (1, [0] * p.d, True),
+                (1, [-w for w in w0], False),
+                (1, [-c for c in unit], False),  # one unit left of 0
+                (1, lat.total, False),
+                (2 ** 60, [2 ** 60 * t - w for t, w in zip(lat.total, w0)],
+                 True),  # its float is |I|'s: an integer sign decides
+                (2 ** 60, [2 ** 60 * t + w for t, w in zip(lat.total, w0)],
+                 False)):
+            if inside:
+                ExactWalker.at_depth(p, 1, start, den).step()
+            else:
+                with pytest.raises(DomainError, match="outside"):
+                    ExactWalker.at_depth(p, 1, start, den)
+        with pytest.raises(DomainError, match="denominator"):
+            ExactWalker(p.iet, [0] * p.d, 0)
+
+    def test_deeper_start_refused(self, periodic5):
+        # a depth-10 left end is no point of the depth-9 exchange
+        deep = depth_lattice(periodic5, 10).lefts
+        refused = 0
+        for left in deep:
+            if exact_dot(periodic5.iet.lengths, left) < 0:
+                refused += 1
+                with pytest.raises(DomainError, match="outside"):
+                    ExactWalker.at_depth(periodic5, 9, left)
+        assert refused
+
+    def test_depth8_start_near_a_left_end(self, periodic5):
+        lat = depth_lattice(periodic5, 8)
+        den = 2 ** 22
+        start = [den * left + w for left, w in zip(lat.lefts[1],
+                                                   lat.widths[1])]
+        assert ExactWalker.at_depth(periodic5, 8, start, den).step() == 1
+
+    @pytest.mark.parametrize("depth", range(10))
+    def test_first_letter_near_every_left_end(self, periodic5, depth):
+        """Starts den * lefts[k] +- widths[j] leave their exact letter."""
+        p = periodic5
+        lat = depth_lattice(p, depth)
+        lam = p.iet.lengths
+        lefts = [exact_dot(lam, c) for c in lat.lefts]
+        rights = [left + exact_dot(lam, w) for left, w in zip(lefts,
+                                                               lat.widths)]
+        for den in (2 ** e for e in range(10, 23)):
+            for k in range(1, 5):
+                for w in lat.widths:
+                    for s in (1, -1):
+                        start = [den * c + s * wi
+                                 for c, wi in zip(lat.lefts[k], w)]
+                        x = exact_dot(lam, start) / den
+                        want, = (a for a in range(5)
+                                 if lefts[a] <= x < rights[a])
+                        wk = ExactWalker.at_depth(p, depth, start, den)
+                        assert wk.step() == want
+
+    @pytest.mark.parametrize("system", SYSTEMS)
+    def test_climbs_count_the_columns(self, request, system):
+        """A climb from a depth-(n+1) left end, walked at depth n up to
+        its return below |I_(n+1)|, visits the letters as a column of A."""
+        p = request.getfixturevalue(system)
+        lam = p.iet.lengths
+        for n in range(CLIMB_DEPTHS[system] + 1):
+            up = depth_lattice(p, n + 1)
+            thr_f = float(exact_dot(lam, up.total))
+            for b in range(p.d):
+                wk = ExactWalker.at_depth(p, n, up.lefts[b])
+                assert wk.run_until_below(up.total, thr_f) \
+                    == tuple(row[b] for row in p.step_matrix)
+
+    def test_escalating_rotation_walk(self, ctx):
+        """The lattice point 1/4 of the rotation by 3/4 meets a breakpoint
+        every other step, and each is settled by an integer sign."""
+        iet = Iet(make_symmetric_pair(2), ctx.vector(["0.25", "0.75"]))
+        wk = ExactWalker(iet, [1, 0])
+        assert wk.run(20000) == (5000, 15000)
+        assert wk.escalations == 10000
 
 
 class TestBlockSweep:
@@ -1490,7 +1698,7 @@ class TestRowCheck:
         x = ctx.real("0.3")
         call = {
             "mean": lambda phi: mean(phi, iet),
-            "float_table": lambda phi: float_table(phi, float_mirror(iet)),
+            "float_table": lambda phi: float_table(phi, iet.mirror),
             "forward_birkhoff": lambda phi: forward_birkhoff(phi, iet, x, 5),
             "birkhoff_sum_forward": lambda phi: birkhoff_sum(phi, iet, x, 5),
             "birkhoff_sum_backward": lambda phi: birkhoff_sum(phi, iet, x, -5),

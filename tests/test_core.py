@@ -285,3 +285,23 @@ class TestPrecisionContext:
     def test_real_accepts_fraction(self):
         ctx = PrecisionContext(64)
         assert ctx.real(Fraction(1, 4)) == ctx.mp.mpf("0.25")
+
+    @pytest.mark.parametrize("bits", [64, 128, 256])
+    def test_int_form_is_exact(self, bits):
+        ctx = PrecisionContext(bits)
+        rng = random.Random(bits)
+        vec = ctx.vector([0, 3, "-2.5e-30", ctx.mp.sqrt(2) * 2 ** 70,
+                          ctx.mp.pi / 7, Fraction(-1, 3)])
+        mantissas, exp = vec.int_form
+        for v, m in zip(vec.values, mantissas):
+            sign, man, e, _bc = v._mpf_  # the raw form: (-1)**sign man 2**e
+            assert Fraction(m) * Fraction(2) ** exp \
+                == (-1) ** sign * man * Fraction(2) ** e
+        for _ in range(200):
+            coeffs = [rng.randint(-2 ** 80, 2 ** 80) for _ in vec.values]
+            den = rng.choice((1, 3, 1009, 2 ** 40 + 1))
+            exact = sum(c * Fraction(m) * Fraction(2) ** exp
+                        for c, m in zip(coeffs, mantissas))
+            n = vec.int_dot(coeffs)
+            assert Fraction(n) * Fraction(2) ** exp == exact
+            assert vec.exact_float(n, den) == float(exact / den)

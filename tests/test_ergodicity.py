@@ -7,8 +7,8 @@ import pytest
 
 from iet_lab import intmat
 from iet_lab.cocycles import (FLOAT_BLOCK, PiecewiseLinearCocycle,
-                              StepCocycle, deviation_sweep, float_mirror,
-                              float_table, zero_mean_version)
+                              StepCocycle, deviation_sweep, float_table,
+                              zero_mean_version)
 from iet_lab.ergodicity import (CENTRAL_UNDETERMINED, COBOUNDARY,
                                 NOT_COBOUNDARY, RecurrenceStats,
                                 build_fixed_cocycle, coboundary_classify,
@@ -279,7 +279,7 @@ def skew_oracle(iet, cocycle, x0_list, n_steps, step_walk,
                 eps_list=(0.5, 0.1, 0.02), seed=0):
     """Per-step ``skew_simulate``: one displacement update, norm, eps
     scan and decade bin per orbit step."""
-    mirror = float_mirror(iet)
+    mirror = iet.mirror
     table = float_table(cocycle, mirror)
     dim = cocycle.dim
     vals, consts = table.values, table.constants

@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from iet_lab import intmat
-from iet_lab.cocycles import float_mirror
 from iet_lab.errors import (DomainError, IetLabError, KeaneViolation,
                             NotALoop, NotPrimitive, ReduciblePair)
 from iet_lab.perms import make_pair, make_symmetric_pair
@@ -276,7 +275,7 @@ def probe_points(iet, rng):
 def assert_geometry_matches(iet, rng):
     geometry = prefix_geometry(iet)
     assert (iet.left, iet.right, iet.translations, iet.total) == geometry
-    assert float_mirror(iet) == prefix_mirror(iet, geometry)
+    assert iet.mirror == prefix_mirror(iet, geometry)
     for x in probe_points(iet, rng):
         try:
             got = iet.interval_index(x)
