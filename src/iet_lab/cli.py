@@ -245,17 +245,13 @@ def _cmd_spectrum(args, ctx):
 def _cmd_birkhoff(args, ctx):
     iet = _plain_iet(_load_iet(args, ctx))
     phi = _load_cocycle(args, ctx, iet)
-    from .cocycles import forward_birkhoff, _geometric_checkpoints
+    from .cocycles import birkhoff_checkpoints, _geometric_checkpoints
 
     x = _parse("--x0", ctx.real, args.x0) * iet.total
-    rows = []
-    cur = 0
-    acc = tuple(0 for _ in range(phi.dim))
-    for n in _geometric_checkpoints(args.n):
-        step, x = forward_birkhoff(phi, iet, x, n - cur)
-        acc = tuple(a + s for a, s in zip(acc, step))
-        cur = n
-        rows.append((n, ctx.str_of(max(abs(v) for v in acc), 17)))
+    checkpoints = _geometric_checkpoints(args.n)
+    sums = birkhoff_checkpoints(phi, iet, x, checkpoints)
+    rows = [(n, ctx.str_of(max(abs(v) for v in acc), 17))
+            for n, acc in zip(checkpoints, sums)]
     _emit(args, {"csv_header": "n,sup_norm",
                  "rows": [[r[0], r[1]] for r in rows]}, rows=rows)
     return 0

@@ -15,7 +15,10 @@ visit counts are exact.  Every stored length is a dyadic rational, so
 one integer dot of a coefficient vector with the lengths' mantissas
 (``RealVector.int_dot``) gives a lattice value exactly: its sign is
 ``certified_lattice_sign``, and a resync float, like every mirror entry,
-is that value rounded once to the nearest float.  The float lane
+is that value rounded once to the nearest float.  A real start x is a
+dyadic rational too (``ExactWalker.from_point``), so every orbit of the
+library but the float lane's is exact, backward ones on ``Iet.inverse``.
+The float lane
 (``float_walk``) serves
 ``deviation_sweep`` and the skew-product simulation: a guarded point,
 at any step including the first, or one within GUARD * |I| right of a
@@ -31,7 +34,7 @@ piecewise-linear cocycle through all depths in closed form.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from heapq import heappop, heappush
 from itertools import accumulate, chain
@@ -42,7 +45,7 @@ import numpy as np
 from . import intmat
 from .errors import (DomainError, KeaneViolation, NearBreakpoint,
                      NotNormalized, Unsupported, reading_spec)
-from .precision import kronecker_samples
+from .precision import as_fraction, kronecker_samples
 from .rauzy import DepthLattice, Iet, PeriodicIet, _lattice
 from .shadow import FloatMirror, lattice_mirror, shadow_walk
 
@@ -165,9 +168,10 @@ def validate_jumps(cocycle: StepCocycle, iet: Iet) -> None:
         prev = g
 
 
-def evaluate(cocycle: Cocycle, iet: Iet, x, step_index=None) -> tuple:
-    """Pointwise value of the cocycle at x (working-precision lane)."""
-    a = iet.interval_index(x, step_index)
+def evaluate(cocycle: Cocycle, iet: Iet, x) -> tuple:
+    """Pointwise value of the cocycle at x, located by exact signs and
+    evaluated at working precision."""
+    a = iet.interval_index(x)
     if isinstance(cocycle, PiecewiseLinearCocycle):
         return tuple(cocycle.slopes[a][i] * x + cocycle.constants[a][i]
                      for i in range(cocycle.dim))
@@ -266,6 +270,9 @@ class ExactWalker:
     start outside [0, |I|) of the walked exchange, or an exchange with a
     width that is not positive for the stored lengths (deep enough
     inverse period powers outrun the lengths' precision), is refused.
+    ``from_point`` starts from a context real x: the position x +
+    (coeffs . lambda) / den is one integer dot over ``lengths``, the
+    stored lengths followed by x.
     """
 
     RESYNC = 4096
@@ -292,8 +299,18 @@ class ExactWalker:
         walker._set_up(iet, lattice, mirror, coeffs, den)
         return walker
 
+    @classmethod
+    def from_point(cls, iet: Iet, x) -> "ExactWalker":
+        """Walker of ``iet`` from the context real x, a dyadic rational;
+        ``coeffs`` start at zero with den 1 and count the displacement."""
+        if not iet.ctx.mp.isfinite(x):
+            raise DomainError(f"orbit start {x} is not finite")
+        walker = cls.__new__(cls)
+        walker._set_up(iet, iet.lattice, iet.mirror, (0,) * iet.d, 1, x)
+        return walker
+
     def _set_up(self, iet: Iet, lattice: DepthLattice, mirror: FloatMirror,
-                coeffs, den: int):
+                coeffs, den: int, origin=None):
         self.iet = iet
         d = self.d = iet.d
         self.den = int(den)
@@ -302,6 +319,11 @@ class ExactWalker:
             raise DomainError("coefficient vector must have length d")
         if self.den < 1:
             raise DomainError("denominator must be positive")
+        if origin is None:
+            self.lengths, self._origin = iet.lengths, ()
+        else:  # the origin is one more length, with coefficient den
+            self.lengths = iet.lengths.with_point(origin)
+            self._origin = (self.den,)
         self.mirror = mirror
         self.left_coeffs = lattice.lefts
         self.w_coeffs = [tuple(i - l for i, l in zip(img, left))
@@ -321,7 +343,7 @@ class ExactWalker:
         rounding is monotone: where two floats differ they order the
         exact values, and an integer sign settles a tie.
         """
-        m, lengths = self.mirror, self.iet.lengths
+        m, lengths = self.mirror, self.lengths
         for slot, (left, right) in enumerate(zip(m.lefts, m.rights)):
             if not left < right and (
                     right < left
@@ -329,7 +351,7 @@ class ExactWalker:
                 raise DomainError(
                     f"the walked exchange has a width that is not positive "
                     f"for the stored {self.iet.ctx.bits}-bit lengths")
-        n = lengths.int_dot(self.coeffs)
+        n = self._num()
         x = lengths.exact_float(n, self.den)
         if n < 0 or x > m.rights[-1] or (
                 x == m.rights[-1] and n >= self.den * lengths.int_dot(total)):
@@ -337,15 +359,27 @@ class ExactWalker:
                               "exchange it walks")
         return x
 
+    def _num(self) -> int:
+        """The position as an integer over den * 2**-exp of ``lengths``."""
+        return self.lengths.int_dot([*self.coeffs, *self._origin])
+
     def _exact_float(self) -> float:
         """The exact position rounded once to the nearest float."""
-        lengths = self.iet.lengths
-        return lengths.exact_float(lengths.int_dot(self.coeffs), self.den)
+        return self.lengths.exact_float(self._num(), self.den)
+
+    def point(self):
+        """The exact position rounded once to a context real."""
+        return self.lengths.exact_real(self._num(), self.den)
+
+    def letter(self) -> int:
+        """The letter whose interval holds the position, by exact signs."""
+        return self.mirror.letters[self._locate_exact()]
 
     def _exact_side(self, endpoint_coeffs) -> int:
-        """Sign of (position - endpoint); 0 only for exact lattice equality."""
+        """Sign of (position - endpoint); 0 only for exact equality."""
         diff = [c - self.den * e for c, e in zip(self.coeffs, endpoint_coeffs)]
-        return certified_lattice_sign(self.iet, diff)
+        diff += self._origin
+        return certified_lattice_sign(self.lengths, diff)
 
     def _locate_exact(self) -> int:
         pos = 0
@@ -374,13 +408,9 @@ class ExactWalker:
         self.steps += len(slots)
 
     def _exact_below(self, threshold_coeffs) -> bool:
-        """Exact sign of threshold - position, for a guard-band check."""
+        """Whether the position is below the threshold, by an exact sign."""
         self.escalations += 1
-        diff = [self.den * t - c for c, t in zip(self.coeffs, threshold_coeffs)]
-        return certified_lattice_sign(self.iet, diff) > 0
-
-    def coeff_snapshot(self) -> tuple:
-        return tuple(self.coeffs), self.den
+        return self._exact_side(threshold_coeffs) < 0
 
     def _walk(self, n_steps, threshold_coeffs=None, threshold_f: float = 0.0):
         """Advance ``n_steps`` steps, or (``None``) until below the threshold.
@@ -448,45 +478,58 @@ class ExactWalker:
         self._walk(n_steps)
         return tuple(self.counts)
 
-    def itinerary(self, n_steps: int) -> tuple:
-        """Advance ``n_steps`` steps in one walk: return the letter each
-        step leaves and the lattice coefficients of the point it leaves
-        from, rebuilt exactly from the letters."""
-        start, trail = tuple(self.coeffs), []
+    def _letters(self, n_steps: int) -> tuple:
+        """Advance ``n_steps`` steps in one walk: the letter each leaves."""
+        trail = []
         self._trail = trail
         try:
             self._walk(n_steps)
         finally:
             self._trail = None
-        letters = tuple(self.mirror.letters[slot] for slot in trail)
+        return tuple(self.mirror.letters[slot] for slot in trail)
+
+    def itinerary(self, n_steps: int) -> tuple:
+        """Advance ``n_steps`` steps in one walk: return the letter each
+        step leaves and the lattice coefficients of the point it leaves
+        from, rebuilt exactly from the letters."""
+        start = tuple(self.coeffs)
+        letters = self._letters(n_steps)
         points = [start]
         for a in letters[:-1]:
             points.append(tuple(c + self.den * w
                                 for c, w in zip(points[-1], self.w_coeffs[a])))
         return letters, points
 
+    def positions(self, n_steps: int) -> tuple:
+        """Advance ``n_steps`` steps in one walk: return the letter each
+        step leaves and the exact positions of the n_steps + 1 points, as
+        integers over den * 2**-exp of ``lengths`` (``_num``)."""
+        start = self._num()
+        moves = [self.den * self.lengths.int_dot(w) for w in self.w_coeffs]
+        letters = self._letters(n_steps)
+        return letters, list(accumulate(map(moves.__getitem__, letters),
+                                        initial=start))
+
     def run_until_below(self, threshold_coeffs, threshold_f: float) -> tuple:
         """Step until the position drops below an exact lattice threshold.
 
         Returns the visit counts accumulated before the first return.
         The threshold is (threshold_coeffs . lambda); comparisons inside
-        the guard band are settled exactly.
+        the guard band are settled exactly.  A position is never
+        negative, so a threshold that is not positive is refused.
         """
+        if self.lengths.int_dot(threshold_coeffs) <= 0:
+            raise DomainError("return threshold must be positive")
         self._walk(None, threshold_coeffs, threshold_f)
         return tuple(self.counts)
 
 
-def certified_lattice_sign(iet: Iet, coeffs) -> int:
-    """Exact sign of an integer combination of the stored lengths.
-
-    The stored lengths are dyadic rationals, mantissas times one power
-    of two, so the combination is that power of two times the integer
-    dot of the coefficients with the mantissas, and its sign is the
-    integer's.  Zero means the combination vanishes for the simulated
-    lengths (a genuine boundary hit, handled by the left-closed
-    convention).
+def certified_lattice_sign(lengths, coeffs) -> int:
+    """Exact sign of an integer combination of the dyadic values of
+    ``lengths`` (a ``RealVector``): the sign of its integer dot.  Zero
+    means a genuine boundary hit, handled by the left-closed convention.
     """
-    n = iet.lengths.int_dot(coeffs)
+    n = lengths.int_dot(coeffs)
     return (n > 0) - (n < 0)
 
 
@@ -517,51 +560,82 @@ def depth_total_coeffs(periodic: PeriodicIet, n: int) -> tuple:
 
 
 def birkhoff_visit_counts(iet: Iet, x, n: int) -> tuple:
-    """Exact per-interval visit counts of the length-n forward orbit.
-
-    ``x`` may be a context real (snapped to the lattice via rational
-    approximation is not attempted: exactness then degrades to the
-    float-shadow guard) or a (coeffs, den) lattice point.
-    """
+    """Exact per-interval visit counts of the length-n forward orbit of
+    x, a context real or a (coeffs, den) lattice point."""
     if isinstance(x, tuple) and len(x) == 2 and isinstance(x[1], int):
-        walker = ExactWalker(iet, x[0], x[1])
-        return walker.run(n)
-    counts = [0] * iet.d
-    cur = x
-    for k in range(n):
-        a = iet.interval_index(cur, step_index=k)
-        counts[a] += 1
-        cur = cur + iet.translations[a]
-    return tuple(counts)
+        return ExactWalker(iet, x[0], x[1]).run(n)
+    return ExactWalker.from_point(iet, x).run(n)
+
+
+def _exact_sums(cocycle: Cocycle, iet: Iet, walker: ExactWalker, checkpoints,
+                backward: bool = False) -> list:
+    """S_n phi at each n of the increasing ``checkpoints``, exactly, over
+    one walk: of the points each step leaves or, walking ``iet.inverse``
+    ``backward``, minus those each step reaches (inverse letter a is the
+    image of a's interval), so the walker's counts are the visits.
+    Positions are exact integers, summed per letter for PL cocycles; a
+    jump counts its interval's points at or right of it.  The walk goes
+    by blocks of FLOAT_BLOCK steps, in bounded memory.  Sums are ints
+    for a step cocycle of ints, else rounded once.
+    """
+    check_rows(cocycle, iet.d)
+    lengths, den = walker.lengths, walker.den
+    if isinstance(cocycle, PiecewiseLinearCocycle):
+        slopes, values, jumps = cocycle.slopes, cocycle.constants, ()
+    elif isinstance(cocycle, StepCocycle):
+        validate_jumps(cocycle, iet)
+        slopes, values = (), cocycle.values
+        jumps = [(iet.interval_index(g), lengths.ceil_num(g, den), j)
+                 for g, j in cocycle.jumps]
+    else:
+        raise Unsupported(f"cannot sum {type(cocycle).__name__}")
+    ints = not slopes and all(isinstance(v, int) for v in chain(
+        *values, *(j for _a, _lim, j in jumps)))
+    sums, hits = [0] * iet.d, [0] * len(jumps)
+    out, done = [], 0
+    for n in checkpoints:
+        while done < n:
+            block = min(n - done, FLOAT_BLOCK)
+            letters, nums = walker.positions(block)
+            pts = nums[1:] if backward else nums[:-1]
+            for a, num in zip(letters, pts):
+                sums[a] += num
+            for t, (a, lim, _j) in enumerate(jumps):
+                hits[t] += sum(b == a and num >= lim
+                               for b, num in zip(letters, pts))
+            done += block
+        terms = list(zip(values, walker.counts))
+        terms += [(row, lengths.fraction(s, den))
+                  for row, s in zip(slopes, sums)]
+        terms += [(j, h) for (_a, _lim, j), h in zip(jumps, hits)]
+        total = (sum(as_fraction(v[i]) * k for v, k in terms)
+                 for i in range(cocycle.dim))
+        out.append(tuple(map(int if ints else iet.ctx.real,
+                             (-v if backward else v for v in total))))
+    return out
+
+
+def birkhoff_checkpoints(cocycle: Cocycle, iet: Iet, x, checkpoints) -> list:
+    """S_n phi(x) at each n of the increasing ``checkpoints``, from one
+    exact walk of x's forward orbit."""
+    return _exact_sums(cocycle, iet, ExactWalker.from_point(iet, x),
+                       checkpoints)
 
 
 def forward_birkhoff(cocycle: Cocycle, iet: Iet, x, n: int) -> tuple:
-    """(S_n phi(x), T^n x) for n >= 0, walking the orbit once."""
-    check_rows(cocycle, iet.d)
-    acc = [0] * cocycle.dim
-    cur = x
-    for k in range(n):
-        val = evaluate(cocycle, iet, cur, step_index=k)
-        for i in range(cocycle.dim):
-            acc[i] = acc[i] + val[i]
-        cur = iet.apply(cur, step_index=k)
-    return tuple(acc), cur
+    """(S_n phi(x), T^n x) for n >= 0, from one exact walk; T^n x is
+    rounded once."""
+    walker = ExactWalker.from_point(iet, x)
+    return _exact_sums(cocycle, iet, walker, [n])[0], walker.point()
 
 
 def birkhoff_sum(cocycle: Cocycle, iet: Iet, x, n: int) -> tuple:
-    """Cocycle sum along the orbit: standard three-case definition."""
+    """Cocycle sum along the orbit: standard three-case definition; for
+    n < 0 the walk runs on ``iet.inverse``."""
     if n >= 0:
         return forward_birkhoff(cocycle, iet, x, n)[0]
-    check_rows(cocycle, iet.d)
-    inv = iet.inverse()
-    acc = [0] * cocycle.dim
-    cur = x
-    for k in range(-n):
-        cur = inv.apply(cur, step_index=-k - 1)
-        val = evaluate(cocycle, iet, cur, step_index=-k - 1)
-        for i in range(cocycle.dim):
-            acc[i] = acc[i] + val[i]
-    return tuple(-v for v in acc)
+    walker = ExactWalker.from_point(iet.inverse, x)
+    return _exact_sums(cocycle, iet, walker, [-n], backward=True)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -580,36 +654,28 @@ class PartitionReport:
 def partition_breakpoints(iet: Iet, n: int) -> list:
     """Sorted breakpoints {T^-k l_a : 0 <= k < n} of the n-th partition.
 
-    The backward orbits may genuinely coincide (the preimage of 0 is a
-    left endpoint, which Keane permits); coincidences within eps_cmp are
-    merged into one breakpoint.
+    Each left end's backward orbit is one exact walk of ``iet.inverse``,
+    so breakpoints are exact integers: coincidences (the preimage of 0
+    is a left end, which Keane permits) merge by equality, and each
+    breakpoint is rounded once.
     """
-    inv = iet.inverse()
-    points = []
-    for a in range(iet.d):
-        cur = iet.left[a]
-        points.append(cur)
-        for _k in range(1, n):
-            cur = inv.apply(cur)
-            points.append(cur)
-    points.sort()
-    merged = [points[0]]
-    for p in points[1:]:
-        if p - merged[-1] > iet.ctx.eps_cmp:
-            merged.append(p)
-    return merged
+    nums = set()
+    for row in iet.lattice.lefts:
+        nums.update(ExactWalker(iet.inverse, row).positions(n - 1)[1])
+    return [iet.lengths.exact_real(v) for v in sorted(nums)]
 
 
 def partition_pn(iet: Iet, n: int, verify_samples: int = 0) -> PartitionReport:
     """Partition into continuity intervals of the n-th iterate.
 
     Gap statistics cover all intervals of the partition; optionally the
-    translation property of T^n is spot-checked on sample gaps.
+    translation property of T^n is checked on sample gaps: two points
+    of a gap visit every letter equally often, so T^n moves them by the
+    same lattice vector, exactly.
     """
     if n < 1:
         raise DomainError("partition order must be >= 1")
     pts = partition_breakpoints(iet, n)
-    mp = iet.ctx.mp
     gaps = [b - a for a, b in zip(pts, pts[1:])] + [iet.total - pts[-1]]
     min_gap, max_gap = min(gaps), max(gaps)
     if min_gap <= iet.ctx.eps_cmp:
@@ -621,61 +687,46 @@ def partition_pn(iet: Iet, n: int, verify_samples: int = 0) -> PartitionReport:
             left = pts[idx]
             right = pts[idx + 1] if idx + 1 < len(pts) else iet.total
             w = right - left
-            a1 = iet.orbit(left + w / 4, n)[-1] - (left + w / 4)
-            a2 = iet.orbit(left + 3 * w / 4, n)[-1] - (left + 3 * w / 4)
-            if abs(a1 - a2) > iet.ctx.eps_cmp * 16:
-                verified = False
+            counts = [birkhoff_visit_counts(iet, left + w * k / 4, n)
+                      for k in (1, 3)]
+            verified = verified and counts[0] == counts[1]
     return PartitionReport(n, tuple(pts), min_gap, max_gap, verified)
 
 
-def gap_statistics(iet: Iet, n_max: int, dedupe_tol: float = 1e-11) -> list:
+def gap_statistics(iet: Iet, n_max: int) -> list:
     """min/max partition gap for every n <= n_max, computed incrementally.
 
-    Returns a list of (n, min_gap, max_gap) floats.  Backward orbits are
-    generated at working precision and tracked as floats.  Orbit points
-    landing on an existing breakpoint (the preimage chain of 0 always
-    does) are merged; genuine near-collisions below the dedupe tolerance
-    would merge too, so the reported minimum is a lower-bounded claim.
+    Returns a list of (n, min_gap, max_gap) floats.  Breakpoints and
+    gaps are exact integers, as in ``partition_breakpoints``: a point on
+    a breakpoint (the preimage chain of 0) merges by equality, and each
+    reported gap is rounded once.
     """
-    inv = iet.inverse()
-    starts = [iet.left[a] for a in range(iet.d)]
-    pts = [0.0, float(iet.total)]
-    gap_count: dict = {float(iet.total): 1}
-    heap = [-float(iet.total)]
-    min_gap = float(iet.total)
-    orbits = [s for s in starts]
+    lengths = iet.lengths
+    orbits = [ExactWalker(iet.inverse, row).positions(n_max - 1)[1]
+              for row in iet.lattice.lefts]
+    total = lengths.int_dot(iet.lattice.total)
+    pts = [0, total]
+    gap_count = {total: 1}
+    heap = [-total]
+    min_gap = total
     out = []
     for n in range(1, n_max + 1):
-        if n == 1:
-            batch = [float(s) for s in starts if s > 0]
-        else:
-            orbits = [inv.apply(x) for x in orbits]
-            batch = [float(x) for x in orbits]
-        for xf in batch:
-            idx = _insort_index(pts, xf)
-            lo, hi = pts[idx - 1], pts[idx + 1]
-            g1, g2 = xf - lo, hi - xf
-            if g1 < dedupe_tol or g2 < dedupe_tol:
-                pts.pop(idx)  # duplicate of an existing breakpoint
+        for x in (orbit[n - 1] for orbit in orbits):
+            idx = bisect_left(pts, x)
+            if pts[idx] == x:
                 continue
-            old = hi - lo
-            gap_count[old] = gap_count.get(old, 0) - 1
-            for g in (g1, g2):
+            lo, hi = pts[idx - 1], pts[idx]
+            pts.insert(idx, x)
+            gap_count[hi - lo] -= 1
+            for g in (x - lo, hi - x):
                 gap_count[g] = gap_count.get(g, 0) + 1
                 heappush(heap, -g)
-            min_gap = min(min_gap, g1, g2)
-        while heap and gap_count.get(-heap[0], 0) <= 0:
+            min_gap = min(min_gap, x - lo, hi - x)
+        while gap_count[-heap[0]] <= 0:
             heappop(heap)
-        out.append((n, min_gap, -heap[0]))
+        out.append((n, lengths.exact_float(min_gap),
+                    lengths.exact_float(-heap[0])))
     return out
-
-
-def _insort_index(pts: list, x: float) -> int:
-    from bisect import bisect_left
-
-    idx = bisect_left(pts, x)
-    pts.insert(idx, x)
-    return idx
 
 
 # ---------------------------------------------------------------------------
@@ -708,15 +759,6 @@ class TowerStructure:
     base_width: tuple
     measures: tuple
     levels: tuple | None = None
-
-    def to_json(self, ctx) -> dict:
-        return {"level": self.level,
-                "heights": list(self.heights),
-                "climb_heights": list(self.climb_heights),
-                "sub_height": self.sub_height,
-                "base_left": [ctx.str_of(v) for v in self.base_left],
-                "base_width": [ctx.str_of(v) for v in self.base_width],
-                "measures": [ctx.str_of(v) for v in self.measures]}
 
 
 def towers(periodic: PeriodicIet, n: int, with_levels: bool = False,
@@ -821,7 +863,7 @@ class Renormalizer:
                 # level left + width <= right endpoint of that interval
                 diff = [s + w - r for s, w, r in
                         zip(start, wc, right_coeffs[a])]
-                if certified_lattice_sign(iet, diff) > 0:
+                if certified_lattice_sign(iet.lengths, diff) > 0:
                     raise NotNormalized(
                         "tower level crosses an exchanged-interval boundary")
             positions = tuple(iet.ctx.dot_int(c, lam) for c in points)
@@ -944,9 +986,6 @@ class Renormalizer:
             out.append(tuple(acc))
         return out
 
-    def sup_norm(self, state: RenormState):
-        return sup_norm(state.cocycle, self.iet)
-
 
 def renormalize(cocycle: Cocycle, periodic: PeriodicIet, k: int, l: int,
                 renormalizer: Renormalizer | None = None) -> RenormState:
@@ -961,11 +1000,8 @@ def renormalize(cocycle: Cocycle, periodic: PeriodicIet, k: int, l: int,
         raise DomainError("need 0 <= k <= l")
     if not isinstance(cocycle, (StepCocycle, PiecewiseLinearCocycle)):
         raise Unsupported(f"unsupported cocycle class {type(cocycle).__name__}")
-    check_rows(cocycle, periodic.d)
     rz = renormalizer or Renormalizer(periodic)
-    state = RenormState(k, cocycle,
-                        tuple(0 for _ in cocycle.jumps)
-                        if isinstance(cocycle, StepCocycle) else ())
+    state = replace(rz.start(cocycle), level=k)
     for _ in range(l - k):
         state = rz.advance(state)
     return state
@@ -992,21 +1028,16 @@ def m_index(periodic: PeriodicIet, x, n: int) -> MIndexReport:
 
     Satisfies the return-time sandwich: the smallest depth-m return time
     is at most n, and n is at most d times the largest depth-(m+1) one.
+    The orbit is one exact walk, and m is the largest depth whose
+    interval [0, rho^-m) holds its second-lowest point, by exact signs.
     """
-    iet = periodic.iet
-    pts = iet.orbit(x, n)
-    vals = sorted(pts)
-    second = vals[1]
-    rho = periodic.pf_value
-    mp = iet.ctx.mp
+    walker = ExactWalker.from_point(periodic.iet, x)
+    second = sorted(walker.positions(n)[1])[1]
     if second <= 0:
         raise DomainError("degenerate orbit for the depth index")
-    m = int(mp.floor(-mp.log(second) / mp.log(rho)))
-    m = max(m, 0)
-    while rho ** (-(m + 1)) > second:
+    m = 0
+    while second < walker.lengths.ceil_num(periodic.pf_value ** -(m + 1)):
         m += 1
-    while m > 0 and rho ** (-m) <= second:
-        m -= 1
     q_m = intmat.column_sums(intmat.matpow(periodic.matrix, m))
     q_m1 = intmat.column_sums(intmat.matpow(periodic.matrix, m + 1))
     return MIndexReport(m, n, min(q_m), periodic.d * max(q_m1))
@@ -1014,12 +1045,11 @@ def m_index(periodic: PeriodicIet, x, n: int) -> MIndexReport:
 
 def m_index_bruteforce(periodic: PeriodicIet, x, n: int) -> int:
     """Definitional scan: count visits to each induction interval."""
-    iet = periodic.iet
-    pts = iet.orbit(x, n)
-    rho = periodic.pf_value
+    walker = ExactWalker.from_point(periodic.iet, x)
+    pts = walker.positions(n)[1]
     m = 0
     while True:
-        bound = rho ** (-(m + 1))
+        bound = walker.lengths.ceil_num(periodic.pf_value ** -(m + 1))
         if sum(1 for p in pts if p < bound) >= 2:
             m += 1
         else:

@@ -219,7 +219,7 @@ def renorm_sup_curve(cocycle: Cocycle, periodic: PeriodicIet, k_max: int,
     sups = [sup_norm(cocycle, iet)]
     for _k in range(k_max):
         state = rz.advance(state)
-        sups.append(rz.sup_norm(state))
+        sups.append(sup_norm(state.cocycle, iet))
     depths = tuple(range(k_max + 1))
     tail_lo = max(1, (2 * k_max) // 3)
     mp = periodic.ctx.mp

@@ -17,8 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import intmat
-from .cocycles import (Cocycle, PiecewiseLinearCocycle, Renormalizer,
-                       StepCocycle, evaluate, float_table, float_walk)
+from .cocycles import (Cocycle, ExactWalker, PiecewiseLinearCocycle,
+                       Renormalizer, StepCocycle, evaluate, float_table,
+                       float_walk)
 from .errors import (DomainError, EmptyFixedSpace, NearBreakpoint,
                      NotZeroMean, Unsupported)
 from .precision import PrecisionContext, kronecker_samples
@@ -160,9 +161,6 @@ class LatticeReport:
     contained: tuple
     residuals: tuple
 
-    def containment(self) -> dict:
-        return dict(zip(self.scales, self.contained))
-
 
 def lattice_containment(cocycle: StepCocycle, scales, ctx: PrecisionContext,
                         tolerance=None) -> LatticeReport:
@@ -210,9 +208,6 @@ class EssentialValueReport:
     pieces: tuple
     candidates: tuple
     contaminated_levels: tuple
-
-    def candidate_values(self) -> list:
-        return [c[0] for c in self.candidates]
 
 
 def essential_value_probe(cocycle: Cocycle, periodic: PeriodicIet,
@@ -471,12 +466,13 @@ def special_flow_step(iet: Iet, roof: PiecewiseLinearCocycle, state, t):
     """Advance a point of the region under the roof by time t.
 
     The state is (x, s) with 0 <= s < roof(x); the flow moves straight
-    up and re-enters at (Tx, 0) upon hitting the roof.
+    up and re-enters at (Tx, 0) upon hitting the roof.  The base orbit
+    is one exact walk (of ``iet.inverse`` backward in time), each point
+    rounded once; the roof is evaluated at working precision.
     """
     if roof.dim != 1:
         raise DomainError("roof must be scalar")
     x, s = state
-    ctx = iet.ctx
     roof_min = min(min(roof.slopes[a][0] * iet.left[a] + roof.constants[a][0],
                        roof.slopes[a][0] * iet.right[a] + roof.constants[a][0])
                    for a in range(iet.d))
@@ -486,29 +482,17 @@ def special_flow_step(iet: Iet, roof: PiecewiseLinearCocycle, state, t):
     if not (0 <= s < fx):
         raise DomainError("state is not under the roof")
     target = s + t
-    if target >= 0:
-        n = 0
-        acc = ctx.mp.mpf(0)
-        cur = x
-        while True:
-            f_cur = evaluate(roof, iet, cur)[0]
-            if acc + f_cur > target:
-                break
-            acc += f_cur
-            cur = iet.apply(cur)
-            n += 1
-            if n > int((abs(t) + fx) / roof_min) + 2:
-                raise DomainError("flow step search did not terminate")
-        return (cur, target - acc)
-    inv = iet.inverse()
-    acc = ctx.mp.mpf(0)
-    cur = x
-    n = 0
-    while target < acc:
-        cur = inv.apply(cur)
-        f_cur = evaluate(roof, iet, cur)[0]
-        acc -= f_cur
-        n += 1
-        if n > int(abs(t) / roof_min) + 2:
-            raise DomainError("flow step search did not terminate")
-    return (cur, target - acc)
+    forward = target >= 0  # else sum the roofs over T^-1 x, T^-2 x, ...
+    bound = int((abs(t) + (fx if forward else 0)) / roof_min) + 2
+    walker = ExactWalker.from_point(iet if forward else iet.inverse, x)
+    letters, nums = walker.positions(bound + 1 if forward else bound)
+    acc = iet.ctx.mp.mpf(0)
+    for a, num in zip(letters, nums if forward else nums[1:]):
+        cur = walker.lengths.exact_real(num)
+        f_cur = roof.slopes[a][0] * cur + roof.constants[a][0]
+        if forward and acc + f_cur > target:
+            return (cur, target - acc)
+        acc += f_cur if forward else -f_cur
+        if not forward and target >= acc:
+            return (cur, target - acc)
+    raise DomainError("flow step search did not terminate")

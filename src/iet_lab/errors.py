@@ -56,11 +56,11 @@ class DomainError(IetLabError):
 
 
 class NearBreakpoint(IetLabError):
-    """A point fell within compare-tolerance of an interval endpoint.
+    """A value fell within a tolerance of a boundary it cannot be judged
+    against: a float orbit in the guard band, a near-tied induction step.
 
-    The orbit cannot be continued reliably; callers either abort or skip
-    the sample.  ``step_index`` is the orbit step at which it happened
-    (None when not applicable).
+    Callers either abort or skip the sample.  ``step_index`` is the
+    orbit step at which it happened (None when not applicable).
     """
 
     def __init__(self, message: str, step_index: int | None = None):

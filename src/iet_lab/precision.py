@@ -8,6 +8,7 @@ different mantissa sizes can coexist in one process.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -15,8 +16,9 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from mpmath.ctx_mp import MPContext
+from mpmath.libmp import from_rational, round_nearest
 
-from .errors import DomainError, NearBreakpoint
+from .errors import DomainError
 
 DEFAULT_BITS = 128
 
@@ -24,9 +26,10 @@ DEFAULT_BITS = 128
 class PrecisionContext:
     """Mantissa size plus the comparison tolerance derived from it.
 
-    ``eps_cmp`` defaults to 2**(-bits/2): orbit points closer than this
-    to an interval endpoint (without being exactly equal) are treated as
-    undecidable and raise :class:`NearBreakpoint`.
+    ``eps_cmp`` defaults to 2**(-bits/2).  It judges what working
+    precision cannot settle: near-tied induction steps, jumps placed
+    next to an endpoint and Keane scans.  Orbits never consult it: the
+    exact walker locates every point by exact signs.
     """
 
     __slots__ = ("bits", "mp", "eps_cmp", "_half_digits")
@@ -124,38 +127,46 @@ class RealVector:
         exp = self.int_form[1]
         return (n << exp) / den if exp >= 0 else n / (den << -exp)
 
+    def fraction(self, n: int, den: int = 1) -> Fraction:
+        """``n * 2**exp / den`` as an exact rational."""
+        exp = self.int_form[1]
+        return (Fraction(n << exp, den) if exp >= 0
+                else Fraction(n, den << -exp))
+
+    def exact_real(self, n: int, den: int = 1):
+        """The context real nearest to ``n * 2**exp / den``, rounded once."""
+        q = self.fraction(n, den)
+        return self.ctx.mp.make_mpf(from_rational(
+            q.numerator, q.denominator, self.ctx.bits, round_nearest))
+
+    def ceil_num(self, x, den: int = 1) -> int:
+        """The least n with ``n * 2**exp / den >= x``: an integer n is at
+        or right of x exactly when n >= ceil_num(x, den)."""
+        return math.ceil(as_fraction(x) * den / self.fraction(1))
+
+    def with_point(self, x) -> "RealVector":
+        """These values and then x: a point x + (c . values) / den is
+        ``int_dot((*c, den))`` over den * 2**-exp, and a row of len(self)
+        coefficients dots the values alone."""
+        return RealVector(self.values + (self.ctx.real(x),), self.ctx)
+
     def norm_max(self):
         return max(abs(v) for v in self.values)
 
     def total(self):
         return self.ctx.mp.fsum(self.values)
 
-    def scaled(self, factor) -> "RealVector":
-        f = self.ctx.real(factor)
-        return RealVector(tuple(v * f for v in self.values), self.ctx)
-
-    def minus(self, other: "RealVector") -> "RealVector":
-        return RealVector(tuple(a - b for a, b in zip(self.values, other.values)),
-                          self.ctx)
-
     def as_strings(self, digits: int | None = None) -> list:
         return [self.ctx.str_of(v, digits) for v in self.values]
 
 
-def side_of_breakpoint(ctx: PrecisionContext, x, breakpoint, step_index=None):
-    """-1 / +1 for x strictly left/right of breakpoint, 0 for exact equality.
-
-    Raises NearBreakpoint when 0 < |x - breakpoint| < eps_cmp: that close
-    to an endpoint the side cannot be trusted at working precision.
-    """
-    diff = x - breakpoint
-    if diff == 0:
-        return 0
-    if abs(diff) < ctx.eps_cmp:
-        raise NearBreakpoint(
-            f"point within eps_cmp of breakpoint (|dx| = {ctx.mp.nstr(abs(diff), 8)})",
-            step_index=step_index)
-    return 1 if diff > 0 else -1
+def as_fraction(x) -> Fraction:
+    """An int, float or context real as the exact rational it stores."""
+    if isinstance(x, (int, float, Fraction)):
+        return Fraction(x)
+    man, exp = x.man_exp  # |mantissa|, exponent
+    q = Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
+    return -q if x < 0 else q
 
 
 def kronecker_samples(ctx: PrecisionContext, count: int, total, seed: int = 0):

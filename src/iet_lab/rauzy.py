@@ -10,7 +10,6 @@ length vector is the leading eigenvector of the loop's matrix product.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from math import lcm
@@ -20,7 +19,7 @@ from .errors import (DomainError, KeaneViolation, NearBreakpoint, NotALoop,
                      NotNormalized, ReduciblePair, reading_spec)
 from .intmat import IntMatrix
 from .perms import PermutationPair, make_pair
-from .precision import PrecisionContext, RealVector, side_of_breakpoint
+from .precision import PrecisionContext, RealVector
 from .shadow import FloatMirror, lattice_mirror
 
 
@@ -114,8 +113,6 @@ class Iet:
                                  for a, row in enumerate(lattice.image_lefts)))
         object.__setattr__(self, "total", dot(lattice.total, lam))
         object.__setattr__(self, "order0", order0)
-        object.__setattr__(self, "_ordered_lefts",
-                           tuple(left[a] for a in order0))
 
     @property
     def ctx(self) -> PrecisionContext:
@@ -131,41 +128,18 @@ class Iet:
         orbit engines walk, with its tower table once one is built."""
         return lattice_mirror(self.lattice, self.lengths, self.order0)
 
-    def _letter_at(self, x) -> int:
-        """Letter whose interval [l_a, r_a) holds x, without any guard."""
-        return self.order0[bisect_right(self._ordered_lefts, x, 1) - 1]
+    def interval_index(self, x) -> int:
+        """Letter whose interval [l_a, r_a) holds x: the exact walker's
+        location, by exact signs of x minus the left ends."""
+        from .cocycles import ExactWalker
 
-    def interval_index(self, x, step_index=None) -> int:
-        """Index of the subinterval containing x (left-closed convention)."""
-        ctx = self.ctx
-        if x < 0 or x >= self.total:
-            raise DomainError(f"point {ctx.mp.nstr(x, 12)} outside [0, |I|)")
-        idx = self._letter_at(x)
-        # guard both endpoints of the located interval
-        if x != self.left[idx]:
-            side_of_breakpoint(ctx, x, self.left[idx], step_index)
-        side_of_breakpoint(ctx, x, self.right[idx], step_index)
-        return idx
+        return ExactWalker.from_point(self, x).letter()
 
-    def apply(self, x, step_index=None):
-        a = self.interval_index(x, step_index)
-        return x + self.translations[a]
-
+    @cached_property
     def inverse(self) -> "Iet":
-        """The inverse exchange (orderings swapped)."""
+        """The inverse exchange (orderings swapped), built once; its
+        letter a's interval is the image of a's."""
         return Iet(make_pair(self.pair.pi1, self.pair.pi0), self.lengths)
-
-    def orbit(self, x, n: int) -> list:
-        """[x, Tx, ..., T^n x] for n >= 0; backward orbit for n < 0."""
-        out = [x]
-        if n >= 0:
-            for k in range(n):
-                out.append(self.apply(out[-1], step_index=k))
-        else:
-            inv = self.inverse()
-            for k in range(-n):
-                out.append(inv.apply(out[-1], step_index=-k - 1))
-        return out
 
     def to_json(self) -> dict:
         return {"pair": self.pair.to_json(),
@@ -286,17 +260,20 @@ def keane_check(iet: Iet, horizon: int) -> KeaneReport:
 
     Semi-decision: reports the first m <= horizon with T^m l_a within
     eps_cmp of some l_b (b not in first position), or a clean scan.
+    Each orbit is one exact walk from a lattice point, so T^m l_a and
+    l_b are compared as exact integers over one power of two.
     """
-    ctx = iet.ctx
-    d = iet.d
-    targets = [(b, iet.left[b]) for b in range(d) if iet.pair.pi0[b] != 1]
+    from .cocycles import ExactWalker
+
+    lengths, lefts = iet.lengths, iet.lattice.lefts
+    eps = lengths.ceil_num(iet.ctx.eps_cmp)
+    targets = [(b, lengths.int_dot(lefts[b])) for b in range(iet.d)
+               if iet.pair.pi0[b] != 1]
     best = None
-    for a in range(d):
-        x = iet.left[a]
-        for m in range(1, horizon + 1):
-            # locate without the near-endpoint guard: collisions are the event
-            x = x + iet.translations[iet._letter_at(x)]
-            hit = next((b for b, lb in targets if abs(x - lb) < ctx.eps_cmp), None)
+    for a in range(iet.d):
+        orbit = ExactWalker(iet, lefts[a]).positions(horizon)[1]
+        for m, x in enumerate(orbit[1:], 1):
+            hit = next((b for b, lb in targets if abs(x - lb) < eps), None)
             if hit is not None:
                 if best is None or m < best[2]:
                     best = (a, hit, m)

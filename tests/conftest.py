@@ -4,9 +4,10 @@ from bisect import bisect_right
 
 import pytest
 
-from iet_lab.cocycles import (FLOAT_BLOCK, PiecewiseLinearCocycle,
-                              Renormalizer, StepCocycle, zero_mean_version)
-from iet_lab.errors import NearBreakpoint
+from iet_lab.cocycles import (FLOAT_BLOCK, ExactWalker,
+                              PiecewiseLinearCocycle, Renormalizer,
+                              StepCocycle, zero_mean_version)
+from iet_lab.errors import DomainError, NearBreakpoint
 from iet_lab.perms import make_symmetric_pair
 from iet_lab.precision import PrecisionContext
 from iet_lab.rauzy import build_periodic_from_loop, build_periodic_from_matrix
@@ -94,6 +95,38 @@ def step_walk():
     return _step_walk
 
 
+def _mpf_orbit(iet, x, n):
+    """x, Tx, ..., T^n x (T^-1 for n < 0) one step at a time at working
+    precision, and the letter each step leaves: the short-orbit oracle
+    of the exact walker.
+
+    Each point is located by a bisect on the rounded left ends and moved
+    by its rounded translation; a point within eps_cmp of either end of
+    its interval, short of equality with the left end, has an untrusted
+    side and raises NearBreakpoint with its step index.
+    """
+    step = iet if n >= 0 else iet.inverse
+    lefts = [step.left[a] for a in step.order0]
+    eps = iet.ctx.eps_cmp
+    points, letters = [x], []
+    for k in range(abs(n)):
+        if not 0 <= x < step.total:
+            raise DomainError("point outside [0, |I|)")
+        a = step.order0[bisect_right(lefts, x, 1) - 1]
+        if (x != step.left[a] and x - step.left[a] < eps
+                or step.right[a] - x < eps):
+            raise NearBreakpoint("point within eps_cmp of an endpoint", k)
+        x = x + step.translations[a]
+        points.append(x)
+        letters.append(a)
+    return points, letters
+
+
+@pytest.fixture(scope="session")
+def mpf_orbit():
+    return _mpf_orbit
+
+
 
 @pytest.fixture(scope="session")
 def guard_hit_starts(ctx, periodic4):
@@ -102,13 +135,15 @@ def guard_hit_starts(ctx, periodic4):
     Maps k = 0, mid-block and the block edges FLOAT_BLOCK - 1, FLOAT_BLOCK
     and FLOAT_BLOCK + 1 to a start whose k-th iterate lies half a guard
     width right of an interior left endpoint of the 4-letter system (the
-    backward orbit of that point, walked at working precision).
+    backward orbit of that point, one exact walk of the inverse, each
+    point rounded once).
     """
     iet = periodic4.iet
     target = iet.left[1] + ctx.real(iet.mirror.guard / 2)
     steps = (0, 5000, FLOAT_BLOCK - 1, FLOAT_BLOCK, FLOAT_BLOCK + 1)
-    back = iet.orbit(target, -max(steps))
-    return {k: back[k] for k in steps}
+    walker = ExactWalker.from_point(iet.inverse, target)
+    back = walker.positions(max(steps))[1]
+    return {k: walker.lengths.exact_real(back[k]) for k in steps}
 
 
 @pytest.fixture(scope="session")

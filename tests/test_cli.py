@@ -11,10 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iet_lab.cli import run
-from iet_lab.cocycles import cocycle_from_json
+from iet_lab.cocycles import ExactWalker, cocycle_from_json
 from iet_lab.errors import IetLabError
 from iet_lab.precision import PrecisionContext
-from iet_lab.rauzy import Iet, iet_from_json
+from iet_lab.rauzy import iet_from_json
 
 SEVEN_SPEC = {"pair": {"d": 7, "pi0": [1, 2, 3, 4, 5, 6, 7],
                        "pi1": [6, 7, 4, 5, 3, 1, 2]},
@@ -207,19 +207,21 @@ class TestDispatch:
 
     def test_birkhoff_walks_each_segment_once(self, capsys, specs,
                                               monkeypatch):
-        calls = []
-        apply = Iet.apply
+        walkers = []
+        from_point = ExactWalker.from_point.__func__
 
-        def counted(self, x, step_index=None):
-            calls.append(step_index)
-            return apply(self, x, step_index)
+        def recorded(cls, iet, x):
+            walkers.append(from_point(cls, iet, x))
+            return walkers[-1]
 
-        monkeypatch.setattr(Iet, "apply", counted)
+        monkeypatch.setattr(ExactWalker, "from_point", classmethod(recorded))
         code, _out = capture(capsys, ["birkhoff", "--iet", specs["four"],
                                       "--cocycle", specs["step"],
                                       "--n", "2000"])
         assert code == 0
-        assert len(calls) == 2000
+        # one walk of all 2000 steps (the jump's exact location walks none)
+        steps = [wk.steps for wk in walkers]
+        assert sum(steps) == max(steps) == 2000
 
 
 class TestErrors:
@@ -296,6 +298,7 @@ class TestErrors:
         ("deviation --iet {four} --cocycle {bad} --n-max 100", HUGE_STEP,
          "overflow"),
         ("rotations --mode product --n 9223372036854775808", "", "overflow"),
+        ("birkhoff --iet {four} --cocycle {step} --x0 nan", "", "finite"),
     ], ids=["pair-without-pi0", "not-json", "step-without-values",
             "birkhoff-n-0", "deviation-n-max-0", "simulate-eps-not-a-number",
             "classify-vector-not-numbers", "spectrum-matrix-not-integers",
@@ -309,7 +312,8 @@ class TestErrors:
             "correct-k-max-0", "correct-k-max-negative", "rauzy-steps-negative",
             "essential-values-n-max-negative", "dk-depth-0",
             "simulate-nan-entry", "deviation-nan-entry", "simulate-overflow",
-            "deviation-overflow", "product-sums-past-int64"])
+            "deviation-overflow", "product-sums-past-int64",
+            "birkhoff-x0-nan"])
     def test_malformed_spec_one_line_error(self, capsys, specs, tmp_path,
                                            command, content, named):
         bad = tmp_path / "bad.json"
@@ -399,6 +403,23 @@ class TestDeterminism:
         code, out = capture(capsys, argv)
         assert code == 0
         assert out.encode() == (GOLDEN / f"{golden}.json").read_bytes()
+
+    @pytest.mark.parametrize("iet, cocycle", [
+        ("four_letter_matrix", "pl_cocycle"),
+        ("four_letter_matrix", "step_cocycle"),
+        ("five_letter_matrix", "fixed_space_cocycle"),
+    ], ids=["pl", "step-with-jump", "fixed-space"])
+    def test_birkhoff_matches_committed_stdout(self, capsys, iet, cocycle):
+        # tests/golden holds the stdout of the per-step mpf orbit, which an
+        # exact replay matched at every checkpoint: the exact walk
+        # reproduces it byte for byte
+        code, out = capture(capsys, [
+            "birkhoff", "--n", "100000",
+            "--iet", str(BUNDLED_SPECS / f"{iet}.json"),
+            "--cocycle", str(BUNDLED_SPECS / f"{cocycle}.json")])
+        assert code == 0
+        assert out.encode() == (GOLDEN / f"birkhoff_{iet}_{cocycle}.json"
+                                ).read_bytes()
 
     @pytest.mark.parametrize("command, golden", [
         ("rotations --mode dk --n 1000000 --samples 100", "rotations_dk_readme"),

@@ -26,7 +26,8 @@ from iet_lab.cocycles import (FLOAT_BLOCK, ExactWalker, PiecewiseLinearCocycle,
 from iet_lab.ergodicity import skew_simulate
 from iet_lab.errors import DomainError, NearBreakpoint, NotNormalized
 from iet_lab.perms import make_pair, make_symmetric_pair
-from iet_lab.precision import PrecisionContext, kronecker_samples
+from iet_lab.precision import (PrecisionContext, as_fraction,
+                               kronecker_samples)
 from iet_lab.rauzy import Iet, build_periodic_from_matrix
 from iet_lab.repro import FIVE_MATRIX
 from iet_lab.shadow import (_TOWER_REACH, TOWER_HEIGHT, lattice_mirror,
@@ -35,28 +36,47 @@ from iet_lab.shadow import (_TOWER_REACH, TOWER_HEIGHT, lattice_mirror,
 SYSTEMS = ["periodic4", "periodic5", "periodic7"]
 
 
+def image(iet, x, n=1):
+    """T^n x by one exact walk (of the inverse for n < 0), rounded once."""
+    wk = ExactWalker.from_point(iet if n >= 0 else iet.inverse, x)
+    wk.run(abs(n))
+    return wk.point()
+
+
 class TestApply:
+    """The image of a point: one exact step of the walker."""
+
     def test_rotation(self, ctx):
         phi = (ctx.mp.sqrt(5) - 1) / 2
         iet = Iet(make_symmetric_pair(2), ctx.vector([phi, 1 - phi]))
         x = ctx.real("0.15")
-        assert abs(iet.apply(x) - (x + 1 - phi)) < ctx.eps_cmp
+        assert abs(image(iet, x) - (x + 1 - phi)) < ctx.eps_cmp
 
     def test_left_endpoint_maps(self, ctx, periodic4):
-        iet = periodic4.iet
+        lattice = periodic4.iet.lattice
         for a in range(4):
-            y = iet.apply(iet.left[a])
-            assert abs(y - (iet.left[a] + iet.translations[a])) == 0
+            wk = ExactWalker(periodic4.iet, lattice.lefts[a])
+            assert wk.step() == a
+            assert tuple(wk.coeffs) == lattice.image_lefts[a]
 
     def test_domain_error(self, ctx, periodic4):
-        with pytest.raises(DomainError):
-            periodic4.iet.apply(periodic4.iet.total)
+        iet = periodic4.iet
+        for x in (iet.total, -ctx.eps_cmp, ctx.real("nan")):
+            with pytest.raises(DomainError):
+                image(iet, x)
+            with pytest.raises(DomainError):
+                iet.interval_index(x)
 
     def test_near_breakpoint(self, ctx, periodic4):
+        # eps_cmp / 4 either side of a left end: located and moved exactly
         iet = periodic4.iet
-        x = iet.left[1] + ctx.eps_cmp / 4
-        with pytest.raises(NearBreakpoint):
-            iet.apply(x)
+        lat, lam = iet.lattice, [as_fraction(v) for v in iet.lengths]
+        for x, a in ((iet.left[1] + ctx.eps_cmp / 4, 1),
+                     (iet.left[1] - ctx.eps_cmp / 4, 0)):
+            assert iet.interval_index(x) == a
+            move = sum((i - l) * v for i, l, v in
+                       zip(lat.image_lefts[a], lat.lefts[a], lam))
+            assert image(iet, x) == ctx.real(as_fraction(x) + move)
 
     def test_images_tile_domain(self, ctx, periodic4, periodic5):
         # images of the exchanged intervals are disjoint and tile [0, |I|)
@@ -97,7 +117,7 @@ class TestBirkhoff:
                           ((ctx.real("0.37"), (1, -1)),))
         x = ctx.real("0.211")
         lhs = birkhoff_sum(phi, iet, x, m + n)
-        tm = iet.orbit(x, m)[-1]
+        tm = image(iet, x, m)
         rhs_a = birkhoff_sum(phi, iet, x, m)
         rhs_b = birkhoff_sum(phi, iet, tm, n)
         for i in range(2):
@@ -115,7 +135,7 @@ class TestBirkhoff:
             n = rng.randint(-100, 100)
             x = ctx.real(str(rng.uniform(0.05, 0.95)))
             lhs = birkhoff_sum(phi, iet, x, m + n)
-            tm = iet.orbit(x, m)[-1]
+            tm = image(iet, x, m)
             rhs = birkhoff_sum(phi, iet, x, m)[0] \
                 + birkhoff_sum(phi, iet, tm, n)[0]
             assert abs(lhs[0] - rhs) < ctx.eps_cmp * 256
@@ -126,7 +146,7 @@ class TestBirkhoff:
             (ctx.real(1),), tuple((ctx.real(c),) for c in (0.1, -0.2, 0.3, 0)))
         x = ctx.real("0.43")
         lhs = birkhoff_sum(pl, iet, x, 12)
-        mid = iet.orbit(x, 5)[-1]
+        mid = image(iet, x, 5)
         rhs = birkhoff_sum(pl, iet, x, 5)[0] + birkhoff_sum(pl, iet, mid, 7)[0]
         assert abs(lhs[0] - rhs) < ctx.eps_cmp * 64
 
@@ -140,6 +160,59 @@ class TestBirkhoff:
         counts2 = birkhoff_visit_counts(iet, x, 500)
         assert counts == counts2
         assert sum(counts) == 500
+
+
+def oracle_value(phi, iet, a, y):
+    """The cocycle at a point y of letter a's interval, at working
+    precision: a jump at gamma counts where left_a < gamma <= y."""
+    if isinstance(phi, PiecewiseLinearCocycle):
+        return phi.slopes[a][0] * y + phi.constants[a][0]
+    return phi.values[a][0] + sum(j[0] for g, j in phi.jumps
+                                  if iet.left[a] < g <= y)
+
+
+class TestExactAgainstMpfOracle:
+    """Point starts walk exactly: on 50 Kronecker starts per system, the
+    per-step mpf oracle's short orbits, in both directions, give the
+    same visit counts and integer sums (``==``) and the same real sums
+    within eps_cmp per step."""
+
+    N = 200
+
+    @staticmethod
+    def cocycles(ctx, iet):
+        r, d = ctx.real, iet.d
+        first, last = iet.order0[0], iet.order0[-1]
+        ints = StepCocycle.from_vector(tuple((-1) ** a * (a + 1)
+                                             for a in range(d)))
+        step = StepCocycle(1, tuple((r(a + 1) / 10,) for a in range(d)), (
+            (iet.left[first] + r("0.37") * iet.lengths[first], (r("0.3"),)),
+            (iet.left[last] + r("0.61") * iet.lengths[last], (r("-1.25"),))))
+        pl = PiecewiseLinearCocycle.constant_slope(
+            (r("0.7"),), tuple((r(2 - 3 * a) / 20,) for a in range(d)))
+        return ints, step, pl
+
+    @pytest.mark.parametrize("system", SYSTEMS)
+    @pytest.mark.parametrize("sign", [1, -1], ids=["forward", "backward"])
+    def test_matches_the_mpf_orbit(self, request, ctx, mpf_orbit, system,
+                                   sign):
+        iet = request.getfixturevalue(system).iet
+        n = sign * self.N
+        ints, step, pl = self.cocycles(ctx, iet)
+        for x in kronecker_samples(ctx, 50, iet.total, seed=5):
+            pts, letters = mpf_orbit(iet, x, n)
+            summed = pts[:-1] if n > 0 else pts[1:]
+            walker = ExactWalker.from_point(iet if n > 0 else iet.inverse, x)
+            assert walker.run(self.N) == tuple(map(letters.count,
+                                                   range(iet.d)))
+            got = birkhoff_sum(ints, iet, x, n)
+            assert got == (sign * sum(ints.values[a][0] for a in letters),)
+            assert type(got[0]) is int
+            for phi in (step, pl):
+                want = sign * ctx.mp.fsum(oracle_value(phi, iet, a, y)
+                                          for a, y in zip(letters, summed))
+                assert abs(birkhoff_sum(phi, iet, x, n)[0] - want) \
+                    < ctx.eps_cmp * self.N
 
 
 class TestRenormalization:
@@ -209,7 +282,7 @@ class TestRenormalization:
         (u, _j), = state.cocycle.jumps
         t = state.jump_steps[0]
         x = u / periodic4.pf_value ** 2
-        y = iet.orbit(x, t)[-1]
+        y = image(iet, x, t)
         assert abs(y - g) < ctx.mp.mpf(2) ** -90
 
     def test_zero_cocycle_stays_zero(self, periodic4, renorm4):
@@ -221,6 +294,18 @@ class TestRenormalization:
         phi = StepCocycle.from_vector((1, -1, 0, 0))
         state = renormalize(phi, periodic4, 0, 2)
         assert state.level == 2
+
+    @pytest.mark.parametrize("where", ["left-end", "total", "past-total",
+                                       "negative"])
+    def test_renormalize_validates_jumps(self, ctx, periodic4, renorm4,
+                                         where):
+        iet = periodic4.iet
+        g = {"left-end": iet.left[2], "total": iet.total,
+             "past-total": ctx.real("1.5"), "negative": ctx.real("-0.1")}
+        phi = StepCocycle(1, ((1,), (0,), (0,), (-1,)), ((g[where], (1,)),))
+        for k in (0, 2):
+            with pytest.raises(DomainError, match="jump position"):
+                renormalize(phi, periodic4, k, k + 1, renorm4)
 
 
 class TestSevenLetterRenormalizer:
@@ -243,7 +328,7 @@ def stepwise_levels(iet, coeffs, den, n):
     wk = ExactWalker(iet, coeffs, den)
     points, positions, letters = [], [], []
     for _ in range(n):
-        points.append(wk.coeff_snapshot()[0])
+        points.append(tuple(wk.coeffs))
         positions.append(iet.ctx.dot_int(points[-1], iet.lengths.values)
                          / den)
         letters.append(wk.step())
@@ -420,13 +505,13 @@ def eager_until_below(wk, threshold_coeffs, threshold_f):
             wk.escalations += 1
             diff = [wk.den * t - c
                     for c, t in zip(wk.coeffs, threshold_coeffs)]
-            if certified_lattice_sign(wk.iet, diff) > 0:
+            if certified_lattice_sign(wk.lengths, diff) > 0:
                 break
     return tuple(wk.counts)
 
 
 def walker_state(wk):
-    return (wk.coeff_snapshot(), wk.counts, wk.steps, wk.escalations,
+    return (tuple(wk.coeffs), wk.den, wk.counts, wk.steps, wk.escalations,
             wk.resyncs, wk.x_f)
 
 
@@ -620,7 +705,7 @@ class TestPartitions:
 
     def test_breakpoint_count(self, periodic4):
         # (d-1) * n + 1 breakpoints for a Keane exchange
-        for n in (5, 17):
+        for n in range(1, 201):
             rep = partition_pn(periodic4.iet, n)
             assert len(rep.breakpoints) == 3 * n + 1
 
@@ -1138,13 +1223,14 @@ class TestClimbCertificate:
 
 def lattice_preimage(iet, coeffs, den, k):
     """Lattice coefficients of T^-k of the point (coeffs . lambda) / den,
-    each preimage's letter found at working precision."""
-    inv = iet.inverse()  # its letter a's interval is a's image
+    each preimage's letter located from its working-precision value."""
+    inv = iet.inverse  # its letter a's interval is a's image
     lat = iet.lattice
     w = [[i - left for i, left in zip(img, lefts)]
          for img, lefts in zip(lat.image_lefts, lat.lefts)]
     for _ in range(k):
-        a = inv._letter_at(iet.ctx.dot_int(coeffs, iet.lengths.values) / den)
+        a = inv.interval_index(iet.ctx.dot_int(coeffs, iet.lengths.values)
+                               / den)
         coeffs = [c - den * wi for c, wi in zip(coeffs, w[a])]
     return coeffs
 
@@ -1493,7 +1579,8 @@ class TestExactLattice:
             tiny.append(near)
         cases += tiny
         for c in cases:
-            assert certified_lattice_sign(p.iet, c) == sign(exact_dot(lam, c))
+            assert certified_lattice_sign(p.iet.lengths, c) == sign(
+                exact_dot(lam, c))
         assert all(exact_dot(lam, c) == 0 for c in cases[:7])
         for c in tiny:
             assert 0 < abs(exact_dot(lam, c)) < margin * max(map(abs, c))
@@ -1555,6 +1642,18 @@ class TestExactLattice:
                 with pytest.raises(DomainError, match="outside"):
                     ExactWalker.at_depth(periodic5, 9, left)
         assert refused
+
+    def test_threshold_not_positive_refused(self, periodic4):
+        # a position is never negative, so such a walk would never end;
+        # the 4-letter depth-15 total is negative for the stored lengths
+        deep = depth_total_coeffs(periodic4, 15)
+        assert exact_dot(periodic4.iet.lengths, deep) < 0
+        for wk, threshold in (
+                (ExactWalker(periodic4.iet, [0] * 4), [0] * 4),
+                (ExactWalker.at_depth(periodic4, 14, [0] * 4), deep)):
+            with pytest.raises(DomainError, match="threshold"):
+                wk.run_until_below(threshold, 0.0)
+            assert wk.steps == 0
 
     def test_depth8_start_near_a_left_end(self, periodic5):
         lat = depth_lattice(periodic5, 8)

@@ -12,7 +12,7 @@ from iet_lab.perms import make_pair, make_symmetric_pair
 from iet_lab.rauzy import (Iet, build_periodic_from_matrix,
                            iterate_induction, keane_check, omega_matrix,
                            rauzy_step, replay_loop)
-from iet_lab.precision import side_of_breakpoint
+from iet_lab.precision import as_fraction
 from iet_lab.repro import SEVEN_LOOP, SEVEN_LOOP_MATRIX, seven_letter_pair
 from iet_lab.shadow import GUARD, FloatMirror
 from iet_lab.spectral import singularity_data
@@ -243,9 +243,18 @@ def prefix_mirror(iet, geometry):
                        order, GUARD * float(total))
 
 
-def scan_interval_index(iet, geometry, x):
-    """Linear-scan location with both endpoint guards, as an outcome."""
-    left, right, _translations, total = geometry
+def exact_lefts(iet):
+    """The left ends and the total length as exact rationals."""
+    lam = [as_fraction(v) for v in iet.lengths]
+    pi0 = iet.pair.pi0
+    return ([sum(lam[b] for b in range(iet.d) if pi0[b] < pi0[a])
+             for a in range(iet.d)], sum(lam))
+
+
+def scan_interval_index(iet, exact, x):
+    """Linear-scan location of x on the exact left ends, as an outcome."""
+    left, total = exact
+    x = as_fraction(x)
     if x < 0 or x >= total:
         return "DomainError"
     idx = iet.order0[0]
@@ -254,12 +263,6 @@ def scan_interval_index(iet, geometry, x):
             idx = a
         else:
             break
-    try:
-        if x != left[idx]:
-            side_of_breakpoint(iet.ctx, x, left[idx])
-        side_of_breakpoint(iet.ctx, x, right[idx])
-    except IetLabError as exc:
-        return type(exc).__name__
     return idx
 
 
@@ -276,12 +279,13 @@ def assert_geometry_matches(iet, rng):
     geometry = prefix_geometry(iet)
     assert (iet.left, iet.right, iet.translations, iet.total) == geometry
     assert iet.mirror == prefix_mirror(iet, geometry)
+    exact = exact_lefts(iet)
     for x in probe_points(iet, rng):
         try:
             got = iet.interval_index(x)
         except IetLabError as exc:
             got = type(exc).__name__
-        assert got == scan_interval_index(iet, geometry, x)
+        assert got == scan_interval_index(iet, exact, x)
 
 
 class TestLatticeGeometry:

@@ -2,13 +2,30 @@
 
 import pytest
 
-from iet_lab.repro import appendix_b, appendix_d, example_7_2, run_case
+from iet_lab import repro
+from iet_lab.repro import (_refinement_agrees, appendix_b, appendix_d,
+                           example_7_2, grouped_exchange, run_case)
 
 
 class TestCases:
     def test_seven_letter_case_passes(self, ctx):
         report = example_7_2(ctx)
         assert report.ok, report.to_table()
+
+    def test_refinement_compares_every_sample(self, ctx, periodic7,
+                                              monkeypatch):
+        iet4 = grouped_exchange(periodic7)
+        assert _refinement_agrees(periodic7, iet4, ctx)
+        images = []
+
+        def broken(iet, x):
+            images.append(x)
+            raise TypeError("no image")
+
+        monkeypatch.setattr(repro, "_image", broken)
+        with pytest.raises(TypeError):
+            _refinement_agrees(periodic7, iet4, ctx)
+        assert len(images) == 1
 
     def test_five_letter_case_passes(self, ctx):
         report = appendix_d(ctx)
