@@ -245,10 +245,11 @@ def _cmd_spectrum(args, ctx):
 def _cmd_birkhoff(args, ctx):
     iet = _plain_iet(_load_iet(args, ctx))
     phi = _load_cocycle(args, ctx, iet)
-    from .cocycles import birkhoff_checkpoints, _geometric_checkpoints
+    from .cocycles import CHECKPOINT_RATIO, birkhoff_checkpoints
+    from .precision import geometric_checkpoints
 
     x = _parse("--x0", ctx.real, args.x0) * iet.total
-    checkpoints = _geometric_checkpoints(args.n)
+    checkpoints = geometric_checkpoints(args.n, CHECKPOINT_RATIO)
     sums = birkhoff_checkpoints(phi, iet, x, checkpoints)
     rows = [(n, ctx.str_of(max(abs(v) for v in acc), 17))
             for n, acc in zip(checkpoints, sums)]
@@ -266,7 +267,7 @@ def _cmd_deviation(args, ctx):
         phi = zero_mean_version(phi, obj.iet)
     prof = deviation_profile(phi, obj, args.n_max, samples=args.samples,
                              seed=args.seed, workers=max(1, args.threads))
-    rows = [(n, f"{v:.12g}") for n, v in prof.to_rows(0)]
+    rows = [(n, f"{v:.12g}") for n, v in prof.to_rows()]
     _emit(args, {"csv_header": "n,sup_norm",
                  "rows": [[r[0], r[1]] for r in rows],
                  "fitted_exponent": prof.fitted_exponent[0],

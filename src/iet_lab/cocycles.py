@@ -34,7 +34,7 @@ piecewise-linear cocycle through all depths in closed form.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from heapq import heappop, heappush
 from itertools import accumulate, chain
@@ -45,11 +45,13 @@ import numpy as np
 from . import intmat
 from .errors import (DomainError, KeaneViolation, NearBreakpoint,
                      NotNormalized, Unsupported, reading_spec)
-from .precision import as_fraction, kronecker_samples
+from .precision import (as_fraction, geometric_checkpoints,
+                        kronecker_samples, least_squares_slope)
 from .rauzy import DepthLattice, Iet, PeriodicIet, _lattice
 from .shadow import FloatMirror, lattice_mirror, shadow_walk
 
 FLOAT_BLOCK = 1 << 14  # orbit steps per float_walk block
+CHECKPOINT_RATIO = 10 ** (1 / 8)  # birkhoff and deviation checkpoints
 
 
 # ---------------------------------------------------------------------------
@@ -326,6 +328,7 @@ class ExactWalker:
             self._origin = (self.den,)
         self.mirror = mirror
         self.left_coeffs = lattice.lefts
+        self.total_coeffs = lattice.total
         self.w_coeffs = [tuple(i - l for i, l in zip(img, left))
                          for img, left in zip(lattice.image_lefts, lattice.lefts)]
         self.counts = [0] * d
@@ -408,9 +411,11 @@ class ExactWalker:
         self.steps += len(slots)
 
     def _exact_below(self, threshold_coeffs) -> bool:
-        """Whether the position is below the threshold, by an exact sign."""
+        """Whether the position is below (threshold_coeffs . lambda) / den,
+        by an exact sign."""
         self.escalations += 1
-        return self._exact_side(threshold_coeffs) < 0
+        diff = [c - t for c, t in zip(self.coeffs, threshold_coeffs)]
+        return certified_lattice_sign(self.lengths, [*diff, *self._origin]) < 0
 
     def _walk(self, n_steps, threshold_coeffs=None, threshold_f: float = 0.0):
         """Advance ``n_steps`` steps, or (``None``) until below the threshold.
@@ -420,7 +425,7 @@ class ExactWalker:
         the table is built; at a guarded step its verified steps are
         folded and the step's slot is settled exactly, and at a resync
         the shadow is reset from the exact position.  With a threshold
-        (threshold_coeffs . lambda), the walk stops after the first step
+        (threshold_coeffs . lambda) / den, the walk stops after the first step
         whose shadow is below it by more than the guard, or that an
         exact sign puts below it inside the guard band; a resync step is
         checked on its resynced shadow.  Returns the letter left by the
@@ -514,12 +519,19 @@ class ExactWalker:
         """Step until the position drops below an exact lattice threshold.
 
         Returns the visit counts accumulated before the first return.
-        The threshold is (threshold_coeffs . lambda); comparisons inside
-        the guard band are settled exactly.  A position is never
-        negative, so a threshold that is not positive is refused.
+        The threshold is (threshold_coeffs . lambda) / den, over the
+        walker's own den like its start (pass ``[den * t for t in c]``
+        for the lattice point c . lambda), and ``threshold_f`` is its
+        float; comparisons inside the guard band are settled exactly.
+        A threshold outside (0, |I|] of the walked exchange is refused:
+        a position is never negative, and every position is below |I|.
         """
-        if self.lengths.int_dot(threshold_coeffs) <= 0:
+        num = self.lengths.int_dot(threshold_coeffs)
+        if num <= 0:
             raise DomainError("return threshold must be positive")
+        if num > self.den * self.lengths.int_dot(self.total_coeffs):
+            raise DomainError("return threshold above |I| of the walked "
+                              "exchange")
         self._walk(None, threshold_coeffs, threshold_f)
         return tuple(self.counts)
 
@@ -761,12 +773,12 @@ class TowerStructure:
     levels: tuple | None = None
 
 
-def towers(periodic: PeriodicIet, n: int, with_levels: bool = False,
-           level_budget: int = 200_000) -> TowerStructure:
+def towers(periodic: PeriodicIet, n: int, with_levels: bool = False
+           ) -> TowerStructure:
     """Tower structure at depth n (in normalized periods).
 
-    Levels are enumerated explicitly only on request and within a step
-    budget; heights and measures are exact regardless.
+    Levels are enumerated explicitly only on request and within a budget
+    of 200,000 steps; heights and measures are exact regardless.
     """
     if n < 0:
         raise DomainError("tower depth must be >= 0")
@@ -789,7 +801,7 @@ def towers(periodic: PeriodicIet, n: int, with_levels: bool = False,
     levels = None
     if with_levels:
         total_steps = sub_h * periodic.d
-        if total_steps > level_budget:
+        if total_steps > 200_000:
             raise DomainError(
                 f"level enumeration needs {total_steps} steps, over the budget")
         lattice = depth_lattice(periodic, n + 1)
@@ -1073,22 +1085,9 @@ class DeviationProfile:
     sample_count: int
     log_power: int
 
-    def to_rows(self, index: int = 0) -> list:
-        return [(n, s) for n, s in zip(self.checkpoints, self.envelope[index])]
-
-
-def _geometric_checkpoints(n_max: int, per_decade: int = 8) -> list:
-    if n_max < 1:
-        raise DomainError("orbit length must be >= 1")
-    out = []
-    n = 1
-    ratio = 10 ** (1.0 / per_decade)
-    while n <= n_max:
-        out.append(n)
-        n = max(n + 1, int(round(n * ratio)))
-    if out[-1] != n_max:
-        out.append(n_max)
-    return out
+    def to_rows(self) -> list:
+        """(checkpoint, running sup) rows of the first cocycle."""
+        return [(n, s) for n, s in zip(self.checkpoints, self.envelope[0])]
 
 
 @dataclass(frozen=True)
@@ -1106,8 +1105,11 @@ class FloatTable:
     jumps: tuple
 
 
-def float_table(cocycle: Cocycle, mirror: FloatMirror) -> FloatTable:
-    check_rows(cocycle, len(mirror.letters))
+def float_table(cocycle: Cocycle, iet: Iet) -> FloatTable:
+    """The cocycle's float table on ``iet.mirror``; each jump sits in the
+    slot of the letter whose interval holds it exactly."""
+    mirror = iet.mirror
+    check_rows(cocycle, iet.d)
 
     def rows(per_letter):
         return tuple(tuple(float(per_letter[a][i]) for a in mirror.letters)
@@ -1120,11 +1122,10 @@ def float_table(cocycle: Cocycle, mirror: FloatMirror) -> FloatTable:
         raise Unsupported("the float lane supports step and pl cocycles")
     jumps = []
     for g, j in cocycle.jumps:
-        gf = float(g)
-        if not 0.0 <= gf < mirror.rights[-1]:
+        if not 0 <= g < iet.total:
             raise DomainError("jump position outside the domain")
-        slot = bisect_right(mirror.lefts, gf, 1) - 1
-        jumps.append((slot, gf, tuple(float(x) for x in j)))
+        slot = mirror.letters.index(iet.interval_index(g))
+        jumps.append((slot, float(g), tuple(float(x) for x in j)))
     return FloatTable(cocycle.dim, rows(cocycle.values), None, tuple(jumps))
 
 
@@ -1210,7 +1211,6 @@ def _sweep_one_sample(args):
 
 def deviation_sweep(iet: Iet, cocycles, n_max: int, samples: int = 8,
                     seed: int = 0, log_power: int = 2,
-                    tail_from: int | None = None,
                     workers: int = 1) -> DeviationProfile:
     """Shared-orbit float sweep of several cocycles over one exchange.
 
@@ -1223,9 +1223,9 @@ def deviation_sweep(iet: Iet, cocycles, n_max: int, samples: int = 8,
     pointwise maximum, so results match the serial run exactly.
     """
     mirror = iet.mirror
-    checkpoints = _geometric_checkpoints(n_max)
+    checkpoints = geometric_checkpoints(n_max, CHECKPOINT_RATIO)
     starts = kronecker_samples(iet.ctx, samples, iet.total, seed)
-    tables = [float_table(c, mirror) for c in cocycles]
+    tables = [float_table(c, iet) for c in cocycles]
     jobs = [(float(x0), mirror, tables, checkpoints) for x0 in starts]
     if workers > 1 and len(jobs) > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -1245,14 +1245,18 @@ def deviation_sweep(iet: Iet, cocycles, n_max: int, samples: int = 8,
                          for dst, src in zip(point_sup, local_sup)]
     used = sum(ok for ok, _sup in results)
     envelope = tuple(tuple(accumulate(p, max)) for p in point_sup)
-    tail_from = tail_from or max(64, int(n_max ** 0.4))
-    raw = tuple(_loglog_slope(checkpoints, env, tail_from, 0)
-                for env in envelope)
-    corrected = tuple(_loglog_slope(checkpoints, env, tail_from, log_power)
-                      for env in envelope)
+    tail = max(64, int(n_max ** 0.4))  # the slopes fit n >= tail
+
+    def slopes(power):  # of log sup - power log log n against log n
+        return tuple(least_squares_slope(
+            [(math.log(n), math.log(v) - power * math.log(math.log(max(n, 3))))
+             for n, v in zip(checkpoints, env) if n >= tail and v > 0])
+            for env in envelope)
+
     return DeviationProfile(tuple(checkpoints), envelope,
-                            tuple(map(tuple, point_sup)), raw, corrected,
-                            len(results) - used, used, log_power)
+                            tuple(map(tuple, point_sup)), slopes(0),
+                            slopes(log_power), len(results) - used, used,
+                            log_power)
 
 
 def _sweep_value(table: FloatTable, counts, possum, cross) -> float:
@@ -1271,23 +1275,6 @@ def _sweep_value(table: FloatTable, counts, possum, cross) -> float:
                 s += vi[a] * possum[a] + ci[a] * counts[a]
         best = max(best, abs(s))
     return best
-
-
-def _loglog_slope(ns, values, tail_from: int, log_power: int) -> float:
-    xs, ys = [], []
-    for n, v in zip(ns, values):
-        if n >= tail_from and v > 0:
-            x = math.log(n)
-            y = math.log(v) - log_power * math.log(math.log(max(n, 3)))
-            xs.append(x)
-            ys.append(y)
-    if len(xs) < 3:
-        return 0.0
-    mx = sum(xs) / len(xs)
-    my = sum(ys) / len(ys)
-    num = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
-    den = sum((x - mx) ** 2 for x in xs)
-    return num / den if den else 0.0
 
 
 def cocycle_from_json(data: dict, ctx) -> Cocycle:
@@ -1316,17 +1303,14 @@ def cocycle_from_json(data: dict, ctx) -> Cocycle:
 
 def deviation_profile(cocycle: Cocycle, periodic: PeriodicIet, n_max: int,
                       samples: int = 8, seed: int = 0,
-                      log_power: int | None = None,
                       workers: int = 1) -> DeviationProfile:
     """Growth profile of one zero-mean cocycle over a periodic exchange.
 
-    The log-factor correction power defaults to M + 1 where M is the
-    maximal Jordan block of the period matrix.
+    The log-factor correction power is M + 1 where M is the maximal
+    Jordan block of the period matrix.
     """
-    if log_power is None:
-        from .spectral import lyapunov_spectrum
+    from .spectral import lyapunov_spectrum
 
-        spec = lyapunov_spectrum(periodic.matrix, periodic.ctx)
-        log_power = spec.max_jordan_block + 1
+    spec = lyapunov_spectrum(periodic.matrix, periodic.ctx)
     return deviation_sweep(periodic.iet, [cocycle], n_max, samples, seed,
-                           log_power, workers=workers)
+                           spec.max_jordan_block + 1, workers=workers)

@@ -66,8 +66,8 @@ def _add_step_vector(cocycle: Cocycle, h_rows) -> Cocycle:
     return replace(cocycle, constants=new_consts)
 
 
-def correct_step(vector, splitting: Splitting, periodic: PeriodicIet,
-                 check_mean: bool = True) -> CorrectionResult:
+def correct_step(vector, splitting: Splitting, periodic: PeriodicIet
+                 ) -> CorrectionResult:
     """Exact correction of a pure step cocycle (one coordinate).
 
     The corrector is minus the unstable component; the corrected vector
@@ -77,7 +77,7 @@ def correct_step(vector, splitting: Splitting, periodic: PeriodicIet,
     ctx = periodic.ctx
     lam = periodic.lengths
     ip = ctx.mp.fsum(v * l for v, l in zip(vector, lam))
-    if check_mean and abs(ip) > ctx.eps_cmp * 16:
+    if abs(ip) > ctx.eps_cmp * 16:
         raise NotZeroMean("step vector is not mean-free against the lengths")
     u_part = splitting.project(vector, "u")
     h_row = tuple(-x for x in u_part)
@@ -121,10 +121,8 @@ def correct_bv(cocycle: Cocycle, periodic: PeriodicIet, splitting: Splitting,
         depth = default_depth(periodic, splitting, cocycle, ctx)
     if depth < 1:
         raise DomainError("depth must be >= 1")
-    state = rz.start(cocycle)
-    for _ in range(depth):
-        state = rz.advance(state)
-    averages = rz.interval_averages(state)  # d rows of dim-vectors
+    # d rows of dim-vectors
+    averages = rz.interval_averages(rz.to_depth(cocycle, depth))
     at = intmat.mat_transpose(periodic.step_matrix)
     m_u = splitting.unstable_map(at)
     h_rows = []
@@ -203,9 +201,6 @@ class GrowthReport:
     depths: tuple
     bounded_estimate: object   # max over depths of the sup
     mean_ratio_tail: object    # geometric-mean growth factor over the tail
-
-    def to_rows(self) -> list:
-        return list(zip(self.depths, self.sups))
 
 
 def renorm_sup_curve(cocycle: Cocycle, periodic: PeriodicIet, k_max: int,

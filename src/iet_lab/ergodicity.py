@@ -22,7 +22,7 @@ from .cocycles import (Cocycle, ExactWalker, PiecewiseLinearCocycle,
                        float_walk)
 from .errors import (DomainError, EmptyFixedSpace, NearBreakpoint,
                      NotZeroMean, Unsupported)
-from .precision import PrecisionContext, kronecker_samples
+from .precision import PrecisionContext
 from .rauzy import Iet, PeriodicIet
 from .spectral import Splitting, singularity_data
 
@@ -101,18 +101,17 @@ def compose_linear(matrix_rows, cocycle: StepCocycle) -> StepCocycle:
     return StepCocycle(m, new_values, new_jumps)
 
 
-def dense_image_matrix(k: int, irrationals=None):
+def dense_image_matrix(k: int):
     """A (k-1) x k matrix whose integer-lattice image is dense.
 
-    Rows are delta rows with an extra column of numbers rationally
-    independent from 1; any nonzero rational combination of rows then
-    leaves the integer lattice, which is the density criterion.
+    Rows are delta rows with an extra column of square roots of primes,
+    rationally independent from 1; any nonzero rational combination of
+    rows then leaves the integer lattice, which is the density criterion.
     """
     if k < 2:
         raise DomainError("need k >= 2 for a dense-image reduction")
-    if irrationals is None:
-        primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
-        irrationals = [math.sqrt(p) for p in primes[:k - 1]]
+    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    irrationals = [math.sqrt(p) for p in primes[:k - 1]]
     rows = []
     for i in range(k - 1):
         row = [1 if j == i else 0 for j in range(k - 1)]
@@ -129,18 +128,19 @@ NOT_COBOUNDARY = "NotCoboundary"
 CENTRAL_UNDETERMINED = "CentralUndetermined"
 
 
-def coboundary_classify(vector, splitting: Splitting, periodic: PeriodicIet,
-                        tolerance=None) -> str:
+def coboundary_classify(vector, splitting: Splitting, periodic: PeriodicIet
+                        ) -> str:
     """Growth-based trichotomy for a zero-mean step cocycle.
 
     Contracting vectors give bounded sums (hence coboundaries); any
     expanding component forces unbounded renormalizations (hence not);
-    a purely central remainder is undecidable from growth alone.
+    a purely central remainder is undecidable from growth alone.  Sizes
+    are judged against 2**(-bits/3) times the vector's scale.
     """
     ctx = periodic.ctx
     ip = abs(ctx.mp.fsum(v * l for v, l in zip(vector, periodic.lengths)))
     scale = max(max(abs(ctx.real(v)) for v in vector), ctx.mp.mpf(1))
-    tol = tolerance if tolerance is not None else ctx.mp.mpf(2) ** (-(ctx.bits // 3))
+    tol = ctx.mp.mpf(2) ** (-(ctx.bits // 3))
     if ip > tol * scale:
         raise NotZeroMean("classification requires a zero-mean step vector")
     cs, cc, cu = splitting.components(vector)
@@ -162,10 +162,11 @@ class LatticeReport:
     residuals: tuple
 
 
-def lattice_containment(cocycle: StepCocycle, scales, ctx: PrecisionContext,
-                        tolerance=None) -> LatticeReport:
-    """Check value and jump membership in each lattice c * Z^dim."""
-    tol = tolerance if tolerance is not None else ctx.mp.mpf(10) ** (-20)
+def lattice_containment(cocycle: StepCocycle, scales, ctx: PrecisionContext
+                        ) -> LatticeReport:
+    """Check value and jump membership in each lattice c * Z^dim, each
+    entry within 1e-20 of a multiple of c."""
+    tol = ctx.mp.mpf(10) ** (-20)
     entries = [x for v in cocycle.values for x in v]
     entries += [x for _g, j in cocycle.jumps for x in j]
     contained = []
@@ -211,8 +212,8 @@ class EssentialValueReport:
 
 
 def essential_value_probe(cocycle: Cocycle, periodic: PeriodicIet,
-                          n_max: int, renormalizer: Renormalizer | None = None,
-                          match_tol: float = 1e-9) -> EssentialValueReport:
+                          n_max: int, renormalizer: Renormalizer | None = None
+                          ) -> EssentialValueReport:
     """Evaluate climb sums over the canonical sub-towers, depth by depth.
 
     For each depth n, the cocycle renormalized to depth n+1 is constant
@@ -265,13 +266,14 @@ def essential_value_probe(cocycle: Cocycle, periodic: PeriodicIet,
             contaminated.append(n)
         if n < n_max:
             state = rz.advance(state)
-    candidates = _track_candidates(pieces, n_max, match_tol)
+    candidates = _track_candidates(pieces, n_max)
     return EssentialValueReport(tuple(pieces), tuple(candidates),
                                 tuple(contaminated))
 
 
-def _track_candidates(pieces, n_max: int, tol: float) -> list:
-    """Cluster clean piece values across depths; convergent tracks win."""
+def _track_candidates(pieces, n_max: int) -> list:
+    """Cluster clean piece values across depths, each value within a
+    relative 1e-9 of its track's last; convergent tracks win."""
     by_level: dict = {}
     for p in pieces:
         if p.clean:
@@ -282,7 +284,7 @@ def _track_candidates(pieces, n_max: int, tol: float) -> list:
             val = tuple(float(x) for x in p.value)
             for track in tracks:
                 if (track["last_level"] < n
-                        and all(abs(a - b) <= tol * max(1.0, abs(a))
+                        and all(abs(a - b) <= 1e-9 * max(1.0, abs(a))
                                 for a, b in zip(val, track["val"]))):
                     track["val"] = val
                     track["exact"] = p.value
@@ -321,10 +323,9 @@ class RecurrenceStats:
     hits: dict
     histogram: tuple
     zero_returns: int
-    candidates: tuple = ()
     seed: int = 0
 
-    def to_json(self, ctx=None) -> dict:
+    def to_json(self) -> dict:
         return {"n_steps": self.n_steps,
                 "samples": self.sample_count,
                 "skipped": self.skipped_samples,
@@ -343,14 +344,12 @@ def skew_simulate(iet: Iet, cocycle: Cocycle, x0_list, n_steps: int,
     sample (skipped and counted), never silently mis-stepped.  A
     non-finite displacement raises DomainError.
     """
-    if x0_list is None:
-        x0_list = kronecker_samples(iet.ctx, 16, iet.total, seed)
     if len(x0_list) == 0:
         raise DomainError("need >= 1 sample start, got none")
     if n_steps < 1:
         raise DomainError(f"walk length must be >= 1, got {n_steps}")
     mirror = iet.mirror
-    table = float_table(cocycle, mirror)
+    table = float_table(cocycle, iet)
     eps_sorted = sorted(set(eps_list), reverse=True)  # a repeat counts once
     hits = {e: 0 for e in eps_sorted}
     histogram = [0] * 10  # decades from 1e-6 up
@@ -372,7 +371,7 @@ def skew_simulate(iet: Iet, cocycle: Cocycle, x0_list, n_steps: int,
         min_norms.append(best)
     return RecurrenceStats(n_steps, len(min_norms), skipped,
                            tuple(min_norms), hits, tuple(histogram),
-                           zero_returns, (), seed)
+                           zero_returns, seed)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow is a DomainError

@@ -150,7 +150,7 @@ def wielandt_bound(d: int) -> int:
     return (d - 1) * (d - 1) + 1
 
 
-def positive_power(a: IntMatrix, max_power: int | None = None) -> int:
+def positive_power(a: IntMatrix) -> int:
     """Least q >= 1 with a**q strictly positive.
 
     Raises NotPrimitive if no power up to the Wielandt bound works,
@@ -159,7 +159,7 @@ def positive_power(a: IntMatrix, max_power: int | None = None) -> int:
     d = len(a)
     if any(x < 0 for row in a for x in row):
         raise NotPrimitive("matrix has negative entries")
-    limit = max_power or wielandt_bound(d)
+    limit = wielandt_bound(d)
     p = a
     for q in range(1, limit + 1):
         if all(x > 0 for row in p for x in row):

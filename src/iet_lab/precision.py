@@ -26,27 +26,22 @@ DEFAULT_BITS = 128
 class PrecisionContext:
     """Mantissa size plus the comparison tolerance derived from it.
 
-    ``eps_cmp`` defaults to 2**(-bits/2).  It judges what working
-    precision cannot settle: near-tied induction steps, jumps placed
-    next to an endpoint and Keane scans.  Orbits never consult it: the
-    exact walker locates every point by exact signs.
+    ``eps_cmp`` is 2**(-bits/2).  It judges what working precision
+    cannot settle (README, "Numerical policy"): near-tied induction
+    steps, jumps placed next to an endpoint, Keane scans and the
+    zero-mean checks.  Orbits never consult it: the exact walker
+    locates every point by exact signs.
     """
 
     __slots__ = ("bits", "mp", "eps_cmp", "_half_digits")
 
-    def __init__(self, bits: int = DEFAULT_BITS, eps_cmp=None):
+    def __init__(self, bits: int = DEFAULT_BITS):
         if bits < 64:
             raise ValueError("mantissa_bits must be at least 64")
         self.bits = int(bits)
         self.mp = MPContext()
         self.mp.prec = self.bits
-        if eps_cmp is None:
-            eps_cmp = self.mp.mpf(2) ** (-self.bits // 2)
-        else:
-            eps_cmp = self.mp.mpf(eps_cmp)
-        if not eps_cmp > 0:
-            raise ValueError("eps_cmp must be positive")
-        self.eps_cmp = eps_cmp
+        self.eps_cmp = self.mp.mpf(2) ** (-self.bits // 2)
         self._half_digits = max(17, int(self.bits * 0.3010) + 2)
 
     def real(self, x):
@@ -78,8 +73,7 @@ class PrecisionContext:
         return f"PrecisionContext(bits={self.bits})"
 
     def __eq__(self, other):
-        return (isinstance(other, PrecisionContext)
-                and self.bits == other.bits and self.eps_cmp == other.eps_cmp)
+        return isinstance(other, PrecisionContext) and self.bits == other.bits
 
     def __hash__(self):
         return hash(("PrecisionContext", self.bits))
@@ -156,8 +150,8 @@ class RealVector:
     def total(self):
         return self.ctx.mp.fsum(self.values)
 
-    def as_strings(self, digits: int | None = None) -> list:
-        return [self.ctx.str_of(v, digits) for v in self.values]
+    def as_strings(self) -> list:
+        return [self.ctx.str_of(v) for v in self.values]
 
 
 def as_fraction(x) -> Fraction:
@@ -167,6 +161,35 @@ def as_fraction(x) -> Fraction:
     man, exp = x.man_exp  # |mantissa|, exponent
     q = Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
     return -q if x < 0 else q
+
+
+def geometric_checkpoints(n_max: int, ratio: float) -> list:
+    """Orbit lengths 1, then each the larger of one more and the rounded
+    ``ratio`` times the last, up to n_max, and n_max itself."""
+    if n_max < 1:
+        raise DomainError("orbit length must be >= 1")
+    out = []
+    n = 1
+    while n <= n_max:
+        out.append(n)
+        n = max(n + 1, int(round(n * ratio)))
+    if out[-1] != n_max:
+        out.append(n_max)
+    return out
+
+
+def least_squares_slope(points) -> float:
+    """Slope of the least-squares line through the (x, y) points; 0.0
+    for fewer than three points or a single x."""
+    if len(points) < 3:
+        return 0.0
+    xs = [x for x, _y in points]
+    ys = [y for _x, y in points]
+    mx = sum(xs) / len(xs)
+    my = sum(ys) / len(ys)
+    num = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
+    den = sum((x - mx) ** 2 for x in xs)
+    return num / den if den else 0.0
 
 
 def kronecker_samples(ctx: PrecisionContext, count: int, total, seed: int = 0):

@@ -368,7 +368,7 @@ class PeriodicIet:
         return data
 
 
-def _pf_eigen(matrix: IntMatrix, ctx: PrecisionContext, max_iters=None):
+def _pf_eigen(matrix: IntMatrix, ctx: PrecisionContext):
     """Leading eigenpair of a primitive non-negative integer matrix.
 
     Power iteration in extended precision with two-sided ratio
@@ -382,8 +382,7 @@ def _pf_eigen(matrix: IntMatrix, ctx: PrecisionContext, max_iters=None):
     x = [mp.mpf(1) / d] * d
     target = mp.mpf(2) ** (-(ctx.bits + 16))
     lo = hi = None
-    iters = max_iters or (40 + 6 * ctx.bits)
-    for _ in range(iters):
+    for _ in range(40 + 6 * ctx.bits):
         y = [mp.fsum(matrix[i][j] * x[j] for j in range(d) if matrix[i][j])
              for i in range(d)]
         ratios = [y[i] / x[i] for i in range(d)]

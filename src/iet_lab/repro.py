@@ -118,8 +118,9 @@ def grouped_exchange(periodic7: PeriodicIet) -> Iet:
     return Iet(make_symmetric_pair(4), ctx.vector(lam))
 
 
-def detect_period_matrix(iet: Iet, rho, max_steps: int = 400):
-    """Run induction until the exchange returns to itself scaled by rho.
+def detect_period_matrix(iet: Iet, rho):
+    """Run induction until the exchange returns to itself scaled by rho,
+    within 400 steps.
 
     Returns (theta_product, steps_used).  This computes the period
     matrix from the dynamics alone, without assuming it.
@@ -127,7 +128,7 @@ def detect_period_matrix(iet: Iet, rho, max_steps: int = 400):
     ctx = iet.ctx
     current = iet
     theta = intmat.identity(iet.d)
-    for step_no in range(1, max_steps + 1):
+    for step_no in range(1, 401):
         step, current = rauzy_step(current)
         theta = intmat.matmul(theta, step.theta)
         if current.pair == iet.pair:
@@ -344,11 +345,10 @@ def appendix_d(ctx: PrecisionContext | None = None) -> ReproReport:
     entries.append(_exact_entry("expanding vector is not a coboundary",
                                 cls2 == NOT_COBOUNDARY, cls2, NOT_COBOUNDARY,
                                 "growth classification"))
-    lat_tol = mp.mpf(10) ** (-20)
     plus = StepCocycle.from_vector(tuple(a + b for a, b in zip(v2, v4)))
     minus = StepCocycle.from_vector(tuple(a - b for a, b in zip(v2, v4)))
-    rep_plus = lattice_containment(plus, (1,), ctx, lat_tol)
-    rep_minus = lattice_containment(minus, (sq5,), ctx, lat_tol)
+    rep_plus = lattice_containment(plus, (1,), ctx)
+    rep_minus = lattice_containment(minus, (sq5,), ctx)
     entries.append(_exact_entry("sum lands in the integer lattice",
                                 rep_plus.contained[0], rep_plus.contained[0],
                                 True, "printed eigenvector arithmetic"))

@@ -21,7 +21,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError, RationalInput
-from .precision import PrecisionContext
+from .precision import (PrecisionContext, geometric_checkpoints,
+                        least_squares_slope)
 
 GRID_BITS = 53
 GRID = 1 << GRID_BITS
@@ -49,23 +50,17 @@ class ContinuedFraction:
     quotients: tuple
     denominators: tuple
     numerators: tuple
-    bpq_bound: int
     is_bpq: bool
 
-    def to_json(self, ctx=None) -> dict:
-        return {"quotients": list(self.quotients),
-                "denominators": list(self.denominators),
-                "bpq_bound": self.bpq_bound,
-                "is_bpq": self.is_bpq}
 
-
-def continued_fraction(alpha, depth: int, ctx: PrecisionContext | None = None,
-                       bpq_bound: int = 100) -> ContinuedFraction:
+def continued_fraction(alpha, depth: int, ctx: PrecisionContext | None = None
+                       ) -> ContinuedFraction:
     """Partial quotients a_1..a_depth of a number in (0, 1).
 
     Rational inputs (exactly representable at working precision before
     the requested depth) raise RationalInput.  Denominators follow
-    q_{n+1} = a_{n+1} q_n + q_{n-1} starting from q_0 = 1.
+    q_{n+1} = a_{n+1} q_n + q_{n-1} starting from q_0 = 1.  ``is_bpq``
+    (bounded partial quotients) holds when no quotient exceeds 100.
     """
     ctx = ctx or PrecisionContext()
     mp = ctx.mp
@@ -94,7 +89,7 @@ def continued_fraction(alpha, depth: int, ctx: PrecisionContext | None = None,
         dens.append(q_cur)
         nums.append(p_cur)
     return ContinuedFraction(x, tuple(quots), tuple(dens), tuple(nums),
-                             bpq_bound, max(quots) <= bpq_bound)
+                             max(quots) <= 100)
 
 
 def exact_dyadic_cf(numerator: int, denominator: int) -> tuple:
@@ -276,7 +271,7 @@ def denjoy_koksma_check(phi: CircleStep, alpha, depth: int,
     rng = _grid_samples(samples, seed)
     max_abs = {q: 0 for q in dens}
     violations = 0
-    checkpoints = _log_checkpoints(limit)
+    checkpoints = geometric_checkpoints(limit, 1.5)
     sup_at = set(checkpoints)
     sup_curve = []
     tables = _block_tables(phi, step,
@@ -303,7 +298,9 @@ def denjoy_koksma_check(phi: CircleStep, alpha, depth: int,
             violations += int(np.count_nonzero(sums > bound_int))
         if stop in sup_at:
             sup_curve.append(int(np.maximum(run_max, -run_min).max(initial=0)))
-    slope = _sup_log_slope(checkpoints, sup_curve, phi.scale)
+    slope = least_squares_slope(
+        [(math.log(math.log(n)), math.log(s / phi.scale))
+         for n, s in zip(checkpoints, sup_curve) if n >= 8 and s > 0])
     return VariationBoundReport(tuple(dens), tuple(quots[:len(dens)]),
                                 {q: Fraction(v, phi.scale)
                                  for q, v in max_abs.items()},
@@ -354,32 +351,6 @@ def _grid_samples(count: int, seed: int) -> list:
     return out
 
 
-def _log_checkpoints(n_max: int) -> list:
-    out = []
-    n = 1
-    while n <= n_max:
-        out.append(n)
-        n = max(n + 1, int(round(n * 1.5)))
-    if out[-1] != n_max:
-        out.append(n_max)
-    return out
-
-
-def _sup_log_slope(ns, sups, scale) -> float:
-    xs, ys = [], []
-    for n, s in zip(ns, sups):
-        if n >= 8 and s > 0:
-            xs.append(math.log(math.log(n)))
-            ys.append(math.log(s / scale))
-    if len(xs) < 3:
-        return 0.0
-    mx = sum(xs) / len(xs)
-    my = sum(ys) / len(ys)
-    num = sum((a - mx) * (b - my) for a, b in zip(xs, ys))
-    den = sum((a - mx) ** 2 for a in xs)
-    return num / den if den else 0.0
-
-
 # ---------------------------------------------------------------------------
 # product of two rotations
 
@@ -409,8 +380,7 @@ class ProductRotationReport:
 
 def product_rotation_simulate(alpha1, alpha2, phi1: CircleStep,
                               phi2: CircleStep, n_steps: int,
-                              start=None, seed: int = 0,
-                              spacing_ns=(100, 1000, 10000)
+                              start=None, seed: int = 0
                               ) -> ProductRotationReport:
     """Walk the two-component lattice cocycle over a product rotation.
 
@@ -420,7 +390,7 @@ def product_rotation_simulate(alpha1, alpha2, phi1: CircleStep,
     itself) can have walks that never return exactly, which is the
     expected exceptional-orbit behavior, not an error.  The spacing
     report measures how evenly the iterated discontinuities spread,
-    scaled by the iteration count.
+    scaled by the iteration count, at 100, 1000 and 10000 iterations.
     """
     if n_steps < 1:
         raise DomainError(f"walk length must be >= 1, got {n_steps}")
@@ -459,7 +429,7 @@ def product_rotation_simulate(alpha1, alpha2, phi1: CircleStep,
         done += cnt
     # discontinuity spacing of the iterated functions
     c_low, c_high = None, None
-    for n in spacing_ns:
+    for n in (100, 1000, 10000):
         for step, phi in ((s1, phi1), (s2, phi2)):
             pts = []
             for t in phi.breakpoints:

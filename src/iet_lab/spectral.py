@@ -367,7 +367,6 @@ class Splitting:
             raise SpectralAmbiguity(
                 f"splitting dimensions {len(cols)} do not fill ambient {d}")
         object.__setattr__(self, "_basis_cols", cols)
-        object.__setattr__(self, "_lu", None)
 
     @property
     def dims(self) -> tuple:

@@ -70,8 +70,9 @@ def test_traced_climb_counts_every_chunk(periodic5):
     try:
         load("run").install_layers(tracer)
         wk = cocycles.ExactWalker(p.iet, coeffs, 1009)
-        counts = wk.run_until_below(cocycles.depth_total_coeffs(p, 2),
-                                    float(p.step_scale ** -2))
+        counts = wk.run_until_below(
+            [1009 * t for t in cocycles.depth_total_coeffs(p, 2)],
+            float(p.step_scale ** -2))
     finally:
         tracer.uninstall()
     assert list(counts) == column

@@ -422,6 +422,32 @@ class TestDeterminism:
                                 ).read_bytes()
 
     @pytest.mark.parametrize("command, golden", [
+        ("build --iet {s}/four_letter_matrix.json", "build_four_letter_matrix"),
+        ("rauzy --iet {s}/four_letter_matrix.json", "rauzy_four_letter_matrix"),
+        ("correct --zero-mean --iet {s}/four_letter_matrix.json "
+         "--cocycle {s}/step_cocycle.json",
+         "correct_four_letter_matrix_step_cocycle_zero_mean"),
+        ("correct --zero-mean --iet {s}/four_letter_matrix.json "
+         "--cocycle {s}/pl_cocycle.json",
+         "correct_four_letter_matrix_pl_cocycle_zero_mean"),
+        ("essential-values --fixed-space --iet {s}/five_letter_matrix.json",
+         "essential_values_five_letter_matrix_fixed_space"),
+        ("classify --vector=-1,-2,0,-1,1 --lattices=1,0.5 "
+         "--iet {s}/five_letter_matrix.json", "classify_five_letter_matrix"),
+        ("repro --case example-7-2", "repro_example_7_2"),
+        ("repro --case appendix-d", "repro_appendix_d"),
+    ], ids=["build", "rauzy", "correct-step", "correct-pl",
+            "essential-values", "classify", "repro-example-7-2",
+            "repro-appendix-d"])
+    def test_commands_match_committed_stdout(self, capsys, command, golden):
+        # tests/golden holds the stdout of the commit before the options
+        # these commands feed were fixed to their values
+        code, out = capture(capsys, [a.format(s=BUNDLED_SPECS)
+                                     for a in command.split()])
+        assert code == 0
+        assert out.encode() == (GOLDEN / f"{golden}.json").read_bytes()
+
+    @pytest.mark.parametrize("command, golden", [
         ("rotations --mode dk --n 1000000 --samples 100", "rotations_dk_readme"),
         ("rotations --mode dk --n 1000000 --depth 30 --samples 50 --seed 7",
          "rotations_dk_seed"),

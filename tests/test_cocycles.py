@@ -104,6 +104,20 @@ class TestApply:
         with pytest.raises(DE):
             validate_jumps(dup, iet)
 
+    @pytest.mark.parametrize("side", ["-1e-18", "1e-18"])
+    def test_float_table_slot_is_the_exact_letter(self, ctx, periodic4, side):
+        # 1e-18 left of a left end, float(gamma) is that left end, where
+        # a float bisect finds the next slot; the jump lies before it
+        from iet_lab.cocycles import validate_jumps
+
+        iet = periodic4.iet
+        for k in range(1, 4):
+            g = iet.left[iet.order0[k]] + ctx.real(side)
+            phi = StepCocycle(1, ((0,),) * 4, ((g, (1,)),))
+            validate_jumps(phi, iet)
+            (slot, _gf, _j), = float_table(phi, iet).jumps
+            assert slot == (k - 1 if side.startswith("-") else k)
+
 
 class TestBirkhoff:
     def test_zero_steps(self, ctx, periodic4):
@@ -438,6 +452,23 @@ class TestReturnTimes:
             counts = wk.run_until_below([5 * t for t in thr], thr_f)
             assert sum(counts) == sum(q[i][b] for i in range(4))
 
+    def test_threshold_over_the_walkers_den(self, periodic4):
+        # a den-5 walk from the preimage of the depth-1 total lands on it
+        # exactly at step 1: no return yet, so it walks on to the first
+        # point below it
+        p = periodic4
+        lam, lat = p.iet.lengths, p.iet.lattice
+        thr = depth_total_coeffs(p, 1)
+        a, = (a for a in range(4) if exact_dot(lam, lat.image_lefts[a])
+              <= exact_dot(lam, thr) < exact_dot(lam, lat.image_lefts[a])
+              + exact_dot(lam, lat.widths[a]))
+        start = [t - i + left for t, i, left in zip(thr, lat.image_lefts[a],
+                                                    lat.lefts[a])]
+        wk = ExactWalker(p.iet, [5 * c for c in start], 5)
+        counts = wk.run_until_below([5 * t for t in thr],
+                                    float(exact_dot(lam, thr)))
+        assert (wk.steps, counts) == (27, (14, 7, 1, 5))
+
 
 class TestGuardRule:
     """The walker escalates exactly where the float lane skips."""
@@ -503,8 +534,7 @@ def eager_until_below(wk, threshold_coeffs, threshold_f):
             break
         if wk.x_f < threshold_f + guard:
             wk.escalations += 1
-            diff = [wk.den * t - c
-                    for c, t in zip(wk.coeffs, threshold_coeffs)]
+            diff = [t - c for c, t in zip(wk.coeffs, threshold_coeffs)]
             if certified_lattice_sign(wk.lengths, diff) > 0:
                 break
     return tuple(wk.counts)
@@ -627,6 +657,7 @@ class TestLazyWalker:
         oracle, wk = (ExactWalker.at_depth(p, depth, start, den)
                       for _ in range(2))
         assert 0 < lattice_float(p, lat.widths[0]) / den < wk.mirror.guard
+        threshold = [den * t for t in threshold]
         expected = eager_until_below(oracle, threshold, low)
         assert wk.run_until_below(threshold, low) == expected
         assert walker_state(wk) == walker_state(oracle)
@@ -641,8 +672,9 @@ class TestLazyWalker:
             coeffs = [den * l + (den // 3) * w for l, w in zip(lc, wc)]
             oracle, wk = (ExactWalker.at_depth(periodic5, 1, coeffs, den)
                           for _ in range(2))
-            expected = eager_until_below(oracle, thr, thr_f)
-            assert wk.run_until_below(thr, thr_f) == expected
+            scaled = [den * t for t in thr]
+            expected = eager_until_below(oracle, scaled, thr_f)
+            assert wk.run_until_below(scaled, thr_f) == expected
             assert walker_state(wk) == walker_state(oracle)
 
 
@@ -850,7 +882,7 @@ class TestBlockWalk:
                                              lane_cocycles4, n):
         iet = periodic4.iet
         mirror = iet.mirror
-        tables = [float_table(phi, mirror) for phi in lane_cocycles4.values()]
+        tables = [float_table(phi, iet) for phi in lane_cocycles4.values()]
         x0 = float(kronecker_samples(ctx, 1, iet.total, 5)[0])
         blocks = list(float_walk(mirror, x0, n, tables))
         assert [len(xs) for _sl, xs in blocks] == \
@@ -944,7 +976,7 @@ class TestTowerWalk:
                                system, n):
         p = request.getfixturevalue(system)
         mirror = p.iet.mirror
-        tables = [float_table(phi, mirror) for phi in lane_cocycles4.values()
+        tables = [float_table(phi, p.iet) for phi in lane_cocycles4.values()
                   ] if p.d == 4 else []
         if n >= FLOAT_BLOCK - 1:  # longer than a climb: crosses returns
             assert max(map(len, tower_words(mirror.tower_table))) < n
@@ -964,7 +996,7 @@ class TestTowerWalk:
         marks = (top / 3, (mirror.lefts[1] + mirror.rights[1]) / 2)
         phi = StepCocycle(1, ((0,),) * p.d,
                           tuple((ctx.real(m), (1,)) for m in marks))
-        tables = [float_table(phi, mirror)]
+        tables = [float_table(phi, p.iet)]
         targets = [edge + side for edge in mirror.lefts[1:]
                    for side in (-g / 2, g / 2)]
         targets += [m + g / 2 for m in marks]
@@ -986,7 +1018,7 @@ class TestTowerWalk:
         bad = corrupt_table(table, corrupt)
         # the cached property's slot, on the exchange's one mirror
         monkeypatch.setitem(vars(mirror), "tower_table", bad)
-        tables = [float_table(phi, mirror) for phi in lane_cocycles4.values()]
+        tables = [float_table(phi, iet) for phi in lane_cocycles4.values()]
         for x0 in kronecker_samples(ctx, 2, iet.total, 9):
             assert assert_same_walk(step_walk, mirror, float(x0),
                                     FLOAT_BLOCK + 1, tables) is None
@@ -1197,7 +1229,7 @@ class TestClimbCertificate:
         """Jump marks are checked at every step of a certified climb."""
         iet = periodic4.iet
         mirror = iet.mirror
-        tables = [float_table(phi, mirror) for phi in lane_cocycles4.values()]
+        tables = [float_table(phi, iet) for phi in lane_cocycles4.values()]
         for x0 in kronecker_samples(ctx, 3, iet.total, 9):
             got = climb_trace(mirror, float(x0), FLOAT_BLOCK, tables)
             assert got[:2] == step_trace(step_walk, mirror, float(x0),
@@ -1332,6 +1364,7 @@ class TestWalkerKernel:
         start = [den * c - w for c, w in zip(before.coeffs, lat.widths[0])]
         oracle, wk = (ExactWalker.at_depth(p, depth, start, den)
                       for _ in range(2))
+        threshold = [den * t for t in threshold]
         expected = eager_until_below(oracle, threshold, low)
         assert wk.run_until_below(threshold, low) == expected
         assert walker_state(wk) == walker_state(oracle)
@@ -1343,13 +1376,16 @@ class TestWalkerKernel:
     @pytest.mark.parametrize("system", SYSTEMS)
     def test_stop_after_a_guarded_step(self, request, system, depth):
         """A walk from an interior left end is settled exactly at step 0,
-        and its image is below the threshold: the walk stops there."""
+        and its image is below the threshold: the walk stops there.  The
+        threshold is at most |I|, the largest one a walk accepts."""
         p = request.getfixturevalue(system)
         lat = depth_lattice(p, depth)
         a = p.iet.order0[0]
+        lam = p.iet.lengths
         for b in p.iet.order0[1:]:
-            threshold = [i + w for i, w in zip(lat.image_lefts[b],
-                                               lat.widths[a])]
+            threshold = min([i + w for i, w in zip(lat.image_lefts[b],
+                                                   lat.widths[a])],
+                            lat.total, key=lambda c: exact_dot(lam, c))
             low = lattice_float(p, threshold)
             oracle, wk = (ExactWalker.at_depth(p, depth, lat.lefts[b])
                           for _ in range(2))
@@ -1410,8 +1446,9 @@ class TestWalkerKernel:
             counts = birkhoff_visit_counts(p.iet, (coeffs, 1009), sum(column))
         else:
             wk = ExactWalker(p.iet, coeffs, 1009)
-            counts = wk.run_until_below(depth_total_coeffs(p, k),
-                                        float(p.step_scale ** -k))
+            counts = wk.run_until_below(
+                [1009 * t for t in depth_total_coeffs(p, k)],
+                float(p.step_scale ** -k))
             assert wk.steps == sum(column)
         assert list(counts) == column
 
@@ -1429,7 +1466,7 @@ class TestWalkerKernel:
         if how == "birkhoff":
             wk.run(height)
         else:
-            wk.run_until_below(depth_total_coeffs(p, k),
+            wk.run_until_below([1009 * t for t in depth_total_coeffs(p, k)],
                                float(p.step_scale ** -k))
         assert (wk.steps, wk.escalations, wk.checked) == (height, 0, 0)
 
@@ -1472,7 +1509,8 @@ class TestOneMirror:
         n = TOWER_HEIGHT + 1
         for seed in (0, 1):
             deviation_sweep(p.iet, [phi], n, samples=2, seed=seed)
-        skew_simulate(p.iet, phi, None, n)
+        skew_simulate(p.iet, phi,
+                      kronecker_samples(p.iet.ctx, 16, p.iet.total, 0), n)
         wk = ExactWalker.at_depth(p, 0, p.iet.lattice.lefts[1])
         wk.run(n)
         assert wk.mirror is p.iet.mirror
@@ -1643,6 +1681,25 @@ class TestExactLattice:
                     ExactWalker.at_depth(periodic5, 9, left)
         assert refused
 
+    def test_threshold_above_total_refused(self, ctx, periodic4):
+        # every position is below |I|: a walk with threshold |I| stops
+        # after one step, and a larger threshold is refused
+        p = periodic4
+        for wk, total in (
+                (ExactWalker(p.iet, [0] * 4), p.iet.lattice.total),
+                (ExactWalker(p.iet, [0] * 4, 3),
+                 [3 * t for t in p.iet.lattice.total]),
+                (ExactWalker.at_depth(p, 2, [0] * 4),
+                 depth_total_coeffs(p, 2)),
+                (ExactWalker.from_point(p.iet, ctx.real("0.3")),
+                 p.iet.lattice.total)):
+            total_f = lattice_float(p, total) / wk.den
+            with pytest.raises(DomainError, match="threshold"):
+                wk.run_until_below([2 * t for t in total], 2 * total_f)
+            assert wk.steps == 0
+            wk.run_until_below(total, total_f)
+            assert wk.steps == 1
+
     def test_threshold_not_positive_refused(self, periodic4):
         # a position is never negative, so such a walk would never end;
         # the 4-letter depth-15 total is negative for the stored lengths
@@ -1797,7 +1854,7 @@ class TestRowCheck:
         x = ctx.real("0.3")
         call = {
             "mean": lambda phi: mean(phi, iet),
-            "float_table": lambda phi: float_table(phi, iet.mirror),
+            "float_table": lambda phi: float_table(phi, iet),
             "forward_birkhoff": lambda phi: forward_birkhoff(phi, iet, x, 5),
             "birkhoff_sum_forward": lambda phi: birkhoff_sum(phi, iet, x, 5),
             "birkhoff_sum_backward": lambda phi: birkhoff_sum(phi, iet, x, -5),

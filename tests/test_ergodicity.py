@@ -283,7 +283,7 @@ def skew_oracle(iet, cocycle, x0_list, n_steps, step_walk,
     """Per-step ``skew_simulate``: one displacement update, norm, eps
     scan and decade bin per orbit step."""
     mirror = iet.mirror
-    table = float_table(cocycle, mirror)
+    table = float_table(cocycle, iet)
     dim = cocycle.dim
     vals, consts = table.values, table.constants
     eps_sorted = sorted(set(eps_list), reverse=True)
@@ -331,7 +331,7 @@ def skew_oracle(iet, cocycle, x0_list, n_steps, step_walk,
         min_norms.append(best)
     return RecurrenceStats(n_steps, len(min_norms), skipped,
                            tuple(min_norms), hits, tuple(histogram),
-                           zero_returns, (), seed)
+                           zero_returns, seed)
 
 
 class TestBlockSkew:

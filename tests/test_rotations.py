@@ -8,6 +8,7 @@ import pytest
 
 from iet_lab import rotations
 from iet_lab.errors import DomainError, RationalInput
+from iet_lab.precision import geometric_checkpoints, least_squares_slope
 from iet_lab.rotations import (GRID, CircleStep, VariationBoundReport,
                                continued_fraction, denjoy_koksma_check,
                                dyadic_rotation, exact_dyadic_cf,
@@ -83,7 +84,7 @@ def per_sample_dk(phi, alpha, depth, samples, n_max, seed=0):
     starts = rotations._grid_samples(samples, seed)
     max_abs = {q: 0 for q in dens}
     violations = 0
-    checkpoints = rotations._log_checkpoints(limit)
+    checkpoints = geometric_checkpoints(limit, 1.5)
     sup = [0] * len(checkpoints)
     base = rotations._grid_positions(0, step, limit)
     for x0 in starts:
@@ -99,7 +100,9 @@ def per_sample_dk(phi, alpha, depth, samples, n_max, seed=0):
         {q: Fraction(v, phi.scale) for q, v in max_abs.items()}, var,
         violations, len(starts),
         tuple((n, Fraction(s, phi.scale)) for n, s in zip(checkpoints, sup)),
-        rotations._sup_log_slope(checkpoints, sup, phi.scale))
+        least_squares_slope([(math.log(math.log(n)), math.log(s / phi.scale))
+                             for n, s in zip(checkpoints, sup)
+                             if n >= 8 and s > 0]))
 
 
 class TestContinuedFraction:
@@ -316,8 +319,7 @@ class TestProductRotation:
 
     def test_spacing_bounded(self):
         rep = product_rotation_simulate(GOLDEN, SQRT2M1, half_indicator(),
-                                        half_indicator(), 10_000,
-                                        spacing_ns=(100, 1000, 10000))
+                                        half_indicator(), 10_000)
         lo, hi = rep.spacing_constants
         assert lo > 0.01
         assert hi < 3.0
