@@ -11,14 +11,35 @@ from __future__ import annotations
 import operator
 from typing import Sequence
 
-from .errors import DimensionError, NotPrimitive
+from .errors import DimensionError, DomainError, NotPrimitive
 
 IntMatrix = tuple  # tuple of row tuples of int
 
 
+def _entry(x) -> int:
+    """One matrix entry as an exact int.
+
+    Ints, numpy integers, integral numbers and decimal-integer strings
+    are taken (any other string raises ValueError, as ``int`` does); a
+    bool or a number that is not an integer raises DomainError instead
+    of being truncated.
+    """
+    if isinstance(x, bool):
+        raise DomainError(f"matrix entry {x!r} is a bool, not an integer")
+    if isinstance(x, str):
+        return int(x)
+    try:
+        value = int(x)
+    except (TypeError, ValueError, OverflowError):
+        value = None
+    if value is None or value != x:
+        raise DomainError(f"matrix entry {x!r} is not an integer")
+    return value
+
+
 def freeze(rows) -> IntMatrix:
-    """Validate and freeze a square matrix of integers."""
-    out = tuple(tuple(int(x) for x in row) for row in rows)
+    """Validate and freeze a square matrix of integers (see ``_entry``)."""
+    out = tuple(tuple(_entry(x) for x in row) for row in rows)
     d = len(out)
     if d == 0 or any(len(row) != d for row in out):
         raise DimensionError("matrix must be square and non-empty")
@@ -278,4 +299,4 @@ def matrix_to_strings(a: IntMatrix) -> list:
 
 
 def matrix_from_strings(rows) -> IntMatrix:
-    return freeze(tuple(tuple(int(x) for x in row) for row in rows))
+    return freeze(rows)

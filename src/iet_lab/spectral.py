@@ -8,12 +8,28 @@ carry unit-modulus roots when it equals its own reciprocal, in which
 case the substitution y = x + 1/x reduces the classification to real
 roots of an exact integer polynomial compared against +-2.  Everything
 else is certifiably off the circle and safe for numeric enclosures.
+
+Factoring and roots share one certified routine, ``_root_discs``:
+mpmath root approximations, each with an isolating disc from its
+Weierstrass correction (Smith's theorem), checked in exact integers.
+A squarefree part of the characteristic polynomial (Yun's
+decomposition) splits by recombining conjugation-closed sets of those
+roots into integer factors, each confirmed by exact division.  The
+search grows as 2^n in the number n of real roots, so squarefree parts
+of degree above ``MAX_FACTOR_DEGREE`` = 16 raise SpectralAmbiguity
+(degree 16 takes about 0.1 s at worst).
 """
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
+from math import isqrt
+
+import numpy as np
+from mpmath.ctx_mp import MPContext
 
 from . import intmat
 from .errors import NotPositive, ReduciblePair, SpectralAmbiguity
@@ -38,6 +54,71 @@ def _poly_add(a, b):
 
 def _poly_scale(a, c):
     return [c * x for x in a]
+
+
+def _poly_mul(a, b) -> tuple:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return tuple(out)
+
+
+def _poly_trim(a) -> list:
+    """Drop leading zero coefficients (an empty list stays empty)."""
+    i = 0
+    while i < len(a) - 1 and a[i] == 0:
+        i += 1
+    return list(a[i:])
+
+
+def _poly_derivative(a) -> list:
+    n = len(a) - 1
+    return [c * (n - i) for i, c in enumerate(a[:-1])] or [0]
+
+
+def _poly_divmod(a, b) -> tuple:
+    """Quotient and remainder over Q, in Fractions."""
+    rem = [Fraction(x) for x in a]
+    quot = []
+    while len(rem) >= len(b):
+        c = rem[0] / b[0]
+        quot.append(c)
+        pad = list(b[1:]) + [0] * (len(rem) - len(b))
+        rem = [x - c * y for x, y in zip(rem[1:], pad)]
+    return quot or [Fraction(0)], _poly_trim(rem) or [Fraction(0)]
+
+
+def _poly_gcd(a, b) -> list:
+    """Monic greatest common divisor over Q."""
+    while any(b):
+        a, b = b, _poly_divmod(a, b)[1]
+    return [Fraction(x) / a[0] for x in a]
+
+
+def _squarefree_parts(f) -> list:
+    """Yun's squarefree decomposition of a monic integer polynomial.
+
+    Returns (part, i) pairs with f = prod part^i, each part monic,
+    squarefree, of positive degree and prime to the others.  It runs
+    over Q in Fractions; by Gauss's lemma the parts of a monic integer
+    polynomial have integer coefficients.
+    """
+    df = _poly_derivative(f)
+    g = _poly_gcd(f, df)
+    b = _poly_divmod(f, g)[0]
+    d = _poly_trim(_poly_add(_poly_divmod(df, g)[0],
+                             _poly_scale(_poly_derivative(b), -1)))
+    parts, i = [], 1
+    while len(b) > 1:
+        a = _poly_gcd(b, d)
+        b = _poly_divmod(b, a)[0]
+        d = _poly_trim(_poly_add(_poly_divmod(d, a)[0],
+                                 _poly_scale(_poly_derivative(b), -1)))
+        if len(a) > 1:
+            parts.append((tuple(int(x) for x in a), i))
+        i += 1
+    return parts
 
 
 def reciprocal_reduction(coeffs) -> list:
@@ -88,13 +169,115 @@ class RootGroup:
     factor: tuple
 
 
-def _poly_roots(coeffs, ctx: PrecisionContext):
-    """All roots of an integer polynomial at ctx precision.
+@dataclass(frozen=True)
+class RootDiscs:
+    """Isolating discs of all roots of a squarefree integer polynomial.
+
+    Every number is an integer over 2^exp.  ``reals`` holds (a, r): one
+    real root within r of a.  ``pairs`` holds (a, b, r) with b > r: one
+    root of a conjugate pair within r of a + ib, so its conjugate lies
+    within r of a - ib.  No two discs meet.
+    """
+
+    exp: int
+    reals: tuple
+    pairs: tuple
+
+
+def _root_discs(coeffs, bits: int) -> RootDiscs:
+    """Certified root discs of a squarefree integer polynomial.
+
+    The centres are mpmath ``polyroots`` approximations at ``bits``
+    bits, rounded to Gaussian integers over 2^bits.  Each centre z_i
+    gets the Weierstrass correction W_i = p(z_i) / (lc prod_{j != i}
+    (z_i - z_j)) and the disc of radius n |W_i|.  By Smith's theorem the
+    discs cover every root, and a disc that meets no other holds exactly
+    one.  From the centres on everything is exact integer arithmetic
+    with radii rounded up, so no rounding can break the certificate.  A
+    disc that clears the real axis holds a non-real root; one that meets
+    it holds a real root when its mirror image meets no other disc.
+    ``polyroots`` starts from numpy's float roots.  Discs that fail are
+    computed once more at twice the bits from mpmath's own start; if
+    those fail too, SpectralAmbiguity is raised.
+    """
+    for prec, seeded in ((bits, True), (2 * bits, False)):
+        discs = _try_root_discs(coeffs, prec, seeded)
+        if discs is not None:
+            return discs
+    raise SpectralAmbiguity(
+        f"root discs of a degree-{len(coeffs) - 1} polynomial do not "
+        f"separate at {2 * bits} bits")
+
+
+def _try_root_discs(coeffs, bits: int, seeded: bool) -> RootDiscs | None:
+    n = len(coeffs) - 1
+    mp = MPContext()
+    mp.prec = bits
+    # polyroots stops on absolute corrections below 2^-bits, so its
+    # extra bits cover the largest root (Cauchy: below 1 + max |c|)
+    size = max(abs(c) for c in coeffs).bit_length()
+    start = None
+    if seeded and size < 1000:  # coefficients within float range
+        with np.errstate(all="ignore"):
+            start = [complex(z) for z in np.roots([float(c) for c in coeffs])]
+        if not all(cmath.isfinite(z) for z in start):
+            start = None
+    try:
+        approx = mp.polyroots(coeffs, maxsteps=50 + 10 * n,
+                              extraprec=size + 2 * n + 10, roots_init=start)
+    except mp.NoConvergence:
+        return None
+    zs = [(int(mp.ldexp(mp.re(z), bits)), int(mp.ldexp(mp.im(z), bits)))
+          for z in approx]
+    radii = []
+    for i, (a, b) in enumerate(zs):
+        # p(z_i) 2^(n bits) by Horner, lc prod (z_i - z_j) 2^((n-1) bits)
+        vr, vi = coeffs[0], 0
+        for j, c in enumerate(coeffs[1:], 1):
+            vr, vi = vr * a - vi * b + (c << (bits * j)), vr * b + vi * a
+        qr, qi = coeffs[0], 0
+        for k, (c, d) in enumerate(zs):
+            if k != i:
+                dr, di = a - c, b - d
+                qr, qi = qr * dr - qi * di, qr * di + qi * dr
+        norm_q = qr * qr + qi * qi
+        if norm_q == 0:
+            return None
+        # n |W_i| 2^bits = n |p| / |q|, rounded up
+        radii.append(isqrt(-(-(n * n * (vr * vr + vi * vi)) // norm_q)) + 1)
+
+    def apart(i, j, b):
+        """Disc j misses disc i with its centre's imaginary part set to b."""
+        r = radii[i] + radii[j]
+        return (zs[i][0] - zs[j][0]) ** 2 + (b - zs[j][1]) ** 2 > r * r
+
+    if not all(apart(i, j, zs[i][1])
+               for i in range(n) for j in range(i + 1, n)):
+        return None
+    reals, pairs, lower = [], [], 0
+    for i, ((a, b), r) in enumerate(zip(zs, radii)):
+        if b > r:
+            pairs.append((a, b, r))
+        elif b < -r:
+            lower += 1
+        elif all(apart(i, j, -b) for j in range(n) if j != i):
+            reals.append((a, r))
+        else:
+            return None
+    if lower != len(pairs):
+        return None
+    return RootDiscs(bits, tuple(sorted(reals)), tuple(sorted(pairs)))
+
+
+def _poly_roots(coeffs, ctx: PrecisionContext, clear: int | None = None):
+    """All roots of an irreducible integer polynomial at ctx precision.
 
     Returns (reals, complexes): the complex roots come one per conjugate
     pair, the one with Im > 0.  Degrees 1 and 2 are solved in closed
-    form from exact rationals; higher degrees go through exact isolation
-    (sympy CRootOf) refined to the context precision.
+    form from exact rationals; higher degrees read the centres of
+    ``_root_discs`` at 40 bits beyond the context.  There, with
+    ``clear``, a real root whose disc meets +-clear raises
+    SpectralAmbiguity, so that |root| can be compared with clear.
     """
     mp = ctx.mp
     deg = len(coeffs) - 1
@@ -110,19 +293,14 @@ def _poly_roots(coeffs, ctx: PrecisionContext):
             return [(-bb + s) / 2, (-bb - s) / 2], []
         s = mp.sqrt(-ctx.real(disc))
         return [], [mp.mpc(-bb / 2, s / 2)]
-    import sympy
-
-    poly = sympy.Poly([int(c) for c in coeffs], sympy.Symbol("x"))
-    dps = max(30, int(ctx.bits * 0.3010) + 12)
-    reals, complexes = [], []
-    for r in poly.all_roots():
-        val = sympy.N(r, dps)
-        if r.is_real:
-            reals.append(mp.mpf(str(val)))
-        elif complex(val).imag > 0:
-            complexes.append(mp.mpc(mp.mpf(str(sympy.re(val))),
-                                    mp.mpf(str(sympy.im(val)))))
-    return reals, complexes
+    discs = _root_discs(coeffs, ctx.bits + 40)
+    e = discs.exp
+    if clear is not None and any(abs(abs(a) - (clear << e)) <= r
+                                 for a, r in discs.reals):
+        raise SpectralAmbiguity(f"a real root disc meets +-{clear}")
+    return ([mp.ldexp(mp.mpf(a), -e) for a, _r in discs.reals],
+            [mp.mpc(mp.ldexp(mp.mpf(a), -e), mp.ldexp(mp.mpf(b), -e))
+             for a, b, _r in discs.pairs])
 
 
 def _classify_factor(coeffs, multiplicity: int, ctx: PrecisionContext) -> list:
@@ -140,7 +318,8 @@ def _classify_factor(coeffs, multiplicity: int, ctx: PrecisionContext) -> list:
         # unit-circle membership decided exactly through y = x + 1/x
         work = ctx.spawn(64)
         mp = work.mp
-        y_reals, y_complexes = _poly_roots(reciprocal_reduction(coeffs), work)
+        y_reals, y_complexes = _poly_roots(reciprocal_reduction(coeffs), work,
+                                            clear=2)
         for y in y_reals:
             if abs(y) < 2:
                 # conjugate pair on the circle
@@ -191,22 +370,125 @@ def _classify_factor(coeffs, multiplicity: int, ctx: PrecisionContext) -> list:
     return groups
 
 
-def _factor_charpoly(coeffs) -> list:
-    """Irreducible monic integer factors of a monic integer polynomial."""
-    import sympy
+MAX_FACTOR_DEGREE = 16
 
-    x = sympy.Symbol("x")
-    poly = sympy.Poly([int(c) for c in coeffs], x)
-    _lead, factors = poly.factor_list()
-    out = []
-    for fac, mult in factors:
-        fc = [int(c) for c in fac.all_coeffs()]
-        if fc[0] < 0:
-            fc = [-c for c in fc]
-        if fc[0] != 1:
-            raise SpectralAmbiguity("non-monic factor of a monic polynomial")
-        out.append((tuple(fc), int(mult)))
-    return out
+
+def _factor_charpoly(coeffs) -> list:
+    """Irreducible monic integer factors of a monic integer polynomial.
+
+    Returns (factor, multiplicity) pairs in sympy's ``factor_list``
+    order: by length, then multiplicity, then coefficients.  The power
+    of x comes off first, then Yun's squarefree decomposition, and
+    ``_split_squarefree`` splits each part.
+    """
+    core = [int(c) for c in coeffs]
+    if core[0] != 1:
+        raise SpectralAmbiguity("factoring needs a monic polynomial")
+    k = 0
+    while core[-1] == 0:
+        core.pop()
+        k += 1
+    out = [((1, 0), k)] if k else []
+    for part, mult in _squarefree_parts(core):
+        out.extend((fac, mult) for fac in _split_squarefree(part))
+    return sorted(out, key=lambda fm: (len(fm[0]), fm[1], fm[0]))
+
+
+def _split_squarefree(f) -> list:
+    """Irreducible factors of a squarefree monic integer polynomial.
+
+    Every factor is the product of x - z over a conjugation-closed
+    subset of the roots: the recombination step of Zassenhaus and van
+    Hoeij, on certified complex discs instead of p-adic roots.  Subsets
+    are tried by increasing size, so the first factor found is
+    irreducible; the quotient is split again from its own discs, from
+    that size on.  What is left once no subset of at most half its
+    degree divides it is irreducible.  Degrees above
+    ``MAX_FACTOR_DEGREE`` raise SpectralAmbiguity.
+    """
+    n = len(f) - 1
+    if n > MAX_FACTOR_DEGREE:
+        raise SpectralAmbiguity(
+            f"characteristic polynomial has a squarefree part of degree {n}; "
+            f"factoring is limited to degree {MAX_FACTOR_DEGREE}")
+    # bits for coefficient enclosures far narrower than 1: over the test
+    # corpus, up to degree 16, the widest half-width is about 1e-21
+    bits = 64 + 2 * n + 2 * max(abs(c) for c in f).bit_length()
+    factors, size = [], 1
+    while 2 * size < len(f):
+        found = _recombine(f, _root_discs(f, bits), size)
+        if found is None:
+            break
+        factor, f = found
+        factors.append(factor)
+        size = len(factor) - 1
+    return factors + [tuple(f)]
+
+
+def _integers_within(centre: int, radius: int, shift: int) -> tuple:
+    """(lo, hi): the integers N with |N 2^shift - centre| <= radius."""
+    return -((radius - centre) >> shift), (centre + radius) >> shift
+
+
+def _recombine(f, discs: RootDiscs, smallest: int):
+    """Search the conjugation-closed root subsets of sizes smallest..deg/2.
+
+    Over the disc centres, each subset's factor is an exact integer
+    polynomial in X = 2^e x, its m-th coefficient over 2^(e m).  Moving
+    every root within its radius moves that coefficient by at most
+    e_m(|z| + r) - e_m(|z|), bounded by the integer polynomials over
+    the upper and lower bounds of |z|.  The trace (m = 1, radius the sum
+    of the radii) prunes first; an enclosure that holds no integer rules
+    the subset out, and exact division confirms a candidate.
+    """
+    e = discs.exp
+    # one unit per real root or conjugate pair: (centre factor, trace,
+    # trace radius, factor over |z| from below, and from above)
+    reals = [((1, -a), a, r, (1, abs(a)), (1, abs(a) + r))
+             for a, r in discs.reals]
+    pairs = []
+    for a, b, r in discs.pairs:
+        low = isqrt(a * a + b * b)
+        up = low + 1 + r
+        pairs.append(((1, -2 * a, a * a + b * b), 2 * a, 2 * r,
+                      (1, 2 * low, low * low), (1, 2 * up, up * up)))
+    for size in range(smallest, (len(f) - 1) // 2 + 1):
+        for k in range(min(size // 2, len(pairs)) + 1):
+            for chosen in combinations(pairs, k):
+                for rest in combinations(reals, size - 2 * k):
+                    subset = chosen + rest
+                    lo, hi = _integers_within(sum(u[1] for u in subset),
+                                              sum(u[2] for u in subset), e)
+                    if lo > hi:
+                        continue
+                    found = _candidate(f, subset, e)
+                    if found is not None:
+                        return found
+    return None
+
+
+def _candidate(f, subset, e: int):
+    """(factor, quotient) when the subset's factor divides f, None when
+    the subset is ruled out.  An enclosure that holds two integers
+    decides nothing and raises SpectralAmbiguity."""
+    centre = low = up = (1,)
+    for poly, _trace, _radius, low_poly, up_poly in subset:
+        centre = _poly_mul(centre, poly)
+        low = _poly_mul(low, low_poly)
+        up = _poly_mul(up, up_poly)
+    factor = [1]
+    for m in range(1, len(centre)):
+        lo, hi = _integers_within(centre[m], up[m] - low[m], e * m)
+        if lo > hi:
+            return None
+        if lo < hi:
+            raise SpectralAmbiguity(
+                f"a factor coefficient enclosure holds {hi - lo + 1} integers")
+        factor.append(lo)
+    quot, rem = _poly_divmod(f, factor)
+    if any(rem):
+        return None
+    return tuple(factor), tuple(int(q) for q in quot)
 
 
 def analyze_matrix(matrix: IntMatrix, ctx: PrecisionContext) -> list:

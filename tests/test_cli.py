@@ -2,6 +2,8 @@
 
 import json
 import math
+import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -299,6 +301,16 @@ class TestErrors:
          "overflow"),
         ("rotations --mode product --n 9223372036854775808", "", "overflow"),
         ("birkhoff --iet {four} --cocycle {step} --x0 nan", "", "finite"),
+        ("spectrum --matrix {bad}", json.dumps([[1.5, 1], [1, 0]]),
+         "not an integer"),
+        ("spectrum --matrix {bad}", json.dumps([[True, 1], [1, 0]]), "bool"),
+        ("build --iet {bad}", json.dumps({
+            "pair": FOUR_SPEC["pair"],
+            "periodic_matrix": [[1.5, 24, 18, 7], *FOUR_SPEC[
+                "periodic_matrix"][1:]]}), "not an integer"),
+        ("spectrum --matrix {bad}", json.dumps(
+            [[1 + i * (i == j) for j in range(17)] for i in range(17)]),
+         "limited to degree 16"),
     ], ids=["pair-without-pi0", "not-json", "step-without-values",
             "birkhoff-n-0", "deviation-n-max-0", "simulate-eps-not-a-number",
             "classify-vector-not-numbers", "spectrum-matrix-not-integers",
@@ -313,7 +325,9 @@ class TestErrors:
             "essential-values-n-max-negative", "dk-depth-0",
             "simulate-nan-entry", "deviation-nan-entry", "simulate-overflow",
             "deviation-overflow", "product-sums-past-int64",
-            "birkhoff-x0-nan"])
+            "birkhoff-x0-nan", "spectrum-matrix-fractional-entry",
+            "spectrum-matrix-bool-entry", "spec-periodic-matrix-fractional-entry",
+            "spectrum-degree-above-limit"])
     def test_malformed_spec_one_line_error(self, capsys, specs, tmp_path,
                                            command, content, named):
         bad = tmp_path / "bad.json"
@@ -461,3 +475,36 @@ class TestDeterminism:
         code, out = capture(capsys, command.split())
         assert code == 0
         assert out.encode() == (GOLDEN / f"{golden}.json").read_bytes()
+
+
+class TestRuntimeImports:
+    """sympy is the tests' oracle, never a runtime import."""
+
+    def test_commands_never_import_sympy(self):
+        commands = [["spectrum", "--iet", str(spec)]
+                    for spec in sorted(BUNDLED_SPECS.glob("*.json"))
+                    if "pair" in json.loads(spec.read_text())]
+        commands.append(["repro", "--case", "appendix-d"])
+        script = ("import contextlib, io, json, sys\n"
+                  "from iet_lab.cli import run\n"
+                  "for argv in json.loads(sys.argv[1]):\n"
+                  "    with contextlib.redirect_stdout(io.StringIO()):\n"
+                  "        assert run(argv) == 0, argv\n"
+                  "print(sorted(m for m in sys.modules if 'sympy' in m))\n")
+        src = str(BUNDLED_SPECS.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        done = subprocess.run([sys.executable, "-c", script,
+                               json.dumps(commands)],
+                              capture_output=True, text=True, env=env)
+        assert done.returncode == 0, done.stderr
+        assert len(commands) == 4
+        assert done.stdout == "[]\n"
+
+    def test_no_source_file_imports_sympy(self):
+        sources = sorted((BUNDLED_SPECS.parent / "src").rglob("*.py"))
+        assert sources
+        for path in sources:
+            text = path.read_text()
+            assert not re.search(r"^\s*(import|from)\s+sympy\b", text,
+                                 re.MULTILINE), path

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from iet_lab import intmat
 from iet_lab.errors import (DegenerateAlphabet, DimensionError,
-                            InvalidPermutation)
+                            DomainError, InvalidPermutation)
 from iet_lab.perms import make_pair, make_symmetric_pair
 from iet_lab.precision import PrecisionContext, RealVector
 
@@ -150,6 +150,20 @@ class TestIntMatrix:
     def test_serialization(self):
         a = intmat.freeze([[10, -3], [7, 2]])
         assert intmat.matrix_from_strings(intmat.matrix_to_strings(a)) == a
+
+    def test_freeze_takes_integral_values(self):
+        import numpy as np
+
+        a = intmat.freeze([[np.int64(10), "-3"], [7.0, 2]])
+        assert a == ((10, -3), (7, 2))
+        assert all(type(x) is int for row in a for x in row)
+
+    @pytest.mark.parametrize("entry", [True, 1.5, float("nan"), float("inf"),
+                                       Fraction(1, 2)])
+    def test_freeze_refuses_non_integers(self, entry):
+        # int() would truncate these to a different matrix
+        with pytest.raises(DomainError):
+            intmat.freeze([[entry, 1], [1, 0]])
 
 
 def _random_square(rng, d):

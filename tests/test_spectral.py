@@ -1,19 +1,38 @@
 """Spectra, splittings, and singularity combinatorics."""
 
+import random
+from fractions import Fraction
+
 import pytest
 
 from iet_lab import intmat
-from iet_lab.errors import NotPositive, NotPrimitive
+from iet_lab.errors import NotPositive, NotPrimitive, SpectralAmbiguity
 from iet_lab.perms import make_symmetric_pair
 from iet_lab.repro import GROUPED_MATRIX, FIVE_MATRIX, seven_letter_pair
-from iet_lab.spectral import (INSIDE, ON_CIRCLE, OUTSIDE, _classify_factor,
-                               _max_jordan_block, analyze_matrix,
-                               lyapunov_spectrum, nu_ratio, singularity_data,
+from iet_lab.spectral import (INSIDE, MAX_FACTOR_DEGREE, ON_CIRCLE, OUTSIDE,
+                               _classify_factor, _factor_charpoly,
+                               _max_jordan_block, _poly_roots, analyze_matrix,
+                               lyapunov_spectrum, nu_ratio,
+                               reciprocal_reduction, singularity_data,
                                splitting)
 
 GOLDEN_QUADRATIC = ((1, 1), (1, 0))            # x^2 - x - 1
 CUBIC_WITH_QUADRATIC = ((2, 0, 2), (1, 2, 0), (0, 2, 3))  # (x-4)(x^2-3x+4)
 PLASTIC_CUBIC = ((0, 1, 0), (0, 0, 1), (1, 1, 0))        # x^3 - x - 1
+# the characteristic polynomials of the bundled 4-, 5- and 7-letter systems
+BUNDLED_CHARPOLYS = ((1, -26, 56, -26, 1), (1, -129, 2110, -2110, 129, -1),
+                     (1, -29, 137, -273, 273, -137, 29, -1))
+# quintics with complex roots on which sympy's root isolation takes seconds
+SLOW_QUINTICS = ((1, -7, 4, 9, 18, 8), (1, -6, -2, 3, -2, -12))
+PALINDROMIC_SEXTIC = (1, -4, 1, 3, 1, -4, 1)
+PALINDROMIC_QUARTIC = (1, -1, 5, -1, 1)
+LISTED_MATRICES = (
+    GOLDEN_QUADRATIC, CUBIC_WITH_QUADRATIC, PLASTIC_CUBIC, GROUPED_MATRIX,
+    FIVE_MATRIX, ((2, 1), (1, 1)), ((0, 1), (1, 0)),
+    ((4, 2, 1), (2, 4, 1), (0, 4, 3)), ((0, 3, 3), (4, 0, 3), (2, 3, 0)),
+    ((2, 1, 1), (1, 2, 1), (1, 1, 2)),
+    ((2, 1, 1, 0), (1, 1, 0, 1), (0, 0, 2, 1), (0, 0, 1, 1)),
+    ((2, 1, 0, 0), (1, 1, 0, 0), (0, 0, 2, 1), (0, 0, 1, 1)))
 
 
 def _phi(mp):
@@ -131,7 +150,7 @@ class TestRootPaths:
 
     @pytest.mark.parametrize("coeffs, placed", [
         # y-cubic y^3 - 4y^2 - 2y + 11: two roots in (-2, 2), one above 2,
-        # found by exact isolation rather than the closed forms
+        # found by certified root discs rather than the closed forms
         ((1, -4, 1, 3, 1, -4, 1), [(INSIDE, True), (ON_CIRCLE, False),
                                    (ON_CIRCLE, False), (OUTSIDE, True)]),
         # y-quadratic y^2 - y + 3 with complex roots: a quadruple off the circle
@@ -147,6 +166,115 @@ class TestRootPaths:
             assert abs(value) < mp.mpf(2) ** -100
             if g.place == ON_CIRCLE:
                 assert abs(abs(z) - 1) < mp.mpf(2) ** -100
+
+
+def _sympy_factors(coeffs):
+    import sympy
+
+    _lead, factors = sympy.Poly(list(coeffs), sympy.Symbol("x")).factor_list()
+    return [(tuple(int(c) for c in f.all_coeffs()), int(m))
+            for f, m in factors]
+
+
+def _corpus_matrices(count=320, seed=18):
+    """Random non-negative integer matrices, d = 2..8, in four kinds:
+    dense, sparse 0/1 (powers of x), two equal diagonal blocks (repeated
+    factors) and repeated rows (singular)."""
+    rng = random.Random(seed)
+    out = []
+    for i in range(count):
+        d = 2 + i % 7
+        kind = i % 4
+        if kind == 0:
+            m = [[rng.randint(0, 3) for _ in range(d)] for _ in range(d)]
+        elif kind == 1:
+            m = [[int(rng.random() < 0.3) for _ in range(d)] for _ in range(d)]
+        elif kind == 2:
+            h = d // 2
+            block = [[rng.randint(0, 2) for _ in range(h)] for _ in range(h)]
+            m = [[block[r % h][c % h] if r // h == c // h < 2 else 0
+                  for c in range(d)] for r in range(d)]
+            m[d - 1][d - 1] += d % 2
+        else:
+            rows = [[rng.randint(0, 4) for _ in range(d)]
+                    for _ in range(d - 2 or 1)]
+            m = [list(rng.choice(rows)) for _ in range(d)]
+        out.append(m)
+    return out
+
+
+class TestFactorOracle:
+    """``_factor_charpoly`` against sympy's ``factor_list``, as a test oracle."""
+
+    @pytest.mark.parametrize("coeffs", [
+        *BUNDLED_CHARPOLYS, *SLOW_QUINTICS, PALINDROMIC_SEXTIC,
+        PALINDROMIC_QUARTIC, *(intmat.charpoly(m) for m in LISTED_MATRICES)])
+    def test_listed_polynomials(self, coeffs):
+        assert _factor_charpoly(coeffs) == _sympy_factors(coeffs)
+
+    def test_random_corpus(self):
+        seen = {"power of x": 0, "(x-1)^3": 0, "repeated non-linear": 0}
+        for m in _corpus_matrices():
+            coeffs = intmat.charpoly(m)
+            factors = _factor_charpoly(coeffs)
+            assert factors == _sympy_factors(coeffs), m
+            seen["power of x"] += any(f == (1, 0) for f, _k in factors)
+            seen["(x-1)^3"] += ((1, -1), 3) in factors
+            seen["repeated non-linear"] += any(len(f) > 2 and k > 1
+                                               for f, k in factors)
+        assert min(seen.values()) >= 5, seen
+
+    def test_degree_limit(self):
+        # 1 + diag(0..d-1): d distinct real eigenvalues, the search's worst case
+        def ones_plus_diagonal(d):
+            return [[1 + i * (i == j) for j in range(d)] for i in range(d)]
+
+        top = intmat.charpoly(ones_plus_diagonal(MAX_FACTOR_DEGREE))
+        assert _factor_charpoly(top) == _sympy_factors(top)
+        with pytest.raises(SpectralAmbiguity, match="limited to degree"):
+            _factor_charpoly(intmat.charpoly(
+                ones_plus_diagonal(MAX_FACTOR_DEGREE + 1)))
+        # the limit is on squarefree parts: x^20 (x - 1)^3 factors
+        assert _factor_charpoly((1, -3, 3, -1) + (0,) * 20) == [
+            ((1, -1), 3), ((1, 0), 20)]
+
+
+class TestRootOracle:
+    """Degree >= 3 roots of ``_poly_roots`` against sympy's exact isolation.
+
+    ``Poly.intervals`` is the isolation behind ``all_roots``; refined to
+    width 2^-102 it places every root far more cheaply than evaluating
+    the ``all_roots`` objects, which takes seconds on the quintics.
+    """
+
+    @pytest.mark.parametrize("coeffs", [
+        (1, 0, -1, -1), reciprocal_reduction(PALINDROMIC_SEXTIC),
+        *SLOW_QUINTICS], ids=["plastic-cubic", "sextic-y-cubic",
+                              "quintic-1", "quintic-2"])
+    def test_roots_match_sympy(self, ctx, coeffs):
+        import sympy
+
+        mp = ctx.mp
+
+        def mid(lo, hi):
+            half = (lo + hi) / 2
+            return ctx.real(Fraction(int(half.p), int(half.q)))
+
+        want_reals, want_boxes = sympy.Poly(
+            list(coeffs), sympy.Symbol("x")).intervals(
+                all=True, eps=sympy.Rational(1, 2 ** 102))
+        # a box is its lower-left and upper-right corner
+        want_complexes = [mp.mpc(mid(sympy.re(lo), sympy.re(hi)),
+                                 mid(sympy.im(lo), sympy.im(hi)))
+                          for (lo, hi), _k in want_boxes if sympy.im(lo) > 0]
+        reals, complexes = _poly_roots(list(coeffs), ctx)
+        tol = mp.mpf(2) ** -100
+        assert len(reals) == len(want_reals)
+        assert len(complexes) == len(want_complexes)
+        for got, ((lo, hi), _k) in zip(sorted(reals), want_reals):
+            assert abs(got - mid(lo, hi)) < tol
+        for want in want_complexes:
+            assert min(abs(got - want) for got in complexes) < tol
 
 
 class TestSplitting:
