@@ -27,7 +27,7 @@ from .rauzy import Iet, PeriodicIet, iet_from_json, iterate_induction
 from .repro import run_case
 from .rotations import (denjoy_koksma_check, half_indicator,
                         product_rotation_simulate, three_distance_gaps)
-from .spectral import lyapunov_spectrum, singularity_data, splitting
+from .spectral import singularity_data, spectrum_and_splitting, splitting
 
 ENV_BITS = "IET_LAB_PRECISION_BITS"
 
@@ -223,14 +223,10 @@ def _cmd_spectrum(args, ctx):
     else:
         obj = _need_periodic(_load_iet(args, ctx))
         matrix, lengths, pair = obj.matrix, obj.lengths, obj.pair
-    spec = lyapunov_spectrum(matrix, ctx)
+    spec, sdata, split = spectrum_and_splitting(matrix, lengths, ctx, pair)
     payload = {"spectrum": spec.to_json()}
-    kappa = None
-    if pair is not None:
-        sdata = singularity_data(pair)
-        kappa = sdata.kappa
+    if sdata is not None:
         payload["singularities"] = sdata.to_json()
-    split = splitting(matrix, lengths, ctx, kappa=kappa)
     payload["splitting"] = {
         "dims": list(split.dims),
         "theta_plus": ctx.str_of(split.theta_plus) if split.theta_plus else None,

@@ -1160,53 +1160,83 @@ def float_walk(mirror: FloatMirror, x0: float, n_steps: int, tables=()):
 def _sweep_one_sample(args):
     """Walk one float orbit and record checkpoint sups for every cocycle.
 
-    Per block, each slot's visit count and position sum at a checkpoint
-    come from the slot's step indices: a searchsorted counts them, and
-    an accumulate seeded with the slot's running sum adds the positions
-    in orbit order, as a per-step ``possum[slot] += x`` would.
+    Each block is cut at the checkpoints inside it.  Per segment, one
+    bincount adds the visit counts, and one weighted bincount with the
+    running position sums placed first adds the positions in orbit
+    order, as a per-step ``possum[slot] += x`` would; jump crossings
+    are counted per segment.  The (counts, position sums, crossings) at
+    every checkpoint become the sups after the walk (``_checkpoint_sups``).
     Picklable in and out, so worker processes can run it.
-    Returns (ok, per-cocycle checkpoint sup lists).
+    Returns (ok, per-cocycle checkpoint sup lists); a sample that meets
+    the guard band returns (False, None).
     """
     x0f, mirror, tables, checkpoints = args
     d = len(mirror.lefts)
-    counts = [0] * d
-    possum = [0.0] * d
-    cross = [[0] * len(t.jumps) for t in tables]
-    local_sup = [[0.0] * len(checkpoints) for _ in tables]
-    ends = np.array(checkpoints)
+    marks = [(slot, gf) for table in tables for slot, gf, _j in table.jumps]
+    counts = np.zeros(d, np.int64)
+    possum = np.zeros(d)
+    cross = np.zeros(len(marks), np.int64)
+    count_at = np.empty((len(checkpoints), d), np.int64)
+    sum_at = np.empty((len(checkpoints), d))
+    cross_at = np.empty((len(checkpoints), len(marks)), np.int64)
+    seeds = np.arange(d)
     done = t = 0
     try:
         for sl, xs in float_walk(mirror, x0f, checkpoints[-1], tables):
-            t_next = int(np.searchsorted(ends, done + len(xs), "right"))
-            cut = ends[t:t_next] - done  # checkpoint prefixes of this block
-            count_at = np.empty((d, len(cut)), np.int64)
-            sum_at = np.empty((d, len(cut)))
-            for s in range(d):
-                at = np.flatnonzero(sl == s)
-                sums = np.add.accumulate(np.concatenate(([possum[s]], xs[at])))
-                k = np.searchsorted(at, cut)
-                count_at[s] = counts[s] + k
-                sum_at[s] = sums[k]
-                counts[s] += len(at)
-                possum[s] = float(sums[-1])
-            cross_at = []
-            for ci, table in enumerate(tables):
-                rows = np.empty((len(table.jumps), len(cut)), np.int64)
-                for ji, (slot, gf, _j) in enumerate(table.jumps):
-                    at = np.flatnonzero((sl == slot) & (xs >= gf))
-                    rows[ji] = cross[ci][ji] + np.searchsorted(at, cut)
-                    cross[ci][ji] += len(at)
-                cross_at.append(rows.T.tolist())
-            for i, (c_i, p_i) in enumerate(zip(count_at.T.tolist(),
-                                               sum_at.T.tolist())):
-                for ci, table in enumerate(tables):
-                    local_sup[ci][t + i] = _sweep_value(table, c_i, p_i,
-                                                        cross_at[ci][i])
+            lo = 0
+            while lo < len(xs):
+                hi = min(checkpoints[t] - done, len(xs))
+                seg_sl, seg_xs = sl[lo:hi], xs[lo:hi]
+                counts += np.bincount(seg_sl, minlength=d)
+                possum = np.bincount(np.concatenate((seeds, seg_sl)),
+                                     np.concatenate((possum, seg_xs)), d)
+                for mi, (slot, gf) in enumerate(marks):
+                    cross[mi] += np.count_nonzero((seg_sl == slot)
+                                                  & (seg_xs >= gf))
+                if hi == checkpoints[t] - done:
+                    count_at[t], sum_at[t], cross_at[t] = counts, possum, cross
+                    t += 1
+                lo = hi
             done += len(xs)
-            t = t_next
     except NearBreakpoint:
-        return False, local_sup
+        return False, None
+    local_sup = []
+    first = 0
+    for table in tables:
+        jump_cols = cross_at[:, first:first + len(table.jumps)]
+        first += len(table.jumps)
+        local_sup.append(_checkpoint_sups(table, count_at, sum_at, jump_cols))
     return True, local_sup
+
+
+@np.errstate(over="ignore", invalid="ignore")  # overflow is a DomainError
+def _checkpoint_sups(table: FloatTable, count_at, sum_at, cross_at) -> list:
+    """Sup over coordinates of |cocycle sum| at every checkpoint row.
+
+    Row t of ``count_at``, ``sum_at`` and ``cross_at`` holds the visit
+    counts, position sums and jump crossings at checkpoint t.  Each
+    coordinate's sum adds letter terms, then jump terms, one float
+    operation per array element in the order of a per-checkpoint loop,
+    so the sups are bit for bit that loop's; the sup keeps its running
+    value unless a term exceeds it, as Python's ``max`` does.
+    """
+    counts = count_at.astype(float)  # exact: counts stay below 2^53
+    crossings = cross_at.astype(float)
+    best = np.zeros(len(counts))
+    for i in range(table.dim):
+        s = np.zeros(len(counts))
+        vi = table.values[i]
+        if table.constants is None:
+            for a in range(counts.shape[1]):
+                s += vi[a] * counts[:, a]
+            for ji, (_slot, _gf, j) in enumerate(table.jumps):
+                s += j[i] * crossings[:, ji]
+        else:
+            ci = table.constants[i]
+            for a in range(counts.shape[1]):
+                s += vi[a] * sum_at[:, a] + ci[a] * counts[:, a]
+        best = np.fmax(best, np.abs(s))
+    return best.tolist()
 
 
 def deviation_sweep(iet: Iet, cocycles, n_max: int, samples: int = 8,
@@ -1257,24 +1287,6 @@ def deviation_sweep(iet: Iet, cocycles, n_max: int, samples: int = 8,
                             tuple(map(tuple, point_sup)), slopes(0),
                             slopes(log_power), len(results) - used, used,
                             log_power)
-
-
-def _sweep_value(table: FloatTable, counts, possum, cross) -> float:
-    best = 0.0
-    for i in range(table.dim):
-        s = 0.0
-        vi = table.values[i]
-        if table.constants is None:
-            for a in range(len(counts)):
-                s += vi[a] * counts[a]
-            for ji, (_slot, _gf, j) in enumerate(table.jumps):
-                s += j[i] * cross[ji]
-        else:
-            ci = table.constants[i]
-            for a in range(len(counts)):
-                s += vi[a] * possum[a] + ci[a] * counts[a]
-        best = max(best, abs(s))
-    return best
 
 
 def cocycle_from_json(data: dict, ctx) -> Cocycle:

@@ -417,8 +417,11 @@ def _step_increments(vals, jumps, sl, xs):
 
     Each step adds its slot value, then each jump in ``jumps`` order:
     the jump vector where crossed, else +0.0, which changes no sum (a
-    running sum started at +0.0 never holds -0.0).
+    running sum started at +0.0 never holds -0.0).  With no jumps a
+    step's one addition is its slot value, so one take builds the rows.
     """
+    if not jumps:
+        return np.take(vals, sl, axis=1)
     inc = np.zeros((len(vals), len(xs), 1 + len(jumps)))
     inc[:, :, 0] = vals[:, sl]
     for ji, (slot, gf, j) in enumerate(jumps):

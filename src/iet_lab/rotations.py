@@ -240,7 +240,8 @@ def denjoy_koksma_check(phi: CircleStep, alpha, depth: int,
     step by step.  [0, limit) is split at the denominators and the sup
     checkpoints, and each segment is covered by greedy blocks of
     2^min(_DK_TABLE_DEPTH, floor(log2 rest)) orbit steps; one block is
-    one table lookup for every sample.  That is about limit / 2^12 plus
+    one table lookup for every sample, with the samples sorted once so
+    that each lookup reads sorted keys.  That is about limit / 2^12 plus
     O(log limit) lookups per segment, with memory O(samples + K * 2^12)
     for K breakpoints.
     """
@@ -276,7 +277,9 @@ def denjoy_koksma_check(phi: CircleStep, alpha, depth: int,
     sup_curve = []
     tables = _block_tables(phi, step,
                            min(_DK_TABLE_DEPTH, limit.bit_length() - 1))
-    x0s = np.array(rng, dtype=np.uint64)
+    # sorted once: a rotation keeps cyclic order, so each lookup's keys
+    # are two sorted runs, and every report entry is a max or a count
+    x0s = np.sort(np.array(rng, dtype=np.uint64))
     # per sample: S_pos and the max/min of S_1..S_pos (0 before any step,
     # which leaves max |S_m| = max(run_max, -run_min) unchanged)
     carry = np.zeros(len(rng), dtype=np.int64)

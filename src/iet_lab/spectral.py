@@ -571,13 +571,22 @@ def _max_jordan_block(matrix: IntMatrix, groups, ctx: PrecisionContext) -> int:
     return m_max
 
 
+def _analyze_primitive(matrix: IntMatrix, ctx: PrecisionContext) -> tuple:
+    """(frozen matrix, root groups) of a primitive matrix."""
+    matrix = intmat.freeze(matrix)
+    intmat.positive_power(matrix)  # raises NotPrimitive when appropriate
+    return matrix, analyze_matrix(matrix, ctx)
+
+
 def lyapunov_spectrum(matrix: IntMatrix, ctx: PrecisionContext | None = None
                       ) -> LyapunovSpectrum:
     """Certified log-moduli of all eigenvalues of a primitive matrix."""
     ctx = ctx or PrecisionContext()
-    matrix = intmat.freeze(matrix)
-    intmat.positive_power(matrix)  # raises NotPrimitive when appropriate
-    groups = analyze_matrix(matrix, ctx)
+    return _spectrum_of(*_analyze_primitive(matrix, ctx), ctx)
+
+
+def _spectrum_of(matrix: IntMatrix, groups, ctx: PrecisionContext
+                 ) -> LyapunovSpectrum:
     entries = []
     zero_mult = 0
     for g in groups:
@@ -698,9 +707,24 @@ def splitting(matrix: IntMatrix, lengths, ctx: PrecisionContext | None = None,
     annihilator sanity check on the stable and central parts.
     """
     ctx = ctx or (lengths.ctx if isinstance(lengths, RealVector) else PrecisionContext())
-    matrix = intmat.freeze(matrix)
-    intmat.positive_power(matrix)
-    groups = analyze_matrix(matrix, ctx)
+    return _splitting_of(*_analyze_primitive(matrix, ctx), lengths, ctx, kappa)
+
+
+def spectrum_and_splitting(matrix: IntMatrix, lengths, ctx: PrecisionContext,
+                           pair: PermutationPair | None = None) -> tuple:
+    """(spectrum, singularity data or None, splitting) of a primitive
+    matrix from one analysis of its characteristic polynomial; the
+    splitting's non-degeneracy is judged by the pair's kappa."""
+    matrix, groups = _analyze_primitive(matrix, ctx)
+    spec = _spectrum_of(matrix, groups, ctx)
+    sdata = None if pair is None else singularity_data(pair)
+    split = _splitting_of(matrix, groups, lengths, ctx,
+                          None if sdata is None else sdata.kappa)
+    return spec, sdata, split
+
+
+def _splitting_of(matrix: IntMatrix, groups, lengths, ctx: PrecisionContext,
+                  kappa: int | None) -> Splitting:
     at = intmat.mat_transpose(matrix)
     work = ctx.spawn(96)
     buckets = {INSIDE: [], ON_CIRCLE: [], OUTSIDE: []}

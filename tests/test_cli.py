@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from iet_lab import intmat, spectral
 from iet_lab.cli import run
 from iet_lab.cocycles import ExactWalker, cocycle_from_json
 from iet_lab.errors import IetLabError
@@ -74,6 +75,28 @@ class TestDispatch:
         doc = json.loads(out)
         assert doc["result"]["splitting"]["dims"] == [2, 1, 2]
         assert doc["result"]["singularities"]["kappa"] == 2
+
+    def test_spectrum_analyses_the_matrix_once(self, capsys, monkeypatch):
+        # every squarefree part of the characteristic polynomial is split
+        # once per command, not once for the spectrum and once for the
+        # splitting
+        calls = []
+        split = spectral._split_squarefree
+        monkeypatch.setattr(spectral, "_split_squarefree",
+                            lambda f: calls.append(tuple(f)) or split(f))
+        specs = [spec for spec in sorted(BUNDLED_SPECS.glob("*.json"))
+                 if "pair" in json.loads(spec.read_text())]
+        assert len(specs) == 3
+        for spec in specs:
+            matrix = iet_from_json(json.loads(spec.read_text()),
+                                   PrecisionContext()).matrix
+            calls.clear()
+            spectral._factor_charpoly(intmat.charpoly(matrix))
+            parts = sorted(calls)
+            calls.clear()
+            code, _out = capture(capsys, ["spectrum", "--iet", str(spec)])
+            assert code == 0
+            assert sorted(calls) == parts and parts
 
     def test_rauzy_steps(self, capsys, specs):
         code, out = capture(capsys, ["rauzy", "--iet", specs["seven"],

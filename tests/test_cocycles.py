@@ -13,7 +13,7 @@ from iet_lab import cocycles as cocycles_module
 from iet_lab import intmat
 from iet_lab import shadow as shadow_module
 from iet_lab.cocycles import (FLOAT_BLOCK, ExactWalker, PiecewiseLinearCocycle,
-                              StepCocycle, _sweep_value, birkhoff_sum,
+                              StepCocycle, birkhoff_sum,
                               birkhoff_visit_counts, certified_lattice_sign,
                               depth_interval_coeffs, depth_lattice,
                               depth_total_coeffs, deviation_sweep, evaluate,
@@ -842,6 +842,26 @@ class TestDeviationSweep:
             assert alone.corrected_exponent[0] == together.corrected_exponent[k]
 
 
+def sweep_value(table, counts, possum, cross) -> float:
+    """One checkpoint's sup over coordinates of |cocycle sum|, summed
+    letter by letter, then jump by jump, in Python floats."""
+    best = 0.0
+    for i in range(table.dim):
+        s = 0.0
+        vi = table.values[i]
+        if table.constants is None:
+            for a in range(len(counts)):
+                s += vi[a] * counts[a]
+            for ji, (_slot, _gf, j) in enumerate(table.jumps):
+                s += j[i] * cross[ji]
+        else:
+            ci = table.constants[i]
+            for a in range(len(counts)):
+                s += vi[a] * possum[a] + ci[a] * counts[a]
+        best = max(best, abs(s))
+    return best
+
+
 def sweep_oracle(args, step_walk):
     """Per-step ``_sweep_one_sample``: counts, position sums and crossings
     updated one orbit step at a time, read at each checkpoint."""
@@ -866,8 +886,8 @@ def sweep_oracle(args, step_walk):
                         crossed[ji] += 1
             done = n
             for ci, table in enumerate(tables):
-                local_sup[ci][t] = _sweep_value(table, counts, possum,
-                                                cross[ci])
+                local_sup[ci][t] = sweep_value(table, counts, possum,
+                                               cross[ci])
     except NearBreakpoint:
         return False, local_sup
     return True, local_sup
@@ -1777,7 +1797,7 @@ class TestBlockSweep:
 
     @pytest.mark.parametrize("n_max", [1, 7, 1000, FLOAT_BLOCK - 1,
                                        FLOAT_BLOCK, FLOAT_BLOCK + 1,
-                                       2 * FLOAT_BLOCK + 5])
+                                       2 * FLOAT_BLOCK + 5, 3 * FLOAT_BLOCK])
     def test_matches_per_step_sweep(self, ctx, periodic4, with_oracle,
                                     lane_cocycles4, n_max):
         iet = periodic4.iet
@@ -1802,6 +1822,37 @@ class TestBlockSweep:
         assert (block.aborted_samples, block.sample_count) == \
             (len(guard_hit_starts), 2)
         assert block == oracle
+
+    @pytest.mark.parametrize("checkpoints", [
+        (1, 2, 3, 1000, 5000, FLOAT_BLOCK - 1),
+        (7, FLOAT_BLOCK, 2 * FLOAT_BLOCK, 3 * FLOAT_BLOCK),
+        (1, FLOAT_BLOCK - 1, FLOAT_BLOCK, FLOAT_BLOCK + 1, FLOAT_BLOCK + 2,
+         2 * FLOAT_BLOCK + 5),
+    ], ids=["several-in-one-block", "on-block-ends", "around-a-block-end"])
+    def test_checkpoint_segments(self, ctx, periodic4, step_walk,
+                                 lane_cocycles4, guard_hit_starts,
+                                 checkpoints):
+        # one sample against the per-step oracle, checkpoint by
+        # checkpoint; guard hits at 5000 and FLOAT_BLOCK + 1 come after
+        # checkpoints already recorded in their block
+        iet = periodic4.iet
+        tables = [float_table(phi, iet) for phi in lane_cocycles4.values()]
+        tables.append(float_table(StepCocycle.from_vector((1, -2, 3, -1)),
+                                  iet))
+        starts = kronecker_samples(ctx, 2, iet.total, 4)
+        starts += [guard_hit_starts[5000], guard_hit_starts[FLOAT_BLOCK + 1]]
+        outcomes = []
+        for x0 in starts:
+            args = (float(x0), iet.mirror, tables, checkpoints)
+            ok, sups = cocycles_module._sweep_one_sample(args)
+            ref_ok, ref_sups = sweep_oracle(args, step_walk)
+            assert ok == ref_ok
+            if ok:
+                assert sups == ref_sups
+            outcomes.append(ok)
+        reach = checkpoints[-1]
+        assert outcomes == [True, True, reach <= 5000,
+                            reach <= FLOAT_BLOCK + 1]
 
     @pytest.mark.parametrize("values", [(1e308, 1e308, 1e308, 1e308),
                                         (1e308, -1e308, 1e308, -1e308)],

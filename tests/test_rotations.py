@@ -1,6 +1,7 @@
 """Circle rotations on the exact dyadic grid."""
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -221,6 +222,28 @@ class TestBlockKernel:
         with pytest.raises(DomainError) as ref:
             per_sample_dk(half_indicator(), GOLDEN, 40, samples, None)
         assert str(new.value) == str(ref.value)
+
+
+class TestSampleOrder:
+    """The report is a max, a count and a max over samples, so the order
+    in which the samples come does not change it."""
+
+    @pytest.mark.parametrize("order", ["reversed", "shuffled"])
+    @pytest.mark.parametrize("name", list(STEP_FUNCTIONS))
+    def test_report_ignores_sample_order(self, monkeypatch, name, order):
+        phi = STEP_FUNCTIONS[name]
+        ref = denjoy_koksma_check(phi, GOLDEN, 40, 100, 10 ** 4, 3)
+        grid = rotations._grid_samples
+
+        def permuted(count, seed):
+            out = grid(count, seed)
+            if order == "reversed":
+                return out[::-1]
+            random.Random(11).shuffle(out)
+            return out
+
+        monkeypatch.setattr(rotations, "_grid_samples", permuted)
+        assert denjoy_koksma_check(phi, GOLDEN, 40, 100, 10 ** 4, 3) == ref
 
 
 class TestDoublingTables:
