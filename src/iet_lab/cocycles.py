@@ -28,16 +28,19 @@ measure-zero collisions cannot silently poison the statistics.
 Renormalization exploits self-similarity: for a periodic-type exchange
 the induced map at every depth rescales to the same unit exchange, so
 one period's tower geometry (computed once) renormalizes a step or
-piecewise-linear cocycle through all depths in closed form.
+piecewise-linear cocycle through all depths in closed form.  Jumps are
+placed exactly: in intervals by ``jumps_by_letter``, in tower levels by
+one bisect of their integer left ends.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from heapq import heappop, heappush
 from itertools import accumulate, chain
+from operator import itemgetter
 
 import mpmath
 import numpy as np
@@ -163,11 +166,22 @@ def validate_jumps(cocycle: StepCocycle, iet: Iet) -> None:
             raise DomainError("jump position outside the domain interior")
         if prev is not None and g - prev < iet.ctx.eps_cmp:
             raise DomainError("jump positions must be distinct")
-        for a in range(iet.d):
-            if abs(g - iet.left[a]) < iet.ctx.eps_cmp:
-                raise DomainError(
-                    "jump position collides with an exchanged-interval endpoint")
+        if any(abs(g - e) < iet.ctx.eps_cmp for e in (*iet.left, iet.total)):
+            raise DomainError(
+                "jump position collides with an exchanged-interval endpoint")
         prev = g
+
+
+def jumps_by_letter(cocycle: StepCocycle, iet: Iet) -> tuple:
+    """Per letter, the indices of the jumps its interval holds, in
+    position order, by one exact ``Iet.interval_index`` per jump: the
+    letters in ``order0`` list the jumps in their (sorted) order."""
+    held = [[] for _ in range(iet.d)]
+    for t, (g, _j) in enumerate(cocycle.jumps):
+        if not 0 <= g < iet.total:
+            raise DomainError("jump position outside the domain")
+        held[iet.interval_index(g)].append(t)
+    return tuple(map(tuple, held))
 
 
 def evaluate(cocycle: Cocycle, iet: Iet, x) -> tuple:
@@ -177,18 +191,19 @@ def evaluate(cocycle: Cocycle, iet: Iet, x) -> tuple:
     if isinstance(cocycle, PiecewiseLinearCocycle):
         return tuple(cocycle.slopes[a][i] * x + cocycle.constants[a][i]
                      for i in range(cocycle.dim))
-    return _step_value(cocycle, iet, a, x)
+    return _step_value(cocycle, jumps_by_letter(cocycle, iet)[a], a, x)
 
 
-def _step_value(phi: StepCocycle, iet: Iet, a: int, x) -> tuple:
-    """Value of a step cocycle at x, already located in interval a."""
+def _step_value(phi: StepCocycle, held, a: int, x) -> tuple:
+    """Value of a step cocycle at x, located in interval a, which holds
+    the jumps ``held``."""
     out = list(phi.values[a])
-    for g, j in phi.jumps:
-        if iet.left[a] < g <= x:
-            for i in range(phi.dim):
-                out[i] = out[i] + j[i]
-        elif g > x:
+    for t in held:
+        g, j = phi.jumps[t]
+        if g > x:
             break
+        for i in range(phi.dim):
+            out[i] = out[i] + j[i]
     return tuple(out)
 
 
@@ -204,11 +219,13 @@ def mean(cocycle: Cocycle, iet: Iet) -> tuple:
             for i in range(cocycle.dim))
     base = [mp.fsum(cocycle.values[a][i] * iet.lengths[a] for a in range(d))
             for i in range(cocycle.dim)]
-    for g, j in cocycle.jumps:
-        a = iet.interval_index(g)
-        w = iet.right[a] - g
-        for i in range(cocycle.dim):
-            base[i] = base[i] + j[i] * w
+    held = jumps_by_letter(cocycle, iet)
+    for a in iet.order0:
+        for t in held[a]:
+            g, j = cocycle.jumps[t]
+            w = iet.right[a] - g
+            for i in range(cocycle.dim):
+                base[i] = base[i] + j[i] * w
     return tuple(base)
 
 
@@ -236,14 +253,14 @@ def sup_norm(cocycle: Cocycle, iet: Iet):
                                          + cocycle.constants[a][i]))
         return best
     best = 0
-    for a in range(iet.d):
+    for a, held in enumerate(jumps_by_letter(cocycle, iet)):
         acc = list(cocycle.values[a])
         best = max(best, max(abs(v) for v in acc))
-        for g, j in cocycle.jumps:
-            if iet.left[a] < g < iet.right[a]:
-                for i in range(cocycle.dim):
-                    acc[i] = acc[i] + j[i]
-                best = max(best, max(abs(v) for v in acc))
+        for t in held:
+            j = cocycle.jumps[t][1]
+            for i in range(cocycle.dim):
+                acc[i] = acc[i] + j[i]
+            best = max(best, max(abs(v) for v in acc))
     return best
 
 
@@ -597,8 +614,9 @@ def _exact_sums(cocycle: Cocycle, iet: Iet, walker: ExactWalker, checkpoints,
     elif isinstance(cocycle, StepCocycle):
         validate_jumps(cocycle, iet)
         slopes, values = (), cocycle.values
-        jumps = [(iet.interval_index(g), lengths.ceil_num(g, den), j)
-                 for g, j in cocycle.jumps]
+        held = jumps_by_letter(cocycle, iet)
+        jumps = [(a, lengths.ceil_num(g, den), j) for a in iet.order0
+                 for g, j in (cocycle.jumps[t] for t in held[a])]
     else:
         raise Unsupported(f"cannot sum {type(cocycle).__name__}")
     ints = not slopes and all(isinstance(v, int) for v in chain(
@@ -782,11 +800,8 @@ def towers(periodic: PeriodicIet, n: int, with_levels: bool = False
     """
     if n < 0:
         raise DomainError("tower depth must be >= 0")
-    ctx = periodic.ctx
-    a_n = intmat.matpow(periodic.step_matrix, n)
-    a_n1 = intmat.matmul(a_n, periodic.step_matrix)
-    heights_n = intmat.column_sums(a_n)
-    heights_n1 = intmat.column_sums(a_n1)
+    heights_n = periodic.heights(n)
+    heights_n1 = periodic.heights(n + 1)
     alpha1 = periodic.first_letter()
     # nesting invariant: depth-(n+1) interval sits inside the first letter
     scale = periodic.step_scale ** (-(n + 1))
@@ -839,7 +854,8 @@ class Renormalizer:
 
     The tower geometry of a single normalized period over the unit
     exchange is computed once and reused for every depth; only the step
-    bookkeeping (return-time costs) depends on the depth.
+    bookkeeping (``PeriodicIet.heights``) depends on the depth.  A jump's
+    level is one bisect of ``_levels``, (exact left end, tower, index).
     """
 
     def __init__(self, periodic: PeriodicIet):
@@ -847,29 +863,30 @@ class Renormalizer:
         self.iet = periodic.iet
         self.matrix = periodic.step_matrix
         self.rho = periodic.step_scale
-        self.colsums = intmat.column_sums(self.matrix)
-        self._stage = self._walk_stage()
+        self._stage, self._levels = self._walk_stage()
 
-    def _walk_stage(self) -> list:
-        """Per letter: the tower levels (position, interval) of one period.
+    def _walk_stage(self) -> tuple:
+        """Per letter the tower levels (positions, intervals) of one
+        period, and the sorted (left end, tower, index) of every level.
 
         Tower level endpoints genuinely coincide with interval
         breakpoints, so the walk runs on the exact lattice engine, one
         walk per letter; the level positions are rebuilt exactly from
-        its letters and read back at working precision.
+        its letters and read back at working precision, their left ends
+        kept as exact integer dots.  Tower b's levels have b's depth-1
+        width, so all tile [0, |I|): sum_b h_b |I^1_b| = |I|.
         """
         iet = self.iet
         lam = iet.lengths.values
-        width_mpf = [iet.lengths[b] / self.rho for b in range(iet.d)]
         base = iet.lattice
         right_coeffs = [tuple(map(sum, zip(left, width)))
                         for left, width in zip(base.lefts, base.widths)]
         depth1 = depth_lattice(self.periodic, 1)
-        stage = []
-        for b in range(iet.d):
+        stage, levels = [], []
+        for b, height in enumerate(self.periodic.heights(1)):
             wc = depth1.widths[b]
             alphas, points = ExactWalker(iet, depth1.lefts[b], 1).itinerary(
-                self.colsums[b])
+                height)
             for start, a in zip(points, alphas):
                 # the whole level must nest in one exchanged interval:
                 # level left + width <= right endpoint of that interval
@@ -878,16 +895,17 @@ class Renormalizer:
                 if certified_lattice_sign(iet.lengths, diff) > 0:
                     raise NotNormalized(
                         "tower level crosses an exchanged-interval boundary")
-            positions = tuple(iet.ctx.dot_int(c, lam) for c in points)
-            stage.append((positions, alphas, width_mpf[b]))
+            stage.append((tuple(iet.ctx.dot_int(c, lam) for c in points),
+                          alphas))
+            levels += ((iet.lengths.int_dot(c), b, i)
+                       for i, c in enumerate(points))
         # internal consistency: visit counts reproduce the period matrix
-        for b in range(iet.d):
-            _positions, alphas, _w = stage[b]
+        for b, (_positions, alphas) in enumerate(stage):
             for a in range(iet.d):
                 if alphas.count(a) != self.matrix[a][b]:
                     raise NotNormalized(
                         "stage walk visit counts disagree with the matrix")
-        return stage
+        return stage, sorted(levels)
 
     def start(self, cocycle: Cocycle) -> RenormState:
         check_rows(cocycle, self.iet.d)
@@ -910,35 +928,28 @@ class Renormalizer:
             state = self.advance(state)
         return state
 
-    def _level_costs(self, level: int) -> tuple:
-        """Return-time of each unit interval at the given depth, in base steps."""
-        a_k = intmat.matpow(self.matrix, level)
-        return intmat.column_sums(a_k)
-
     def _advance_step(self, state: RenormState) -> RenormState:
         iet = self.iet
         ctx = iet.ctx
         phi = state.cocycle
         dim = phi.dim
-        costs = self._level_costs(state.level)
+        costs = self.periodic.heights(state.level)
+        held = jumps_by_letter(phi, iet)
         new_values = []
-        for b in range(iet.d):
-            positions, alphas, _w = self._stage[b]
+        for positions, alphas in self._stage:
             acc = [0] * dim
             for p, a in zip(positions, alphas):
-                val = _step_value(phi, iet, a, p)
+                val = _step_value(phi, held[a], a, p)
                 for i in range(dim):
                     acc[i] = acc[i] + val[i]
             new_values.append(tuple(acc))
         new_jumps = []
         new_steps = []
         for (g, jvec), t_old in zip(phi.jumps, state.jump_steps):
-            b, i, p, width = self._find_level(g, ctx)
-            cum = 0
-            _positions, alphas, _w = self._stage[b]
-            for jj in range(i):
-                cum += costs[alphas[jj]]
-            u = iet.left[b] + self.rho * (g - p)
+            b, i = self._find_level(g)
+            positions, alphas = self._stage[b]
+            cum = sum(costs[a] for a in alphas[:i])
+            u = iet.left[b] + self.rho * (g - positions[i])
             if (u - iet.left[b] < ctx.eps_cmp
                     or iet.right[b] - u < ctx.eps_cmp):
                 raise NearBreakpoint("pulled-back jump collides with an endpoint")
@@ -957,8 +968,7 @@ class Renormalizer:
         dim = phi.dim
         new_slopes = []
         new_consts = []
-        for b in range(iet.d):
-            positions, alphas, _w = self._stage[b]
+        for b, (positions, alphas) in enumerate(self._stage):
             slope_b = [mp.fsum(phi.slopes[a][i] for a in alphas) / self.rho
                        for i in range(dim)]
             const_b = [mp.fsum(phi.slopes[a][i] * p + phi.constants[a][i]
@@ -970,31 +980,30 @@ class Renormalizer:
         cocycle = PiecewiseLinearCocycle(dim, tuple(new_slopes), tuple(new_consts))
         return RenormState(state.level + 1, cocycle, ())
 
-    def _find_level(self, g, ctx):
-        for b in range(self.iet.d):
-            positions, _alphas, width = self._stage[b]
-            for i, p in enumerate(positions):
-                if p <= g < p + width:
-                    return b, i, p, width
-        raise NearBreakpoint("jump position not inside any tower level")
+    def _find_level(self, g) -> tuple:
+        """(tower, index) of the level holding g in (0, |I|): the last one
+        whose left end n (standing for n * 2**exp, ``RealVector.int_dot``)
+        is at most the floor of g / 2**exp."""
+        floor = math.floor(as_fraction(g) / self.iet.lengths.fraction(1))
+        return self._levels[bisect_right(self._levels, floor,
+                                         key=itemgetter(0)) - 1][1:]
 
     def interval_averages(self, state: RenormState) -> list:
         """Average of the state's cocycle over each unit interval."""
         iet = self.iet
-        mp = iet.ctx.mp
         phi = state.cocycle
         if isinstance(phi, PiecewiseLinearCocycle):
             return [tuple(phi.slopes[a][i] * (iet.left[a] + iet.right[a]) / 2
                           + phi.constants[a][i] for i in range(phi.dim))
                     for a in range(iet.d)]
         out = []
-        for a in range(iet.d):
+        for a, held in enumerate(jumps_by_letter(phi, iet)):
             acc = list(phi.values[a])
-            for g, j in phi.jumps:
-                if iet.left[a] < g < iet.right[a]:
-                    w = (iet.right[a] - g) / iet.lengths[a]
-                    for i in range(phi.dim):
-                        acc[i] = acc[i] + j[i] * w
+            for t in held:
+                g, j = phi.jumps[t]
+                w = (iet.right[a] - g) / iet.lengths[a]
+                for i in range(phi.dim):
+                    acc[i] = acc[i] + j[i] * w
             out.append(tuple(acc))
         return out
 
@@ -1042,6 +1051,8 @@ def m_index(periodic: PeriodicIet, x, n: int) -> MIndexReport:
     is at most n, and n is at most d times the largest depth-(m+1) one.
     The orbit is one exact walk, and m is the largest depth whose
     interval [0, rho^-m) holds its second-lowest point, by exact signs.
+    Depth counts base periods (powers of ``matrix``), not the normalized
+    ones of ``PeriodicIet.heights``.
     """
     walker = ExactWalker.from_point(periodic.iet, x)
     second = sorted(walker.positions(n)[1])[1]
@@ -1053,19 +1064,6 @@ def m_index(periodic: PeriodicIet, x, n: int) -> MIndexReport:
     q_m = intmat.column_sums(intmat.matpow(periodic.matrix, m))
     q_m1 = intmat.column_sums(intmat.matpow(periodic.matrix, m + 1))
     return MIndexReport(m, n, min(q_m), periodic.d * max(q_m1))
-
-
-def m_index_bruteforce(periodic: PeriodicIet, x, n: int) -> int:
-    """Definitional scan: count visits to each induction interval."""
-    walker = ExactWalker.from_point(periodic.iet, x)
-    pts = walker.positions(n)[1]
-    m = 0
-    while True:
-        bound = walker.lengths.ceil_num(periodic.pf_value ** -(m + 1))
-        if sum(1 for p in pts if p < bound) >= 2:
-            m += 1
-        else:
-            return m
 
 
 # ---------------------------------------------------------------------------
@@ -1120,13 +1118,11 @@ def float_table(cocycle: Cocycle, iet: Iet) -> FloatTable:
                           rows(cocycle.constants), ())
     if not isinstance(cocycle, StepCocycle):
         raise Unsupported("the float lane supports step and pl cocycles")
-    jumps = []
-    for g, j in cocycle.jumps:
-        if not 0 <= g < iet.total:
-            raise DomainError("jump position outside the domain")
-        slot = mirror.letters.index(iet.interval_index(g))
-        jumps.append((slot, float(g), tuple(float(x) for x in j)))
-    return FloatTable(cocycle.dim, rows(cocycle.values), None, tuple(jumps))
+    held = jumps_by_letter(cocycle, iet)
+    jumps = tuple((slot, float(g), tuple(float(x) for x in j))
+                  for slot, a in enumerate(mirror.letters)
+                  for g, j in (cocycle.jumps[t] for t in held[a]))
+    return FloatTable(cocycle.dim, rows(cocycle.values), None, jumps)
 
 
 def float_walk(mirror: FloatMirror, x0: float, n_steps: int, tables=()):
@@ -1252,6 +1248,8 @@ def deviation_sweep(iet: Iet, cocycles, n_max: int, samples: int = 8,
     mirror with its tower table built once here; the merge is a
     pointwise maximum, so results match the serial run exactly.
     """
+    if samples < 1:
+        raise DomainError(f"sample count must be >= 1, got {samples}")
     mirror = iet.mirror
     checkpoints = geometric_checkpoints(n_max, CHECKPOINT_RATIO)
     starts = kronecker_samples(iet.ctx, samples, iet.total, seed)

@@ -117,14 +117,17 @@ def correct_bv(cocycle: Cocycle, periodic: PeriodicIet, splitting: Splitting,
     if any(abs(v) > ctx.eps_cmp * 16 for v in m0):
         raise NotZeroMean("correction requires a zero-mean cocycle")
     rz = renormalizer or Renormalizer(periodic)
+    m_u = splitting.unstable_map(intmat.mat_transpose(periodic.step_matrix))
+    c_prime = _inverse_unstable_norm(m_u, ctx)
+    var = max(_variation_of(cocycle, iet), mp.mpf(1))
+    spread = 1 + intmat.norm_col(periodic.step_matrix)
     if depth is None:
-        depth = default_depth(periodic, splitting, cocycle, ctx)
+        depth = default_depth(periodic, splitting, cocycle,
+                              c_prime * var * spread)
     if depth < 1:
         raise DomainError("depth must be >= 1")
     # d rows of dim-vectors
     averages = rz.interval_averages(rz.to_depth(cocycle, depth))
-    at = intmat.mat_transpose(periodic.step_matrix)
-    m_u = splitting.unstable_map(at)
     h_rows = []
     for i in range(cocycle.dim):
         g_vec = [averages[a][i] for a in range(periodic.d)]
@@ -137,10 +140,7 @@ def correct_bv(cocycle: Cocycle, periodic: PeriodicIet, splitting: Splitting,
         h_vec = [mp.fsum(-c * b[t] for c, b in zip(pulled, splitting.basis_u))
                  for t in range(periodic.d)]
         h_rows.append(tuple(h_vec))
-    var = _variation_of(cocycle, iet)
-    c_prime = _inverse_unstable_norm(m_u, ctx)
-    tail = c_prime * mp.e ** (-depth * splitting.theta_plus) * max(var, mp.mpf(1)) \
-        * (1 + intmat.norm_col(periodic.step_matrix))
+    tail = c_prime * mp.e ** (-depth * splitting.theta_plus) * var * spread
     corrected = _add_step_vector(cocycle, h_rows)
     return CorrectionResult(tuple(h_rows), corrected, depth, tail, (), ctx)
 
@@ -164,9 +164,11 @@ def _inverse_unstable_norm(m_u, ctx):
 
 
 def default_depth(periodic: PeriodicIet, splitting: Splitting,
-                  cocycle: Cocycle, ctx: PrecisionContext) -> int:
+                  cocycle: Cocycle, base) -> int:
     """Smallest depth whose certified tail drops below 2^(-bits/4).
 
+    ``base`` is the tail's depth-free prefactor, C' * max(var, 1) *
+    (1 + |A|_col), so the tail at depth n is base * exp(-n theta_plus).
     For cocycles with interior jumps the depth is also capped by the
     position-precision budget: pulled-back jump positions expand by the
     period scale at every stage, so a jump known to the working
@@ -176,12 +178,9 @@ def default_depth(periodic: PeriodicIet, splitting: Splitting,
     """
     import math
 
+    ctx = periodic.ctx
     mp = ctx.mp
     target = mp.mpf(2) ** (-(ctx.bits // 4))
-    var = _variation_of(cocycle, periodic.iet)
-    at = intmat.mat_transpose(periodic.step_matrix)
-    c_prime = _inverse_unstable_norm(splitting.unstable_map(at), ctx)
-    base = c_prime * max(var, mp.mpf(1)) * (1 + intmat.norm_col(periodic.step_matrix))
     depth = 1
     while depth < 400:
         if base * mp.e ** (-depth * splitting.theta_plus) < target:

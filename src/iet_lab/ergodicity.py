@@ -19,7 +19,7 @@ import numpy as np
 from . import intmat
 from .cocycles import (Cocycle, ExactWalker, PiecewiseLinearCocycle,
                        Renormalizer, StepCocycle, evaluate, float_table,
-                       float_walk)
+                       float_walk, jumps_by_letter)
 from .errors import (DomainError, EmptyFixedSpace, NearBreakpoint,
                      NotZeroMean, Unsupported)
 from .precision import PrecisionContext
@@ -230,7 +230,6 @@ def essential_value_probe(cocycle: Cocycle, periodic: PeriodicIet,
         raise DomainError(f"probe depth must be >= 0, got {n_max}")
     rz = renormalizer or Renormalizer(periodic)
     periodic_iet = periodic.iet
-    ctx = periodic.ctx
     rho = periodic.step_scale
     pieces = []
     contaminated = []
@@ -239,14 +238,12 @@ def essential_value_probe(cocycle: Cocycle, periodic: PeriodicIet,
     alpha1 = periodic.first_letter()
     for n in range(0, n_max + 1):
         # state is at depth n+1 here
-        sub_height = intmat.column_sums(
-            intmat.matpow(periodic.step_matrix, n))[alpha1]
+        sub_height = periodic.heights(n)[alpha1]
         phi_n = state.cocycle
         scale = rho ** (-(n + 1))
         level_bad = False
-        for a in range(periodic.d):
-            cuts = [(g, j, t) for (g, j), t in zip(phi_n.jumps, state.jump_steps)
-                    if periodic_iet.left[a] < g < periodic_iet.right[a]]
+        for a, held in enumerate(jumps_by_letter(phi_n, periodic_iet)):
+            cuts = [(*phi_n.jumps[t], state.jump_steps[t]) for t in held]
             bad = [c for c in cuts if c[2] < sub_height]
             if bad:
                 level_bad = True

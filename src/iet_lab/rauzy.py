@@ -352,6 +352,12 @@ class PeriodicIet:
         """Contraction of one normalized period."""
         return self.pf_value ** self.effective_multiplier
 
+    def heights(self, n: int) -> tuple:
+        """Return time in base steps of each letter's depth-n interval
+        (depth in normalized periods): the column sums of
+        ``step_matrix``**n."""
+        return intmat.column_sums(intmat.matpow(self.step_matrix, n))
+
     def first_letter(self) -> int:
         return self.pair.pi0.index(1)
 

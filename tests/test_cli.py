@@ -297,6 +297,8 @@ class TestErrors:
         ("rotations --mode three-distance --n -5", "", ">= 1"),
         ("rotations --mode dk --samples -3", "", ">= 0"),
         ("simulate --iet {four} --cocycle {step} --samples -1", "", ">= 1"),
+        ("deviation --iet {four} --cocycle {step} --samples 0", "", ">= 1"),
+        ("deviation --iet {four} --cocycle {step} --samples -2", "", ">= 1"),
         ("simulate --iet {four} --cocycle {step} --n 0", "", ">= 1"),
         ("birkhoff --iet {five} --cocycle {step}", "", "4 value rows"),
         ("deviation --iet {five} --cocycle {step}", "", "4 value rows"),
@@ -340,6 +342,7 @@ class TestErrors:
             "product-n-0", "product-n-negative", "spectrum-pair-not-object",
             "three-distance-n-0", "three-distance-n-negative",
             "dk-samples-negative", "simulate-samples-negative",
+            "deviation-samples-0", "deviation-samples-negative",
             "simulate-n-0", "birkhoff-cocycle-rows",
             "deviation-cocycle-rows", "deviation-zero-mean-cocycle-rows",
             "simulate-cocycle-rows", "correct-zero-mean-cocycle-rows",

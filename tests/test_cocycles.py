@@ -1,10 +1,12 @@
 """Cocycle evaluation, Birkhoff sums, towers, renormalization."""
 
+import json
 import math
 from bisect import bisect_right
 from dataclasses import fields, replace
 from fractions import Fraction
 from itertools import islice
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,17 +15,19 @@ from iet_lab import cocycles as cocycles_module
 from iet_lab import intmat
 from iet_lab import shadow as shadow_module
 from iet_lab.cocycles import (FLOAT_BLOCK, ExactWalker, PiecewiseLinearCocycle,
-                              StepCocycle, birkhoff_sum,
+                              RenormState, StepCocycle, birkhoff_sum,
                               birkhoff_visit_counts, certified_lattice_sign,
-                              depth_interval_coeffs, depth_lattice,
+                              cocycle_from_json, depth_interval_coeffs,
+                              depth_lattice,
                               depth_total_coeffs, deviation_sweep, evaluate,
                               float_table, float_walk,
                               forward_birkhoff, gap_statistics,
-                              m_index, m_index_bruteforce,
-                              mean, partition_pn, renormalize,
-                              Renormalizer, return_time_matrix, towers,
-                              zero_mean_version)
-from iet_lab.ergodicity import skew_simulate
+                              jumps_by_letter,
+                              m_index, mean, partition_pn, renormalize,
+                              Renormalizer, return_time_matrix, sup_norm,
+                              towers, zero_mean_version)
+from iet_lab.ergodicity import (TowerPiece, essential_value_probe,
+                                skew_simulate)
 from iet_lab.errors import DomainError, NearBreakpoint, NotNormalized
 from iet_lab.perms import make_pair, make_symmetric_pair
 from iet_lab.precision import (PrecisionContext, as_fraction,
@@ -34,6 +38,7 @@ from iet_lab.shadow import (_TOWER_REACH, TOWER_HEIGHT, lattice_mirror,
                             shadow_walk)
 
 SYSTEMS = ["periodic4", "periodic5", "periodic7"]
+SPECS = Path(__file__).resolve().parent.parent / "specs"
 
 
 def image(iet, x, n=1):
@@ -309,12 +314,14 @@ class TestRenormalization:
         state = renormalize(phi, periodic4, 0, 2)
         assert state.level == 2
 
-    @pytest.mark.parametrize("where", ["left-end", "total", "past-total",
-                                       "negative"])
+    @pytest.mark.parametrize("where", ["left-end", "total", "near-total",
+                                       "past-total", "negative"])
     def test_renormalize_validates_jumps(self, ctx, periodic4, renorm4,
                                          where):
+        # near-total: inside the domain, but within eps_cmp of its right end
         iet = periodic4.iet
         g = {"left-end": iet.left[2], "total": iet.total,
+             "near-total": iet.total - ctx.real("1e-21"),
              "past-total": ctx.real("1.5"), "negative": ctx.real("-0.1")}
         phi = StepCocycle(1, ((1,), (0,), (0,), (-1,)), ((g[where], (1,)),))
         for k in (0, 2):
@@ -358,7 +365,7 @@ class TestOneWalkPerLevelSet:
         p = request.getfixturevalue(system)
         lefts = depth_lattice(p, 1).lefts
         colsums = intmat.column_sums(p.step_matrix)
-        for b, (positions, letters, _w) in enumerate(Renormalizer(p)._stage):
+        for b, (positions, letters) in enumerate(Renormalizer(p)._stage):
             want = stepwise_levels(p.iet, lefts[b], 1, colsums[b])
             assert (positions, letters) == want[1:]
 
@@ -401,6 +408,208 @@ class TestOneWalkPerLevelSet:
         monkeypatch.setattr(ExactWalker, "itinerary", last_letter_swapped)
         with pytest.raises(NotNormalized, match="matrix"):
             Renormalizer(periodic4)
+
+
+def mpf_step_value(phi, iet, a, x):
+    """A step cocycle at x in letter a's interval, the jumps placed by mpf
+    tests: a jump counts where left_a < gamma <= x."""
+    out = list(phi.values[a])
+    for g, j in phi.jumps:
+        if iet.left[a] < g <= x:
+            out = [v + w for v, w in zip(out, j)]
+        elif g > x:
+            break
+    return tuple(out)
+
+
+def mpf_sup_norm(phi, iet):
+    """``sup_norm`` of a step cocycle, a jump in letter a's interval where
+    left_a < gamma < right_a."""
+    best = 0
+    for a in range(iet.d):
+        acc = list(phi.values[a])
+        best = max(best, max(abs(v) for v in acc))
+        for g, j in phi.jumps:
+            if iet.left[a] < g < iet.right[a]:
+                acc = [v + w for v, w in zip(acc, j)]
+                best = max(best, max(abs(v) for v in acc))
+    return best
+
+
+def mpf_interval_averages(phi, iet):
+    """``Renormalizer.interval_averages`` of a step cocycle by the same
+    mpf interval test."""
+    out = []
+    for a in range(iet.d):
+        acc = list(phi.values[a])
+        for g, j in phi.jumps:
+            if iet.left[a] < g < iet.right[a]:
+                w = (iet.right[a] - g) / iet.lengths[a]
+                acc = [v + x * w for v, x in zip(acc, j)]
+        out.append(tuple(acc))
+    return out
+
+
+def mpf_advance(rz, state):
+    """``Renormalizer.advance`` of a step state with every placement by
+    mpf tests: values by ``mpf_step_value`` and each jump's level by a
+    linear scan for p <= gamma < p + |I_b| / rho over the stage."""
+    iet, phi = rz.iet, state.cocycle
+    costs = intmat.column_sums(intmat.matpow(rz.matrix, state.level))
+    values = []
+    for positions, alphas in rz._stage:
+        acc = [0] * phi.dim
+        for p, a in zip(positions, alphas):
+            acc = [v + w for v, w in
+                   zip(acc, mpf_step_value(phi, iet, a, p))]
+        values.append(tuple(acc))
+    jumps, steps = [], []
+    for (g, j), t in zip(phi.jumps, state.jump_steps):
+        b, i, p = next((b, i, p) for b, (positions, _a) in enumerate(rz._stage)
+                       for i, p in enumerate(positions)
+                       if p <= g < p + iet.lengths[b] / rz.rho)
+        jumps.append((iet.left[b] + rz.rho * (g - p), j))
+        steps.append(t + sum(costs[a] for a in rz._stage[b][1][:i]))
+    order = sorted(range(len(jumps)), key=lambda t: jumps[t][0])
+    return RenormState(state.level + 1,
+                       StepCocycle(phi.dim, tuple(values),
+                                   tuple(jumps[t] for t in order)),
+                       tuple(steps[t] for t in order))
+
+
+def mpf_probe_pieces(phi, periodic, rz, n_max):
+    """``essential_value_probe``'s pieces from ``mpf_advance`` states, a
+    jump cutting letter a's interval where left_a < gamma < right_a."""
+    iet, alpha1 = periodic.iet, periodic.first_letter()
+    state = mpf_advance(rz, rz.start(phi))
+    pieces = []
+    for n in range(n_max + 1):
+        sub = intmat.column_sums(intmat.matpow(periodic.step_matrix, n))[alpha1]
+        cur, scale = state.cocycle, periodic.step_scale ** (-(n + 1))
+        for a in range(periodic.d):
+            cuts = [(g, j, t) for (g, j), t in zip(cur.jumps, state.jump_steps)
+                    if iet.left[a] < g < iet.right[a]]
+            bad = [c for c in cuts if c[2] < sub]
+            bounds = [iet.left[a], *(c[0] for c in cuts), iet.right[a]]
+            acc = list(cur.values[a])
+            for idx, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+                if idx:
+                    acc = [v + w for v, w in zip(acc, cuts[idx - 1][1])]
+                pieces.append(TowerPiece(
+                    n, a, idx, tuple(acc), (hi - lo) * scale * sub,
+                    not any(lo <= c[0] <= hi for c in bad)))
+        if n < n_max:
+            state = mpf_advance(rz, state)
+    return pieces
+
+
+class TestJumpPlacement:
+    """Every jump is placed once, by exact signs (``jumps_by_letter``,
+    ``Renormalizer._find_level``); on validated jumps that is ``==`` to
+    the mpf interval and level tests it replaced, kept above as oracle."""
+
+    DEPTH = 12
+
+    @pytest.fixture(params=["criterion-6", "step-spec", "near-left-ends"])
+    def phi(self, request, ctx, periodic4, gammas):
+        iet = periodic4.iet
+        values = ((1,), (-1,), (2,), (0,))
+        if request.param == "criterion-6":
+            jumps = tuple((g, (j,)) for g, j in zip(gammas, (1, 2, -3)))
+        elif request.param == "step-spec":
+            with open(SPECS / "step_cocycle.json", encoding="utf-8") as fh:
+                return zero_mean_version(cocycle_from_json(json.load(fh), ctx),
+                                         iet)
+        else:  # 2 eps_cmp either side of every interior left end
+            eps2 = 2 * ctx.eps_cmp
+            jumps = tuple((iet.left[a] + side * eps2, (side * (k + 1),))
+                          for k, a in enumerate(iet.order0[1:])
+                          for side in (-1, 1))
+        return zero_mean_version(StepCocycle(1, values, jumps), iet)
+
+    def test_states_match_the_mpf_rules(self, periodic4, renorm4, phi):
+        iet = periodic4.iet
+        state = oracle = renorm4.start(phi)
+        for _ in range(self.DEPTH):
+            state, oracle = renorm4.advance(state), mpf_advance(renorm4, oracle)
+            assert state == oracle
+            assert sup_norm(state.cocycle, iet) == mpf_sup_norm(oracle.cocycle,
+                                                                iet)
+            assert renorm4.interval_averages(state) \
+                == mpf_interval_averages(oracle.cocycle, iet)
+        assert sup_norm(phi, iet) == mpf_sup_norm(phi, iet)
+
+    def test_probe_pieces_match_the_mpf_rules(self, periodic4, renorm4, phi):
+        report = essential_value_probe(phi, periodic4, 5, renorm4)
+        assert list(report.pieces) == mpf_probe_pieces(phi, periodic4,
+                                                       renorm4, 5)
+
+    def test_near_left_ends_sit_either_side(self, ctx, periodic4):
+        iet = periodic4.iet
+        phi = StepCocycle(1, ((0,),) * 4, tuple(
+            (iet.left[a] + side * 2 * ctx.eps_cmp, (1,))
+            for a in iet.order0[1:] for side in (-1, 1)))
+        held = jumps_by_letter(phi, iet)
+        want = [[] for _ in range(4)]
+        for k, a in enumerate(iet.order0[1:]):
+            want[iet.order0[k]].append(2 * k)
+            want[a].append(2 * k + 1)
+        assert held == tuple(map(tuple, want))
+        for a, ts in enumerate(held):  # a jump counts at its own position
+            for k, t in enumerate(ts):
+                assert evaluate(phi, iet, phi.jumps[t][0]) == (k + 1,)
+
+
+def exact_mpf(mp, n, exp):
+    """The context real n * 2**exp, exact however many bits n has."""
+    with mp.workprec(max(n.bit_length(), 1)):
+        return mp.ldexp(mp.mpf(n), exp)
+
+
+class TestLevelTable:
+    """``Renormalizer._levels``: one period's tower levels by exact left
+    end, from the stage walk, tiling [0, |I|) with their depth-1 widths."""
+
+    @staticmethod
+    def oracle_levels(p):
+        """(left, tower, index) of every level, from one ``step()`` per
+        level, and the exact level widths per tower."""
+        lengths, depth1 = p.iet.lengths, depth_lattice(p, 1)
+        levels = [(lengths.int_dot(c), b, i)
+                  for b, h in enumerate(p.heights(1))
+                  for i, c in enumerate(stepwise_levels(
+                      p.iet, depth1.lefts[b], 1, h)[0])]
+        return levels, [lengths.int_dot(w) for w in depth1.widths]
+
+    @pytest.mark.parametrize("system", SYSTEMS)
+    def test_levels_tile_the_interval(self, request, system):
+        p = request.getfixturevalue(system)
+        levels, widths = self.oracle_levels(p)
+        table = Renormalizer(p)._levels
+        assert table == sorted(levels)
+        end = 0
+        for left, b, _i in table:
+            assert left == end
+            end = left + widths[b]
+        assert end == p.iet.lengths.int_dot(p.iet.lattice.total)
+
+    @pytest.mark.parametrize("system", SYSTEMS)
+    def test_find_level_is_the_exact_scan(self, request, ctx, system):
+        p = request.getfixturevalue(system)
+        rz, lengths = Renormalizer(p), p.iet.lengths
+        levels, widths = self.oracle_levels(p)
+        unit, exp = lengths.fraction(1), lengths.int_form[1]
+        for g in kronecker_samples(ctx, 100, p.iet.total, seed=21):
+            q = as_fraction(g)
+            want, = [(b, i) for left, b, i in levels
+                     if left * unit <= q < (left + widths[b]) * unit]
+            assert rz._find_level(g) == want
+        # each left end, and half a unit of 2**exp left of it: m / 2**(1 - exp)
+        for m in sorted(2 * left + d for left, _b, _i in levels
+                        for d in (-1, 0) if left):
+            want, = [(b, i) for left, b, i in levels
+                     if 2 * left <= m < 2 * (left + widths[b])]
+            assert rz._find_level(exact_mpf(ctx.mp, m, exp - 1)) == want
 
 
 class TestReturnTimes:
@@ -769,6 +978,19 @@ class TestPartitions:
         stats = gap_statistics(periodic4.iet, 400)
         c = max(max(n * hi, 1.0 / (n * lo)) for n, lo, hi in stats)
         assert c < 100
+
+
+def m_index_bruteforce(periodic, x, n) -> int:
+    """Definitional scan: count visits to each induction interval."""
+    walker = ExactWalker.from_point(periodic.iet, x)
+    pts = walker.positions(n)[1]
+    m = 0
+    while True:
+        bound = walker.lengths.ceil_num(periodic.pf_value ** -(m + 1))
+        if sum(1 for p in pts if p < bound) >= 2:
+            m += 1
+        else:
+            return m
 
 
 class TestMIndex:
