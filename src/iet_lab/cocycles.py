@@ -7,19 +7,21 @@ shadow (``shadow.shadow_walk``) of one interval geometry: an exchange's
 ``depth_lattice`` from A^-n at depth n).  The shadow predicts its slots
 a tower climb at a time, adds the moves by one accumulate and checks
 the guard rule, for a whole climb at once where the tower table's
-bounds certify it and step by step elsewhere, so both engines see a
+bounds certify it and step by step elsewhere, so the float lane sees a
 per-step walk bit for bit.  The exact engine (``ExactWalker``) carries
 positions as integer combinations of the length vector, resynchronizes
 the shadow from them and settles a guarded step by exact signs, so its
-visit counts are exact.  Every stored length is a dyadic rational, so
-one integer dot of a coefficient vector with the lengths' mantissas
-(``RealVector.int_dot``) gives a lattice value exactly: its sign is
-``certified_lattice_sign``, and a resync float, like every mirror entry,
-is that value rounded once to the nearest float.  A real start x is a
-dyadic rational too (``ExactWalker.from_point``), so every orbit of the
-library but the float lane's is exact, backward ones on ``Iet.inverse``.
-The float lane
-(``float_walk``) serves
+visit counts are exact.  It takes a certified climb whole, by its
+word's visit counts and one resync at its end, without the climb's
+float positions: a drift bound keeps the exact orbit far inside the
+guard of the certified float one.  Every stored length is a dyadic
+rational, so one integer dot of a coefficient vector with the lengths'
+mantissas (``RealVector.int_dot``) gives a lattice value exactly: its
+sign is ``certified_lattice_sign``, and a resync float, like every
+mirror entry, is that value rounded once to the nearest float.  A real
+start x is a dyadic rational too (``ExactWalker.from_point``), so every
+orbit of the library but the float lane's is exact, backward ones on
+``Iet.inverse``.  The float lane (``float_walk``) serves
 ``deviation_sweep`` and the skew-product simulation: a guarded point,
 at any step including the first, or one within GUARD * |I| right of a
 step cocycle's jump in its interval, skips its sample (counted), so
@@ -274,24 +276,42 @@ class ExactWalker:
     The position is (coeffs . lambda) / den with integer coeffs; every
     translation adds an integer vector, so the representation is closed
     and never drifts.  Intervals are located on the float shadow of the
-    walked exchange's ``FloatMirror`` (``Iet.mirror`` at depth 0):
-    ``shadow_walk`` walks it in verified chunks that end at the resyncs,
-    every RESYNC steps, where the shadow is reset to the exact position
-    rounded once to the nearest float; a step the mirror's guard rule
-    flags is settled by exact signs.  Since the position is linear in
-    the visit counts, a chunk's slots are counted by one bincount and
-    folded into ``coeffs`` and ``counts`` before the exact position is
-    read (escalation, resync, guard-band threshold check) and when the
-    walk returns; between walks both are exact.  ``escalations`` counts exact settles
-    (``_locate_exact`` calls and guard-band threshold checks),
-    ``resyncs`` the resyncs and ``checked`` the predicted climbs the
-    tower table's bounds did not certify, checked step by step.  A
-    start outside [0, |I|) of the walked exchange, or an exchange with a
-    width that is not positive for the stored lengths (deep enough
-    inverse period powers outrun the lengths' precision), is refused.
-    ``from_point`` starts from a context real x: the position x +
-    (coeffs . lambda) / den is one integer dot over ``lengths``, the
-    stored lengths followed by x.
+    walked exchange's ``FloatMirror`` (``Iet.mirror`` at depth 0).  A
+    tower climb that the mirror's ``TowerTable`` certifies is taken
+    whole, without its float positions: its word's visits are folded in
+    at once and the shadow is reset at its end to the exact position
+    rounded once to the nearest float.  Any other stretch runs as
+    ``shadow_walk`` chunks that end at the resyncs, every RESYNC steps,
+    where the shadow is reset in the same way; a step the mirror's guard
+    rule flags is settled by exact signs.  Since the position is linear
+    in the visit counts, slots are counted by one bincount and folded
+    into ``coeffs`` and ``counts`` before the exact position is read
+    (escalation, resync, climb end, guard-band threshold check) and when
+    the walk returns; between walks both are exact.
+
+    A whole climb is sound.  Its certificate puts the float orbit of the
+    shadow at least guard inside every slot of its word, and a word has
+    at most _TOWER_REACH * TOWER_HEIGHT = 2^16 steps.  A float step errs
+    by at most 2^-53 |I| in its move and as much in its sum, a resync
+    rounds once, and the shadow takes at most RESYNC float steps between
+    resets.  So over the climb the exact orbit stays within
+    (2 (2^16 + RESYNC) + 1) 2^-53 |I| < 2e-11 |I| of the float orbit,
+    far inside the guard of GUARD * |I| = 1e-9 |I|: it lies in every
+    predicted slot.  With a return threshold, whose band comes from the
+    threshold's exact float, a climb is taken whole only where the lower
+    bounds of its interior levels stay at or above the band, so no
+    interior point is below the threshold.
+
+    ``escalations`` counts exact settles (``_locate_exact`` calls and
+    guard-band threshold checks), ``resyncs`` the resets at resyncs and
+    climb ends, and ``checked`` the predicted climbs the tower table's
+    bounds did not certify, checked step by step.  A start outside
+    [0, |I|) of the walked exchange, or an exchange with a width that is
+    not positive for the stored lengths (deep enough inverse period
+    powers outrun the lengths' precision), is refused.  ``from_point``
+    starts from a context real x: the position x + (coeffs . lambda) /
+    den is one integer dot over ``lengths``, the stored lengths followed
+    by x.
     """
 
     RESYNC = 4096
@@ -417,7 +437,7 @@ class ExactWalker:
         if not len(slots):
             return
         if self._trail is not None:
-            self._trail.extend(slots)
+            self._trail.extend(np.asarray(slots).tolist())
         den, coeffs, counts = self.den, self.coeffs, self.counts
         for slot, k in enumerate(np.bincount(slots, minlength=self.d).tolist()):
             if k:
@@ -437,16 +457,20 @@ class ExactWalker:
     def _walk(self, n_steps, threshold_coeffs=None, threshold_f: float = 0.0):
         """Advance ``n_steps`` steps, or (``None``) until below the threshold.
 
-        Each chunk runs ``shadow_walk`` up to the next resync, with the
-        tower table once the walk is longer than TOWER_HEIGHT steps or
-        the table is built; at a guarded step its verified steps are
-        folded and the step's slot is settled exactly, and at a resync
-        the shadow is reset from the exact position.  With a threshold
-        (threshold_coeffs . lambda) / den, the walk stops after the first step
-        whose shadow is below it by more than the guard, or that an
-        exact sign puts below it inside the guard band; a resync step is
-        checked on its resynced shadow.  Returns the letter left by the
-        last step.
+        Once the walk is longer than TOWER_HEIGHT steps or the tower
+        table is built, each move first looks the shadow up in the table
+        (``TowerTable.span``).  A climb the bounds certify, that fits in
+        the steps left and, with a threshold, whose interior lower bounds
+        stay at or above the band, is folded whole and the shadow reset
+        at its end.  Otherwise a chunk runs ``shadow_walk`` up to the next
+        resync: at a guarded step its verified steps are folded and the
+        step's slot is settled exactly, and at a resync the shadow is
+        reset from the exact position.  With a threshold
+        (threshold_coeffs . lambda) / den and its float ``threshold_f``,
+        the walk stops after the first step whose shadow is below it by
+        more than the guard, or that an exact sign puts below it inside
+        the guard band; a resync step or a climb's end is checked on its
+        reset shadow.  Returns the letter left by the last step.
         """
         m = self.mirror
         resync = self.RESYNC
@@ -456,10 +480,28 @@ class ExactWalker:
         sl, xs = np.empty(size, np.intp), np.empty(size + 1)
         x, slot, done = self.x_f, None, 0
         while n_steps is None or done < n_steps:
+            table = m.predictor(done + 1 if n_steps is None else n_steps)
+            if table is not None:
+                start, end, sure = table.span(x)
+                whole = sure and (n_steps is None
+                                  or end - start <= n_steps - done)
+                if whole and band > -math.inf:  # no interior point below
+                    whole = table.bounds[0][start + 1:end].min(
+                        initial=math.inf) >= band
+                if whole:
+                    word = table.words[start:end]
+                    self._fold(word)
+                    done += end - start
+                    slot = int(word[-1])
+                    x = self._exact_float()
+                    self.resyncs += 1
+                    if x < band and (x < below
+                                     or self._exact_below(threshold_coeffs)):
+                        break
+                    continue
             k = resync - self.steps % resync  # up to the next resync
             if n_steps is not None:
                 k = min(k, n_steps - done)
-            table = m.predictor(done + 1 if n_steps is None else n_steps)
             v, hit, checked = shadow_walk(m, x, k, sl, xs, table, low=band)
             self.checked += checked
             due = v == k and (self.steps + k) % resync == 0
@@ -538,10 +580,15 @@ class ExactWalker:
         Returns the visit counts accumulated before the first return.
         The threshold is (threshold_coeffs . lambda) / den, over the
         walker's own den like its start (pass ``[den * t for t in c]``
-        for the lattice point c . lambda), and ``threshold_f`` is its
-        float; comparisons inside the guard band are settled exactly.
-        A threshold outside (0, |I|] of the walked exchange is refused:
-        a position is never negative, and every position is below |I|.
+        for the lattice point c . lambda).  The walk bands it by its
+        exact float, rounded once, and settles comparisons inside the
+        guard band exactly.  ``threshold_f``, the caller's float of it, is
+        refused when more than half a guard off that float: a float
+        depth scale rho^-(n+1) drifts from the stored lengths' exact
+        depth-(n+1) total, by 2 guards at depth 11 of the 4-letter
+        system.  A threshold outside (0, |I|] of the walked exchange is
+        refused: a position is never negative, and every position is
+        below |I|.
         """
         num = self.lengths.int_dot(threshold_coeffs)
         if num <= 0:
@@ -549,7 +596,12 @@ class ExactWalker:
         if num > self.den * self.lengths.int_dot(self.total_coeffs):
             raise DomainError("return threshold above |I| of the walked "
                               "exchange")
-        self._walk(None, threshold_coeffs, threshold_f)
+        exact = self.lengths.exact_float(num, self.den)
+        if not abs(threshold_f - exact) <= self.mirror.guard / 2:
+            raise DomainError(
+                f"return threshold float {threshold_f!r} is not within half "
+                f"a guard of the exact threshold's float {exact!r}")
+        self._walk(None, threshold_coeffs, exact)
         return tuple(self.counts)
 
 

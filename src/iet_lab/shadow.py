@@ -36,9 +36,16 @@ step of the word, where ``fl(x - left) >= fl(lo - left) >= guard`` and
 on every predicted slot, and a point that passes lies inside that
 slot's interval, where the bisect finds the same slot.  The bounds are
 built from the table's own bases, ends and words, so a table that
-predicts wrongly certifies nothing wrongly.  The certificate covers the
-guard rule only; jump marks of step cocycles are checked at every step,
-and closeness of the float orbit to the exact one is not claimed.
+predicts wrongly certifies nothing wrongly.  ``TowerTable.span`` is
+the one lookup: the word positions of x's climb and whether the bounds
+certify it.  ``climb`` cuts that word out for ``shadow_walk``;
+``cocycles.ExactWalker`` takes a certified span whole, folding its
+word's visit counts without the float positions.  The certificate
+covers the guard rule only, and jump marks of step cocycles are checked
+at every step.  Closeness of the float orbit to the exact one is the
+exact walker's own bound: no word is longer than _TOWER_REACH *
+TOWER_HEIGHT steps, so a climb from a shadow resynced at most RESYNC
+steps before drifts less than 2e-11 |I|, far inside the guard.
 """
 
 from __future__ import annotations
@@ -56,6 +63,7 @@ TOWER_HEIGHT = 1 << 12  # |I| / |J|, J = [0, |J|) the base of the float towers
 _TOWER_REACH = 16  # tower build: no return within this many heights, dropped
 _NO_WORD = np.empty(0, np.uint8)
 _NO_CLIMB = (_NO_WORD, False)
+_NO_SPAN = (0, 0, False)
 
 
 @dataclass(frozen=True)
@@ -119,21 +127,27 @@ class TowerTable:
     starts: np.ndarray
     words: np.ndarray
 
-    def climb(self, x: float) -> tuple:
-        """(word, sure): the rest of the word of x's level, x's predicted
-        slots up to its return to J, and whether the bounds certify that
-        x passes the guard rule on all of them; an empty word off every
-        level."""
+    def span(self, x: float) -> tuple:
+        """(start, end, sure): x's predicted slots up to its return to J
+        are ``words[start:end]``, the rest of the word of x's level, and
+        ``sure`` says whether the bounds certify that x passes the guard
+        rule on all of them; (0, 0, False) off every level."""
         k = int(self.lefts.searchsorted(x, "right")) - 1
         if k < 0:
-            return _NO_CLIMB
+            return _NO_SPAN
         start = int(self.starts[k])
         t = bisect_right(self.ends, start)
         a, b = self.bases[t]
         if not x < self.lefts[k] + (b - a):
-            return _NO_CLIMB
+            return _NO_SPAN
         lo, hi = self.bounds
-        return self.words[start:self.ends[t]], lo[start] <= x <= hi[start]
+        return start, self.ends[t], bool(lo[start] <= x <= hi[start])
+
+    def climb(self, x: float) -> tuple:
+        """(word, sure): ``span`` with the word cut out; an empty word off
+        every level."""
+        start, end, sure = self.span(x)
+        return self.words[start:end], sure
 
     @cached_property
     def bounds(self) -> tuple:

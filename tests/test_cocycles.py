@@ -34,8 +34,8 @@ from iet_lab.precision import (PrecisionContext, as_fraction,
                                kronecker_samples)
 from iet_lab.rauzy import Iet, build_periodic_from_matrix
 from iet_lab.repro import FIVE_MATRIX
-from iet_lab.shadow import (_TOWER_REACH, TOWER_HEIGHT, lattice_mirror,
-                            shadow_walk)
+from iet_lab.shadow import (_TOWER_REACH, GUARD, TOWER_HEIGHT,
+                            lattice_mirror, shadow_walk)
 
 SYSTEMS = ["periodic4", "periodic5", "periodic7"]
 SPECS = Path(__file__).resolve().parent.parent / "specs"
@@ -390,7 +390,7 @@ class TestOneWalkPerLevelSet:
         assert wk.itinerary(n) == (letters, points)
         oracle = ExactWalker(periodic5.iet, start, den)
         oracle.run(n)
-        assert walker_state(wk) == walker_state(oracle)
+        assert_matches_eager(wk, oracle)
 
     def test_nesting_checks_stay(self, periodic4, monkeypatch):
         monkeypatch.setattr(cocycles_module, "certified_lattice_sign",
@@ -734,9 +734,12 @@ def eager_step(wk):
     return a
 
 
-def eager_until_below(wk, threshold_coeffs, threshold_f):
-    """``run_until_below`` over ``eager_step``."""
+def eager_until_below(wk, threshold_coeffs):
+    """``run_until_below`` over ``eager_step``, its band around the
+    threshold's exact float."""
     guard = wk.mirror.guard
+    lam = wk.lengths
+    threshold_f = lam.exact_float(lam.int_dot(threshold_coeffs), wk.den)
     while True:
         eager_step(wk)
         if wk.x_f < threshold_f - guard:
@@ -750,8 +753,63 @@ def eager_until_below(wk, threshold_coeffs, threshold_f):
 
 
 def walker_state(wk):
-    return (tuple(wk.coeffs), wk.den, wk.counts, wk.steps, wk.escalations,
-            wk.resyncs, wk.x_f)
+    """The exact fields of a walker, which every walk path keeps ``==``."""
+    return tuple(wk.coeffs), wk.den, wk.counts, wk.steps, wk.escalations
+
+
+def assert_shadow(wk):
+    """The float shadow is within the drift of RESYNC float steps from a
+    resync of the exact position: each step rounds its move and its sum,
+    each at most 2^-53 |I| off, and the resync rounds once."""
+    exact = wk.lengths.exact_float(wk._num(), wk.den)
+    drift = (2 * ExactWalker.RESYNC + 2) * 2.0 ** -53 * wk.mirror.rights[-1]
+    assert abs(wk.x_f - exact) <= drift
+
+
+def assert_matches_eager(wk, oracle):
+    """The exact fields ``==`` the eager per-step walk's, the shadow near
+    the exact position."""
+    assert walker_state(wk) == walker_state(oracle)
+    assert_shadow(wk)
+
+
+@pytest.fixture
+def shadow_stretches(monkeypatch):
+    """Per walker (by id), the steps its float shadow took one by one
+    (``shadow_walk`` chunks) between resets to the exact position
+    (``_exact_float``: a resync, a climb's end or an exact settle); a
+    new walker's shadow starts exact."""
+    stretches, walking = {}, []
+    walk, reset = ExactWalker._walk, ExactWalker._exact_float
+    chunk = cocycles_module.shadow_walk
+
+    def walked(wk, *args):
+        walking.append(wk)
+        try:
+            return walk(wk, *args)
+        finally:
+            walking.pop()
+
+    def resynced(wk):
+        stretches.setdefault(id(wk), [0]).append(0)
+        return reset(wk)
+
+    def chunked(*args, **kwargs):
+        out = chunk(*args, **kwargs)
+        if walking:  # not the float lane's
+            stretches.setdefault(id(walking[-1]), [0])[-1] += out[0]
+        return out
+
+    monkeypatch.setattr(ExactWalker, "_walk", walked)
+    monkeypatch.setattr(ExactWalker, "_exact_float", resynced)
+    monkeypatch.setattr(cocycles_module, "shadow_walk", chunked)
+    return stretches
+
+
+def assert_resynced(wk, stretches):
+    """No stretch of per-step float shadow between two resets of the
+    walker's shadow is longer than RESYNC steps."""
+    assert max(stretches.get(id(wk), [0])) <= ExactWalker.RESYNC
 
 
 def lattice_float(p, coeffs):
@@ -787,20 +845,23 @@ class TestLazyWalker:
     @pytest.mark.parametrize("start", ["left", "preimage"])
     @pytest.mark.parametrize("depth", [0, 1, 2])
     @pytest.mark.parametrize("system", ["periodic4", "periodic5", "periodic7"])
-    def test_every_step_across_resyncs(self, request, system, depth, start):
+    def test_every_step_across_resyncs(self, request, shadow_stretches, system,
+                                       depth, start):
         p = request.getfixturevalue(system)
         oracle, wk = self.pair(p, depth, start)
         for _ in range(2 * ExactWalker.RESYNC + 100):
             assert wk.step() == eager_step(oracle)
-            assert walker_state(wk) == walker_state(oracle)
+            assert_matches_eager(wk, oracle)
         # both starts meet a left endpoint exactly; two resyncs were crossed
         assert wk.escalations >= 1
-        assert wk.resyncs == 2
+        assert wk.resyncs >= 2
+        assert_resynced(wk, shadow_stretches)
 
     @pytest.mark.parametrize("start", ["left", "preimage"])
     @pytest.mark.parametrize("depth", [0, 1, 2])
     @pytest.mark.parametrize("system", ["periodic4", "periodic5", "periodic7"])
-    def test_runs_across_resyncs(self, request, system, depth, start):
+    def test_runs_across_resyncs(self, request, shadow_stretches, system, depth,
+                                 start):
         p = request.getfixturevalue(system)
         oracle, wk = self.pair(p, depth, start)
         resync = ExactWalker.RESYNC
@@ -808,15 +869,16 @@ class TestLazyWalker:
             for _ in range(n):
                 eager_step(oracle)
             assert wk.run(n) == tuple(oracle.counts)
-            assert walker_state(wk) == walker_state(oracle)
+            assert_matches_eager(wk, oracle)
         assert wk.escalations >= 1
-        assert wk.resyncs == 4
+        assert wk.resyncs >= 4
+        assert_resynced(wk, shadow_stretches)
         wk.counts = [0] * p.d  # callers may reset the counts between runs
         oracle.counts = [0] * p.d
         for _ in range(50):
             eager_step(oracle)
         assert wk.run(50) == tuple(oracle.counts)
-        assert walker_state(wk) == walker_state(oracle)
+        assert_matches_eager(wk, oracle)
 
     @pytest.mark.parametrize("start", ["left", "preimage"])
     @pytest.mark.parametrize("depth", [0, 1, 2])
@@ -834,9 +896,9 @@ class TestLazyWalker:
             if probe.x_f < low:
                 low, threshold, k = probe.x_f, list(probe.coeffs), probe.steps
         oracle, wk = self.pair(p, depth, start)
-        expected = eager_until_below(oracle, threshold, low)
+        expected = eager_until_below(oracle, threshold)
         assert wk.run_until_below(threshold, low) == expected
-        assert walker_state(wk) == walker_state(oracle)
+        assert_matches_eager(wk, oracle)
         assert wk.steps > ExactWalker.RESYNC > k
         assert wk.escalations >= 2
         assert wk.resyncs >= 1
@@ -867,11 +929,41 @@ class TestLazyWalker:
                       for _ in range(2))
         assert 0 < lattice_float(p, lat.widths[0]) / den < wk.mirror.guard
         threshold = [den * t for t in threshold]
-        expected = eager_until_below(oracle, threshold, low)
+        expected = eager_until_below(oracle, threshold)
         assert wk.run_until_below(threshold, low) == expected
-        assert walker_state(wk) == walker_state(oracle)
+        assert_matches_eager(wk, oracle)
         assert wk.steps == k
         assert wk.escalations >= 1
+
+    @pytest.mark.parametrize("system, n", [
+        ("periodic4", 11), ("periodic4", 12), ("periodic4", 13),
+        ("periodic5", 8)])
+    def test_scale_threshold_float_refused(self, request, system, n):
+        """rho^-(n+1), the float callers once took for the depth-(n+1)
+        total, is 2.0, 1.1e3 and 6.3e5 guards off the total's exact float
+        at 4-letter depths n = 11-13 and 255 guards off at 5-letter n = 8,
+        where the climb from letter 1's left end took it for wrong counts
+        without an escalation: it is refused, and the exact float gives
+        the eager walk's counts, the columns of the period matrix, from
+        the left ends and from inner points."""
+        p = request.getfixturevalue(system)
+        lam = p.iet.lengths
+        up = depth_lattice(p, n + 1)
+        for den, num in ((1, 0), (1009, 500)):
+            thr = [den * t for t in up.total]
+            exact = lam.exact_float(lam.int_dot(thr), den)
+            for b in range(p.d):
+                start = [den * left + num * w
+                         for left, w in zip(up.lefts[b], up.widths[b])]
+                oracle, wk = (ExactWalker.at_depth(p, n, start, den)
+                              for _ in range(2))
+                with pytest.raises(DomainError, match="threshold float"):
+                    wk.run_until_below(thr, float(p.step_scale ** -(n + 1)))
+                assert wk.steps == 0
+                assert wk.run_until_below(thr, exact) == eager_until_below(
+                    oracle, thr)
+                assert_matches_eager(wk, oracle)
+                assert wk.counts == [row[b] for row in p.step_matrix]
 
     def test_den_and_inner_starts(self, periodic5):
         thr = depth_total_coeffs(periodic5, 2)
@@ -882,9 +974,9 @@ class TestLazyWalker:
             oracle, wk = (ExactWalker.at_depth(periodic5, 1, coeffs, den)
                           for _ in range(2))
             scaled = [den * t for t in thr]
-            expected = eager_until_below(oracle, scaled, thr_f)
+            expected = eager_until_below(oracle, scaled)
             assert wk.run_until_below(scaled, thr_f) == expected
-            assert walker_state(wk) == walker_state(oracle)
+            assert_matches_eager(wk, oracle)
 
 
 class TestTowers:
@@ -1529,15 +1621,17 @@ def eager_run(oracle, n):
 
 class TestWalkerKernel:
     """The walker's ``shadow_walk`` chunks, predicted by the tower table,
-    give the eager per-step walk: coefficients, counts, steps,
-    escalations, resyncs and shadow, ``==``."""
+    and its whole certified climbs give the eager per-step walk:
+    coefficients, counts, steps and escalations ``==``, the shadow near
+    the exact position and resynced at least every RESYNC steps."""
 
     @pytest.mark.parametrize("n", [TOWER_HEIGHT + 1,
                                    3 * ExactWalker.RESYNC + 7,
                                    FLOAT_BLOCK + 1, 3 * 10 ** 4])
     @pytest.mark.parametrize("den", [1, 1009])
     @pytest.mark.parametrize("system", SYSTEMS)
-    def test_runs_match_eager(self, request, monkeypatch, system, den, n):
+    def test_runs_match_eager(self, request, monkeypatch, shadow_stretches,
+                              system, den, n):
         p = request.getfixturevalue(system)
         lc, wc = depth_interval_coeffs(p, 1, 1)
         start = [den * left + den // 3 * w for left, w in zip(lc, wc)]
@@ -1548,9 +1642,9 @@ class TestWalkerKernel:
                             lambda table, x: climbs.append(x)
                             or climb(table, x))
         assert wk.run(n) == eager_run(oracle, n)
-        assert walker_state(wk) == walker_state(oracle)
+        assert_matches_eager(wk, oracle)
         assert climbs  # the walk read the tower table
-        assert wk.resyncs == n // ExactWalker.RESYNC
+        assert_resynced(wk, shadow_stretches)
 
     @pytest.mark.parametrize("side", ["on", "left-of"])
     @pytest.mark.parametrize("system", SYSTEMS)
@@ -1575,14 +1669,15 @@ class TestWalkerKernel:
         n = 3 * ExactWalker.RESYNC + 7
         oracle, wk = (ExactWalker(iet, start, den) for _ in range(2))
         assert wk.run(n) == eager_run(oracle, n)
-        assert walker_state(wk) == walker_state(oracle)
+        assert_matches_eager(wk, oracle)
 
     @pytest.mark.parametrize("k", [2 * ExactWalker.RESYNC,
                                    2 * ExactWalker.RESYNC + 1000],
                              ids=["on-resync", "mid-chunk"])
     @pytest.mark.parametrize("depth", [0, 1])
     @pytest.mark.parametrize("system", SYSTEMS)
-    def test_stop_inside_guard_band(self, request, system, depth, k):
+    def test_stop_inside_guard_band(self, request, shadow_stretches, system,
+                                    depth, k):
         """The walk starts a hair below an orbit point whose k-th iterate
         is lower than the k - 1 before it; the threshold is that iterate,
         so the walk is a hair below it at step k, inside the guard band,
@@ -1607,12 +1702,12 @@ class TestWalkerKernel:
         oracle, wk = (ExactWalker.at_depth(p, depth, start, den)
                       for _ in range(2))
         threshold = [den * t for t in threshold]
-        expected = eager_until_below(oracle, threshold, low)
+        expected = eager_until_below(oracle, threshold)
         assert wk.run_until_below(threshold, low) == expected
-        assert walker_state(wk) == walker_state(oracle)
+        assert_matches_eager(wk, oracle)
         assert wk.steps == k
         assert wk.escalations >= 1
-        assert wk.resyncs == k // ExactWalker.RESYNC
+        assert_resynced(wk, shadow_stretches)
 
     @pytest.mark.parametrize("depth", [0, 1])
     @pytest.mark.parametrize("system", SYSTEMS)
@@ -1631,9 +1726,9 @@ class TestWalkerKernel:
             low = lattice_float(p, threshold)
             oracle, wk = (ExactWalker.at_depth(p, depth, lat.lefts[b])
                           for _ in range(2))
-            expected = eager_until_below(oracle, threshold, low)
+            expected = eager_until_below(oracle, threshold)
             assert wk.run_until_below(threshold, low) == expected
-            assert walker_state(wk) == walker_state(oracle)
+            assert_matches_eager(wk, oracle)
             assert (wk.steps, wk.escalations) == (1, 1)
 
     @pytest.mark.parametrize("corrupt", ["shifted-levels", "swapped-words"])
@@ -1653,7 +1748,7 @@ class TestWalkerKernel:
             points.append(oracle.x_f)
             eager_step(oracle)
         assert wk.run(n) == tuple(oracle.counts)
-        assert walker_state(wk) == walker_state(oracle)
+        assert_matches_eager(wk, oracle)
         climbs = points[:1] + [x for x in points if 0.0 <= x < table.top]
         assert any(not np.array_equal(bad.climb(x)[0], table.climb(x)[0])
                    for x in climbs)  # the corruption mispredicts
@@ -1671,7 +1766,7 @@ class TestWalkerKernel:
                      for left, w in zip(lat.lefts[1], lat.widths[1])]
             oracle, wk = (ExactWalker(iet, start, den) for _ in range(2))
             assert wk.run(n) == eager_run(oracle, n)
-            assert walker_state(wk) == walker_state(oracle)
+            assert_matches_eager(wk, oracle)
 
     @pytest.mark.parametrize("d, k, b, how", [
         (4, 4, 3, "return"), (5, 3, 0, "birkhoff"), (7, 4, 5, "return"),
@@ -1733,8 +1828,129 @@ class TestWalkerKernel:
         oracle, wk = (ExactWalker(iet, start, 1009) for _ in range(2))
         n = FLOAT_BLOCK + 1
         assert wk.run(n) == eager_run(oracle, n)
-        assert walker_state(wk) == walker_state(oracle)
+        assert_matches_eager(wk, oracle)
         assert 0 < wk.checked == sum(climbs) < n
+
+
+class TestWholeClimbs:
+    """A climb the tower table's bounds certify, that fits in the walk and
+    whose interior stays above a return threshold, is taken whole: one
+    fold of its word and one resync at its end.  Coefficients, counts,
+    steps and escalations stay ``==`` the eager per-step walk."""
+
+    @staticmethod
+    def start(p, k, b, den):
+        lc, wc = depth_interval_coeffs(p, k, b)
+        return [den * left + den // 3 * w for left, w in zip(lc, wc)]
+
+    @pytest.mark.parametrize("den, n", [(1, 12345), (1009, 12345),
+                                        (1009, 10 ** 6)])
+    @pytest.mark.parametrize("system", SYSTEMS)
+    def test_runs_match_eager(self, request, shadow_stretches, system, den,
+                              n):
+        p = request.getfixturevalue(system)
+        table = p.iet.mirror.tower_table
+        start = self.start(p, 1, 1, den)
+        oracle, wk = (ExactWalker(p.iet, start, den) for _ in range(2))
+        assert wk.run(n) == eager_run(oracle, n)
+        assert_matches_eager(wk, oracle)
+        assert_resynced(wk, shadow_stretches)
+        assert wk.x_f >= table.top  # the walk ends mid-climb
+        if n > 10 ** 5:  # most steps are in climbs taken whole
+            assert sum(shadow_stretches[id(wk)]) < n / 10
+
+    @pytest.mark.parametrize("den", [1, 1009])
+    @pytest.mark.parametrize("system, k", [
+        ("periodic4", 1), ("periodic4", 2), ("periodic4", 3),
+        ("periodic5", 1), ("periodic5", 2),
+        ("periodic7", 1), ("periodic7", 2), ("periodic7", 3)])
+    def test_returns_match_eager(self, request, system, k, den):
+        """Returns below the depth-k total from each depth-k interval.  A
+        total in the table's base J stops a den-1009 walk, whose climbs
+        are certified, at a climb's end, on its resynced shadow.  A total
+        above J stops some den-1009 walk inside its first climb, which
+        the bounds certify but whose word, taken whole, would step over
+        the stop."""
+        p = request.getfixturevalue(system)
+        table = p.iet.mirror.tower_table
+        lam = p.iet.lengths
+        thr = [den * t for t in depth_total_coeffs(p, k)]
+        thr_f = lam.exact_float(lam.int_dot(thr), den)
+        a_k = intmat.matpow(p.step_matrix, k)
+        inside = []
+        for b in range(p.d):
+            oracle, wk = (ExactWalker(p.iet, self.start(p, k, b, den), den)
+                          for _ in range(2))
+            first, last, sure = table.span(wk.x_f)
+            assert wk.run_until_below(thr, thr_f) == eager_until_below(
+                oracle, thr)
+            assert_matches_eager(wk, oracle)
+            assert wk.counts == [row[b] for row in a_k]
+            if thr_f < table.top and den > 1:
+                assert wk.x_f == wk._exact_float()
+            inside.append(sure and wk.steps < last - first)
+        if den > 1:  # den-1 starts are left ends, on no level's inside
+            assert any(inside) == (thr_f >= table.top)
+
+    @pytest.mark.parametrize("system", SYSTEMS)
+    def test_starts_near_level_ends(self, request, ctx, system):
+        """Starts 1.5 guard either side of both ends of tower levels,
+        which the bounds, 2 guard inside, do not certify."""
+        p = request.getfixturevalue(system)
+        mirror = p.iet.mirror
+        table, g = mirror.tower_table, mirror.guard
+        widths = np.array([b - a for a, b in table.bases])
+        towers = np.searchsorted(table.ends, table.starts, "right")
+        n = 2 * 10 ** 4
+        for k in np.linspace(0, len(table.lefts) - 1, 4).astype(int):
+            left = float(table.lefts[k])
+            right = left + float(widths[towers[k]])
+            for x in (left - 1.5 * g, left + 1.5 * g, right - 1.5 * g,
+                      right + 1.5 * g):
+                if not 0.0 <= x < mirror.rights[-1]:
+                    continue
+                assert not table.span(x)[2]
+                oracle, wk = (ExactWalker.from_point(p.iet, ctx.real(x))
+                              for _ in range(2))
+                assert wk.run(n) == eager_run(oracle, n)
+                assert_matches_eager(wk, oracle)
+
+    @pytest.mark.parametrize("corrupt", ["shifted-levels", "swapped-words"])
+    @pytest.mark.parametrize("system, k", [
+        ("periodic4", 3), ("periodic5", 2), ("periodic7", 3)])
+    def test_corrupt_table_changes_nothing(self, request, monkeypatch, system,
+                                           k, corrupt):
+        p = request.getfixturevalue(system)
+        mirror = p.iet.mirror
+        monkeypatch.setitem(vars(mirror), "tower_table",
+                            corrupt_table(mirror.tower_table, corrupt))
+        n = 3 * 10 ** 4
+        oracle, wk = (ExactWalker(p.iet, self.start(p, 1, 1, 1009), 1009)
+                      for _ in range(2))
+        assert wk.run(n) == eager_run(oracle, n)
+        assert_matches_eager(wk, oracle)
+        thr = [1009 * t for t in depth_total_coeffs(p, k)]
+        lam = p.iet.lengths
+        oracle, wk = (ExactWalker(p.iet, self.start(p, k, 0, 1009), 1009)
+                      for _ in range(2))
+        assert wk.run_until_below(
+            thr, lam.exact_float(lam.int_dot(thr), 1009)) \
+            == eager_until_below(oracle, thr)
+        assert_matches_eager(wk, oracle)
+
+    def test_drift_stays_inside_the_guard(self, periodic4, periodic5,
+                                          periodic7):
+        """A float step errs by at most 2^-53 |I| in its move and 2^-53 |I|
+        in its sum, and a resync rounds once: over a word of at most
+        _TOWER_REACH * TOWER_HEIGHT steps, after at most RESYNC float
+        steps since the last resync, the exact orbit stays well inside
+        the guard of the float one."""
+        reach = _TOWER_REACH * TOWER_HEIGHT
+        for p in (periodic4, periodic5, periodic7):
+            ends = (0,) + p.iet.mirror.tower_table.ends
+            assert max(b - a for a, b in zip(ends, ends[1:])) <= reach
+        assert (2 * reach + 1) * 2.0 ** -53 < GUARD / 2
+        assert (2 * (reach + ExactWalker.RESYNC) + 1) * 2.0 ** -53 < GUARD / 2
 
 
 class TestOneMirror:
