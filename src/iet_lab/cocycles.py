@@ -9,23 +9,26 @@ a tower climb at a time, adds the moves by one accumulate and checks
 the guard rule, for a whole climb at once where the tower table's
 bounds certify it and step by step elsewhere, so the float lane sees a
 per-step walk bit for bit.  The exact engine (``ExactWalker``) carries
-positions as integer combinations of the length vector, resynchronizes
-the shadow from them and settles a guarded step by exact signs, so its
-visit counts are exact.  It takes a certified climb whole, by its
-word's visit counts and one resync at its end, without the climb's
-float positions: a drift bound keeps the exact orbit far inside the
-guard of the certified float one.  Every stored length is a dyadic
-rational, so one integer dot of a coefficient vector with the lengths'
-mantissas (``RealVector.int_dot``) gives a lattice value exactly: its
-sign is ``certified_lattice_sign``, and a resync float, like every
-mirror entry, is that value rounded once to the nearest float.  A real
+positions as integer combinations of the length vector and settles a
+guarded step by exact signs, so its visit counts are exact.  It moves
+a climb at a time: a certified climb whole, by its word's visit counts
+without the climb's float positions, any other as one shadow chunk up
+to the climb's end, and every move ends with one resync of the shadow
+from the exact position.  A drift bound keeps the exact orbit far
+inside the guard of the certified float one.  Every stored length is a
+dyadic rational, so one integer dot of a coefficient vector with the
+lengths' mantissas (``RealVector.int_dot``) gives a lattice value
+exactly: its sign is ``certified_lattice_sign``, and a resync float,
+like every mirror entry, is that value rounded once to the nearest
+float.  A real
 start x is a dyadic rational too (``ExactWalker.from_point``), so every
 orbit of the library but the float lane's is exact, backward ones on
 ``Iet.inverse``.  The float lane (``float_walk``) serves
 ``deviation_sweep`` and the skew-product simulation: a guarded point,
-at any step including the first, or one within GUARD * |I| right of a
-step cocycle's jump in its interval, skips its sample (counted), so
-measure-zero collisions cannot silently poison the statistics.
+at any step including the first, or one within GUARD * |I| of a step
+cocycle's jump in its interval, on either side since the float orbit
+is never resynced, skips its sample (counted), so measure-zero
+collisions cannot silently poison the statistics.
 
 Renormalization exploits self-similarity: for a periodic-type exchange
 the induced map at every depth rescales to the same unit exchange, so
@@ -276,35 +279,35 @@ class ExactWalker:
     The position is (coeffs . lambda) / den with integer coeffs; every
     translation adds an integer vector, so the representation is closed
     and never drifts.  Intervals are located on the float shadow of the
-    walked exchange's ``FloatMirror`` (``Iet.mirror`` at depth 0).  A
-    tower climb that the mirror's ``TowerTable`` certifies is taken
-    whole, without its float positions: its word's visits are folded in
-    at once and the shadow is reset at its end to the exact position
-    rounded once to the nearest float.  Any other stretch runs as
-    ``shadow_walk`` chunks that end at the resyncs, every RESYNC steps,
-    where the shadow is reset in the same way; a step the mirror's guard
-    rule flags is settled by exact signs.  Since the position is linear
-    in the visit counts, slots are counted by one bincount and folded
-    into ``coeffs`` and ``counts`` before the exact position is read
-    (escalation, resync, climb end, guard-band threshold check) and when
-    the walk returns; between walks both are exact.
+    walked exchange's ``FloatMirror`` (``Iet.mirror`` at depth 0).  The
+    walk is a sequence of moves.  A move is either a tower climb that
+    the mirror's ``TowerTable`` certifies, taken whole without its float
+    positions (its word's visits are folded in at once), or one
+    ``shadow_walk`` chunk of at most RESYNC steps that stops at the end
+    of the current climb or at a step the mirror's guard rule flags,
+    which is settled by exact signs.  Every move ends with one resync,
+    the shadow reset to the exact position rounded once to the nearest
+    float, so between walks ``x_f`` is that float.  Since the position
+    is linear in the visit counts, slots are counted by one bincount and
+    folded into ``coeffs`` and ``counts`` before the exact position is
+    read (escalation, resync, guard-band threshold check); between walks
+    both are exact.
 
     A whole climb is sound.  Its certificate puts the float orbit of the
     shadow at least guard inside every slot of its word, and a word has
     at most _TOWER_REACH * TOWER_HEIGHT = 2^16 steps.  A float step errs
-    by at most 2^-53 |I| in its move and as much in its sum, a resync
-    rounds once, and the shadow takes at most RESYNC float steps between
-    resets.  So over the climb the exact orbit stays within
-    (2 (2^16 + RESYNC) + 1) 2^-53 |I| < 2e-11 |I| of the float orbit,
-    far inside the guard of GUARD * |I| = 1e-9 |I|: it lies in every
-    predicted slot.  With a return threshold, whose band comes from the
-    threshold's exact float, a climb is taken whole only where the lower
-    bounds of its interior levels stay at or above the band, so no
-    interior point is below the threshold.
+    by at most 2^-53 |I| in its move and as much in its sum, and the
+    resync the climb starts from rounds once.  So over the climb the
+    exact orbit stays within (2 2^16 + 1) 2^-53 |I| < 1.5e-11 |I| of the
+    float orbit, far inside the guard of GUARD * |I| = 1e-9 |I|: it lies
+    in every predicted slot.  With a return threshold, whose band comes
+    from the threshold's exact float, a climb is taken whole only where
+    the lower bounds of its interior levels stay at or above the band,
+    so no interior point is below the threshold.
 
     ``escalations`` counts exact settles (``_locate_exact`` calls and
-    guard-band threshold checks), ``resyncs`` the resets at resyncs and
-    climb ends, and ``checked`` the predicted climbs the tower table's
+    guard-band threshold checks), ``resyncs`` the resets, one per move,
+    and ``checked`` the predicted climbs the tower table's
     bounds did not certify, checked step by step.  A start outside
     [0, |I|) of the walked exchange, or an exchange with a width that is
     not positive for the stored lengths (deep enough inverse period
@@ -461,16 +464,17 @@ class ExactWalker:
         table is built, each move first looks the shadow up in the table
         (``TowerTable.span``).  A climb the bounds certify, that fits in
         the steps left and, with a threshold, whose interior lower bounds
-        stay at or above the band, is folded whole and the shadow reset
-        at its end.  Otherwise a chunk runs ``shadow_walk`` up to the next
-        resync: at a guarded step its verified steps are folded and the
-        step's slot is settled exactly, and at a resync the shadow is
-        reset from the exact position.  With a threshold
-        (threshold_coeffs . lambda) / den and its float ``threshold_f``,
-        the walk stops after the first step whose shadow is below it by
-        more than the guard, or that an exact sign puts below it inside
-        the guard band; a resync step or a climb's end is checked on its
-        reset shadow.  Returns the letter left by the last step.
+        stay at or above the band, is folded whole.  Otherwise the move
+        is one ``shadow_walk`` chunk of at most RESYNC steps that stops at
+        the end of x's climb, so the next climb gets its own lookup: at a
+        guarded step its verified steps are folded and the step's slot is
+        settled exactly.  Every move ends with one resync and, with a
+        threshold (threshold_coeffs . lambda) / den and its float
+        ``threshold_f``, one check of its last point on the reset shadow.
+        The walk stops after the first step whose shadow is below the
+        threshold by more than the guard, or that an exact sign puts
+        below it inside the guard band; a stop inside a chunk resyncs
+        too.  Returns the letter left by the last step.
         """
         m = self.mirror
         resync = self.RESYNC
@@ -478,58 +482,46 @@ class ExactWalker:
         band = -math.inf if threshold_coeffs is None else threshold_f + m.guard
         size = resync if n_steps is None else min(resync, max(n_steps, 0))
         sl, xs = np.empty(size, np.intp), np.empty(size + 1)
-        x, slot, done = self.x_f, None, 0
+        x, slot, done, stop = self.x_f, None, 0, False
         while n_steps is None or done < n_steps:
+            left = math.inf if n_steps is None else n_steps - done
             table = m.predictor(done + 1 if n_steps is None else n_steps)
-            if table is not None:
-                start, end, sure = table.span(x)
-                whole = sure and (n_steps is None
-                                  or end - start <= n_steps - done)
-                if whole and band > -math.inf:  # no interior point below
-                    whole = table.bounds[0][start + 1:end].min(
-                        initial=math.inf) >= band
-                if whole:
-                    word = table.words[start:end]
-                    self._fold(word)
-                    done += end - start
-                    slot = int(word[-1])
-                    x = self._exact_float()
-                    self.resyncs += 1
-                    if x < band and (x < below
-                                     or self._exact_below(threshold_coeffs)):
-                        break
-                    continue
-            k = resync - self.steps % resync  # up to the next resync
-            if n_steps is not None:
-                k = min(k, n_steps - done)
-            v, hit, checked = shadow_walk(m, x, k, sl, xs, table, low=band)
-            self.checked += checked
-            due = v == k and (self.steps + k) % resync == 0
-            folded = 0
-            if band > -math.inf:  # each point after a step, bar a resynced one
-                for t in np.flatnonzero(xs[1:v + 1 - due] < band).tolist():
-                    self._fold(sl[folded:t + 1])
-                    folded = t + 1
-                    if xs[folded] < below or self._exact_below(threshold_coeffs):
-                        self.x_f = float(xs[folded])
-                        return m.letters[sl[t]]
-            self._fold(sl[folded:v])
-            done += v
-            x = float(xs[v])
-            if v:
-                slot = int(sl[v - 1])
-            if hit:  # step v is guarded: settle its slot exactly
-                self.escalations += 1
-                slot = self._locate_exact()
-                x = self.x_f + m.moves[slot]
-                self._fold((slot,))
-                done += 1
-                due = self.steps % resync == 0
-            if due:
-                x = self._exact_float()
-                self.resyncs += 1
-            if ((hit or due) and x < band
-                    and (x < below or self._exact_below(threshold_coeffs))):
+            start, end, sure = (table.span(x) if table is not None
+                                else (0, 0, False))
+            if sure and end - start <= left and (
+                    band == -math.inf  # or no interior point below
+                    or table.bounds[0][start + 1:end].min(initial=math.inf)
+                    >= band):
+                word = table.words[start:end]
+                self._fold(word)
+                done += end - start
+                slot = int(word[-1])
+            else:
+                k = min(resync, left, end - start or resync)
+                v, hit, checked = shadow_walk(m, x, k, sl, xs, table, low=band)
+                self.checked += checked
+                folded = 0
+                if band > -math.inf:  # each point inside the move
+                    for t in np.flatnonzero(xs[1:v + hit] < band).tolist():
+                        self._fold(sl[folded:t + 1])
+                        folded = t + 1
+                        if (xs[folded] < below
+                                or self._exact_below(threshold_coeffs)):
+                            v, hit, stop = folded, False, True
+                            break
+                self._fold(sl[folded:v])
+                done += v
+                if v:
+                    slot = int(sl[v - 1])
+                if hit:  # step v is guarded: settle its slot exactly
+                    self.escalations += 1
+                    slot = self._locate_exact()
+                    self._fold((slot,))
+                    done += 1
+            x = self._exact_float()
+            self.resyncs += 1
+            if stop or x < band and (
+                    x < below or self._exact_below(threshold_coeffs)):
                 break
         self.x_f = x
         return None if slot is None else m.letters[slot]
@@ -1183,7 +1175,7 @@ def float_walk(mirror: FloatMirror, x0: float, n_steps: int, tables=()):
     Step k sits in slot ``bisect_right(lefts, xs[k], 1) - 1`` and
     ``xs[k + 1] = xs[k] + moves[slot]``; a block holds FLOAT_BLOCK steps
     (the last one the rest).  A point within ``mirror.guard`` of either
-    endpoint of its interval, or that close to the right of a jump of
+    endpoint of its interval, or that close to either side of a jump of
     one of ``tables`` in its slot, raises NearBreakpoint with its step
     index once the blocks before it are out: the caller drops the
     sample rather than trust its side.  Each block is one

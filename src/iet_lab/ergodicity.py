@@ -135,9 +135,15 @@ def coboundary_classify(vector, splitting: Splitting, periodic: PeriodicIet
     Contracting vectors give bounded sums (hence coboundaries); any
     expanding component forces unbounded renormalizations (hence not);
     a purely central remainder is undecidable from growth alone.  Sizes
-    are judged against 2**(-bits/3) times the vector's scale.
+    are judged against 2**(-bits/3) times the vector's scale.  A vector
+    that is not one finite value per letter is refused.
     """
     ctx = periodic.ctx
+    if len(vector) != periodic.d:
+        raise DomainError(f"step vector must have {periodic.d} entries, "
+                          f"got {len(vector)}")
+    if not all(ctx.mp.isfinite(ctx.real(v)) for v in vector):
+        raise DomainError("step vector entries must be finite")
     ip = abs(ctx.mp.fsum(v * l for v, l in zip(vector, periodic.lengths)))
     scale = max(max(abs(ctx.real(v)) for v in vector), ctx.mp.mpf(1))
     tol = ctx.mp.mpf(2) ** (-(ctx.bits // 3))
@@ -165,7 +171,13 @@ class LatticeReport:
 def lattice_containment(cocycle: StepCocycle, scales, ctx: PrecisionContext
                         ) -> LatticeReport:
     """Check value and jump membership in each lattice c * Z^dim, each
-    entry within 1e-20 of a multiple of c."""
+    entry within 1e-20 of a multiple of c; a scale c that is zero or not
+    finite is refused."""
+    for c in scales:
+        cc = ctx.real(c)
+        if cc == 0 or not ctx.mp.isfinite(cc):
+            raise DomainError(f"lattice scale must be finite and non-zero, "
+                              f"got {c}")
     tol = ctx.mp.mpf(10) ** (-20)
     entries = [x for v in cocycle.values for x in v]
     entries += [x for _g, j in cocycle.jumps for x in j]
@@ -339,10 +351,15 @@ def skew_simulate(iet: Iet, cocycle: Cocycle, x0_list, n_steps: int,
 
     Orbit points entering the guard band (``float_walk``) abort that
     sample (skipped and counted), never silently mis-stepped.  A
-    non-finite displacement raises DomainError.
+    non-finite displacement, or a return radius that is negative or not
+    finite, raises DomainError; a radius of 0 counts no return, since a
+    return is a norm below the radius.
     """
     if len(x0_list) == 0:
         raise DomainError("need >= 1 sample start, got none")
+    if not all(0 <= e < math.inf for e in eps_list):
+        raise DomainError(f"return radii must be finite and non-negative, "
+                          f"got {list(eps_list)}")
     if n_steps < 1:
         raise DomainError(f"walk length must be >= 1, got {n_steps}")
     mirror = iet.mirror

@@ -42,10 +42,12 @@ certify it.  ``climb`` cuts that word out for ``shadow_walk``;
 ``cocycles.ExactWalker`` takes a certified span whole, folding its
 word's visit counts without the float positions.  The certificate
 covers the guard rule only, and jump marks of step cocycles are checked
-at every step.  Closeness of the float orbit to the exact one is the
-exact walker's own bound: no word is longer than _TOWER_REACH *
-TOWER_HEIGHT steps, so a climb from a shadow resynced at most RESYNC
-steps before drifts less than 2e-11 |I|, far inside the guard.
+at every step, within ``guard`` on either side of the mark: the float
+lane never resyncs, so its exact point may lie across a mark its float
+point has not reached.  Closeness of the float orbit to the exact one
+is the exact walker's own bound: no word is longer than _TOWER_REACH *
+TOWER_HEIGHT steps, and the walker starts every climb from a resynced
+shadow, so a climb drifts less than 1.5e-11 |I|, far inside the guard.
 """
 
 from __future__ import annotations
@@ -196,14 +198,14 @@ def shadow_walk(mirror: FloatMirror, x: float, n: int, sl, xs, table=None,
     Fills ``sl[:k]`` with the slots and ``xs[:k + 1]`` with the points:
     ``xs[0] = x`` and ``xs[j + 1] = xs[j] + moves[sl[j]]``.  ``hit``
     means step k is guarded in its true slot: within ``guard`` of either
-    end of the interval, or that close right of a mark (slot, gamma) of
-    that slot.  ``table`` (a ``TowerTable`` or None) predicts the slots
-    a climb at a time; a climb its bounds certify skips the guard rule,
-    the others (``checked`` counts them) apply it at every step, and
-    marks are checked at every step of both.  Off every level the
-    scalar walk takes up to TOWER_HEIGHT steps, up to a point below the
-    table's base or below ``low``, and the walk ends early, without a
-    hit, after a scalar step to a point below ``low``.  At a predicted
+    end of the interval, or that close to either side of a mark (slot,
+    gamma) of that slot.  ``table`` (a ``TowerTable`` or None) predicts
+    the slots a climb at a time; a climb its bounds certify skips the
+    guard rule, the others (``checked`` counts them) apply it at every
+    step, and marks are checked at every step of both.  Off every level
+    the scalar walk takes up to TOWER_HEIGHT steps, up to a point below
+    the table's base or below ``low``, and the walk ends early, without
+    a hit, after a scalar step to a point below ``low``.  At a predicted
     step that fails the guard rule the scalar walk settles that one
     step, so a wrong prediction costs one step and is then predicted
     again.
@@ -232,8 +234,7 @@ def shadow_walk(mirror: FloatMirror, x: float, n: int, sl, xs, table=None,
                 checked += 1
                 bad = (at - lefts_a[p] < guard) | (rights_a[p] - at < guard)
             for slot, gf in marks:
-                off = at - gf
-                near = (p == slot) & (0.0 <= off) & (off < guard)
+                near = (p == slot) & (np.abs(at - gf) < guard)
                 bad = near if bad is None else bad | near
             if bad is None or not bad.any():
                 done += take
@@ -265,7 +266,7 @@ def _scalar_walk(mirror: FloatMirror, x: float, n: int, top: float,
     for _ in range(n):
         lo = bisect_right(lefts, x, 1) - 1
         if (x - lefts[lo] < guard or rights[lo] - x < guard
-                or marks and any(0.0 <= x - g < guard for g in marks[lo])):
+                or marks and any(abs(x - g) < guard for g in marks[lo])):
             return slots, x, True
         slots.append(lo)
         x += moves[lo]

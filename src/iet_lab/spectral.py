@@ -32,7 +32,8 @@ import numpy as np
 from mpmath.ctx_mp import MPContext
 
 from . import intmat
-from .errors import NotPositive, ReduciblePair, SpectralAmbiguity
+from .errors import (DomainError, NotPositive, ReduciblePair,
+                     SpectralAmbiguity)
 from .intmat import IntMatrix
 from .perms import PermutationPair
 from .precision import PrecisionContext, RealVector
@@ -714,8 +715,12 @@ def spectrum_and_splitting(matrix: IntMatrix, lengths, ctx: PrecisionContext,
                            pair: PermutationPair | None = None) -> tuple:
     """(spectrum, singularity data or None, splitting) of a primitive
     matrix from one analysis of its characteristic polynomial; the
-    splitting's non-degeneracy is judged by the pair's kappa."""
+    splitting's non-degeneracy is judged by the pair's kappa, so a pair
+    on another number of letters than the matrix's size is refused."""
     matrix, groups = _analyze_primitive(matrix, ctx)
+    if pair is not None and pair.d != len(matrix):
+        raise DomainError(f"pair has {pair.d} letters, the matrix is "
+                          f"{len(matrix)}x{len(matrix)}")
     spec = _spectrum_of(matrix, groups, ctx)
     sdata = None if pair is None else singularity_data(pair)
     split = _splitting_of(matrix, groups, lengths, ctx,

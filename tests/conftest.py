@@ -84,7 +84,7 @@ def _step_walk(mirror, x0, n_steps, tables=()):
     for step in range(n_steps):
         lo = bisect_right(lefts, xf, 1) - 1
         if (xf - lefts[lo] < guard or rights[lo] - xf < guard
-                or any(0.0 <= xf - g < guard for g in marks[lo])):
+                or any(-guard < xf - g < guard for g in marks[lo])):
             raise NearBreakpoint("float orbit entered the guard band", step)
         yield lo, xf
         xf += moves[lo]

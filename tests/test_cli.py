@@ -336,6 +336,20 @@ class TestErrors:
         ("spectrum --matrix {bad}", json.dumps(
             [[1 + i * (i == j) for j in range(17)] for i in range(17)]),
          "limited to degree 16"),
+        ("classify --iet {four} --vector 0,0", "", "must have 4 entries"),
+        ("classify --iet {four} --vector 0,0,0,0,0,0", "",
+         "must have 4 entries"),
+        ("classify --iet {four} --vector nan,0,0,0", "", "finite"),
+        ("classify --iet {four} --vector 0,0,0,0 --lattices 0", "",
+         "finite and non-zero"),
+        ("classify --iet {four} --vector 0,0,0,0 --lattices nan,inf", "",
+         "finite and non-zero"),
+        ("simulate --iet {four} --cocycle {step} --eps nan,-1", "",
+         "finite and non-negative"),
+        ("simulate --iet {four} --cocycle {step} --eps 0.5,inf", "",
+         "finite and non-negative"),
+        ("spectrum --matrix {bad} --pair {five}",
+         json.dumps(FOUR_SPEC["periodic_matrix"]), "pair has 5 letters"),
     ], ids=["pair-without-pi0", "not-json", "step-without-values",
             "birkhoff-n-0", "deviation-n-max-0", "simulate-eps-not-a-number",
             "classify-vector-not-numbers", "spectrum-matrix-not-integers",
@@ -353,7 +367,11 @@ class TestErrors:
             "deviation-overflow", "product-sums-past-int64",
             "birkhoff-x0-nan", "spectrum-matrix-fractional-entry",
             "spectrum-matrix-bool-entry", "spec-periodic-matrix-fractional-entry",
-            "spectrum-degree-above-limit"])
+            "spectrum-degree-above-limit", "classify-vector-short",
+            "classify-vector-long", "classify-vector-nan",
+            "classify-lattice-zero", "classify-lattice-not-finite",
+            "simulate-eps-nan-negative", "simulate-eps-inf",
+            "spectrum-pair-other-size"])
     def test_malformed_spec_one_line_error(self, capsys, specs, tmp_path,
                                            command, content, named):
         bad = tmp_path / "bad.json"

@@ -758,12 +758,9 @@ def walker_state(wk):
 
 
 def assert_shadow(wk):
-    """The float shadow is within the drift of RESYNC float steps from a
-    resync of the exact position: each step rounds its move and its sum,
-    each at most 2^-53 |I| off, and the resync rounds once."""
-    exact = wk.lengths.exact_float(wk._num(), wk.den)
-    drift = (2 * ExactWalker.RESYNC + 2) * 2.0 ** -53 * wk.mirror.rights[-1]
-    assert abs(wk.x_f - exact) <= drift
+    """Every walk ends its last move with a resync: between walks the float
+    shadow is the exact position rounded once."""
+    assert wk.x_f == wk._exact_float()
 
 
 def assert_matches_eager(wk, oracle):
@@ -777,7 +774,7 @@ def assert_matches_eager(wk, oracle):
 def shadow_stretches(monkeypatch):
     """Per walker (by id), the steps its float shadow took one by one
     (``shadow_walk`` chunks) between resets to the exact position
-    (``_exact_float``: a resync, a climb's end or an exact settle); a
+    (``_exact_float``: a move's resync or an exact settle); a
     new walker's shadow starts exact."""
     stretches, walking = {}, []
     walk, reset = ExactWalker._walk, ExactWalker._exact_float
@@ -1320,10 +1317,10 @@ class TestTowerWalk:
 
     @pytest.mark.parametrize("system", SYSTEMS)
     def test_guard_hits(self, request, ctx, step_walk, system):
-        """Half a guard width either side of every interior left end, and
-        right of a jump mark in J and of one mid-interval, reached at
-        step 0, mid-chunk, at the block edges and after a tower return
-        (for the mark in J: on a return)."""
+        """Half a guard width either side of every interior left end, of
+        a jump mark in J and of one mid-interval, reached at step 0,
+        mid-chunk, at the block edges and after a tower return (for the
+        mark in J: on a return)."""
         p = request.getfixturevalue(system)
         mirror = p.iet.mirror
         g, top = mirror.guard, mirror.tower_table.top
@@ -1333,7 +1330,7 @@ class TestTowerWalk:
         tables = [float_table(phi, p.iet)]
         targets = [edge + side for edge in mirror.lefts[1:]
                    for side in (-g / 2, g / 2)]
-        targets += [m + g / 2 for m in marks]
+        targets += [m + side for m in marks for side in (-g / 2, g / 2)]
         for target in targets:
             back = float_preimages(mirror, target, 2 * FLOAT_BLOCK)
             returns = [i for i, x in enumerate(back) if i and 0.0 <= x < top]
@@ -1575,6 +1572,22 @@ class TestClimbCertificate:
             assert got[:2] == step_trace(step_walk, mirror, x0, FLOAT_BLOCK,
                                          tables)
             assert got[1:] == (5000, 0)  # only the mark check fires
+
+    def test_marks_guarded_on_both_sides(self, periodic4, lane_cocycles4):
+        """A float orbit drifts and is never resynced, so a point half a
+        guard left of a jump may lie at or right of it exactly: the walk
+        stops there as it does half a guard right of it."""
+        iet = periodic4.iet
+        mirror = iet.mirror
+        tables = [float_table(phi, iet) for phi in lane_cocycles4.values()]
+        for _slot, gf, _j in tables[1].jumps:
+            for side in (-0.5, 0.5):
+                x0 = float_preimages(mirror, gf + side * mirror.guard,
+                                     5000)[5000]
+                with pytest.raises(NearBreakpoint) as hit:
+                    for _block in float_walk(mirror, x0, FLOAT_BLOCK, tables):
+                        pass
+                assert hit.value.step_index == 5000
 
     @pytest.mark.parametrize("system", SYSTEMS)
     def test_corrupt_tables(self, request, system):
@@ -1859,6 +1872,20 @@ class TestWholeClimbs:
         if n > 10 ** 5:  # most steps are in climbs taken whole
             assert sum(shadow_stretches[id(wk)]) < n / 10
 
+    def test_later_climbs_after_an_uncertified_one(self, periodic4,
+                                                    shadow_stretches):
+        """The first climb from the exact left end of a depth-1 interval
+        runs along level left ends, which the bounds never certify; its
+        chunks stop at the climb's end, so later climbs are looked up
+        and some are taken whole, outside every chunk and exact settle."""
+        lc, _wc = depth_interval_coeffs(periodic4, 1, 1)
+        oracle, wk = (ExactWalker(periodic4.iet, lc) for _ in range(2))
+        n = 12345
+        assert wk.run(n) == eager_run(oracle, n)
+        assert_matches_eager(wk, oracle)
+        assert_resynced(wk, shadow_stretches)
+        assert wk.steps - sum(shadow_stretches[id(wk)]) - wk.escalations > 0
+
     @pytest.mark.parametrize("den", [1, 1009])
     @pytest.mark.parametrize("system, k", [
         ("periodic4", 1), ("periodic4", 2), ("periodic4", 3),
@@ -1942,15 +1969,13 @@ class TestWholeClimbs:
                                           periodic7):
         """A float step errs by at most 2^-53 |I| in its move and 2^-53 |I|
         in its sum, and a resync rounds once: over a word of at most
-        _TOWER_REACH * TOWER_HEIGHT steps, after at most RESYNC float
-        steps since the last resync, the exact orbit stays well inside
-        the guard of the float one."""
+        _TOWER_REACH * TOWER_HEIGHT steps from a resynced shadow, the
+        exact orbit stays well inside the guard of the float one."""
         reach = _TOWER_REACH * TOWER_HEIGHT
         for p in (periodic4, periodic5, periodic7):
             ends = (0,) + p.iet.mirror.tower_table.ends
             assert max(b - a for a, b in zip(ends, ends[1:])) <= reach
         assert (2 * reach + 1) * 2.0 ** -53 < GUARD / 2
-        assert (2 * (reach + ExactWalker.RESYNC) + 1) * 2.0 ** -53 < GUARD / 2
 
 
 class TestOneMirror:
