@@ -262,7 +262,7 @@ def _cmd_deviation(args, ctx):
 
         phi = zero_mean_version(phi, obj.iet)
     prof = deviation_profile(phi, obj, args.n_max, samples=args.samples,
-                             seed=args.seed, workers=max(1, args.threads))
+                             seed=args.seed, workers=args.threads)
     rows = [(n, f"{v:.12g}") for n, v in prof.to_rows()]
     _emit(args, {"csv_header": "n,sup_norm",
                  "rows": [[r[0], r[1]] for r in rows],
@@ -390,6 +390,8 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.precision_bits < 64:
         parser.error("--precision-bits must be >= 64")
+    if args.threads < 1:
+        parser.error("--threads must be >= 1")
     ctx = PrecisionContext(args.precision_bits)
     try:
         return _COMMANDS[args.command](args, ctx)

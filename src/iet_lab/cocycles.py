@@ -20,10 +20,10 @@ dyadic rational, so one integer dot of a coefficient vector with the
 lengths' mantissas (``RealVector.int_dot``) gives a lattice value
 exactly: its sign is ``certified_lattice_sign``, and a resync float,
 like every mirror entry, is that value rounded once to the nearest
-float.  A real
-start x is a dyadic rational too (``ExactWalker.from_point``), so every
-orbit of the library but the float lane's is exact, backward ones on
-``Iet.inverse``.  The float lane (``float_walk``) serves
+float.  A real start x is a dyadic rational too
+(``ExactWalker.from_point``), so every orbit of the library but the
+float lane's is exact, backward ones on ``Iet.inverse``.  The float lane
+(``float_walk``, chunks of whole climbs in reused buffers) serves
 ``deviation_sweep`` and the skew-product simulation: a guarded point,
 at any step including the first, or one within GUARD * |I| of a step
 cocycle's jump in its interval, on either side since the float orbit
@@ -58,7 +58,7 @@ from .precision import (as_fraction, geometric_checkpoints,
 from .rauzy import DepthLattice, Iet, PeriodicIet, _lattice
 from .shadow import FloatMirror, lattice_mirror, shadow_walk
 
-FLOAT_BLOCK = 1 << 14  # orbit steps per float_walk block
+FLOAT_BLOCK = 1 << 14  # most orbit steps per float_walk chunk
 CHECKPOINT_RATIO = 10 ** (1 / 8)  # birkhoff and deviation checkpoints
 
 
@@ -498,7 +498,8 @@ class ExactWalker:
                 slot = int(word[-1])
             else:
                 k = min(resync, left, end - start or resync)
-                v, hit, checked = shadow_walk(m, x, k, sl, xs, table, low=band)
+                v, hit, checked, _rest = shadow_walk(
+                    m, x, k, sl, xs, table, low=band, span=(start, end, sure))
                 self.checked += checked
                 folded = 0
                 if band > -math.inf:  # each point inside the move
@@ -1169,75 +1170,88 @@ def float_table(cocycle: Cocycle, iet: Iet) -> FloatTable:
     return FloatTable(cocycle.dim, rows(cocycle.values), None, jumps)
 
 
-def float_walk(mirror: FloatMirror, x0: float, n_steps: int, tables=()):
-    """Stream the float orbit of x0 in blocks: yield (slots, xs) arrays.
+def float_walk(mirror: FloatMirror, x0: float, n_steps: int, tables=(),
+               stops=(), sl=None, xs=None, counts=None):
+    """Stream the float orbit of x0 in chunks: yield (slots, xs) arrays.
 
     Step k sits in slot ``bisect_right(lefts, xs[k], 1) - 1`` and
-    ``xs[k + 1] = xs[k] + moves[slot]``; a block holds FLOAT_BLOCK steps
-    (the last one the rest).  A point within ``mirror.guard`` of either
-    endpoint of its interval, or that close to either side of a jump of
-    one of ``tables`` in its slot, raises NearBreakpoint with its step
-    index once the blocks before it are out: the caller drops the
-    sample rather than trust its side.  Each block is one
-    ``shadow_walk``, predicted by ``mirror.tower_table`` for walks longer
-    than TOWER_HEIGHT steps (or once the table is built) and checked
-    climb by climb.
+    ``xs[k + 1] = xs[k] + moves[slot]``.  A point within
+    ``mirror.guard`` of either endpoint of its interval, or that close
+    to either side of a jump of one of ``tables`` in its slot, raises
+    NearBreakpoint with its step index once the chunks before it are
+    out: the caller drops the sample rather than trust its side.
+
+    Each chunk is one ``shadow_walk`` into the buffers ``sl`` and ``xs``
+    (a step and a point per entry of ``sl``, and one point more; by
+    default FLOAT_BLOCK steps), reused from chunk to chunk: the yielded
+    arrays are views of them, to be read before the next chunk.  A chunk
+    ends at each of ``stops`` (increasing
+    step counts) and at n_steps, or else at a tower return whose climb
+    does not fit in the rest of the buffer.  The walk hands each climb's
+    lookup on from chunk to chunk, so it looks each climb up once and
+    cuts one only at a stop or where it is longer than the buffer.
+    ``counts`` (one int64 entry per slot), when given, has each chunk's
+    visits added before the chunk is yielded.  The climbs are predicted
+    by ``mirror.tower_table`` for walks longer than TOWER_HEIGHT steps
+    (or once the table is built).
     """
     marks = [(slot, gf) for table in tables for slot, gf, _j in table.jumps]
     rokhlin = mirror.predictor(n_steps)
-    for start in range(0, n_steps, FLOAT_BLOCK):
-        m = min(FLOAT_BLOCK, n_steps - start)
-        sl = np.empty(m, np.intp)
-        xs = np.empty(m + 1)  # xs[m]: the first point of the next block
-        k, hit, _checked = shadow_walk(mirror, x0, m, sl, xs, rokhlin, marks)
-        if hit:
-            raise NearBreakpoint("float orbit entered the guard band",
-                                 start + k)
-        x0 = float(xs[m])
-        yield sl, xs[:m]
+    if sl is None:
+        sl, xs = np.empty(FLOAT_BLOCK, np.intp), np.empty(FLOAT_BLOCK + 1)
+    done, span = 0, None
+    for stop in (*stops, n_steps):
+        while done < stop:
+            n = min(len(sl), stop - done)
+            k, hit, _checked, span = shadow_walk(
+                mirror, x0, n, sl, xs, rokhlin, marks, span=span,
+                whole=n < stop - done, counts=counts)
+            if hit:
+                raise NearBreakpoint("float orbit entered the guard band",
+                                     done + k)
+            done += k
+            x0 = float(xs[k])
+            yield sl[:k], xs[:k]
 
 
 def _sweep_one_sample(args):
     """Walk one float orbit and record checkpoint sups for every cocycle.
 
-    Each block is cut at the checkpoints inside it.  Per segment, one
-    bincount adds the visit counts, and one weighted bincount with the
-    running position sums placed first adds the positions in orbit
-    order, as a per-step ``possum[slot] += x`` would; jump crossings
-    are counted per segment.  The (counts, position sums, crossings) at
-    every checkpoint become the sups after the walk (``_checkpoint_sups``).
-    Picklable in and out, so worker processes can run it.
-    Returns (ok, per-cocycle checkpoint sup lists); a sample that meets
-    the guard band returns (False, None).
+    The walk is ``float_walk``'s chunks, which end at every checkpoint.
+    Its buffers keep d entries in front: slot a with its running
+    position sum, so one weighted bincount of a chunk's slots, seeds
+    first, adds the positions in orbit order, as a per-step
+    ``possum[slot] += x`` would.  The walk adds the visit counts, and
+    jump crossings are counted per chunk.  The (counts, position sums,
+    crossings) at every checkpoint become the sups after the walk
+    (``_checkpoint_sups``).  Picklable in and out, so worker processes
+    can run it.  Returns (ok, per-cocycle checkpoint sup lists); a sample
+    that meets the guard band returns (False, None).
     """
     x0f, mirror, tables, checkpoints = args
     d = len(mirror.lefts)
     marks = [(slot, gf) for table in tables for slot, gf, _j in table.jumps]
     counts = np.zeros(d, np.int64)
-    possum = np.zeros(d)
     cross = np.zeros(len(marks), np.int64)
     count_at = np.empty((len(checkpoints), d), np.int64)
     sum_at = np.empty((len(checkpoints), d))
     cross_at = np.empty((len(checkpoints), len(marks)), np.int64)
-    seeds = np.arange(d)
+    sl = np.empty(d + FLOAT_BLOCK, np.intp)
+    xs = np.empty(d + FLOAT_BLOCK + 1)
+    sl[:d], xs[:d] = np.arange(d), 0.0  # the position-sum seeds
     done = t = 0
     try:
-        for sl, xs in float_walk(mirror, x0f, checkpoints[-1], tables):
-            lo = 0
-            while lo < len(xs):
-                hi = min(checkpoints[t] - done, len(xs))
-                seg_sl, seg_xs = sl[lo:hi], xs[lo:hi]
-                counts += np.bincount(seg_sl, minlength=d)
-                possum = np.bincount(np.concatenate((seeds, seg_sl)),
-                                     np.concatenate((possum, seg_xs)), d)
-                for mi, (slot, gf) in enumerate(marks):
-                    cross[mi] += np.count_nonzero((seg_sl == slot)
-                                                  & (seg_xs >= gf))
-                if hi == checkpoints[t] - done:
-                    count_at[t], sum_at[t], cross_at[t] = counts, possum, cross
-                    t += 1
-                lo = hi
-            done += len(xs)
+        for seg_sl, seg_xs in float_walk(mirror, x0f, checkpoints[-1], tables,
+                                         checkpoints, sl[d:], xs[d:], counts):
+            k = len(seg_xs)
+            xs[:d] = np.bincount(sl[:d + k], xs[:d + k], d)
+            for mi, (slot, gf) in enumerate(marks):
+                cross[mi] += np.count_nonzero((seg_sl == slot)
+                                              & (seg_xs >= gf))
+            done += k
+            while t < len(checkpoints) and done == checkpoints[t]:
+                count_at[t], sum_at[t], cross_at[t] = counts, xs[:d], cross
+                t += 1
     except NearBreakpoint:
         return False, None
     local_sup = []
@@ -1286,8 +1300,12 @@ def deviation_sweep(iet: Iet, cocycles, n_max: int, samples: int = 8,
 
     All cocycles are evaluated on the same sampled orbits through the
     per-interval visit-count and position-sum skeleton, so the per-step
-    cost is independent of how many cocycles are profiled.  Samples that
-    enter the guard band (``float_walk``) are skipped and counted.
+    cost is independent of how many cocycles are profiled.  A sample
+    walks in ``float_walk`` chunks that end at its checkpoints and
+    otherwise at tower returns: the visit counts are differences of the
+    tower table's prefix counts, the position sums one seeded weighted
+    bincount per chunk (``_sweep_one_sample``).  Samples that enter the
+    guard band are skipped and counted.
     With workers > 1 the samples run in worker processes, each sent the
     mirror with its tower table built once here; the merge is a
     pointwise maximum, so results match the serial run exactly.

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import intmat
-from .cocycles import (Cocycle, ExactWalker, PiecewiseLinearCocycle,
-                       Renormalizer, StepCocycle, evaluate, float_table,
-                       float_walk, jumps_by_letter)
+from .cocycles import (FLOAT_BLOCK, Cocycle, ExactWalker,
+                       PiecewiseLinearCocycle, Renormalizer, StepCocycle,
+                       evaluate, float_table, float_walk, jumps_by_letter)
 from .errors import (DomainError, EmptyFixedSpace, NearBreakpoint,
                      NotZeroMean, Unsupported)
 from .precision import PrecisionContext
@@ -392,10 +392,12 @@ def skew_simulate(iet: Iet, cocycle: Cocycle, x0_list, n_steps: int,
 def _skew_sample(mirror, table, x0: float, n_steps: int, eps_sorted):
     """One sample's (min norm, eps hits, histogram, zero returns).
 
-    Each block of the walk becomes one row of displacement increments
-    per coordinate, summed by one accumulate seeded with the running
-    displacement: the same additions in the same order as a per-step
-    loop.  Norms, hits, zero returns and decade bins follow per block.
+    Each chunk of the walk (``float_walk``) becomes one row of
+    displacement increments per coordinate, summed in place by one
+    accumulate seeded with the running displacement: the same additions
+    in the same order as a per-step loop.  Norms, hits, zero returns and
+    decade bins follow per chunk.  The walk, the increments and the
+    norms reuse one set of buffers per sample.
     """
     vals = np.array(table.values)
     consts = None if table.constants is None else np.array(table.constants)
@@ -405,15 +407,21 @@ def _skew_sample(mirror, table, x0: float, n_steps: int, eps_sorted):
     s_hits = {e: 0 for e in eps_sorted}
     s_histogram = np.zeros(10, np.int64)
     s_zero = 0
+    inc_buf = np.empty((table.dim, FLOAT_BLOCK * stride))
+    norm_buf = np.empty(FLOAT_BLOCK)
     for sl, xs in float_walk(mirror, x0, n_steps, [table]):
+        inc = inc_buf[:, :len(sl) * stride]
         if consts is None:
-            inc = _step_increments(vals, table.jumps, sl, xs)
+            _step_increments(vals, table.jumps, sl, xs, inc)
         else:
-            inc = vals[:, sl] * xs + consts[:, sl]
+            np.take(vals, sl, axis=1, out=inc, mode="clip")
+            inc *= xs
+            inc += consts[:, sl]
         inc[:, 0] += disp
-        path = np.add.accumulate(inc, axis=1)[:, stride - 1::stride]
-        disp = path[:, -1]
-        norms = np.abs(path).max(axis=0)
+        np.add.accumulate(inc, axis=1, out=inc)
+        path = inc[:, stride - 1::stride]
+        disp = path[:, -1].copy()
+        norms = np.abs(path, out=path).max(axis=0, out=norm_buf[:len(sl)])
         # a non-finite sum stays non-finite, so the last step tells
         if not math.isfinite(norms[-1]):
             raise DomainError("skew-product displacement overflowed the "
@@ -426,22 +434,22 @@ def _skew_sample(mirror, table, x0: float, n_steps: int, eps_sorted):
     return best, s_hits, s_histogram.tolist(), s_zero
 
 
-def _step_increments(vals, jumps, sl, xs):
-    """Additions of a step cocycle in walk order, 1 + len(jumps) per step.
+def _step_increments(vals, jumps, sl, xs, out) -> None:
+    """Additions of a step cocycle in walk order, 1 + len(jumps) per step,
+    written to ``out``.
 
     Each step adds its slot value, then each jump in ``jumps`` order:
     the jump vector where crossed, else +0.0, which changes no sum (a
     running sum started at +0.0 never holds -0.0).  With no jumps a
-    step's one addition is its slot value, so one take builds the rows.
+    step's one addition is its slot value, so one take fills the rows.
     """
-    if not jumps:
-        return np.take(vals, sl, axis=1)
-    inc = np.zeros((len(vals), len(xs), 1 + len(jumps)))
-    inc[:, :, 0] = vals[:, sl]
+    stride = 1 + len(jumps)
+    np.take(vals, sl, axis=1, out=out[:, ::stride], mode="clip")
     for ji, (slot, gf, j) in enumerate(jumps):
         crossed = (sl == slot) & (xs >= gf)
-        inc[:, crossed, 1 + ji] = np.array(j)[:, None]
-    return inc.reshape(len(vals), -1)
+        column = out[:, 1 + ji::stride]
+        column[:] = 0.0
+        column[:, crossed] = np.array(j)[:, None]
 
 
 def _decade_edges():

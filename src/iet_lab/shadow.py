@@ -15,12 +15,14 @@ total length of the exchange walked.
 a time: the rest of x's tower word in ``FloatMirror.tower_table`` (the
 Rokhlin towers of the first-return map to a short base interval), or,
 off every level and for walks too short to pay for the table, the
-steps of one scalar bisect-and-guard loop.  One accumulate seeded with
-x adds the predicted moves, the same additions in the same order as a
-per-step walk, so the walk is bit-identical to the per-step one
-whatever the table predicts.  It stops at the first guarded step; the
-float lane skips its sample there, the exact engine settles the step
-by exact signs.
+steps of one scalar bisect-and-guard loop.  A predicted climb's slots
+and moves are copied from the table's per-word arrays, and one
+accumulate seeded with x adds the moves, the same additions in the
+same order as a per-step walk, so the walk is bit-identical to the
+per-step one whatever the table predicts.  Its visit counts, when asked
+for, are differences of the table's prefix counts.  It stops at the
+first guarded step; the float lane skips its sample there, the exact
+engine settles the step by exact signs.
 
 A predicted climb is checked by the guard rule at every step, or, when
 the table's bounds certify it, by one pair of comparisons.  The bounds
@@ -38,16 +40,18 @@ slot's interval, where the bisect finds the same slot.  The bounds are
 built from the table's own bases, ends and words, so a table that
 predicts wrongly certifies nothing wrongly.  ``TowerTable.span`` is
 the one lookup: the word positions of x's climb and whether the bounds
-certify it.  ``climb`` cuts that word out for ``shadow_walk``;
-``cocycles.ExactWalker`` takes a certified span whole, folding its
-word's visit counts without the float positions.  The certificate
-covers the guard rule only, and jump marks of step cocycles are checked
-at every step, within ``guard`` on either side of the mark: the float
-lane never resyncs, so its exact point may lie across a mark its float
-point has not reached.  Closeness of the float orbit to the exact one
-is the exact walker's own bound: no word is longer than _TOWER_REACH *
-TOWER_HEIGHT steps, and the walker starts every climb from a resynced
-shadow, so a climb drifts less than 1.5e-11 |I|, far inside the guard.
+certify it; ``shadow_walk`` takes a span from the caller that already
+has it and hands back the one it stops in or before, so a walk cut
+into chunks looks each climb up once.  ``cocycles.ExactWalker`` takes
+a certified span whole, folding its word's visit counts without the
+float positions.  The certificate covers the guard rule only, and jump
+marks of step cocycles are checked at every step, within ``guard`` on
+either side of the mark: the float lane never resyncs, so its exact
+point may lie across a mark its float point has not reached.
+Closeness of the float orbit to the exact one is the exact walker's own
+bound: no word is longer than _TOWER_REACH * TOWER_HEIGHT steps, and the
+walker starts every climb from a resynced shadow, so a climb drifts
+less than 1.5e-11 |I|, far inside the guard.
 """
 
 from __future__ import annotations
@@ -64,7 +68,6 @@ GUARD = 1e-9  # guard band around breakpoints, relative to |I| (both orbit engin
 TOWER_HEIGHT = 1 << 12  # |I| / |J|, J = [0, |J|) the base of the float towers
 _TOWER_REACH = 16  # tower build: no return within this many heights, dropped
 _NO_WORD = np.empty(0, np.uint8)
-_NO_CLIMB = (_NO_WORD, False)
 _NO_SPAN = (0, 0, False)
 
 
@@ -115,10 +118,13 @@ class TowerTable:
     0 for t = 0) in one uint8 array, and its level k is the base moved
     by the first k of them.  Per level, sorted by left end, ``lefts``
     holds the left end and ``starts`` the index in ``words`` where the
-    rest of its word starts; its width is its tower's.  With the two
-    float64 ``bounds`` per word position, built on the first climb, a
-    level costs 29 bytes.  The table only predicts slots: ``shadow_walk``
-    checks every step the bounds do not certify.
+    rest of its word starts; its width is its tower's.  Built from the
+    words, each on its first use: the two float64 ``bounds`` per word
+    position (on the first lookup), the float64 ``word_moves`` (on the
+    first predicted climb walked) and the int32 ``word_counts`` of d
+    slots (on the first visit counts asked for), so a level costs up to
+    37 + 4 d bytes (53 at d = 4).  The table only predicts slots:
+    ``shadow_walk`` checks every step the bounds do not certify.
     """
 
     mirror: FloatMirror
@@ -145,11 +151,20 @@ class TowerTable:
         lo, hi = self.bounds
         return start, self.ends[t], bool(lo[start] <= x <= hi[start])
 
-    def climb(self, x: float) -> tuple:
-        """(word, sure): ``span`` with the word cut out; an empty word off
-        every level."""
-        start, end, sure = self.span(x)
-        return self.words[start:end], sure
+    @cached_property
+    def word_moves(self) -> np.ndarray:
+        """The float move of each word position's slot, ``moves[words]``."""
+        return self.mirror.arrays[2][self.words]
+
+    @cached_property
+    def word_counts(self) -> np.ndarray:
+        """Prefix visit counts: row s counts each slot in ``words[:s]``, so
+        the visits of ``words[i:j]`` are row j minus row i (int32: a row
+        sums to at most the number of levels)."""
+        prefix = np.zeros((len(self.words) + 1, len(self.mirror.lefts)),
+                          np.int32)
+        prefix[np.arange(1, len(self.words) + 1), self.words] = 1
+        return np.cumsum(prefix, axis=0, out=prefix)
 
     @cached_property
     def bounds(self) -> tuple:
@@ -191,16 +206,19 @@ def lattice_mirror(lattice, lengths, order) -> FloatMirror:
 
 
 def shadow_walk(mirror: FloatMirror, x: float, n: int, sl, xs, table=None,
-                marks=(), low: float = -math.inf) -> tuple:
+                marks=(), low: float = -math.inf, span=None, whole=False,
+                counts=None) -> tuple:
     """Walk x's float shadow for up to n verified steps: return (k, hit,
-    checked).
+    checked, span).
 
     Fills ``sl[:k]`` with the slots and ``xs[:k + 1]`` with the points:
     ``xs[0] = x`` and ``xs[j + 1] = xs[j] + moves[sl[j]]``.  ``hit``
     means step k is guarded in its true slot: within ``guard`` of either
     end of the interval, or that close to either side of a mark (slot,
     gamma) of that slot.  ``table`` (a ``TowerTable`` or None) predicts
-    the slots a climb at a time; a climb its bounds certify skips the
+    the slots a climb at a time, from x's own ``span`` where the caller
+    passes it, and a predicted climb's slots and moves are copied from
+    the table's per-word arrays; a climb its bounds certify skips the
     guard rule, the others (``checked`` counts them) apply it at every
     step, and marks are checked at every step of both.  Off every level
     the scalar walk takes up to TOWER_HEIGHT steps, up to a point below
@@ -208,7 +226,13 @@ def shadow_walk(mirror: FloatMirror, x: float, n: int, sl, xs, table=None,
     a hit, after a scalar step to a point below ``low``.  At a predicted
     step that fails the guard rule the scalar walk settles that one
     step, so a wrong prediction costs one step and is then predicted
-    again.
+    again.  With ``whole`` the walk also ends early, after at least one
+    step, at a tower return whose climb does not fit in the steps left.
+    The returned ``span`` is the span of ``xs[k]``'s climb, or of its
+    rest where step n cut it, for the next walk to start from, or None.
+    ``counts`` (one int64 entry per slot), when given, gets the walk's
+    visits: a predicted climb's as a difference of the table's prefix
+    counts, all of them added once at the end of the walk.
     """
     lefts_a, rights_a, moves_a = mirror.arrays
     guard = mirror.guard
@@ -217,32 +241,47 @@ def shadow_walk(mirror: FloatMirror, x: float, n: int, sl, xs, table=None,
     top = max(low, table.top if table is not None else 0.0)
     xs[0] = x
     done = checked = 0
+    hit = False
+    heads, tails, walked = [], [], []  # visits, by word positions and slots
     while done < n:
-        pred, sure = (table.climb(float(xs[done])) if table is not None
-                      else _NO_CLIMB)
+        if span is None:
+            span = table.span(float(xs[done])) if table is not None \
+                else _NO_SPAN
+        start, end, sure = span
+        span = None
         steps = min(TOWER_HEIGHT, n - done)
-        if len(pred):
-            take = min(len(pred), n - done)
-            p = sl[done:done + take]
-            p[:] = pred[:take]  # one cast of the uint8 word to indices
-            seg = xs[done:done + take + 1]
-            moves_a.take(p, out=seg[1:], mode="clip")
+        if end > start:
+            take = min(end - start, n - done)
+            if whole and done and take < end - start:
+                span = start, end, sure  # the next walk's first climb
+                break
+            stop = done + take
+            sl[done:stop] = table.words[start:start + take]
+            seg = xs[done:stop + 1]
+            seg[1:] = table.word_moves[start:start + take]
             np.add.accumulate(seg, out=seg)
-            at = seg[:-1]
-            bad = None
-            if not sure:
-                checked += 1
-                bad = (at - lefts_a[p] < guard) | (rights_a[p] - at < guard)
-            for slot, gf in marks:
-                near = (p == slot) & (np.abs(at - gf) < guard)
-                bad = near if bad is None else bad | near
-            if bad is None or not bad.any():
-                done += take
+            verified = take
+            if not sure or marks:
+                p, at = sl[done:stop], seg[:-1]
+                bad = np.zeros(take, bool)
+                if not sure:
+                    checked += 1
+                    bad |= at - lefts_a[p] < guard
+                    bad |= rights_a[p] - at < guard
+                for slot, gf in marks:
+                    bad |= (p == slot) & (np.abs(at - gf) < guard)
+                if bad.any():
+                    verified = int(bad.argmax())
+            heads.append(start)
+            tails.append(start + verified)
+            done += verified
+            if verified == take:
+                if take < end - start:
+                    span = start + take, end, sure
                 continue
-            done += int(bad.argmax())
             steps = 1
-        slots, end, hit = _scalar_walk(mirror, float(xs[done]), steps, top,
-                                       guard, by_slot)
+        slots, last, hit = _scalar_walk(mirror, float(xs[done]), steps, top,
+                                        guard, by_slot)
         if slots:  # the scalar walk's points, added again in the same order
             take = len(slots)
             sl[done:done + take] = slots
@@ -250,9 +289,16 @@ def shadow_walk(mirror: FloatMirror, x: float, n: int, sl, xs, table=None,
             moves_a.take(sl[done:done + take], out=seg[1:], mode="clip")
             np.add.accumulate(seg, out=seg)
             done += take
-        if hit or slots and end < low:
-            return done, hit, checked
-    return n, False, checked
+            walked += slots
+        if hit or slots and last < low:
+            break
+    if counts is not None:
+        if heads:
+            rows = table.word_counts[tails + heads]
+            counts += np.add.reduce(rows[:len(tails)] - rows[len(tails):])
+        if walked:
+            counts += np.bincount(walked, minlength=len(counts))
+    return done, hit, checked, span
 
 
 def _scalar_walk(mirror: FloatMirror, x: float, n: int, top: float,

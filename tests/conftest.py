@@ -2,17 +2,20 @@
 
 from bisect import bisect_right
 
+import numpy as np
 import pytest
 
 from iet_lab.cocycles import (FLOAT_BLOCK, ExactWalker,
                               PiecewiseLinearCocycle, Renormalizer,
-                              StepCocycle, zero_mean_version)
+                              StepCocycle, _checkpoint_sups,
+                              zero_mean_version)
 from iet_lab.errors import DomainError, NearBreakpoint
 from iet_lab.perms import make_symmetric_pair
 from iet_lab.precision import PrecisionContext
 from iet_lab.rauzy import build_periodic_from_loop, build_periodic_from_matrix
 from iet_lab.repro import (FIVE_MATRIX, GROUPED_MATRIX, SEVEN_LOOP,
                            seven_letter_pair)
+from iet_lab.shadow import shadow_walk
 from iet_lab.spectral import singularity_data, splitting
 
 
@@ -71,7 +74,7 @@ def gammas(ctx, periodic7):
 def _step_walk(mirror, x0, n_steps, tables=()):
     """The float lane one step at a time: yield (slot, x) per step.
 
-    The oracle for the block walk of ``float_walk``: same locate, same
+    The oracle for the chunk walk of ``float_walk``: same locate, same
     guard rule, same advance.
     """
     lefts, rights, moves = mirror.lefts, mirror.rights, mirror.moves
@@ -93,6 +96,78 @@ def _step_walk(mirror, x0, n_steps, tables=()):
 @pytest.fixture(scope="session")
 def step_walk():
     return _step_walk
+
+
+def _block_walk(mirror, x0, n_steps, tables=()):
+    """The float lane in fixed blocks: yield (slots, xs) per block of
+    FLOAT_BLOCK steps (the last one the rest), each one ``shadow_walk``
+    that cuts climbs at the block's end; a guarded step raises
+    NearBreakpoint with its index once the blocks before it are out."""
+    marks = [(slot, gf) for table in tables for slot, gf, _j in table.jumps]
+    rokhlin = mirror.predictor(n_steps)
+    for start in range(0, n_steps, FLOAT_BLOCK):
+        m = min(FLOAT_BLOCK, n_steps - start)
+        sl, xs = np.empty(m, np.intp), np.empty(m + 1)
+        k, hit, _checked, _span = shadow_walk(mirror, x0, m, sl, xs, rokhlin,
+                                              marks)
+        if hit:
+            raise NearBreakpoint("float orbit entered the guard band",
+                                 start + k)
+        x0 = float(xs[m])
+        yield sl, xs[:m]
+
+
+def _segment_sweep(args):
+    """``_sweep_one_sample`` by checkpoint segments of fixed blocks.
+
+    The oracle for the chunk sweep: each ``_block_walk`` block is cut at
+    the checkpoints inside it; per segment one bincount adds the visit
+    counts and one weighted bincount, the running position sums first,
+    the positions, and jump crossings are counted per segment.  Returns
+    (ok, per-cocycle checkpoint sups), (False, None) on a guard hit.
+    """
+    x0f, mirror, tables, checkpoints = args
+    d = len(mirror.lefts)
+    marks = [(slot, gf) for table in tables for slot, gf, _j in table.jumps]
+    counts = np.zeros(d, np.int64)
+    possum = np.zeros(d)
+    cross = np.zeros(len(marks), np.int64)
+    count_at = np.empty((len(checkpoints), d), np.int64)
+    sum_at = np.empty((len(checkpoints), d))
+    cross_at = np.empty((len(checkpoints), len(marks)), np.int64)
+    seeds = np.arange(d)
+    done = t = 0
+    try:
+        for sl, xs in _block_walk(mirror, x0f, checkpoints[-1], tables):
+            lo = 0
+            while lo < len(xs):
+                hi = min(checkpoints[t] - done, len(xs))
+                seg_sl, seg_xs = sl[lo:hi], xs[lo:hi]
+                counts += np.bincount(seg_sl, minlength=d)
+                possum = np.bincount(np.concatenate((seeds, seg_sl)),
+                                     np.concatenate((possum, seg_xs)), d)
+                for mi, (slot, gf) in enumerate(marks):
+                    cross[mi] += np.count_nonzero((seg_sl == slot)
+                                                  & (seg_xs >= gf))
+                if hi == checkpoints[t] - done:
+                    count_at[t], sum_at[t], cross_at[t] = counts, possum, cross
+                    t += 1
+                lo = hi
+            done += len(xs)
+    except NearBreakpoint:
+        return False, None
+    local_sup = []
+    first = 0
+    for table in tables:
+        jump_cols = cross_at[:, first:first + len(table.jumps)]
+        first += len(table.jumps)
+        local_sup.append(_checkpoint_sups(table, count_at, sum_at, jump_cols))
+    return True, local_sup
+
+
+@pytest.fixture(scope="session")
+def segment_sweep():
+    return _segment_sweep
 
 
 def _mpf_orbit(iet, x, n):

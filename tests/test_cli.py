@@ -267,6 +267,18 @@ class TestErrors:
         assert info.value.code == 2
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("argv", [
+        "deviation --iet {four} --cocycle {step} --n-max 100 --threads -2",
+        "rotations --mode three-distance --n 10 --threads 0",
+    ], ids=["deviation-negative", "rotations-zero"])
+    def test_threads_below_one_usage_exit(self, capsys, specs, argv):
+        with pytest.raises(SystemExit) as info:
+            run(argv.format(**specs).split())
+        assert info.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "--threads must be >= 1" in err
+
     def test_missing_file_is_domain_error(self, capsys):
         code = run(["build", "--iet", "/nonexistent/x.json"])
         assert code == 1

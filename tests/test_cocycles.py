@@ -14,7 +14,8 @@ import pytest
 from iet_lab import cocycles as cocycles_module
 from iet_lab import intmat
 from iet_lab import shadow as shadow_module
-from iet_lab.cocycles import (FLOAT_BLOCK, ExactWalker, PiecewiseLinearCocycle,
+from iet_lab.cocycles import (CHECKPOINT_RATIO, FLOAT_BLOCK, ExactWalker,
+                              PiecewiseLinearCocycle,
                               RenormState, StepCocycle, birkhoff_sum,
                               birkhoff_visit_counts, certified_lattice_sign,
                               cocycle_from_json, depth_interval_coeffs,
@@ -31,7 +32,7 @@ from iet_lab.ergodicity import (TowerPiece, essential_value_probe,
 from iet_lab.errors import DomainError, NearBreakpoint, NotNormalized
 from iet_lab.perms import make_pair, make_symmetric_pair
 from iet_lab.precision import (PrecisionContext, as_fraction,
-                               kronecker_samples)
+                               geometric_checkpoints, kronecker_samples)
 from iet_lab.rauzy import Iet, build_periodic_from_matrix
 from iet_lab.repro import FIVE_MATRIX
 from iet_lab.shadow import (_TOWER_REACH, GUARD, TOWER_HEIGHT,
@@ -1205,7 +1206,8 @@ def sweep_oracle(args, step_walk):
 
 
 class TestBlockWalk:
-    """``float_walk`` blocks are the per-step walk, cut every FLOAT_BLOCK."""
+    """``float_walk`` chunks are the per-step walk, cut at tower returns
+    whose climbs do not fit and at stops."""
 
     @pytest.mark.parametrize("n", [1, 100, FLOAT_BLOCK - 1, FLOAT_BLOCK,
                                    FLOAT_BLOCK + 1, 2 * FLOAT_BLOCK + 5])
@@ -1215,13 +1217,41 @@ class TestBlockWalk:
         mirror = iet.mirror
         tables = [float_table(phi, iet) for phi in lane_cocycles4.values()]
         x0 = float(kronecker_samples(ctx, 1, iet.total, 5)[0])
-        blocks = list(float_walk(mirror, x0, n, tables))
-        assert [len(xs) for _sl, xs in blocks] == \
-            [FLOAT_BLOCK] * (n // FLOAT_BLOCK) + [n % FLOAT_BLOCK] * bool(
-                n % FLOAT_BLOCK)
-        got = [(lo, xf) for sl, xs in blocks
-               for lo, xf in zip(sl.tolist(), xs.tolist())]
+        got, sizes = [], []
+        for sl, xs in float_walk(mirror, x0, n, tables):  # reused buffers
+            got += zip(sl.tolist(), xs.tolist())
+            sizes.append(len(xs))
         assert got == list(step_walk(mirror, x0, n, tables))
+        assert_chunk_ends(mirror, got, sizes, n)
+        if n > FLOAT_BLOCK:  # a chunk ends early, before a climb
+            assert min(sizes[:-1]) < FLOAT_BLOCK
+
+    @pytest.mark.parametrize("stops", [
+        (1, 2, 3, 1000, 5000),
+        (TOWER_HEIGHT, FLOAT_BLOCK, FLOAT_BLOCK + 1, 2 * FLOAT_BLOCK)])
+    def test_chunks_end_at_stops(self, ctx, periodic4, step_walk, stops,
+                                 monkeypatch):
+        """Stops cut climbs, and each climb is still looked up once, at
+        the start and at each tower return: a chunk after a stop goes on
+        with the rest of the climb."""
+        mirror = periodic4.iet.mirror
+        table = mirror.tower_table
+        lookups = []
+        span = shadow_module.TowerTable.span
+        monkeypatch.setattr(shadow_module.TowerTable, "span",
+                            lambda t, x: lookups.append(x) or span(t, x))
+        n = 3 * FLOAT_BLOCK + 7
+        x0 = float(kronecker_samples(ctx, 1, periodic4.iet.total, 5)[0])
+        got, ends = [], []
+        for sl, xs in float_walk(mirror, x0, n, (), stops):
+            got += zip(sl.tolist(), xs.tolist())
+            ends.append(len(got))
+        returns = [x for _slot, x in got[1:] if 0.0 <= x < table.top]
+        assert lookups == [x0] + returns
+        assert got == list(step_walk(mirror, x0, n))
+        assert set(stops) <= set(ends)
+        assert_chunk_ends(mirror, got, np.diff([0] + ends).tolist(), n,
+                          stops)
 
     def test_guard_hit_reports_its_step(self, periodic4, step_walk,
                                         guard_hit_starts):
@@ -1236,7 +1266,7 @@ class TestBlockWalk:
 
 
 def block_trace(mirror, x0, n, tables=()):
-    """``float_walk``'s blocks as (slot, x) steps, the block sizes and the
+    """``float_walk``'s chunks as (slot, x) steps, the chunk sizes and the
     guard hit's step index (None without one)."""
     steps, sizes = [], []
     try:
@@ -1248,9 +1278,31 @@ def block_trace(mirror, x0, n, tables=()):
     return steps, sizes, None
 
 
-def assert_same_walk(step_walk, mirror, x0, n, tables=()):
-    """``float_walk`` is the per-step walk cut every FLOAT_BLOCK, up to
-    the last whole block before a guard hit; returns the hit's step."""
+def assert_chunk_ends(mirror, steps, sizes, n, stops=(), returns=True):
+    """Each chunk of the (slot, x) ``steps`` holds 1 to FLOAT_BLOCK steps
+    and ends at step n, at one of ``stops``, full, or where the climb
+    looked up next is longer than the rest of the chunk: at a tower
+    return, where ``returns`` (off the towers, or on a table that
+    mispredicts, a lookup may come after a scalar step anywhere)."""
+    edge = 0
+    for size in sizes:
+        assert 0 < size <= FLOAT_BLOCK
+        edge += size
+        if edge == n or edge in stops or size == FLOAT_BLOCK:
+            continue
+        slot, x = steps[edge - 1]
+        x += mirror.moves[slot]  # the point at step edge
+        table = mirror.tower_table
+        start, end, _sure = table.span(x)
+        assert size + end - start > FLOAT_BLOCK
+        if returns:
+            assert 0.0 <= x < table.top
+
+
+def assert_same_walk(step_walk, mirror, x0, n, tables=(), returns=True):
+    """``float_walk`` is the per-step walk, cut into chunks by
+    ``assert_chunk_ends``, up to the chunk with a guard hit; returns the
+    hit's step."""
     got, sizes, hit = block_trace(mirror, x0, n, tables)
     want = []
     try:
@@ -1260,11 +1312,21 @@ def assert_same_walk(step_walk, mirror, x0, n, tables=()):
     except NearBreakpoint as oracle_hit:
         want_hit = oracle_hit.step_index
     assert hit == want_hit
-    done = n if hit is None else hit // FLOAT_BLOCK * FLOAT_BLOCK
-    assert sizes == [min(FLOAT_BLOCK, done - s)
-                     for s in range(0, done, FLOAT_BLOCK)]
+    done = sum(sizes)
     assert got == want[:done]
+    assert_chunk_ends(mirror, got, sizes, n, returns=returns)
+    if hit is None:
+        assert done == n
+    else:
+        assert done <= hit < done + FLOAT_BLOCK
     return hit
+
+
+def climb_word(table, x):
+    """(word, sure): the slots ``TowerTable.span`` predicts for x, and
+    whether its bounds certify them."""
+    start, end, sure = table.span(x)
+    return table.words[start:end], sure
 
 
 def float_preimages(mirror, x, n):
@@ -1352,15 +1414,16 @@ class TestTowerWalk:
         tables = [float_table(phi, iet) for phi in lane_cocycles4.values()]
         for x0 in kronecker_samples(ctx, 2, iet.total, 9):
             assert assert_same_walk(step_walk, mirror, float(x0),
-                                    FLOAT_BLOCK + 1, tables) is None
+                                    FLOAT_BLOCK + 1, tables, False) is None
             steps = block_trace(mirror, float(x0), FLOAT_BLOCK + 1)[0]
             climbs = [float(x0)] + [x for _slot, x in steps[1:]
                                     if 0.0 <= x < table.top]
-            assert any(not np.array_equal(bad.climb(x)[0], table.climb(x)[0])
+            assert any(not np.array_equal(climb_word(bad, x)[0],
+                                          climb_word(table, x)[0])
                        for x in climbs)  # the corruption mispredicts
         x0 = float(guard_hit_starts[FLOAT_BLOCK])
         assert assert_same_walk(step_walk, mirror, x0, 2 * FLOAT_BLOCK,
-                                tables) == FLOAT_BLOCK
+                                tables, False) == FLOAT_BLOCK
 
     @pytest.mark.parametrize("pi0, pi1, lengths", [
         ([1, 2], [2, 1], ("0.25", "0.75")),
@@ -1375,23 +1438,39 @@ class TestTowerWalk:
         assert covered < mirror.rights[-1] / 2  # no tower over most points
         for x0 in kronecker_samples(ctx, 3, iet.total, 0):
             assert assert_same_walk(step_walk, mirror, float(x0),
-                                    2 * FLOAT_BLOCK + 5) is None
+                                    2 * FLOAT_BLOCK + 5, (), False) is None
 
     def test_criterion5_starts_never_fall_back(self, ctx, periodic4,
-                                               monkeypatch):
+                                               lane_cocycles4, monkeypatch):
         """Every climb of criterion 5's 6 x 10^6 steps is predicted by a
-        tower: a silent slowdown to walked words fails here."""
+        tower, and no climb is cut at a fixed block edge: a sample's
+        sweep looks up at most once per tower return, checkpoint and
+        start.  A silent slowdown to walked words or to cut climbs fails
+        here."""
         iet = periodic4.iet
         mirror = iet.mirror
-        assert len(mirror.tower_table.words)  # the build walks its own words
+        table = mirror.tower_table
+        assert len(table.words)  # the build walks its own words
         walked = shadow_module._scalar_walk
-        calls = []
+        span = shadow_module.TowerTable.span
+        calls, lookups = [], []
         monkeypatch.setattr(shadow_module, "_scalar_walk",
                             lambda *args: calls.append(args[2])
                             or walked(*args))
+        monkeypatch.setattr(shadow_module.TowerTable, "span",
+                            lambda t, x: lookups.append(x) or span(t, x))
+        n = 10 ** 6
+        checkpoints = geometric_checkpoints(n, CHECKPOINT_RATIO)
+        tables = [float_table(lane_cocycles4["pl"], iet)]
         for x0 in kronecker_samples(ctx, 6, iet.total, 3):
-            for _block in float_walk(mirror, float(x0), 10 ** 6):
-                pass
+            lookups.clear()
+            args = (float(x0), mirror, tables, checkpoints)
+            assert cocycles_module._sweep_one_sample(args)[0]
+            sample_lookups = len(lookups)
+            returns = -int(0.0 <= float(x0) < table.top)  # steps 1..n-1
+            for _sl, xs in float_walk(mirror, float(x0), n):
+                returns += np.count_nonzero((xs >= 0.0) & (xs < table.top))
+            assert sample_lookups <= returns + len(checkpoints) + 1
         assert calls == []
 
     def test_criterion5_climbs_are_certified(self, ctx, periodic4,
@@ -1408,10 +1487,11 @@ class TestTowerWalk:
             return out
 
         monkeypatch.setattr(cocycles_module, "shadow_walk", counted)
+        chunks = 0
         for x0 in kronecker_samples(ctx, 6, iet.total, 3):
-            for _block in float_walk(iet.mirror, float(x0), 10 ** 6):
-                pass
-        assert len(checked) == 6 * -(-10 ** 6 // FLOAT_BLOCK)
+            for _chunk in float_walk(iet.mirror, float(x0), 10 ** 6):
+                chunks += 1
+        assert len(checked) == chunks >= 6 * -(-10 ** 6 // FLOAT_BLOCK)
         assert sum(checked) == 0
 
 
@@ -1433,6 +1513,43 @@ class TestTowerTable:
         # a level costs a float64 left end, an int32 start and a uint8 slot
         assert (table.lefts.dtype, table.starts.dtype, table.words.dtype) == \
             (np.float64, np.int32, np.uint8)
+
+    @pytest.mark.parametrize("system", SYSTEMS)
+    def test_per_word_tables(self, request, system):
+        """Each word position's move is its slot's, and differences of the
+        prefix counts are the visits of every tower word and of partial
+        climbs; a level costs 37 + 4 d bytes with the bounds."""
+        p = request.getfixturevalue(system)
+        mirror = p.iet.mirror
+        table = mirror.tower_table
+        moves, counts = table.word_moves, table.word_counts
+        assert np.array_equal(moves, np.array(mirror.moves)[table.words])
+        assert (moves.dtype, counts.dtype) == (np.float64, np.int32)
+        levels = len(table.words)
+        assert counts.shape == (levels + 1, p.d)
+        assert not counts[0].any()
+        heads = (0,) + table.ends[:-1]
+        for head, end in zip(heads, table.ends):
+            assert np.array_equal(counts[end] - counts[head],
+                                  np.bincount(table.words[head:end],
+                                              minlength=p.d))
+        rng = np.random.default_rng(3)
+        for start in sample_positions(table, 8):
+            end = table.ends[bisect_right(table.ends, start)]
+            for stop in {start, start + 1, end,
+                         int(rng.integers(start, end + 1))}:
+                assert np.array_equal(counts[stop] - counts[start],
+                                      np.bincount(table.words[start:stop],
+                                                  minlength=p.d))
+        lo, hi = table.bounds
+        per_level = sum(a.nbytes for a in (table.lefts, table.starts,
+                                           table.words, lo, hi, moves))
+        assert per_level == 37 * levels
+        assert counts.nbytes == 4 * p.d * (levels + 1)
+        # built from the object's own words: a copy never inherits them
+        for name in ("word_moves", "word_counts"):
+            assert name not in {f.name for f in fields(table)}
+            assert getattr(replace(table), name) is not getattr(table, name)
 
     @pytest.mark.parametrize("system", SYSTEMS)
     def test_words_are_first_return_itineraries(self, request, step_walk,
@@ -1457,8 +1574,8 @@ def climb_trace(mirror, x, n, tables=()):
     one) and its checked climbs."""
     marks = [(slot, gf) for table in tables for slot, gf, _j in table.jumps]
     sl, xs = np.empty(n, np.intp), np.empty(n + 1)
-    k, hit, checked = shadow_walk(mirror, x, n, sl, xs, mirror.tower_table,
-                                  marks)
+    k, hit, checked, _span = shadow_walk(mirror, x, n, sl, xs,
+                                         mirror.tower_table, marks)
     return (list(zip(sl[:k].tolist(), xs[:k].tolist())), k if hit else None,
             checked)
 
@@ -1514,7 +1631,7 @@ class TestClimbCertificate:
                               (np.nextafter(lo[s], -np.inf), False),
                               (np.nextafter(hi[s], np.inf), False)):
                 x = float(x)
-                word, sure = table.climb(x)
+                word, sure = climb_word(table, x)
                 assert (len(word), sure) == (rest, inside)
                 steps, hit, checked = climb_trace(mirror, x, rest)
                 assert (steps, hit) == step_trace(step_walk, mirror, x, rest)
@@ -1537,7 +1654,7 @@ class TestClimbCertificate:
             right = left + (b - a)
             for x in (left, left + g / 2, left + g, left + 1.5 * g,
                       right - 1.5 * g, right - g, right - g / 2):
-                word, sure = table.climb(x)
+                word, sure = climb_word(table, x)
                 assert len(word) == table.ends[t] - s and not sure
                 got = climb_trace(mirror, x, len(word))
                 assert got[:2] == step_trace(step_walk, mirror, x, len(word))
@@ -1650,10 +1767,10 @@ class TestWalkerKernel:
         start = [den * left + den // 3 * w for left, w in zip(lc, wc)]
         oracle, wk = (ExactWalker(p.iet, start, den) for _ in range(2))
         climbs = []
-        climb = shadow_module.TowerTable.climb
-        monkeypatch.setattr(shadow_module.TowerTable, "climb",
+        span = shadow_module.TowerTable.span
+        monkeypatch.setattr(shadow_module.TowerTable, "span",
                             lambda table, x: climbs.append(x)
-                            or climb(table, x))
+                            or span(table, x))
         assert wk.run(n) == eager_run(oracle, n)
         assert_matches_eager(wk, oracle)
         assert climbs  # the walk read the tower table
@@ -1703,7 +1820,7 @@ class TestWalkerKernel:
                          > 1e-6 * lattice_float(p, lat.total)
                          for left in lat.lefts))
         mirror = ExactWalker.at_depth(p, depth, c0).mirror
-        points = np.concatenate([xs for _sl, xs in float_walk(
+        points = np.concatenate([xs.copy() for _sl, xs in float_walk(
             mirror, lattice_float(p, c0), 4 * k)]).tolist()
         i = new_lows(points, k)[0]
         before, at = (ExactWalker.at_depth(p, depth, c0) for _ in range(2))
@@ -1763,7 +1880,8 @@ class TestWalkerKernel:
         assert wk.run(n) == tuple(oracle.counts)
         assert_matches_eager(wk, oracle)
         climbs = points[:1] + [x for x in points if 0.0 <= x < table.top]
-        assert any(not np.array_equal(bad.climb(x)[0], table.climb(x)[0])
+        assert any(not np.array_equal(climb_word(bad, x)[0],
+                                      climb_word(table, x)[0])
                    for x in climbs)  # the corruption mispredicts
 
     @pytest.mark.parametrize("pi0, pi1, lengths", [
@@ -1828,14 +1946,14 @@ class TestWalkerKernel:
         bad = corrupt_table(mirror.tower_table, "swapped-words")
         monkeypatch.setitem(vars(mirror), "tower_table", bad)
         climbs = []
-        climb = shadow_module.TowerTable.climb
+        span = shadow_module.TowerTable.span
 
         def counted(table, x):
-            word, sure = climb(table, x)
-            climbs.append(len(word) > 0 and not sure)
-            return word, sure
+            start, end, sure = span(table, x)
+            climbs.append(end > start and not sure)
+            return start, end, sure
 
-        monkeypatch.setattr(shadow_module.TowerTable, "climb", counted)
+        monkeypatch.setattr(shadow_module.TowerTable, "span", counted)
         lc, wc = depth_interval_coeffs(periodic4, 1, 2)
         start = [1009 * left + 500 * w for left, w in zip(lc, wc)]
         oracle, wk = (ExactWalker(iet, start, 1009) for _ in range(2))
@@ -2324,6 +2442,115 @@ class TestBlockSweep:
         phi = StepCocycle.from_vector(values)
         with pytest.raises(DomainError, match="overflow"):
             deviation_sweep(periodic4.iet, [phi], 100, samples=2)
+
+
+def sweep_tables(ctx, iet):
+    """Float tables of three cocycles over any bundled exchange, by kind:
+    a 2-dim PL one, a 2-dim step one with jumps in the first and last
+    intervals (every step checks its marks), and both."""
+    r = ctx.real
+    d = iet.d
+    pl = PiecewiseLinearCocycle.constant_slope(
+        (r("0.7"), r("-0.3")),
+        tuple((r(f"{(-1) ** a * 0.1 * (a + 1):.2f}"), r(f"0.0{a + 1}"))
+              for a in range(d)))
+    jumps = []
+    for a, frac, j in ((iet.order0[0], "0.3", ("0.1", "-0.7")),
+                       (iet.order0[-1], "0.6", ("0.3", "-0.2"))):
+        width = iet.right[a] - iet.left[a]
+        jumps.append((iet.left[a] + r(frac) * width, tuple(map(r, j))))
+    step = StepCocycle(2, tuple((r(f"0.{a + 1}"), r(f"-0.{d - a}"))
+                                for a in range(d)), tuple(jumps))
+    tables = {"pl": [float_table(pl, iet)], "jumps": [float_table(step, iet)]}
+    tables["both"] = tables["pl"] + tables["jumps"]
+    return tables
+
+
+class TestChunkSweep:
+    """The sweep by ``float_walk`` chunks gives the sups of the sweep by
+    fixed blocks cut into checkpoint segments (``segment_sweep``), ``==``,
+    a guard hit (False, None) in both."""
+
+    @pytest.mark.parametrize("kind", ["pl", "jumps", "both"])
+    @pytest.mark.parametrize("system", SYSTEMS)
+    def test_matches_segment_sweep(self, request, ctx, segment_sweep, system,
+                                   kind):
+        iet = request.getfixturevalue(system).iet
+        tables = sweep_tables(ctx, iet)[kind]
+        checkpoints = geometric_checkpoints(3 * FLOAT_BLOCK + 7,
+                                            CHECKPOINT_RATIO)
+        outcomes = []
+        for x0 in kronecker_samples(ctx, 3, iet.total, 4):
+            args = (float(x0), iet.mirror, tables, checkpoints)
+            got = cocycles_module._sweep_one_sample(args)
+            assert got == segment_sweep(args)
+            outcomes.append(got[0])
+        assert any(outcomes)
+
+    @pytest.mark.parametrize("system", SYSTEMS)
+    def test_checkpoints_on_chunk_edges(self, request, ctx, segment_sweep,
+                                        system):
+        """Checkpoints on the ends of the chunks the walk makes without
+        them, one step either side, and on multiples of FLOAT_BLOCK."""
+        iet = request.getfixturevalue(system).iet
+        tables = sweep_tables(ctx, iet)["both"]
+        n = 3 * FLOAT_BLOCK + 7
+        for x0 in kronecker_samples(ctx, 2, iet.total, 4):
+            edges = np.cumsum([len(xs) for _sl, xs in
+                               float_walk(iet.mirror, float(x0), n)]).tolist()
+            assert len(edges) >= 4
+            checkpoints = sorted({*edges, *(e + 1 for e in edges[:2]),
+                                  *(e - 1 for e in edges[:2]), FLOAT_BLOCK,
+                                  2 * FLOAT_BLOCK} - {0})
+            args = (float(x0), iet.mirror, tables, tuple(checkpoints))
+            got = cocycles_module._sweep_one_sample(args)
+            assert got[0] and got == segment_sweep(args)
+
+    @pytest.mark.parametrize("system", SYSTEMS)
+    def test_guard_hit_at_a_chunk_edge(self, request, ctx, step_walk,
+                                       segment_sweep, system):
+        """A jump mark mid-base of the longest tower, and a start whose
+        orbit returns half a guard right of it at a step where its walk
+        ends a chunk: the climb from there does not fit, and the hit is
+        the first step of the next chunk."""
+        iet = request.getfixturevalue(system).iet
+        mirror = iet.mirror
+        table = mirror.tower_table
+        a, b = table.bases[int(np.argmax(np.diff((0,) + table.ends)))]
+        phi = StepCocycle(1, ((0,),) * iet.d, ((ctx.real((a + b) / 2),
+                                                 (1,)),))
+        tables = [float_table(phi, iet)]
+        mark = tables[0].jumps[0][1]
+        n = 4 * FLOAT_BLOCK
+        back = float_preimages(mirror, mark + mirror.guard / 2, n - 1)
+        for k in (i for i, x in enumerate(back)
+                  if i and 0.0 <= x < table.top):
+            _steps, sizes, hit = block_trace(mirror, back[k], n, tables)
+            if hit == k and sum(sizes) == k:
+                break
+        else:
+            pytest.fail("no return of the walk is a chunk edge")
+        assert step_trace(step_walk, mirror, back[k], n, tables)[1] == k
+        tables += sweep_tables(ctx, iet)["pl"]
+        for checkpoints in (geometric_checkpoints(n, CHECKPOINT_RATIO),
+                            (k - 1, k, n)):
+            args = (back[k], mirror, tables, checkpoints)
+            assert cocycles_module._sweep_one_sample(args) == (False, None)
+            assert segment_sweep(args) == (False, None)
+
+    @pytest.mark.parametrize("corrupt", ["shifted-levels", "swapped-words"])
+    def test_corrupt_tables(self, ctx, periodic4, segment_sweep, corrupt,
+                            monkeypatch):
+        iet = periodic4.iet
+        mirror = iet.mirror
+        bad = corrupt_table(mirror.tower_table, corrupt)
+        monkeypatch.setitem(vars(mirror), "tower_table", bad)
+        tables = sweep_tables(ctx, iet)["both"]
+        checkpoints = geometric_checkpoints(FLOAT_BLOCK + 7, CHECKPOINT_RATIO)
+        for x0 in kronecker_samples(ctx, 2, iet.total, 9):
+            args = (float(x0), mirror, tables, checkpoints)
+            got = cocycles_module._sweep_one_sample(args)
+            assert got[0] and got == segment_sweep(args)
 
 
 class TestFiniteEntries:
