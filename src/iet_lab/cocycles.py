@@ -1185,11 +1185,11 @@ def float_walk(mirror: FloatMirror, x0: float, n_steps: int, tables=(),
     (a step and a point per entry of ``sl``, and one point more; by
     default FLOAT_BLOCK steps), reused from chunk to chunk: the yielded
     arrays are views of them, to be read before the next chunk.  A chunk
-    ends at each of ``stops`` (increasing
-    step counts) and at n_steps, or else at a tower return whose climb
-    does not fit in the rest of the buffer.  The walk hands each climb's
-    lookup on from chunk to chunk, so it looks each climb up once and
-    cuts one only at a stop or where it is longer than the buffer.
+    ends at each of ``stops`` (increasing step counts) and at n_steps,
+    or else at a tower return whose climb does not fit in the rest of
+    the buffer.  The walk hands each climb's lookup on from chunk to
+    chunk, so it looks each climb up once and cuts one only at a stop or
+    where it is longer than the buffer.
     ``counts`` (one int64 entry per slot), when given, has each chunk's
     visits added before the chunk is yielded.  The climbs are predicted
     by ``mirror.tower_table`` for walks longer than TOWER_HEIGHT steps
