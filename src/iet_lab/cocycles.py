@@ -2,28 +2,30 @@
 partitions, and renormalization.
 
 Two orbit engines back the heavy operations, and both walk one float
-shadow (``shadow.shadow_walk``) of one interval geometry: an exchange's
-``FloatMirror`` (``Iet.mirror`` at depth 0, ``lattice_mirror`` of
-``depth_lattice`` from A^-n at depth n).  The shadow predicts its slots
-a tower climb at a time, adds the moves by one accumulate and checks
-the guard rule, for a whole climb at once where the tower table's
-bounds certify it and step by step elsewhere, so the float lane sees a
-per-step walk bit for bit.  The exact engine (``ExactWalker``) carries
-positions as integer combinations of the length vector and settles a
-guarded step by exact signs, so its visit counts are exact.  It moves
-a climb at a time: a certified climb whole, by its word's visit counts
-without the climb's float positions, any other as one shadow chunk up
-to the climb's end, and every move ends with one resync of the shadow
-from the exact position.  A drift bound keeps the exact orbit far
-inside the guard of the certified float one.  Every stored length is a
-dyadic rational, so one integer dot of a coefficient vector with the
-lengths' mantissas (``RealVector.int_dot``) gives a lattice value
+shadow of one interval geometry, a climb at a time by one step
+(``shadow.shadow_step``): an exchange's ``FloatMirror``
+(``Iet.mirror`` at depth 0, ``lattice_mirror`` of ``depth_lattice``
+from A^-n at depth n).  The step predicts a tower climb's slots, adds
+the moves by one accumulate and checks the guard rule, for a whole
+climb at once where the tower table's bounds certify it and step by
+step elsewhere, so the float lane sees a per-step walk bit for bit.
+Each engine keeps its own loop over the steps.  The exact engine
+(``ExactWalker``) carries positions as integer combinations of the
+length vector and settles a guarded step by exact signs, so its visit
+counts are exact.  It moves a climb at a time: a certified climb whole,
+by its word's visit counts without the climb's float positions, any
+other as one shadow step up to the climb's end, and every move ends
+with one resync of the shadow from the exact position and, for a
+return walk, one threshold check.  A drift bound keeps the exact orbit
+far inside the guard of the certified float one.  Every stored length
+is a dyadic rational, so one integer dot of a coefficient vector with
+the lengths' mantissas (``RealVector.int_dot``) gives a lattice value
 exactly: its sign is ``certified_lattice_sign``, and a resync float,
 like every mirror entry, is that value rounded once to the nearest
 float.  A real start x is a dyadic rational too
 (``ExactWalker.from_point``), so every orbit of the library but the
 float lane's is exact, backward ones on ``Iet.inverse``.  The float lane
-(``float_walk``, chunks of whole climbs in reused buffers) serves
+(``float_walk``, chunks of climbs in reused buffers) serves
 ``deviation_sweep`` and the skew-product simulation: a guarded point,
 at any step including the first, or one within GUARD * |I| of a step
 cocycle's jump in its interval, on either side since the float orbit
@@ -56,7 +58,7 @@ from .errors import (DomainError, KeaneViolation, NearBreakpoint,
 from .precision import (as_fraction, geometric_checkpoints,
                         kronecker_samples, least_squares_slope)
 from .rauzy import DepthLattice, Iet, PeriodicIet, _lattice
-from .shadow import FloatMirror, lattice_mirror, shadow_walk
+from .shadow import FloatMirror, lattice_mirror, shadow_step
 
 FLOAT_BLOCK = 1 << 14  # most orbit steps per float_walk chunk
 CHECKPOINT_RATIO = 10 ** (1 / 8)  # birkhoff and deviation checkpoints
@@ -283,15 +285,15 @@ class ExactWalker:
     walk is a sequence of moves.  A move is either a tower climb that
     the mirror's ``TowerTable`` certifies, taken whole without its float
     positions (its word's visits are folded in at once), or one
-    ``shadow_walk`` chunk of at most RESYNC steps that stops at the end
-    of the current climb or at a step the mirror's guard rule flags,
-    which is settled by exact signs.  Every move ends with one resync,
-    the shadow reset to the exact position rounded once to the nearest
-    float, so between walks ``x_f`` is that float.  Since the position
-    is linear in the visit counts, slots are counted by one bincount and
-    folded into ``coeffs`` and ``counts`` before the exact position is
-    read (escalation, resync, guard-band threshold check); between walks
-    both are exact.
+    ``shadow_step`` of at most RESYNC steps that stops at the end of the
+    current climb, after a point below a return threshold's guard band,
+    or at a step the mirror's guard rule flags, which is settled by
+    exact signs.  Every move ends with one resync, the shadow reset to
+    the exact position rounded once to the nearest float, so between
+    walks ``x_f`` is that float.  Since the position is linear in the
+    visit counts, slots are counted by one bincount and folded into
+    ``coeffs`` and ``counts`` before the exact position is read
+    (escalation, resync); between walks both are exact.
 
     A whole climb is sound.  Its certificate puts the float orbit of the
     shadow at least guard inside every slot of its word, and a word has
@@ -465,16 +467,16 @@ class ExactWalker:
         (``TowerTable.span``).  A climb the bounds certify, that fits in
         the steps left and, with a threshold, whose interior lower bounds
         stay at or above the band, is folded whole.  Otherwise the move
-        is one ``shadow_walk`` chunk of at most RESYNC steps that stops at
-        the end of x's climb, so the next climb gets its own lookup: at a
-        guarded step its verified steps are folded and the step's slot is
-        settled exactly.  Every move ends with one resync and, with a
-        threshold (threshold_coeffs . lambda) / den and its float
-        ``threshold_f``, one check of its last point on the reset shadow.
-        The walk stops after the first step whose shadow is below the
-        threshold by more than the guard, or that an exact sign puts
-        below it inside the guard band; a stop inside a chunk resyncs
-        too.  Returns the letter left by the last step.
+        is one ``shadow_step`` of at most RESYNC steps along the rest of
+        x's climb, or of one scalar stretch off the towers, so the next
+        climb gets its own lookup; with a threshold (threshold_coeffs .
+        lambda) / den and its float ``threshold_f`` it ends after the
+        first point below the band.  Its steps are folded, and a guarded
+        step after them is settled exactly.  Every move ends with one
+        resync and, with a threshold, one check of the reset shadow: the
+        walk stops there when the shadow is below the threshold by more
+        than the guard, or an exact sign puts it below inside the guard
+        band.  Returns the letter left by the last step.
         """
         m = self.mirror
         resync = self.RESYNC
@@ -482,12 +484,12 @@ class ExactWalker:
         band = -math.inf if threshold_coeffs is None else threshold_f + m.guard
         size = resync if n_steps is None else min(resync, max(n_steps, 0))
         sl, xs = np.empty(size, np.intp), np.empty(size + 1)
-        x, slot, done, stop = self.x_f, None, 0, False
+        x, slot, done = self.x_f, None, 0
         while n_steps is None or done < n_steps:
             left = math.inf if n_steps is None else n_steps - done
             table = m.predictor(done + 1 if n_steps is None else n_steps)
-            start, end, sure = (table.span(x) if table is not None
-                                else (0, 0, False))
+            span = table.span(x) if table is not None else (0, 0, False)
+            start, end, sure = span
             if sure and end - start <= left and (
                     band == -math.inf  # or no interior point below
                     or table.bounds[0][start + 1:end].min(initial=math.inf)
@@ -497,20 +499,11 @@ class ExactWalker:
                 done += end - start
                 slot = int(word[-1])
             else:
-                k = min(resync, left, end - start or resync)
-                v, hit, checked, _rest = shadow_walk(
-                    m, x, k, sl, xs, table, low=band, span=(start, end, sure))
-                self.checked += checked
-                folded = 0
-                if band > -math.inf:  # each point inside the move
-                    for t in np.flatnonzero(xs[1:v + hit] < band).tolist():
-                        self._fold(sl[folded:t + 1])
-                        folded = t + 1
-                        if (xs[folded] < below
-                                or self._exact_below(threshold_coeffs)):
-                            v, hit, stop = folded, False, True
-                            break
-                self._fold(sl[folded:v])
+                self.checked += end > start and not sure
+                v, hit, _p = shadow_step(
+                    m, x, min(resync, left, end - start or resync), sl, xs,
+                    table, span, low=band)
+                self._fold(sl[:v])
                 done += v
                 if v:
                     slot = int(sl[v - 1])
@@ -521,8 +514,7 @@ class ExactWalker:
                     done += 1
             x = self._exact_float()
             self.resyncs += 1
-            if stop or x < band and (
-                    x < below or self._exact_below(threshold_coeffs)):
+            if x < band and (x < below or self._exact_below(threshold_coeffs)):
                 break
         self.x_f = x
         return None if slot is None else m.letters[slot]
@@ -1181,19 +1173,18 @@ def float_walk(mirror: FloatMirror, x0: float, n_steps: int, tables=(),
     NearBreakpoint with its step index once the chunks before it are
     out: the caller drops the sample rather than trust its side.
 
-    Each chunk is one ``shadow_walk`` into the buffers ``sl`` and ``xs``
-    (a step and a point per entry of ``sl``, and one point more; by
-    default FLOAT_BLOCK steps), reused from chunk to chunk: the yielded
-    arrays are views of them, to be read before the next chunk.  A chunk
-    ends at each of ``stops`` (increasing step counts) and at n_steps,
-    or else at a tower return whose climb does not fit in the rest of
-    the buffer.  The walk hands each climb's lookup on from chunk to
-    chunk, so it looks each climb up once and cuts one only at a stop or
-    where it is longer than the buffer.
+    The walk fills the buffers ``sl`` and ``xs`` (a step and a point per
+    entry of ``sl``, and one point more; by default FLOAT_BLOCK steps)
+    one ``shadow_step`` at a time, and yields them full, at each of
+    ``stops`` (increasing step counts) and at n_steps; they are reused
+    from chunk to chunk, so the yielded arrays are views of them, to be
+    read before the next chunk.  A climb cut by a chunk's end goes on in
+    the next chunk from its span, so the walk looks each climb up once.
     ``counts`` (one int64 entry per slot), when given, has each chunk's
-    visits added before the chunk is yielded.  The climbs are predicted
-    by ``mirror.tower_table`` for walks longer than TOWER_HEIGHT steps
-    (or once the table is built).
+    visits added before the chunk is yielded: the predicted climbs' as
+    differences of the table's prefix counts, in one batch per chunk.
+    The climbs are predicted by ``mirror.tower_table`` for walks longer
+    than TOWER_HEIGHT steps (or once the table is built).
     """
     marks = [(slot, gf) for table in tables for slot, gf, _j in table.jumps]
     rokhlin = mirror.predictor(n_steps)
@@ -1203,15 +1194,34 @@ def float_walk(mirror: FloatMirror, x0: float, n_steps: int, tables=(),
     for stop in (*stops, n_steps):
         while done < stop:
             n = min(len(sl), stop - done)
-            k, hit, _checked, span = shadow_walk(
-                mirror, x0, n, sl, xs, rokhlin, marks, span=span,
-                whole=n < stop - done, counts=counts)
-            if hit:
-                raise NearBreakpoint("float orbit entered the guard band",
-                                     done + k)
-            done += k
-            x0 = float(xs[k])
-            yield sl[:k], xs[:k]
+            xs[0] = x0
+            k, heads, tails = 0, [], []
+            while k < n:
+                x = float(xs[k])
+                if span is None:
+                    span = rokhlin.span(x) if rokhlin is not None \
+                        else (0, 0, False)
+                start, end, sure = span
+                j, hit, p = shadow_step(mirror, x, n - k, sl[k:], xs[k:],
+                                        rokhlin, span, marks)
+                if hit:
+                    raise NearBreakpoint("float orbit entered the guard band",
+                                         done + k + j)
+                if p:
+                    heads.append(start)
+                    tails.append(start + p)
+                if j > p and counts is not None:
+                    counts += np.bincount(sl[k + p:k + j],
+                                          minlength=len(counts))
+                span = (start + p, end, sure) if j == p < end - start \
+                    else None  # a climb cut by the chunk's end goes on
+                k += j
+            if heads and counts is not None:
+                rows = rokhlin.word_counts[tails + heads]
+                counts += np.add.reduce(rows[:len(tails)] - rows[len(tails):])
+            done += n
+            x0 = float(xs[n])
+            yield sl[:n], xs[:n]
 
 
 def _sweep_one_sample(args):

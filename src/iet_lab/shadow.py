@@ -11,18 +11,18 @@ engines locate a point x in slot ``bisect_right(lefts, x, 1) - 1`` and
 guard it within GUARD * |I| of either end of that interval, |I| the
 total length of the exchange walked.
 
-``shadow_walk`` is the one walk of the shadow.  It predicts a climb at
-a time: the rest of x's tower word in ``FloatMirror.tower_table`` (the
-Rokhlin towers of the first-return map to a short base interval), or,
-off every level and for walks too short to pay for the table, the
-steps of one scalar bisect-and-guard loop.  A predicted climb's slots
-and moves are copied from the table's per-word arrays, and one
-accumulate seeded with x adds the moves, the same additions in the
-same order as a per-step walk, so the walk is bit-identical to the
-per-step one whatever the table predicts.  Its visit counts, when asked
-for, are differences of the table's prefix counts.  It stops at the
-first guarded step; the float lane skips its sample there, the exact
-engine settles the step by exact signs.
+``shadow_step`` is the one step of the shadow: one climb, the rest of
+x's tower word in ``FloatMirror.tower_table`` (the Rokhlin towers of
+the first-return map to a short base interval), or, off every level
+and for walks too short to pay for the table, one stretch of a scalar
+bisect-and-guard loop.  A predicted climb's slots and moves are copied
+from the table's per-word arrays, and one accumulate seeded with x adds
+the moves, the same additions in the same order as a per-step walk, so
+the walk is bit-identical to the per-step one whatever the table
+predicts.  It stops at the first guarded step; the float lane skips its
+sample there, the exact engine settles the step by exact signs.  Each
+engine keeps its own loop over steps: ``cocycles.float_walk`` for the
+float lane, ``cocycles.ExactWalker._walk`` for the exact one.
 
 A predicted climb is checked by the guard rule at every step, or, when
 the table's bounds certify it, by one pair of comparisons.  The bounds
@@ -40,14 +40,13 @@ slot's interval, where the bisect finds the same slot.  The bounds are
 built from the table's own bases, ends and words, so a table that
 predicts wrongly certifies nothing wrongly.  ``TowerTable.span`` is
 the one lookup: the word positions of x's climb and whether the bounds
-certify it; ``shadow_walk`` takes a span from the caller that already
-has it and hands back the one it stops in or before, so a walk cut
-into chunks looks each climb up once.  ``cocycles.ExactWalker`` takes
-a certified span whole, folding its word's visit counts without the
-float positions.  The certificate covers the guard rule only, and jump
-marks of step cocycles are checked at every step, within ``guard`` on
-either side of the mark: the float lane never resyncs, so its exact
-point may lie across a mark its float point has not reached.
+certify it.  Both loops look a climb up once and pass its span to the
+step; ``cocycles.ExactWalker`` takes a certified span whole, folding
+its word's visit counts without the float positions.  The certificate
+covers the guard rule only, and jump marks of step cocycles are checked
+at every step, within ``guard`` on either side of the mark: the float
+lane never resyncs, so its exact point may lie across a mark its float
+point has not reached.
 Closeness of the float orbit to the exact one is the exact walker's own
 bound: no word is longer than _TOWER_REACH * TOWER_HEIGHT steps, and the
 walker starts every climb from a resynced shadow, so a climb drifts
@@ -124,7 +123,7 @@ class TowerTable:
     first predicted climb walked) and the int32 ``word_counts`` of d
     slots (on the first visit counts asked for), so a level costs up to
     37 + 4 d bytes (53 at d = 4).  The table only predicts slots:
-    ``shadow_walk`` checks every step the bounds do not certify.
+    ``shadow_step`` checks every step the bounds do not certify.
     """
 
     mirror: FloatMirror
@@ -172,7 +171,7 @@ class TowerTable:
         ``a + 2 guard`` and ``b - 2 guard`` of each tower [a, b) along its
         word, or (inf, -inf) on all of a tower where either fails the
         guard rule at some step."""
-        lefts_a, rights_a, moves_a = self.mirror.arrays
+        moves_a = self.mirror.arrays[2]
         guard = self.mirror.guard
         lo, hi = np.empty(len(self.words)), np.empty(len(self.words))
         heads = (0,) + self.ends[:-1]
@@ -182,9 +181,8 @@ class TowerTable:
                 seg[0] = x
                 np.take(moves_a, self.words[head:end - 1], out=seg[1:])
                 np.add.accumulate(seg, out=seg)
-        left, right = lefts_a[self.words], rights_a[self.words]
-        fails = ((lo - left < guard) | (right - lo < guard)
-                 | (hi - left < guard) | (right - hi < guard))
+        fails = (_guarded(self.mirror, self.words, lo)
+                 | _guarded(self.mirror, self.words, hi))
         tower = np.repeat(np.arange(len(self.ends)), np.diff((0,) + self.ends))
         dropped = np.isin(tower, tower[fails])
         lo[dropped], hi[dropped] = math.inf, -math.inf
@@ -205,100 +203,62 @@ def lattice_mirror(lattice, lengths, order) -> FloatMirror:
                        GUARD * total)
 
 
-def shadow_walk(mirror: FloatMirror, x: float, n: int, sl, xs, table=None,
-                marks=(), low: float = -math.inf, span=None, whole=False,
-                counts=None) -> tuple:
-    """Walk x's float shadow for up to n verified steps: return (k, hit,
-    checked, span).
+def shadow_step(mirror: FloatMirror, x: float, n: int, sl, xs, table=None,
+                span=_NO_SPAN, marks=(), low: float = -math.inf) -> tuple:
+    """Walk x's float shadow along one climb, up to n verified steps:
+    return (k, hit, p).
 
     Fills ``sl[:k]`` with the slots and ``xs[:k + 1]`` with the points:
     ``xs[0] = x`` and ``xs[j + 1] = xs[j] + moves[sl[j]]``.  ``hit``
     means step k is guarded in its true slot: within ``guard`` of either
     end of the interval, or that close to either side of a mark (slot,
-    gamma) of that slot.  ``table`` (a ``TowerTable`` or None) predicts
-    the slots a climb at a time, from x's own ``span`` where the caller
-    passes it, and a predicted climb's slots and moves are copied from
-    the table's per-word arrays; a climb its bounds certify skips the
-    guard rule, the others (``checked`` counts them) apply it at every
-    step, and marks are checked at every step of both.  Off every level
-    the scalar walk takes up to TOWER_HEIGHT steps, up to a point below
-    the table's base or below ``low``, and the walk ends early, without
-    a hit, after a scalar step to a point below ``low``.  At a predicted
-    step that fails the guard rule the scalar walk settles that one
-    step, so a wrong prediction costs one step and is then predicted
-    again.  With ``whole`` the walk also ends early, after at least one
-    step, at a tower return whose climb does not fit in the steps left.
-    The returned ``span`` is the span of ``xs[k]``'s climb, or of its
-    rest where step n cut it, for the next walk to start from, or None.
-    ``counts`` (one int64 entry per slot), when given, gets the walk's
-    visits: a predicted climb's as a difference of the table's prefix
-    counts, all of them added once at the end of the walk.
+    gamma) of that slot.  With ``span`` (x's ``TowerTable.span`` in
+    ``table``) on a level, the step walks the rest of its word: slots
+    and moves are copied from the table's per-word arrays, the guard
+    rule is applied at every step unless the span is certified, and
+    marks at every step.  The first p steps are predicted, ``sl[:p]`` is
+    ``words[start:start + p]``; at a predicted step that fails, the
+    scalar walk settles that one step, so a wrong prediction costs one
+    step.  Off every level the step is one scalar stretch of up to
+    TOWER_HEIGHT steps, up to a point below the table's base.  Either
+    way it ends after the first point below ``low``.
     """
-    lefts_a, rights_a, moves_a = mirror.arrays
-    guard = mirror.guard
-    by_slot = [[gf for s, gf in marks if s == slot]
-               for slot in range(len(lefts_a))] if marks else ()
-    top = max(low, table.top if table is not None else 0.0)
+    start, end, sure = span
     xs[0] = x
-    done = checked = 0
-    hit = False
-    heads, tails, walked = [], [], []  # visits, by word positions and slots
-    while done < n:
-        if span is None:
-            span = table.span(float(xs[done])) if table is not None \
-                else _NO_SPAN
-        start, end, sure = span
-        span = None
-        steps = min(TOWER_HEIGHT, n - done)
-        if end > start:
-            take = min(end - start, n - done)
-            if whole and done and take < end - start:
-                span = start, end, sure  # the next walk's first climb
-                break
-            stop = done + take
-            sl[done:stop] = table.words[start:start + take]
-            seg = xs[done:stop + 1]
-            seg[1:] = table.word_moves[start:start + take]
-            np.add.accumulate(seg, out=seg)
-            verified = take
-            if not sure or marks:
-                p, at = sl[done:stop], seg[:-1]
-                bad = np.zeros(take, bool)
-                if not sure:
-                    checked += 1
-                    bad |= at - lefts_a[p] < guard
-                    bad |= rights_a[p] - at < guard
-                for slot, gf in marks:
-                    bad |= (p == slot) & (np.abs(at - gf) < guard)
-                if bad.any():
-                    verified = int(bad.argmax())
-            heads.append(start)
-            tails.append(start + verified)
-            done += verified
-            if verified == take:
-                if take < end - start:
-                    span = start + take, end, sure
-                continue
-            steps = 1
-        slots, last, hit = _scalar_walk(mirror, float(xs[done]), steps, top,
-                                        guard, by_slot)
-        if slots:  # the scalar walk's points, added again in the same order
-            take = len(slots)
-            sl[done:done + take] = slots
-            seg = xs[done:done + take + 1]
-            moves_a.take(sl[done:done + take], out=seg[1:], mode="clip")
-            np.add.accumulate(seg, out=seg)
-            done += take
-            walked += slots
-        if hit or slots and last < low:
-            break
-    if counts is not None:
-        if heads:
-            rows = table.word_counts[tails + heads]
-            counts += np.add.reduce(rows[:len(tails)] - rows[len(tails):])
-        if walked:
-            counts += np.bincount(walked, minlength=len(counts))
-    return done, hit, checked, span
+    p = 0
+    if end > start:
+        take = min(end - start, n)
+        seg = xs[:take + 1]
+        seg[1:] = table.word_moves[start:start + take]
+        np.add.accumulate(seg, out=seg)
+        if low > -math.inf:  # end after the first point below low
+            under = np.flatnonzero(seg[1:] < low)
+            take = int(under[0]) + 1 if len(under) else take
+        sl[:take] = table.words[start:start + take]
+        p = take
+        if not sure or marks:
+            slots, at = sl[:take], xs[:take]
+            bad = np.zeros(take, bool) if sure else _guarded(mirror, slots, at)
+            for slot, gf in marks:
+                bad |= (slots == slot) & (np.abs(at - gf) < mirror.guard)
+            if bad.any():
+                p = int(bad.argmax())
+        if p == take:
+            return p, False, p
+        n = p + 1  # the scalar walk settles the failed step
+    by_slot = [[gf for s, gf in marks if s == slot]
+               for slot in range(len(mirror.lefts))] if marks else ()
+    top = max(low, table.top if table is not None else 0.0)
+    walked, _last, hit = _scalar_walk(mirror, float(xs[p]),
+                                      min(n - p, TOWER_HEIGHT), top,
+                                      mirror.guard, by_slot)
+    k = p + len(walked)
+    if walked:  # the scalar walk's points, added again in the same order
+        sl[p:k] = walked
+        seg = xs[p:k + 1]
+        mirror.arrays[2].take(sl[p:k], out=seg[1:], mode="clip")
+        np.add.accumulate(seg, out=seg)
+    return k, hit, p
 
 
 def _scalar_walk(mirror: FloatMirror, x: float, n: int, top: float,
@@ -319,6 +279,14 @@ def _scalar_walk(mirror: FloatMirror, x: float, n: int, top: float,
         if x < top:
             break
     return slots, x, False
+
+
+def _guarded(mirror: FloatMirror, slots, points) -> np.ndarray:
+    """``_scalar_walk``'s guard rule on arrays: whether each point lies
+    within ``guard`` of either end of its slot's interval."""
+    lefts, rights, _moves = mirror.arrays
+    return ((points - lefts[slots] < mirror.guard)
+            | (rights[slots] - points < mirror.guard))
 
 
 def _tower_table(mirror: FloatMirror) -> TowerTable:

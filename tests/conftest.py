@@ -1,6 +1,7 @@
 """Shared fixtures: the bundled systems at 128-bit working precision."""
 
 from bisect import bisect_right
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from iet_lab.precision import PrecisionContext
 from iet_lab.rauzy import build_periodic_from_loop, build_periodic_from_matrix
 from iet_lab.repro import (FIVE_MATRIX, GROUPED_MATRIX, SEVEN_LOOP,
                            seven_letter_pair)
-from iet_lab.shadow import shadow_walk
 from iet_lab.spectral import singularity_data, splitting
 
 
@@ -99,22 +99,14 @@ def step_walk():
 
 
 def _block_walk(mirror, x0, n_steps, tables=()):
-    """The float lane in fixed blocks: yield (slots, xs) per block of
-    FLOAT_BLOCK steps (the last one the rest), each one ``shadow_walk``
-    that cuts climbs at the block's end; a guarded step raises
-    NearBreakpoint with its index once the blocks before it are out."""
-    marks = [(slot, gf) for table in tables for slot, gf, _j in table.jumps]
-    rokhlin = mirror.predictor(n_steps)
-    for start in range(0, n_steps, FLOAT_BLOCK):
-        m = min(FLOAT_BLOCK, n_steps - start)
-        sl, xs = np.empty(m, np.intp), np.empty(m + 1)
-        k, hit, _checked, _span = shadow_walk(mirror, x0, m, sl, xs, rokhlin,
-                                              marks)
-        if hit:
-            raise NearBreakpoint("float orbit entered the guard band",
-                                 start + k)
-        x0 = float(xs[m])
-        yield sl, xs[:m]
+    """The float lane in fixed blocks: ``_step_walk``'s steps, yielded as
+    (slots, xs) arrays per block of FLOAT_BLOCK steps (the last one the
+    rest); a guarded step raises NearBreakpoint with its index once the
+    blocks before it are out."""
+    steps = _step_walk(mirror, x0, n_steps, tables)
+    while block := list(islice(steps, FLOAT_BLOCK)):
+        slots, xs = zip(*block)
+        yield np.array(slots, np.intp), np.array(xs)
 
 
 def _segment_sweep(args):

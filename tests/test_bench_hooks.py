@@ -84,3 +84,41 @@ def test_selftest_rejects_every_corruption():
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stdout + done.stderr
     assert done.stdout.splitlines()[-1] == "selftest passed"
+
+
+def test_warm_exact_climbs_are_taken_whole(request, monkeypatch):
+    """The ``exact_orbits`` climbs, two by ``run_until_below`` and two by
+    ``birkhoff_visit_counts``, from inner lattice points num/1009 of the
+    base interval, move by whole certified climbs once the tower tables
+    exist: a second run never calls the shadow step, and the counts are
+    the period-matrix columns.  A silent fallback to step-by-step moves
+    fails here, not only in the benchmark.  (Starts within a few 1/1009
+    of the interval's ends climb along level ends, which the bounds do
+    not certify.)"""
+    climbs = ((4, 4, 3, "return"), (5, 3, 0, "birkhoff"),
+              (7, 4, 5, "return"), (7, 3, 2, "birkhoff"))
+
+    def column(p, k, b):
+        return [row[b] for row in intmat.matpow(p.step_matrix, k)]
+
+    def climb(p, k, b, how, num):
+        lc, wc = cocycles.depth_interval_coeffs(p, k, b)
+        coeffs = [1009 * left + num * w for left, w in zip(lc, wc)]
+        if how == "birkhoff":
+            return cocycles.birkhoff_visit_counts(
+                p.iet, (coeffs, 1009), sum(column(p, k, b)))
+        wk = cocycles.ExactWalker(p.iet, coeffs, 1009)
+        return wk.run_until_below(
+            [1009 * t for t in cocycles.depth_total_coeffs(p, k)],
+            float(p.step_scale ** -k))
+
+    for d, k, b, how in climbs:  # builds the tables
+        climb(request.getfixturevalue(f"periodic{d}"), k, b, how, 500)
+    steps = []
+    monkeypatch.setattr(cocycles, "shadow_step",
+                        lambda *args, **kwargs: steps.append(args[2]))
+    for d, k, b, how in climbs:
+        p = request.getfixturevalue(f"periodic{d}")
+        for num in (101, 500, 907):
+            assert list(climb(p, k, b, how, num)) == column(p, k, b)
+    assert steps == []

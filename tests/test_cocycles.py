@@ -36,7 +36,7 @@ from iet_lab.precision import (PrecisionContext, as_fraction,
 from iet_lab.rauzy import Iet, build_periodic_from_matrix
 from iet_lab.repro import FIVE_MATRIX
 from iet_lab.shadow import (_TOWER_REACH, GUARD, TOWER_HEIGHT,
-                            lattice_mirror, shadow_walk)
+                            lattice_mirror)
 
 SYSTEMS = ["periodic4", "periodic5", "periodic7"]
 SPECS = Path(__file__).resolve().parent.parent / "specs"
@@ -774,12 +774,12 @@ def assert_matches_eager(wk, oracle):
 @pytest.fixture
 def shadow_stretches(monkeypatch):
     """Per walker (by id), the steps its float shadow took one by one
-    (``shadow_walk`` chunks) between resets to the exact position
+    (``shadow_step`` calls) between resets to the exact position
     (``_exact_float``: a move's resync or an exact settle); a
     new walker's shadow starts exact."""
     stretches, walking = {}, []
     walk, reset = ExactWalker._walk, ExactWalker._exact_float
-    chunk = cocycles_module.shadow_walk
+    chunk = cocycles_module.shadow_step
 
     def walked(wk, *args):
         walking.append(wk)
@@ -800,7 +800,7 @@ def shadow_stretches(monkeypatch):
 
     monkeypatch.setattr(ExactWalker, "_walk", walked)
     monkeypatch.setattr(ExactWalker, "_exact_float", resynced)
-    monkeypatch.setattr(cocycles_module, "shadow_walk", chunked)
+    monkeypatch.setattr(cocycles_module, "shadow_step", chunked)
     return stretches
 
 
@@ -812,6 +812,17 @@ def assert_resynced(wk, stretches):
 
 def lattice_float(p, coeffs):
     return float(p.iet.ctx.dot_int(coeffs, p.iet.lengths.values))
+
+
+def fresh_mirror(p, depth, table):
+    """A new mirror of the depth-``depth`` exchange, its tower table built
+    (``"built"``) or not (``"none"``): at depth 0 walkers share
+    ``Iet.mirror``, whose table an earlier walk may have built."""
+    mirror = lattice_mirror(depth_lattice(p, depth), p.iet.lengths,
+                            p.iet.order0)
+    if table == "built":
+        mirror.tower_table
+    return mirror
 
 
 class TestLazyWalker:
@@ -885,7 +896,8 @@ class TestLazyWalker:
         # the threshold is the exact position at the lowest of the first
         # RESYNC steps: that step lands in the guard band, its exact sign
         # is 0 (a boundary hit, so the walk goes on), and the walk stops
-        # at the next dip, after a resync
+        # at the next dip, after a resync; on a mirror with and without
+        # a tower table
         p = request.getfixturevalue(system)
         probe = self.pair(p, depth, start)[0]
         low = math.inf
@@ -893,13 +905,15 @@ class TestLazyWalker:
             probe.step()
             if probe.x_f < low:
                 low, threshold, k = probe.x_f, list(probe.coeffs), probe.steps
-        oracle, wk = self.pair(p, depth, start)
-        expected = eager_until_below(oracle, threshold)
-        assert wk.run_until_below(threshold, low) == expected
-        assert_matches_eager(wk, oracle)
-        assert wk.steps > ExactWalker.RESYNC > k
-        assert wk.escalations >= 2
-        assert wk.resyncs >= 1
+        for table in ("none", "built"):
+            oracle, wk = self.pair(p, depth, start)
+            wk.mirror = fresh_mirror(p, depth, table)
+            expected = eager_until_below(oracle, threshold)
+            assert wk.run_until_below(threshold, low) == expected
+            assert_matches_eager(wk, oracle)
+            assert wk.steps > ExactWalker.RESYNC > k
+            assert wk.escalations >= 2
+            assert wk.resyncs >= 1
 
     @pytest.mark.parametrize("depth", [0, 1, 2])
     @pytest.mark.parametrize("system", ["periodic4", "periodic5", "periodic7"])
@@ -908,7 +922,8 @@ class TestLazyWalker:
         # orbit meets no breakpoint; the threshold is that orbit's lowest
         # point in 2 * RESYNC steps, so at that step the walk is delta
         # below the threshold, inside the guard band, and only the exact
-        # sign of the folded position stops it there
+        # sign of the folded position stops it there; on a mirror with and
+        # without a tower table
         p = request.getfixturevalue(system)
         lat = depth_lattice(p, depth)
         c0 = next(v for v in lat.image_lefts
@@ -923,15 +938,17 @@ class TestLazyWalker:
                 low, threshold, k = probe.x_f, list(probe.coeffs), probe.steps
         den = 2 ** 40
         start = [den * c - w for c, w in zip(c0, lat.widths[0])]
-        oracle, wk = (ExactWalker.at_depth(p, depth, start, den)
-                      for _ in range(2))
-        assert 0 < lattice_float(p, lat.widths[0]) / den < wk.mirror.guard
         threshold = [den * t for t in threshold]
-        expected = eager_until_below(oracle, threshold)
-        assert wk.run_until_below(threshold, low) == expected
-        assert_matches_eager(wk, oracle)
-        assert wk.steps == k
-        assert wk.escalations >= 1
+        for table in ("none", "built"):
+            oracle, wk = (ExactWalker.at_depth(p, depth, start, den)
+                          for _ in range(2))
+            wk.mirror = fresh_mirror(p, depth, table)
+            assert 0 < lattice_float(p, lat.widths[0]) / den < wk.mirror.guard
+            expected = eager_until_below(oracle, threshold)
+            assert wk.run_until_below(threshold, low) == expected
+            assert_matches_eager(wk, oracle)
+            assert wk.steps == k
+            assert wk.escalations >= 1
 
     @pytest.mark.parametrize("system, n", [
         ("periodic4", 11), ("periodic4", 12), ("periodic4", 13),
@@ -1206,8 +1223,8 @@ def sweep_oracle(args, step_walk):
 
 
 class TestBlockWalk:
-    """``float_walk`` chunks are the per-step walk, cut at tower returns
-    whose climbs do not fit and at stops."""
+    """``float_walk`` chunks are the per-step walk, cut where the buffer is
+    full and at stops."""
 
     @pytest.mark.parametrize("n", [1, 100, FLOAT_BLOCK - 1, FLOAT_BLOCK,
                                    FLOAT_BLOCK + 1, 2 * FLOAT_BLOCK + 5])
@@ -1222,9 +1239,7 @@ class TestBlockWalk:
             got += zip(sl.tolist(), xs.tolist())
             sizes.append(len(xs))
         assert got == list(step_walk(mirror, x0, n, tables))
-        assert_chunk_ends(mirror, got, sizes, n)
-        if n > FLOAT_BLOCK:  # a chunk ends early, before a climb
-            assert min(sizes[:-1]) < FLOAT_BLOCK
+        assert_chunk_ends(got, sizes, n)
 
     @pytest.mark.parametrize("stops", [
         (1, 2, 3, 1000, 5000),
@@ -1250,8 +1265,7 @@ class TestBlockWalk:
         assert lookups == [x0] + returns
         assert got == list(step_walk(mirror, x0, n))
         assert set(stops) <= set(ends)
-        assert_chunk_ends(mirror, got, np.diff([0] + ends).tolist(), n,
-                          stops)
+        assert_chunk_ends(got, np.diff([0] + ends).tolist(), n, stops)
 
     def test_guard_hit_reports_its_step(self, periodic4, step_walk,
                                         guard_hit_starts):
@@ -1278,28 +1292,18 @@ def block_trace(mirror, x0, n, tables=()):
     return steps, sizes, None
 
 
-def assert_chunk_ends(mirror, steps, sizes, n, stops=(), returns=True):
-    """Each chunk of the (slot, x) ``steps`` holds 1 to FLOAT_BLOCK steps
-    and ends at step n, at one of ``stops``, full, or where the climb
-    looked up next is longer than the rest of the chunk: at a tower
-    return, where ``returns`` (off the towers, or on a table that
-    mispredicts, a lookup may come after a scalar step anywhere)."""
+def assert_chunk_ends(steps, sizes, n, stops=()):
+    """The chunks of the (slot, x) ``steps`` hold 1 to FLOAT_BLOCK steps
+    each and end at step n, at one of ``stops``, or full."""
+    assert sum(sizes) == len(steps)
     edge = 0
     for size in sizes:
         assert 0 < size <= FLOAT_BLOCK
         edge += size
-        if edge == n or edge in stops or size == FLOAT_BLOCK:
-            continue
-        slot, x = steps[edge - 1]
-        x += mirror.moves[slot]  # the point at step edge
-        table = mirror.tower_table
-        start, end, _sure = table.span(x)
-        assert size + end - start > FLOAT_BLOCK
-        if returns:
-            assert 0.0 <= x < table.top
+        assert edge == n or edge in stops or size == FLOAT_BLOCK
 
 
-def assert_same_walk(step_walk, mirror, x0, n, tables=(), returns=True):
+def assert_same_walk(step_walk, mirror, x0, n, tables=()):
     """``float_walk`` is the per-step walk, cut into chunks by
     ``assert_chunk_ends``, up to the chunk with a guard hit; returns the
     hit's step."""
@@ -1314,7 +1318,7 @@ def assert_same_walk(step_walk, mirror, x0, n, tables=(), returns=True):
     assert hit == want_hit
     done = sum(sizes)
     assert got == want[:done]
-    assert_chunk_ends(mirror, got, sizes, n, returns=returns)
+    assert_chunk_ends(got, sizes, n)
     if hit is None:
         assert done == n
     else:
@@ -1414,7 +1418,7 @@ class TestTowerWalk:
         tables = [float_table(phi, iet) for phi in lane_cocycles4.values()]
         for x0 in kronecker_samples(ctx, 2, iet.total, 9):
             assert assert_same_walk(step_walk, mirror, float(x0),
-                                    FLOAT_BLOCK + 1, tables, False) is None
+                                    FLOAT_BLOCK + 1, tables) is None
             steps = block_trace(mirror, float(x0), FLOAT_BLOCK + 1)[0]
             climbs = [float(x0)] + [x for _slot, x in steps[1:]
                                     if 0.0 <= x < table.top]
@@ -1423,7 +1427,7 @@ class TestTowerWalk:
                        for x in climbs)  # the corruption mispredicts
         x0 = float(guard_hit_starts[FLOAT_BLOCK])
         assert assert_same_walk(step_walk, mirror, x0, 2 * FLOAT_BLOCK,
-                                tables, False) == FLOAT_BLOCK
+                                tables) == FLOAT_BLOCK
 
     @pytest.mark.parametrize("pi0, pi1, lengths", [
         ([1, 2], [2, 1], ("0.25", "0.75")),
@@ -1438,7 +1442,7 @@ class TestTowerWalk:
         assert covered < mirror.rights[-1] / 2  # no tower over most points
         for x0 in kronecker_samples(ctx, 3, iet.total, 0):
             assert assert_same_walk(step_walk, mirror, float(x0),
-                                    2 * FLOAT_BLOCK + 5, (), False) is None
+                                    2 * FLOAT_BLOCK + 5) is None
 
     def test_criterion5_starts_never_fall_back(self, ctx, periodic4,
                                                lane_cocycles4, monkeypatch):
@@ -1478,21 +1482,21 @@ class TestTowerWalk:
         """No climb of criterion 5's 6 x 10^6 steps falls back to the
         per-step check: a silent loss of the certificate fails here."""
         iet = periodic4.iet
-        walk = cocycles_module.shadow_walk
-        checked = []
+        step = cocycles_module.shadow_step
+        spans = []
 
-        def counted(*args, **kwargs):
-            out = walk(*args, **kwargs)
-            checked.append(out[2])
-            return out
+        def spied(*args):
+            spans.append(args[6])
+            return step(*args)
 
-        monkeypatch.setattr(cocycles_module, "shadow_walk", counted)
+        monkeypatch.setattr(cocycles_module, "shadow_step", spied)
         chunks = 0
         for x0 in kronecker_samples(ctx, 6, iet.total, 3):
             for _chunk in float_walk(iet.mirror, float(x0), 10 ** 6):
                 chunks += 1
-        assert len(checked) == chunks >= 6 * -(-10 ** 6 // FLOAT_BLOCK)
-        assert sum(checked) == 0
+        assert chunks == 6 * -(-10 ** 6 // FLOAT_BLOCK)
+        assert len(spans) >= chunks
+        assert all(sure for _start, _end, sure in spans)
 
 
 class TestTowerTable:
@@ -1569,15 +1573,28 @@ class TestTowerTable:
 
 
 def climb_trace(mirror, x, n, tables=()):
-    """One ``shadow_walk`` of n steps from x, predicted by the mirror's
-    tower table: its (slot, x) steps, the guard hit's step (None without
-    one) and its checked climbs."""
-    marks = [(slot, gf) for table in tables for slot, gf, _j in table.jumps]
+    """``float_walk`` of n steps from x in one chunk, predicted by the
+    mirror's tower table: its (slot, x) steps, the guard hit's step
+    (None without one) and its checked climbs, the ``shadow_step`` calls
+    on a climb the bounds do not certify."""
+    mirror.tower_table  # built for walks of any length
+    step, checked = cocycles_module.shadow_step, []
+
+    def spied(*args):
+        start, end, sure = args[6]
+        checked.append(end > start and not sure)
+        return step(*args)
+
     sl, xs = np.empty(n, np.intp), np.empty(n + 1)
-    k, hit, checked, _span = shadow_walk(mirror, x, n, sl, xs,
-                                         mirror.tower_table, marks)
-    return (list(zip(sl[:k].tolist(), xs[:k].tolist())), k if hit else None,
-            checked)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cocycles_module, "shadow_step", spied)
+        try:
+            for _chunk in float_walk(mirror, x, n, tables, (), sl, xs):
+                pass
+            k, hit = n, None
+        except NearBreakpoint as guarded:  # the buffers hold the steps before
+            k = hit = guarded.step_index
+    return list(zip(sl[:k].tolist(), xs[:k].tolist())), hit, sum(checked)
 
 
 def step_trace(step_walk, mirror, x, n, tables=()):
@@ -1750,7 +1767,7 @@ def eager_run(oracle, n):
 
 
 class TestWalkerKernel:
-    """The walker's ``shadow_walk`` chunks, predicted by the tower table,
+    """The walker's ``shadow_step`` moves, predicted by the tower table,
     and its whole certified climbs give the eager per-step walk:
     coefficients, counts, steps and escalations ``==``, the shadow near
     the exact position and resynced at least every RESYNC steps."""
@@ -2509,10 +2526,11 @@ class TestChunkSweep:
     @pytest.mark.parametrize("system", SYSTEMS)
     def test_guard_hit_at_a_chunk_edge(self, request, ctx, step_walk,
                                        segment_sweep, system):
-        """A jump mark mid-base of the longest tower, and a start whose
-        orbit returns half a guard right of it at a step where its walk
-        ends a chunk: the climb from there does not fit, and the hit is
-        the first step of the next chunk."""
+        """A jump mark mid-base of the longest tower, and starts whose
+        orbits return half a guard right of it at step k = FLOAT_BLOCK,
+        where the walk's first chunk is full, and at a step k where a
+        checkpoint ends a chunk: the hit is the first step of the next
+        chunk."""
         iet = request.getfixturevalue(system).iet
         mirror = iet.mirror
         table = mirror.tower_table
@@ -2522,21 +2540,18 @@ class TestChunkSweep:
         tables = [float_table(phi, iet)]
         mark = tables[0].jumps[0][1]
         n = 4 * FLOAT_BLOCK
-        back = float_preimages(mirror, mark + mirror.guard / 2, n - 1)
-        for k in (i for i, x in enumerate(back)
-                  if i and 0.0 <= x < table.top):
-            _steps, sizes, hit = block_trace(mirror, back[k], n, tables)
-            if hit == k and sum(sizes) == k:
-                break
-        else:
-            pytest.fail("no return of the walk is a chunk edge")
-        assert step_trace(step_walk, mirror, back[k], n, tables)[1] == k
+        back = float_preimages(mirror, mark + mirror.guard / 2, FLOAT_BLOCK)
+        _steps, sizes, hit = block_trace(mirror, back[FLOAT_BLOCK], n, tables)
+        assert (sizes, hit) == ([FLOAT_BLOCK], FLOAT_BLOCK)
         tables += sweep_tables(ctx, iet)["pl"]
-        for checkpoints in (geometric_checkpoints(n, CHECKPOINT_RATIO),
-                            (k - 1, k, n)):
-            args = (back[k], mirror, tables, checkpoints)
-            assert cocycles_module._sweep_one_sample(args) == (False, None)
-            assert segment_sweep(args) == (False, None)
+        for k in (5000, FLOAT_BLOCK):
+            assert step_trace(step_walk, mirror, back[k], n, tables)[1] == k
+            for checkpoints in (geometric_checkpoints(n, CHECKPOINT_RATIO),
+                                (k - 1, k, n)):
+                args = (back[k], mirror, tables, checkpoints)
+                assert cocycles_module._sweep_one_sample(args) == (False,
+                                                                   None)
+                assert segment_sweep(args) == (False, None)
 
     @pytest.mark.parametrize("corrupt", ["shifted-levels", "swapped-words"])
     def test_corrupt_tables(self, ctx, periodic4, segment_sweep, corrupt,
