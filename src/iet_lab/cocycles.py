@@ -25,7 +25,7 @@ like every mirror entry, is that value rounded once to the nearest
 float.  A real start x is a dyadic rational too
 (``ExactWalker.from_point``), so every orbit of the library but the
 float lane's is exact, backward ones on ``Iet.inverse``.  The float lane
-(``float_walk``, chunks of climbs in reused buffers) serves
+(``float_walk``, chunks of batched climbs in reused buffers) serves
 ``deviation_sweep`` and the skew-product simulation: a guarded point,
 at any step including the first, or one within GUARD * |I| of a step
 cocycle's jump in its interval, on either side since the float orbit
@@ -58,9 +58,10 @@ from .errors import (DomainError, KeaneViolation, NearBreakpoint,
 from .precision import (as_fraction, geometric_checkpoints,
                         kronecker_samples, least_squares_slope)
 from .rauzy import DepthLattice, Iet, PeriodicIet, _lattice
-from .shadow import FloatMirror, lattice_mirror, shadow_step
+from .shadow import FloatMirror, lattice_mirror, shadow_climbs, shadow_step
 
-FLOAT_BLOCK = 1 << 14  # most orbit steps per float_walk chunk
+FLOAT_BLOCK = 1 << 16  # most orbit steps per float_walk chunk
+EXACT_BLOCK = 1 << 14  # most orbit steps per _exact_sums block
 CHECKPOINT_RATIO = 10 ** (1 / 8)  # birkhoff and deviation checkpoints
 
 
@@ -641,7 +642,7 @@ def _exact_sums(cocycle: Cocycle, iet: Iet, walker: ExactWalker, checkpoints,
     image of a's interval), so the walker's counts are the visits.
     Positions are exact integers, summed per letter for PL cocycles; a
     jump counts its interval's points at or right of it.  The walk goes
-    by blocks of FLOAT_BLOCK steps, in bounded memory.  Sums are ints
+    by blocks of EXACT_BLOCK steps, in bounded memory.  Sums are ints
     for a step cocycle of ints, else rounded once.
     """
     check_rows(cocycle, iet.d)
@@ -662,7 +663,7 @@ def _exact_sums(cocycle: Cocycle, iet: Iet, walker: ExactWalker, checkpoints,
     out, done = [], 0
     for n in checkpoints:
         while done < n:
-            block = min(n - done, FLOAT_BLOCK)
+            block = min(n - done, EXACT_BLOCK)
             letters, nums = walker.positions(block)
             pts = nums[1:] if backward else nums[:-1]
             for a, num in zip(letters, pts):
@@ -1175,14 +1176,21 @@ def float_walk(mirror: FloatMirror, x0: float, n_steps: int, tables=(),
 
     The walk fills the buffers ``sl`` and ``xs`` (a step and a point per
     entry of ``sl``, and one point more; by default FLOAT_BLOCK steps)
-    one ``shadow_step`` at a time, and yields them full, at each of
-    ``stops`` (increasing step counts) and at n_steps; they are reused
-    from chunk to chunk, so the yielded arrays are views of them, to be
-    read before the next chunk.  A climb cut by a chunk's end goes on in
-    the next chunk from its span, so the walk looks each climb up once.
-    ``counts`` (one int64 entry per slot), when given, has each chunk's
-    visits added before the chunk is yielded: the predicted climbs' as
-    differences of the table's prefix counts, in one batch per chunk.
+    and yields them full and at n_steps; they are reused from chunk to
+    chunk, so the yielded arrays are views of them, to be read before
+    the next chunk.  From a climb the tower table certifies, one
+    ``shadow_climbs`` batch walks that climb and the climbs it guesses
+    after it, with one gather, one accumulate and one check; a climb
+    the bounds do not certify, and the step where a batch's check
+    fails, is one ``shadow_step``.  A climb cut by a chunk's end goes on
+    in the next chunk from its span, so the walk looks a climb up only
+    at its start, after a climb walked by ``shadow_step`` or a failed
+    check.  ``counts``, when given, has one int64 row of a count per slot
+    for each of ``stops`` (increasing step counts), and gets the visits
+    of the steps before each stop, written before the chunk holding the
+    stop is yielded (``_visits``): differences of the table's prefix
+    counts at the stop's word position where the table predicted the
+    whole chunk, else bincounts.
     The climbs are predicted by ``mirror.tower_table`` for walks longer
     than TOWER_HEIGHT steps (or once the table is built).
     """
@@ -1190,78 +1198,109 @@ def float_walk(mirror: FloatMirror, x0: float, n_steps: int, tables=(),
     rokhlin = mirror.predictor(n_steps)
     if sl is None:
         sl, xs = np.empty(FLOAT_BLOCK, np.intp), np.empty(FLOAT_BLOCK + 1)
-    done, span = 0, None
-    for stop in (*stops, n_steps):
-        while done < stop:
-            n = min(len(sl), stop - done)
-            xs[0] = x0
-            k, heads, tails = 0, [], []
-            while k < n:
-                x = float(xs[k])
-                if span is None:
-                    span = rokhlin.span(x) if rokhlin is not None \
-                        else (0, 0, False)
-                start, end, sure = span
+    total = np.zeros(len(mirror.lefts), np.int64)
+    done = t = 0
+    span, checked = None, False
+    while done < n_steps:
+        n = min(len(sl), n_steps - done)
+        xs[0] = x0
+        k, pieces = 0, []
+        while k < n:
+            x = float(xs[k])
+            if span is None:
+                span = rokhlin.span(x) if rokhlin is not None \
+                    else (0, 0, False)
+            start, end, sure = span
+            if end > start and not checked:  # on a level
+                j, climbs, span, checked = shadow_climbs(
+                    rokhlin, x, n - k, sl[k:], xs[k:], span, marks)
+                pieces += [(k + at, a, b) for at, a, b in climbs]
+            else:
                 j, hit, p = shadow_step(mirror, x, n - k, sl[k:], xs[k:],
                                         rokhlin, span, marks)
                 if hit:
                     raise NearBreakpoint("float orbit entered the guard band",
                                          done + k + j)
                 if p:
-                    heads.append(start)
-                    tails.append(start + p)
-                if j > p and counts is not None:
-                    counts += np.bincount(sl[k + p:k + j],
-                                          minlength=len(counts))
+                    pieces.append((k, start, start + p))
                 span = (start + p, end, sure) if j == p < end - start \
                     else None  # a climb cut by the chunk's end goes on
-                k += j
-            if heads and counts is not None:
-                rows = rokhlin.word_counts[tails + heads]
-                counts += np.add.reduce(rows[:len(tails)] - rows[len(tails):])
-            done += n
-            x0 = float(xs[n])
-            yield sl[:n], xs[:n]
+                checked = False
+            k += j
+        if counts is not None:
+            first = t
+            while t < len(stops) and stops[t] <= done + n:
+                t += 1
+            cuts = [s - done for s in stops[first:t]] + [n]
+            rows = total + _visits(rokhlin, len(total), sl, pieces, cuts)
+            counts[first:t], total = rows[:-1], rows[-1]
+        done += n
+        x0 = float(xs[n])
+        yield sl[:n], xs[:n]
+
+
+def _visits(table, d: int, sl, pieces, cuts) -> np.ndarray:
+    """The visits of ``sl[:c]`` for each c of the increasing ``cuts``, the
+    last one the chunk's length, a row of a count per slot each.  Where
+    the predicted pieces (offset, start, stop), ``sl[offset:]`` being
+    ``words[start:stop]``, cover the chunk, they are differences of the
+    table's prefix counts at each cut's word position; otherwise one
+    bincount per segment between the cuts."""
+    if sum(b - a for _at, a, b in pieces) < cuts[-1]:
+        return np.cumsum([np.bincount(sl[lo:hi], minlength=d)
+                          for lo, hi in zip((0, *cuts), cuts)], axis=0)
+    at, a, b = np.array(pieces).T
+    rows = table.word_counts
+    stop = np.minimum(np.maximum(np.array(cuts)[:, None] - at, 0), b - a)
+    return np.add.reduce(rows[a + stop] - rows[a], axis=1).astype(np.int64)
 
 
 def _sweep_one_sample(args):
     """Walk one float orbit and record checkpoint sups for every cocycle.
 
-    The walk is ``float_walk``'s chunks, which end at every checkpoint.
-    Its buffers keep d entries in front: slot a with its running
-    position sum, so one weighted bincount of a chunk's slots, seeds
-    first, adds the positions in orbit order, as a per-step
-    ``possum[slot] += x`` would.  The walk adds the visit counts, and
-    jump crossings are counted per chunk.  The (counts, position sums,
-    crossings) at every checkpoint become the sups after the walk
-    (``_checkpoint_sups``).  Picklable in and out, so worker processes
-    can run it.  Returns (ok, per-cocycle checkpoint sup lists); a sample
-    that meets the guard band returns (False, None).
+    The walk is ``float_walk``'s chunks, which hold the checkpoints
+    instead of ending at them: the walk writes the visit counts at each
+    checkpoint, and the sample cuts each chunk into checkpoint segments.
+    The d buffer entries in front of a segment hold slot a with its
+    running position sum, so one weighted bincount of the segment's
+    slots, seeds first, adds the positions in orbit order, as a per-step
+    ``possum[slot] += x`` would; the seeds overwrite steps of earlier
+    segments, already read.  Jump crossings are counted per segment.
+    The (counts, position sums, crossings) at every checkpoint become
+    the sups after the walk (``_checkpoint_sups``).  Picklable in and
+    out, so worker processes can run it.  Returns (ok, per-cocycle
+    checkpoint sup lists); a sample that meets the guard band returns
+    (False, None).
     """
     x0f, mirror, tables, checkpoints = args
     d = len(mirror.lefts)
     marks = [(slot, gf) for table in tables for slot, gf, _j in table.jumps]
-    counts = np.zeros(d, np.int64)
+    possum = np.zeros(d)
     cross = np.zeros(len(marks), np.int64)
     count_at = np.empty((len(checkpoints), d), np.int64)
     sum_at = np.empty((len(checkpoints), d))
     cross_at = np.empty((len(checkpoints), len(marks)), np.int64)
     sl = np.empty(d + FLOAT_BLOCK, np.intp)
     xs = np.empty(d + FLOAT_BLOCK + 1)
-    sl[:d], xs[:d] = np.arange(d), 0.0  # the position-sum seeds
+    seeds = np.arange(d)
     done = t = 0
     try:
         for seg_sl, seg_xs in float_walk(mirror, x0f, checkpoints[-1], tables,
-                                         checkpoints, sl[d:], xs[d:], counts):
-            k = len(seg_xs)
-            xs[:d] = np.bincount(sl[:d + k], xs[:d + k], d)
-            for mi, (slot, gf) in enumerate(marks):
-                cross[mi] += np.count_nonzero((seg_sl == slot)
-                                              & (seg_xs >= gf))
+                                         checkpoints, sl[d:], xs[d:],
+                                         count_at):
+            k, lo = len(seg_xs), 0
+            while lo < k:
+                hi = min(checkpoints[t] - done, k)
+                sl[lo:lo + d], xs[lo:lo + d] = seeds, possum
+                possum = np.bincount(sl[lo:d + hi], xs[lo:d + hi], d)
+                for mi, (slot, gf) in enumerate(marks):
+                    cross[mi] += np.count_nonzero((seg_sl[lo:hi] == slot)
+                                                  & (seg_xs[lo:hi] >= gf))
+                if hi == checkpoints[t] - done:
+                    sum_at[t], cross_at[t] = possum, cross
+                    t += 1
+                lo = hi
             done += k
-            while t < len(checkpoints) and done == checkpoints[t]:
-                count_at[t], sum_at[t], cross_at[t] = counts, xs[:d], cross
-                t += 1
     except NearBreakpoint:
         return False, None
     local_sup = []
@@ -1311,10 +1350,10 @@ def deviation_sweep(iet: Iet, cocycles, n_max: int, samples: int = 8,
     All cocycles are evaluated on the same sampled orbits through the
     per-interval visit-count and position-sum skeleton, so the per-step
     cost is independent of how many cocycles are profiled.  A sample
-    walks in ``float_walk`` chunks that end at its checkpoints and
-    otherwise at tower returns: the visit counts are differences of the
-    tower table's prefix counts, the position sums one seeded weighted
-    bincount per chunk (``_sweep_one_sample``).  Samples that enter the
+    walks in ``float_walk`` chunks that hold its checkpoints: the visit
+    counts at a checkpoint are differences of the tower table's prefix
+    counts, the position sums one seeded weighted bincount per
+    checkpoint segment (``_sweep_one_sample``).  Samples that enter the
     guard band are skipped and counted.
     With workers > 1 the samples run in worker processes, each sent the
     mirror with its tower table built once here; the merge is a

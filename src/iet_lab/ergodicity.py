@@ -395,20 +395,23 @@ def _skew_sample(mirror, table, x0: float, n_steps: int, eps_sorted):
     Each chunk of the walk (``float_walk``) becomes one row of
     displacement increments per coordinate, summed in place by one
     accumulate seeded with the running displacement: the same additions
-    in the same order as a per-step loop.  Norms, hits, zero returns and
-    decade bins follow per chunk.  The walk, the increments and the
-    norms reuse one set of buffers per sample.
+    in the same order as a per-step loop.  Every statistic is a count
+    of norms at or above a threshold (``_thresholds``), summed over the
+    chunks: a chunk counts only the thresholds inside (least norm,
+    greatest norm] and above its least positive norm (``_at_least``).
+    The walk, the increments and the norms reuse one set of buffers per
+    sample.
     """
     vals = np.array(table.values)
     consts = None if table.constants is None else np.array(table.constants)
     stride = 1 + len(table.jumps)  # additions per step
     disp = np.zeros(table.dim)
     best = math.inf
-    s_hits = {e: 0 for e in eps_sorted}
-    s_histogram = np.zeros(10, np.int64)
-    s_zero = 0
+    thresholds = _thresholds(eps_sorted)
+    at_least = np.zeros(len(thresholds), np.int64)
+    count = 0
     inc_buf = np.empty((table.dim, FLOAT_BLOCK * stride))
-    norm_buf = np.empty(FLOAT_BLOCK)
+    norm_buf = np.empty(FLOAT_BLOCK) if table.dim > 1 else None
     for sl, xs in float_walk(mirror, x0, n_steps, [table]):
         inc = inc_buf[:, :len(sl) * stride]
         if consts is None:
@@ -421,17 +424,18 @@ def _skew_sample(mirror, table, x0: float, n_steps: int, eps_sorted):
         np.add.accumulate(inc, axis=1, out=inc)
         path = inc[:, stride - 1::stride]
         disp = path[:, -1].copy()
-        norms = np.abs(path, out=path).max(axis=0, out=norm_buf[:len(sl)])
+        np.abs(path, out=path)
+        norms = path[0] if norm_buf is None else \
+            path.max(axis=0, out=norm_buf[:len(sl)])
         # a non-finite sum stays non-finite, so the last step tells
         if not math.isfinite(norms[-1]):
             raise DomainError("skew-product displacement overflowed the "
                               "float lane")
-        best = min(best, float(norms.min()))
-        for e in eps_sorted:
-            s_hits[e] += int(np.count_nonzero(norms < e))
-        s_zero += int(np.count_nonzero(norms == 0.0))
-        s_histogram += _decade_histogram(norms)
-    return best, s_hits, s_histogram.tolist(), s_zero
+        least, counts = _at_least(norms, thresholds)
+        best = min(best, least)
+        at_least += counts
+        count += len(norms)
+    return (best, *_statistics(count, at_least, thresholds, eps_sorted))
 
 
 def _step_increments(vals, jumps, sl, xs, out) -> None:
@@ -467,19 +471,54 @@ def _decade_edges():
 
 # a norm is in bin k or above (k = 1..9) when it is at least _BIN_FLOORS[k - 1]
 _BIN_FLOORS = np.maximum(_decade_edges(), math.nextafter(1e-6, math.inf))
+_LEAST_POSITIVE = math.ulp(0.0)  # a norm at or above it is not zero
 
 
-def _decade_histogram(norms) -> np.ndarray:
-    """Norms per bin: 0 up to 1e-6, one per decade, 9 from 1e2.
+def _thresholds(eps_sorted) -> np.ndarray:
+    """The thresholds of a sample's statistics, ascending and distinct:
+    each eps (a hit is a norm below it), the least positive float (a
+    zero return is a norm below it) and the bin floors."""
+    return np.unique([*eps_sorted, _LEAST_POSITIVE, *_BIN_FLOORS.tolist()])
+
+
+def _at_least(norms, thresholds) -> tuple:
+    """(least norm, the count of ``norms`` at or above each threshold).
+
+    The norms are finite and not negative.  A threshold at or below the
+    least norm counts every norm and one above the greatest counts none.
+    The rest are counted from the top down; with zero norms, a count
+    equal to the number of positive norms ends the counting, since every
+    threshold below it, down to the least positive float, counts as
+    many.
+    """
+    least, greatest = float(norms.min()), float(norms.max())
+    low, high = thresholds.searchsorted([least, greatest], "right").tolist()
+    counts = np.zeros(len(thresholds), np.int64)
+    counts[:low] = len(norms)
+    positive = np.count_nonzero(norms) if least == 0.0 else -1
+    for k in range(high - 1, low - 1, -1):
+        counts[k] = np.count_nonzero(norms >= thresholds[k])
+        if counts[k] == positive:
+            counts[low:k] = positive
+            break
+    return least, counts
+
+
+def _statistics(count: int, at_least, thresholds, eps_sorted) -> tuple:
+    """(eps hits, histogram, zero returns) of ``count`` norms of which
+    ``at_least[i]`` are at or above ``thresholds[i]``.
 
     A norm n is in bin ``0 if n <= 1e-6 else min(9, int(6 +
-    math.floor(math.log10(n))) + 1)``: the decade edges are where that
+    math.floor(math.log10(n))) + 1)``: the bin floors are where that
     floor steps, so no vector log10 rounds a norm next to a power of ten
-    into the wrong decade.  The floors are nested, so the count of norms
-    at or above each gives the histogram.
+    into the wrong decade, and they are nested, so differences of the
+    counts at or above them give the histogram.
     """
-    above = [np.count_nonzero(norms >= f) for f in _BIN_FLOORS]
-    return -np.diff([len(norms), *above, 0])
+    above = dict(zip(thresholds.tolist(), at_least.tolist()))
+    hits = {e: count - above[e] for e in eps_sorted}
+    floors = [above[f] for f in _BIN_FLOORS.tolist()]
+    histogram = (-np.diff([count, *floors, 0])).tolist()
+    return hits, histogram, count - above[_LEAST_POSITIVE]
 
 
 # ---------------------------------------------------------------------------

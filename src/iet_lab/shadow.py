@@ -22,7 +22,13 @@ the walk is bit-identical to the per-step one whatever the table
 predicts.  It stops at the first guarded step; the float lane skips its
 sample there, the exact engine settles the step by exact signs.  Each
 engine keeps its own loop over steps: ``cocycles.float_walk`` for the
-float lane, ``cocycles.ExactWalker._walk`` for the exact one.
+float lane, ``cocycles.ExactWalker._walk`` for the exact one.  The
+float lane walks certified climbs by batches (``shadow_climbs``): from
+the end of each climb it guesses the next tower by that tower's float
+return move, gathers the whole batch's slots and moves, adds them by
+one accumulate and checks every climb's start and every mark in one
+vector pass, keeping the steps before the first failure; there the
+step takes over.
 
 A predicted climb is checked by the guard rule at every step, or, when
 the table's bounds certify it, by one pair of comparisons.  The bounds
@@ -40,9 +46,11 @@ slot's interval, where the bisect finds the same slot.  The bounds are
 built from the table's own bases, ends and words, so a table that
 predicts wrongly certifies nothing wrongly.  ``TowerTable.span`` is
 the one lookup: the word positions of x's climb and whether the bounds
-certify it.  Both loops look a climb up once and pass its span to the
-step; ``cocycles.ExactWalker`` takes a certified span whole, folding
-its word's visit counts without the float positions.  The certificate
+certify it.  ``cocycles.ExactWalker`` looks every climb up and takes a
+certified span whole, folding its word's visit counts without the
+float positions; the float lane looks a climb up only where a batch
+did not guess it, and certifies a guessed climb by the same pair of
+comparisons at its start, made on its computed point.  The certificate
 covers the guard rule only, and jump marks of step cocycles are checked
 at every step, within ``guard`` on either side of the mark: the float
 lane never resyncs, so its exact point may lie across a mark its float
@@ -122,8 +130,10 @@ class TowerTable:
     position (on the first lookup), the float64 ``word_moves`` (on the
     first predicted climb walked) and the int32 ``word_counts`` of d
     slots (on the first visit counts asked for), so a level costs up to
-    37 + 4 d bytes (53 at d = 4).  The table only predicts slots:
-    ``shadow_step`` checks every step the bounds do not certify.
+    37 + 4 d bytes (53 at d = 4), and per tower the ``guide`` of the
+    batches' guesses.  The table only predicts slots: ``shadow_climbs``
+    keeps a climb only where the bounds certify its computed start, and
+    ``shadow_step`` checks every step they do not certify.
     """
 
     mirror: FloatMirror
@@ -164,6 +174,21 @@ class TowerTable:
                           np.int32)
         prefix[np.arange(1, len(self.words) + 1), self.words] = 1
         return np.cumsum(prefix, axis=0, out=prefix)
+
+    @cached_property
+    def guide(self) -> tuple:
+        """Per tower, what a batch needs to guess the climb after a climb:
+        its base's left end, its word's head and end in ``words``, the
+        bounds at the head and its return move, the float sum of its
+        word's moves (the one float per tower this adds).  A point x at
+        word position s of tower t returns to J near x + move - (lo[s] -
+        lo[head])."""
+        heads = (0,) + self.ends[:-1]
+        lo, hi = self.bounds
+        moves = np.add.reduceat(self.word_moves, heads)
+        return (tuple(a for a, _b in self.bases), heads, self.ends,
+                tuple(lo[list(heads)].tolist()),
+                tuple(hi[list(heads)].tolist()), tuple(moves.tolist()))
 
     @cached_property
     def bounds(self) -> tuple:
@@ -259,6 +284,80 @@ def shadow_step(mirror: FloatMirror, x: float, n: int, sl, xs, table=None,
         mirror.arrays[2].take(sl[p:k], out=seg[1:], mode="clip")
         np.add.accumulate(seg, out=seg)
     return k, hit, p
+
+
+def shadow_climbs(table: TowerTable, x: float, n: int, sl, xs, span,
+                  marks=()) -> tuple:
+    """Walk x's float shadow along a batch of climbs, up to n steps:
+    return (k, pieces, rest, cut).
+
+    ``span`` is x's span on a level of ``table``.  The batch is the rest
+    of x's climb and, when the span is certified, guessed climbs after
+    it: a climb's end is guessed by its tower's return move
+    (``TowerTable.guide``), and the next climb is the word of the tower
+    whose base holds that guess inside its bounds, up to n steps or a
+    guess outside every base's bounds.  All the batch's slots and moves
+    are copied from the table's per-word arrays into ``sl`` and ``xs``,
+    and one accumulate seeded with x adds the moves: the additions of a
+    per-step walk, in its order.  One check (``_certified``) then tests
+    every climb's start against its bounds, and each mark (slot, gamma)
+    is tested at every step, within ``guard`` on either side.  The
+    batch keeps the k steps before the first failure, and ``cut`` says
+    that step k failed, to be walked by ``shadow_step``.  So a wrong
+    guess or a corrupt table only shortens a batch: a climb is kept
+    only where its start is certified, and an uncertified span gathers
+    nothing.  ``pieces`` holds each kept climb's (offset, start, stop),
+    ``sl[offset:]`` being ``words[start:stop]``; ``rest`` is the span to
+    go on with: the climb the n steps cut, x's span when step 0 failed,
+    or None.
+    """
+    start, end, sure = span
+    k = min(end - start, n) if sure else 0
+    pieces = [(0, start, start + k)]
+    if sure:
+        bases, heads, ends, lo_heads, hi_heads, returns = table.guide
+        t = bisect_right(table.ends, start)
+        y = x + returns[t] - (float(table.bounds[0][start]) - lo_heads[t])
+        while k < n:
+            t = bisect_right(bases, y) - 1
+            if t < 0 or not lo_heads[t] <= y <= hi_heads[t]:
+                break
+            start, end = heads[t], ends[t]
+            take = min(end - start, n - k)
+            pieces.append((k, start, start + take))
+            k += take
+            y += returns[t]
+    xs[0] = x
+    for at, a, b in pieces:
+        sl[at:at + b - a] = table.words[a:b]
+        xs[at + 1:at + 1 + b - a] = table.word_moves[a:b]
+    seg = xs[:k + 1]
+    np.add.accumulate(seg, out=seg)
+    at, a, _b = np.array(pieces).T
+    kept = _certified(table, xs, at, a)
+    cut = int(at[kept]) if kept < len(pieces) else k
+    guard = table.mirror.guard
+    for slot, gf in marks:
+        bad = np.flatnonzero((sl[:cut] == slot)
+                             & (np.abs(xs[:cut] - gf) < guard))
+        if len(bad):
+            cut = int(bad[0])
+    if cut < k or kept < len(pieces):
+        pieces = [(at, a, min(b, a + cut - at)) for at, a, b in pieces
+                  if at < cut]
+        return cut, pieces, span if cut == 0 else None, True
+    rest = (pieces[-1][2], end, True) if pieces[-1][2] < end else None
+    return k, pieces, rest, False
+
+
+def _certified(table: TowerTable, xs, at, starts) -> int:
+    """How many climbs, counted from the first, start inside their
+    bounds: climb i starts at ``xs[at[i]]`` on word position
+    ``starts[i]``, and is certified when ``lo <= x <= hi`` there."""
+    lo, hi = table.bounds
+    y = xs[at]
+    fails = np.flatnonzero(~((lo[starts] <= y) & (y <= hi[starts])))
+    return int(fails[0]) if len(fails) else len(at)
 
 
 def _scalar_walk(mirror: FloatMirror, x: float, n: int, top: float,

@@ -1244,28 +1244,30 @@ class TestBlockWalk:
     @pytest.mark.parametrize("stops", [
         (1, 2, 3, 1000, 5000),
         (TOWER_HEIGHT, FLOAT_BLOCK, FLOAT_BLOCK + 1, 2 * FLOAT_BLOCK)])
-    def test_chunks_end_at_stops(self, ctx, periodic4, step_walk, stops,
-                                 monkeypatch):
-        """Stops cut climbs, and each climb is still looked up once, at
-        the start and at each tower return: a chunk after a stop goes on
-        with the rest of the climb."""
+    def test_counts_at_stops(self, ctx, periodic4, step_walk, stops,
+                             monkeypatch):
+        """Stops do not cut the chunks: the walk writes the visit counts
+        before each stop, and looks a climb up only at the start, every
+        later climb being a guess that its batch's check certifies."""
         mirror = periodic4.iet.mirror
-        table = mirror.tower_table
-        lookups = []
+        lookups, checks = [], []
         span = shadow_module.TowerTable.span
         monkeypatch.setattr(shadow_module.TowerTable, "span",
                             lambda t, x: lookups.append(x) or span(t, x))
+        spy_certified(monkeypatch, checks)
         n = 3 * FLOAT_BLOCK + 7
         x0 = float(kronecker_samples(ctx, 1, periodic4.iet.total, 5)[0])
-        got, ends = [], []
-        for sl, xs in float_walk(mirror, x0, n, (), stops):
+        counts = np.full((len(stops), periodic4.d), -1, np.int64)
+        got, sizes = [], []
+        for sl, xs in float_walk(mirror, x0, n, (), stops, counts=counts):
             got += zip(sl.tolist(), xs.tolist())
-            ends.append(len(got))
-        returns = [x for _slot, x in got[1:] if 0.0 <= x < table.top]
-        assert lookups == [x0] + returns
+            sizes.append(len(xs))
         assert got == list(step_walk(mirror, x0, n))
-        assert set(stops) <= set(ends)
-        assert_chunk_ends(got, np.diff([0] + ends).tolist(), n, stops)
+        assert_chunk_ends(got, sizes, n)
+        assert lookups == [x0]
+        assert len(checks) == len(sizes)  # one batch per chunk
+        assert all(kept == climbs for climbs, kept in checks)
+        assert counts.tolist() == prefix_visits(got, stops, periodic4.d)
 
     def test_guard_hit_reports_its_step(self, periodic4, step_walk,
                                         guard_hit_starts):
@@ -1290,6 +1292,26 @@ def block_trace(mirror, x0, n, tables=()):
     except NearBreakpoint as hit:
         return steps, sizes, hit.step_index
     return steps, sizes, None
+
+
+def spy_certified(patch, checks):
+    """Record each batch certificate check as (climbs checked, climbs
+    certified)."""
+    certified = shadow_module._certified
+
+    def spied(table, xs, at, starts):
+        kept = certified(table, xs, at, starts)
+        checks.append((len(at), kept))
+        return kept
+
+    patch.setattr(shadow_module, "_certified", spied)
+
+
+def prefix_visits(steps, stops, d):
+    """The visit counts of the (slot, x) ``steps`` before each stop."""
+    slots = np.array([slot for slot, _x in steps], np.intp)
+    return [np.bincount(slots[:stop], minlength=d).tolist()
+            for stop in stops]
 
 
 def assert_chunk_ends(steps, sizes, n, stops=()):
@@ -1480,23 +1502,37 @@ class TestTowerWalk:
     def test_criterion5_climbs_are_certified(self, ctx, periodic4,
                                              monkeypatch):
         """No climb of criterion 5's 6 x 10^6 steps falls back to the
-        per-step check: a silent loss of the certificate fails here."""
+        per-step check: every batch's check certifies every climb it
+        holds, one batch or more per chunk.  A silent loss of the
+        certificate fails here."""
         iet = periodic4.iet
-        step = cocycles_module.shadow_step
-        spans = []
-
-        def spied(*args):
-            spans.append(args[6])
-            return step(*args)
-
-        monkeypatch.setattr(cocycles_module, "shadow_step", spied)
+        checks = []
+        spy_certified(monkeypatch, checks)
         chunks = 0
         for x0 in kronecker_samples(ctx, 6, iet.total, 3):
             for _chunk in float_walk(iet.mirror, float(x0), 10 ** 6):
                 chunks += 1
         assert chunks == 6 * -(-10 ** 6 // FLOAT_BLOCK)
-        assert len(spans) >= chunks
-        assert all(sure for _start, _end, sure in spans)
+        assert len(checks) >= chunks
+        assert all(kept == climbs for climbs, kept in checks)
+
+    def test_criterion5_never_steps(self, ctx, periodic4, lane_cocycles4,
+                                    monkeypatch):
+        """Criterion 5's six starts walk and sweep by batches alone: the
+        one-climb step is never called."""
+        iet = periodic4.iet
+        calls = []
+        step = cocycles_module.shadow_step
+        monkeypatch.setattr(cocycles_module, "shadow_step",
+                            lambda *args: calls.append(args[1])
+                            or step(*args))
+        n = 10 ** 6
+        checkpoints = geometric_checkpoints(n, CHECKPOINT_RATIO)
+        tables = [float_table(lane_cocycles4["pl"], iet)]
+        for x0 in kronecker_samples(ctx, 6, iet.total, 3):
+            args = (float(x0), iet.mirror, tables, checkpoints)
+            assert cocycles_module._sweep_one_sample(args)[0]
+        assert calls == []
 
 
 class TestTowerTable:
@@ -1575,26 +1611,21 @@ class TestTowerTable:
 def climb_trace(mirror, x, n, tables=()):
     """``float_walk`` of n steps from x in one chunk, predicted by the
     mirror's tower table: its (slot, x) steps, the guard hit's step
-    (None without one) and its checked climbs, the ``shadow_step`` calls
-    on a climb the bounds do not certify."""
+    (None without one) and its checked climbs, the climbs a batch's
+    certificate check refuses, to be walked step by step."""
     mirror.tower_table  # built for walks of any length
-    step, checked = cocycles_module.shadow_step, []
-
-    def spied(*args):
-        start, end, sure = args[6]
-        checked.append(end > start and not sure)
-        return step(*args)
-
+    checks = []
     sl, xs = np.empty(n, np.intp), np.empty(n + 1)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cocycles_module, "shadow_step", spied)
+        spy_certified(patch, checks)
         try:
             for _chunk in float_walk(mirror, x, n, tables, (), sl, xs):
                 pass
             k, hit = n, None
         except NearBreakpoint as guarded:  # the buffers hold the steps before
             k = hit = guarded.step_index
-    return list(zip(sl[:k].tolist(), xs[:k].tolist())), hit, sum(checked)
+    checked = sum(kept < climbs for climbs, kept in checks)
+    return list(zip(sl[:k].tolist(), xs[:k].tolist())), hit, checked
 
 
 def step_trace(step_walk, mirror, x, n, tables=()):
@@ -1732,6 +1763,116 @@ class TestClimbCertificate:
         assert not np.any(lo <= hi)
         shifted = corrupt_table(table, "shifted-levels").bounds
         assert all(map(np.array_equal, shifted, table.bounds))
+
+
+def corrupt_guide(table):
+    """A tower table whose guesses go wrong: the base of each tower
+    guesses the next tower's word, so a batch gathers words that the
+    climbs do not climb."""
+    bad = replace(table)
+    bases, heads, ends, lo, hi, returns = table.guide
+    vars(bad)["guide"] = (bases, heads[1:] + heads[:1], ends[1:] + ends[:1],
+                          lo, hi, returns)
+    return bad
+
+
+class TestBatchWalk:
+    """``float_walk`` by batches of guessed climbs is the per-step walk,
+    ``==``: its chunks, its visit counts at stops and its guard hits,
+    whatever the table guesses."""
+
+    @pytest.mark.parametrize("system", SYSTEMS)
+    def test_stops_inside_and_at_climb_ends(self, request, ctx, step_walk,
+                                            system):
+        """A step cocycle with marks in the first and last intervals, and
+        stops at climb ends, one step either side of them and inside
+        climbs, across the chunk edges."""
+        iet = request.getfixturevalue(system).iet
+        mirror = iet.mirror
+        top = mirror.tower_table.top
+        tables = sweep_tables(ctx, iet)["jumps"]
+        n = 2 * FLOAT_BLOCK + 7
+        clear = 0
+        for x0 in kronecker_samples(ctx, 3, iet.total, 11):
+            want, hit = step_trace(step_walk, mirror, float(x0), n, tables)
+            ends = [i for i, (_slot, x) in enumerate(want)
+                    if i and 0.0 <= x < top]
+            stops = sorted({*ends[:8], *(e + 1 for e in ends[:4]),
+                            *(e - 1 for e in ends[:4]),
+                            *(e + 7 for e in ends[-4:]), FLOAT_BLOCK - 1,
+                            FLOAT_BLOCK, FLOAT_BLOCK + 1, n} - {0})
+            counts = np.full((len(stops), iet.d), -1, np.int64)
+            got, sizes = [], []
+            try:
+                for sl, xs in float_walk(mirror, float(x0), n, tables, stops,
+                                         counts=counts):
+                    got += zip(sl.tolist(), xs.tolist())
+                    sizes.append(len(xs))
+                got_hit = None
+            except NearBreakpoint as guarded:
+                got_hit = guarded.step_index
+            assert got_hit == hit
+            assert got == want[:len(got)]
+            assert_chunk_ends(got, sizes, n)
+            if hit is None:
+                clear += 1
+                assert got == want
+                assert counts.tolist() == prefix_visits(want, stops, iet.d)
+        assert clear
+
+    @pytest.mark.parametrize("guide", ["true", "wrong-guesses"])
+    @pytest.mark.parametrize("system", SYSTEMS)
+    def test_guard_hit_on_a_guessed_climb(self, request, ctx, step_walk,
+                                          system, guide, monkeypatch):
+        """Half a guard right of a jump mark in J, reached on the first
+        step of a climb after two climbs guessed in the same batch: the
+        hit is the oracle's step, and the buffers hold the steps before
+        it."""
+        p = request.getfixturevalue(system)
+        mirror = p.iet.mirror
+        table = mirror.tower_table
+        mark = table.top / 3
+        phi = StepCocycle(1, ((0,),) * p.d, ((ctx.real(mark), (1,)),))
+        tables = [float_table(phi, p.iet)]
+        if guide != "true":
+            monkeypatch.setitem(vars(mirror), "tower_table",
+                                corrupt_guide(table))
+        checks = []
+        spy_certified(monkeypatch, checks)
+        gf = tables[0].jumps[0][1]
+        back = float_preimages(mirror, gf + mirror.guard / 2, FLOAT_BLOCK)
+        returns = [i for i, x in enumerate(back) if i and 0.0 <= x < table.top]
+        for k in returns[1:3]:
+            checks.clear()
+            got = climb_trace(mirror, back[k], k + 50, tables)
+            assert got[:2] == step_trace(step_walk, mirror, back[k], k + 50,
+                                         tables)
+            assert got[1] == k
+            if guide == "true":  # the climb at k was guessed, not looked up
+                assert checks[0][0] >= 3
+
+    @pytest.mark.parametrize("corrupt", ["shifted-levels", "swapped-words",
+                                         "wrong-guesses"])
+    @pytest.mark.parametrize("system", SYSTEMS)
+    def test_corrupt_table_changes_nothing(self, request, ctx, step_walk,
+                                           system, corrupt, monkeypatch):
+        """Every corrupt table of the walk tests, and return moves that
+        guess the wrong towers: the batches' checks refuse what is
+        wrong, and the walk is the per-step walk."""
+        iet = request.getfixturevalue(system).iet
+        mirror = iet.mirror
+        table = mirror.tower_table
+        bad = corrupt_guide(table) if corrupt == "wrong-guesses" \
+            else corrupt_table(table, corrupt)
+        monkeypatch.setitem(vars(mirror), "tower_table", bad)
+        checks = []
+        spy_certified(monkeypatch, checks)
+        tables = sweep_tables(ctx, iet)["jumps"]
+        x0 = float(kronecker_samples(ctx, 1, iet.total, 9)[0])
+        assert assert_same_walk(step_walk, mirror, x0, 3 * 10 ** 4,
+                                tables) is None
+        refused = sum(kept < climbs for climbs, kept in checks)
+        assert refused if corrupt != "shifted-levels" else checks
 
 
 def lattice_preimage(iet, coeffs, den, k):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from iet_lab import ergodicity as ergodicity_module
 from iet_lab import intmat
 from iet_lab.cocycles import (FLOAT_BLOCK, ExactWalker,
                               PiecewiseLinearCocycle, StepCocycle,
@@ -15,8 +16,8 @@ from iet_lab.ergodicity import (CENTRAL_UNDETERMINED, COBOUNDARY,
                                 compose_linear, dense_image_matrix,
                                 essential_value_probe, fixed_space_basis,
                                 lattice_containment, skew_simulate,
-                                special_flow_step, _decade_histogram,
-                                _BIN_FLOORS)
+                                special_flow_step, _at_least, _statistics,
+                                _thresholds, _BIN_FLOORS)
 from iet_lab.errors import (DomainError, EmptyFixedSpace, NearBreakpoint,
                             NotZeroMean)
 from iet_lab.precision import kronecker_samples
@@ -278,6 +279,23 @@ def scalar_bin(norm):
                                       + 1)
 
 
+def thirteen_passes(norms, eps_sorted):
+    """(hits, histogram, zero returns) of one chunk of norms by one pass
+    per bin floor, eps and zero: the rule the pruned counts replace."""
+    above = [np.count_nonzero(norms >= f) for f in _BIN_FLOORS]
+    histogram = (-np.diff([len(norms), *above, 0])).tolist()
+    hits = {e: int(np.count_nonzero(norms < e)) for e in eps_sorted}
+    return hits, histogram, int(np.count_nonzero(norms == 0.0))
+
+
+def pruned_statistics(norms, eps_sorted):
+    """``_skew_sample``'s statistics of one chunk of norms."""
+    thresholds = _thresholds(eps_sorted)
+    least, at_least = _at_least(norms, thresholds)
+    assert least == norms.min()
+    return _statistics(len(norms), at_least, thresholds, eps_sorted)
+
+
 def skew_oracle(iet, cocycle, x0_list, n_steps, step_walk,
                 eps_list=(0.5, 0.1, 0.02), seed=0):
     """Per-step ``skew_simulate``: one displacement update, norm, eps
@@ -391,10 +409,49 @@ class TestBlockSkew:
             norms += [math.nextafter(edge, 0.0), edge,
                       math.nextafter(edge, math.inf)]
         for n in norms:  # each norm alone: one count, in its bin
-            assert _decade_histogram(np.array([n])).tolist() == \
+            assert pruned_statistics(np.array([n]), ())[1] == \
                 [int(k == scalar_bin(n)) for k in range(10)]
         want = np.bincount([scalar_bin(n) for n in norms], minlength=10)
-        assert _decade_histogram(np.array(norms)).tolist() == want.tolist()
+        assert pruned_statistics(np.array(norms), ())[1] == want.tolist()
+        assert thirteen_passes(np.array(norms), ())[1] == want.tolist()
+
+    @pytest.mark.parametrize("norms, eps", [
+        ([0.0] * 5, (0.5, 0.1)),
+        ([100.0, 1e3, 1e300, 100.0], (0.5, 1e9)),
+        ([f for edge in _BIN_FLOORS.tolist()
+          for f in (edge, math.nextafter(edge, 0.0))], (0.5, 0.1, 0.02)),
+        ([0.0, 1.0, 2.0, 2.0, 3.0, 0.0], (3.0, 2.0, 1.0, 0.5)),
+        ([0.0, 0.25, 1.5, 0.0], (0.0, 0.25)),
+        ([0.37], (0.5, 0.1, 0.02)),
+        ([5e-324, 0.0, 1e-300, 2.0], (1e-300, 0.0)),
+    ], ids=["all-zeros", "all-at-least-100", "floors-and-ulp-below",
+            "eps-on-norms", "eps-zero", "one-norm", "tiny-norms"])
+    def test_pruned_counts_match_thirteen_passes(self, norms, eps):
+        """Counting only the thresholds inside (least, greatest] and above
+        the least positive norm gives the per-threshold passes' hits,
+        histogram and zero returns, ``==``."""
+        eps_sorted = sorted(set(eps), reverse=True)
+        norms = np.array(norms)
+        assert pruned_statistics(norms, eps_sorted) == \
+            thirteen_passes(norms, eps_sorted)
+
+    def test_non_finite_last_norm_is_an_error(self, ctx, periodic5,
+                                              monkeypatch):
+        """The last norm of a chunk decides: inf there raises DomainError
+        before any statistic is counted."""
+        iet = periodic5.iet
+        phi = build_fixed_cocycle(fixed_space_basis(periodic5))
+        starts = kronecker_samples(ctx, 1, iet.total, 0)
+        calls, at_least = [], ergodicity_module._at_least
+        monkeypatch.setattr(ergodicity_module, "_at_least",
+                            lambda *args: calls.append(args)
+                            or at_least(*args))
+        with pytest.raises(DomainError, match="overflow"):
+            skew_simulate(iet, StepCocycle.from_vector(
+                (1e308, 1e308, 1e308, 1e308, 1e308)), starts, 100)
+        assert calls == []
+        assert skew_simulate(iet, phi, starts, 100).sample_count == 1
+        assert calls
 
     @pytest.mark.parametrize("values", [(1e308, 1e308, 1e308, 1e308),
                                         (1e308, -1e308, 1e308, -1e308)],
