@@ -8,8 +8,10 @@ shadow of one interval geometry, a climb at a time by one step
 from A^-n at depth n).  The step predicts a tower climb's slots, adds
 the moves by one accumulate and checks the guard rule, for a whole
 climb at once where the tower table's bounds certify it and step by
-step elsewhere, so the float lane sees a per-step walk bit for bit.
-Each engine keeps its own loop over the steps.  The exact engine
+step elsewhere, so the float lane sees a per-step walk bit for bit;
+the float lane takes certified climbs by batches
+(``shadow.shadow_climbs``) and the step only where a batch's check
+fails.  Each engine keeps its own loop over the steps.  The exact engine
 (``ExactWalker``) carries positions as integer combinations of the
 length vector and settles a guarded step by exact signs, so its visit
 counts are exact.  It moves a climb at a time: a certified climb whole,

@@ -39,6 +39,9 @@ from iet_lab.shadow import (_TOWER_REACH, GUARD, TOWER_HEIGHT,
                             lattice_mirror)
 
 SYSTEMS = ["periodic4", "periodic5", "periodic7"]
+# walks of lengths around multiples of a quarter chunk end inside the
+# first chunk, past several climbs; FLOAT_BLOCK +- 1 cross its end
+QUARTER = FLOAT_BLOCK // 4
 SPECS = Path(__file__).resolve().parent.parent / "specs"
 
 
@@ -1226,8 +1229,9 @@ class TestBlockWalk:
     """``float_walk`` chunks are the per-step walk, cut where the buffer is
     full and at stops."""
 
-    @pytest.mark.parametrize("n", [1, 100, FLOAT_BLOCK - 1, FLOAT_BLOCK,
-                                   FLOAT_BLOCK + 1, 2 * FLOAT_BLOCK + 5])
+    @pytest.mark.parametrize("n", [1, 100, QUARTER - 1, QUARTER, QUARTER + 1,
+                                   2 * QUARTER + 5, FLOAT_BLOCK - 1,
+                                   FLOAT_BLOCK, FLOAT_BLOCK + 1])
     def test_blocks_concatenate_to_step_walk(self, ctx, periodic4, step_walk,
                                              lane_cocycles4, n):
         iet = periodic4.iet
@@ -1388,8 +1392,9 @@ class TestTowerWalk:
     tower table predicts."""
 
     @pytest.mark.parametrize("n", [TOWER_HEIGHT, TOWER_HEIGHT + 1,
-                                   FLOAT_BLOCK - 1, FLOAT_BLOCK,
-                                   FLOAT_BLOCK + 1, 3 * FLOAT_BLOCK + 7])
+                                   QUARTER - 1, QUARTER, QUARTER + 1,
+                                   3 * QUARTER + 7, FLOAT_BLOCK,
+                                   FLOAT_BLOCK + 1])
     @pytest.mark.parametrize("system", SYSTEMS)
     def test_matches_step_walk(self, request, ctx, step_walk, lane_cocycles4,
                                system, n):
@@ -1872,7 +1877,10 @@ class TestBatchWalk:
         assert assert_same_walk(step_walk, mirror, x0, 3 * 10 ** 4,
                                 tables) is None
         refused = sum(kept < climbs for climbs, kept in checks)
-        assert refused if corrupt != "shifted-levels" else checks
+        if corrupt == "shifted-levels":  # wrong lookups, the table's own bounds
+            assert checks
+        else:
+            assert refused
 
 
 def lattice_preimage(iet, coeffs, den, k):
@@ -1915,7 +1923,7 @@ class TestWalkerKernel:
 
     @pytest.mark.parametrize("n", [TOWER_HEIGHT + 1,
                                    3 * ExactWalker.RESYNC + 7,
-                                   FLOAT_BLOCK + 1, 3 * 10 ** 4])
+                                   QUARTER + 1, 3 * 10 ** 4])
     @pytest.mark.parametrize("den", [1, 1009])
     @pytest.mark.parametrize("system", SYSTEMS)
     def test_runs_match_eager(self, request, monkeypatch, shadow_stretches,
@@ -2534,9 +2542,10 @@ class TestBlockSweep:
                 return deviation_sweep(iet, cocycles, n_max, **kw)
         return sweep
 
-    @pytest.mark.parametrize("n_max", [1, 7, 1000, FLOAT_BLOCK - 1,
-                                       FLOAT_BLOCK, FLOAT_BLOCK + 1,
-                                       2 * FLOAT_BLOCK + 5, 3 * FLOAT_BLOCK])
+    @pytest.mark.parametrize("n_max", [1, 7, 1000, QUARTER - 1, QUARTER,
+                                       QUARTER + 1, 2 * QUARTER + 5,
+                                       3 * QUARTER, FLOAT_BLOCK,
+                                       FLOAT_BLOCK + 1])
     def test_matches_per_step_sweep(self, ctx, periodic4, with_oracle,
                                     lane_cocycles4, n_max):
         iet = periodic4.iet

@@ -22,6 +22,8 @@ from iet_lab.errors import (DomainError, EmptyFixedSpace, NearBreakpoint,
                             NotZeroMean)
 from iet_lab.precision import kronecker_samples
 
+QUARTER = FLOAT_BLOCK // 4  # walks of lengths near its multiples: one chunk
+
 
 class TestFixedSpace:
     def test_five_letter_basis(self, periodic5):
@@ -356,8 +358,8 @@ class TestBlockSkew:
     """The block skew product gives the per-step loop's stats, ``==``."""
 
     @pytest.mark.parametrize("kind", ["step-two-jumps-one-slot", "pl"])
-    @pytest.mark.parametrize("n", [1, 2, 100, FLOAT_BLOCK + 1,
-                                   2 * FLOAT_BLOCK + 5])
+    @pytest.mark.parametrize("n", [1, 2, 100, QUARTER + 1, 2 * QUARTER + 5,
+                                   FLOAT_BLOCK + 1])
     def test_matches_per_step_loop(self, ctx, periodic4, step_walk,
                                    lane_cocycles4, kind, n):
         iet = periodic4.iet
