@@ -337,8 +337,9 @@ def _block_tables(phi: CircleStep, step: int, depth: int) -> list:
     for k in range(depth):
         shift = np.uint64((step << k) % GRID)
         prev = tables[-1][0]
-        # two sorted runs and a rotated one: a stable sort merges them in
-        # linear time, where a hashing np.unique costs 30 times as much
+        # prev and its rotation are three sorted runs: a stable sort merges
+        # them in linear time, where numpy's hashing unique costs 30 times
+        # as much
         breaks = np.concatenate([prev, (prev - shift) & _MASK])
         breaks.sort(kind="stable")
         breaks = breaks[np.concatenate(([True], breaks[1:] != breaks[:-1]))]

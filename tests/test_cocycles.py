@@ -1227,7 +1227,7 @@ def sweep_oracle(args, step_walk):
 
 class TestBlockWalk:
     """``float_walk`` chunks are the per-step walk, cut where the buffer is
-    full and at stops."""
+    full; stops only take the visit counts."""
 
     @pytest.mark.parametrize("n", [1, 100, QUARTER - 1, QUARTER, QUARTER + 1,
                                    2 * QUARTER + 5, FLOAT_BLOCK - 1,
@@ -1318,15 +1318,15 @@ def prefix_visits(steps, stops, d):
             for stop in stops]
 
 
-def assert_chunk_ends(steps, sizes, n, stops=()):
+def assert_chunk_ends(steps, sizes, n):
     """The chunks of the (slot, x) ``steps`` hold 1 to FLOAT_BLOCK steps
-    each and end at step n, at one of ``stops``, or full."""
+    each and end at step n or full."""
     assert sum(sizes) == len(steps)
     edge = 0
     for size in sizes:
         assert 0 < size <= FLOAT_BLOCK
         edge += size
-        assert edge == n or edge in stops or size == FLOAT_BLOCK
+        assert edge == n or size == FLOAT_BLOCK
 
 
 def assert_same_walk(step_walk, mirror, x0, n, tables=()):
@@ -1446,7 +1446,7 @@ class TestTowerWalk:
         for x0 in kronecker_samples(ctx, 2, iet.total, 9):
             assert assert_same_walk(step_walk, mirror, float(x0),
                                     FLOAT_BLOCK + 1, tables) is None
-            steps = block_trace(mirror, float(x0), FLOAT_BLOCK + 1)[0]
+            steps = list(step_walk(mirror, float(x0), FLOAT_BLOCK + 1))
             climbs = [float(x0)] + [x for _slot, x in steps[1:]
                                     if 0.0 <= x < table.top]
             assert any(not np.array_equal(climb_word(bad, x)[0],
@@ -2678,9 +2678,9 @@ class TestChunkSweep:
                                        segment_sweep, system):
         """A jump mark mid-base of the longest tower, and starts whose
         orbits return half a guard right of it at step k = FLOAT_BLOCK,
-        where the walk's first chunk is full, and at a step k where a
-        checkpoint ends a chunk: the hit is the first step of the next
-        chunk."""
+        where the walk's first chunk is full, so the hit is the first
+        step of the next chunk, and at a step k just after a checkpoint
+        inside a chunk."""
         iet = request.getfixturevalue(system).iet
         mirror = iet.mirror
         table = mirror.tower_table

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import statistics
 import subprocess
@@ -117,7 +118,8 @@ def main(argv=None) -> int:
                       flush=True)
     report = {
         "change": args.note,
-        "machine": f"{platform.machine()} {platform.system()}, Python "
+        "machine": f"{os.cpu_count()}-core {platform.machine()} "
+                   f"{platform.system()}, Python "
                    f"{platform.python_version()}, numpy {np.__version__}; "
                    f"run-to-run speed of a shared machine drifts, so only "
                    f"the paired runs within this file compare",
