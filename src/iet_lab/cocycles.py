@@ -1187,7 +1187,11 @@ def float_walk(mirror: FloatMirror, x0: float, n_steps: int, tables=(),
     fails, is one ``shadow_step``.  A climb cut by a chunk's end goes on
     in the next chunk from its span, so the walk looks a climb up only
     at its start, after a climb walked by ``shadow_step`` or a failed
-    check.  ``counts``, when given, has one int64 row of a count per slot
+    check.  Scalar steps that end above the table's base J (after a
+    failed prediction, or off every level) go on by scalar steps up to
+    J, so a table that mispredicts costs a lookup per climb, not one
+    per step.
+    ``counts``, when given, has one int64 row of a count per slot
     for each of ``stops`` (increasing step counts), and gets the visits
     of the steps before each stop, written before the chunk holding the
     stop is yielded (``_visits``): differences of the table's prefix
@@ -1225,8 +1229,13 @@ def float_walk(mirror: FloatMirror, x0: float, n_steps: int, tables=(),
                                          done + k + j)
                 if p:
                     pieces.append((k, start, start + p))
-                span = (start + p, end, sure) if j == p < end - start \
-                    else None  # a climb cut by the chunk's end goes on
+                if j == p < end - start:  # cut by the chunk's end: goes on
+                    span = (start + p, end, sure)
+                elif p < j and rokhlin is not None \
+                        and xs[k + j] >= rokhlin.top:
+                    span = (0, 0, False)  # left above J by scalar steps
+                else:
+                    span = None
                 checked = False
             k += j
         if counts is not None:

@@ -1456,6 +1456,30 @@ class TestTowerWalk:
         assert assert_same_walk(step_walk, mirror, x0, 2 * FLOAT_BLOCK,
                                 tables) == FLOAT_BLOCK
 
+    @pytest.mark.parametrize("corrupt", ["shifted-levels", "swapped-words"])
+    def test_mispredicted_climbs_are_looked_up_once(self, ctx, periodic4,
+                                                    step_walk, corrupt,
+                                                    monkeypatch):
+        """After a corrupt table's climb fails, the walk goes on by scalar
+        steps back to J: it looks a climb up at most once per return to
+        J, chunk and start, not again after every failed step (which
+        costs the rest of the word's moves each time)."""
+        iet = periodic4.iet
+        mirror = iet.mirror
+        bad = corrupt_table(mirror.tower_table, corrupt)
+        monkeypatch.setitem(vars(mirror), "tower_table", bad)
+        span = shadow_module.TowerTable.span
+        lookups = []
+        monkeypatch.setattr(shadow_module.TowerTable, "span",
+                            lambda t, x: lookups.append(x) or span(t, x))
+        n = FLOAT_BLOCK + 1
+        for x0 in kronecker_samples(ctx, 2, iet.total, 9):
+            lookups.clear()
+            assert assert_same_walk(step_walk, mirror, float(x0), n) is None
+            returns = sum(0.0 <= x < bad.top
+                          for _slot, x in step_walk(mirror, float(x0), n))
+            assert 0 < len(lookups) <= returns + 3
+
     @pytest.mark.parametrize("pi0, pi1, lengths", [
         ([1, 2], [2, 1], ("0.25", "0.75")),
         ([1, 2, 3], [1, 3, 2], ("0.3", "0.3", "0.4")),
