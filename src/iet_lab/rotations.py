@@ -287,21 +287,19 @@ def denjoy_koksma_check(phi: CircleStep, alpha, depth: int,
     run_min = np.zeros(len(rng), dtype=np.int64)
     # one lookup's keys and table entries, in buffers reused by every lookup
     at = np.empty(len(rng), dtype=np.uint64)
-    entry = np.empty(len(rng), dtype=np.int64)
+    entries = np.empty((3, len(rng)), dtype=np.int64)
     pos = 0
     for stop in sorted(sup_at.union(dens)):
         while pos < stop:
             k = min(len(tables) - 1, (stop - pos).bit_length() - 1)
-            breaks, s, high, low = tables[k]
             np.add(x0s, np.uint64(pos * step % GRID), out=at)
             np.bitwise_and(at, _MASK, out=at)
-            i = breaks.searchsorted(at, "right")
-            i -= 1  # -1: the wrap piece
-            np.add(carry, high.take(i, out=entry), out=entry)
-            np.maximum(run_max, entry, out=run_max)
-            np.add(carry, low.take(i, out=entry), out=entry)
-            np.minimum(run_min, entry, out=run_min)
-            carry += s.take(i, out=entry)
+            s, high, low = _lookup(tables[k], at, entries)
+            np.add(carry, high, out=high)
+            np.maximum(run_max, high, out=run_max)
+            np.add(carry, low, out=low)
+            np.minimum(run_min, low, out=run_min)
+            carry += s
             pos += 1 << k
         if stop in max_abs:
             sums = np.abs(carry)
@@ -350,11 +348,13 @@ def _block_tables(phi: CircleStep, step: int, depth: int) -> list:
     return tables
 
 
-def _lookup(table, x: np.ndarray) -> tuple:
-    """(S, P, N) of a doubling table at grid positions x."""
-    breaks, s, p, n = table
-    i = np.searchsorted(breaks, x, side="right") - 1   # -1: the wrap piece
-    return s[i], p[i], n[i]
+def _lookup(table, x: np.ndarray, out=(None, None, None)) -> tuple:
+    """(S, P, N) of a doubling table at grid positions x, taken into the
+    three arrays ``out`` when given."""
+    breaks, *entries = table
+    i = breaks.searchsorted(x, "right")
+    i -= 1  # -1: the wrap piece
+    return tuple(e.take(i, out=o) for e, o in zip(entries, out))
 
 
 def _grid_samples(count: int, seed: int) -> list:

@@ -264,8 +264,8 @@ def shadow_step(mirror: FloatMirror, x: float, n: int, sl, xs, table=None,
         if not sure or marks:
             slots, at = sl[:take], xs[:take]
             bad = np.zeros(take, bool) if sure else _guarded(mirror, slots, at)
-            for slot, gf in marks:
-                bad |= (slots == slot) & (np.abs(at - gf) < mirror.guard)
+            if marks:
+                bad |= _marked(mirror, slots, at, marks)
             if bad.any():
                 p = int(bad.argmax())
         if p == take:
@@ -336,12 +336,9 @@ def shadow_climbs(table: TowerTable, x: float, n: int, sl, xs, span,
     at, a, _b = np.array(pieces).T
     kept = _certified(table, xs, at, a)
     cut = int(at[kept]) if kept < len(pieces) else k
-    guard = table.mirror.guard
-    for slot, gf in marks:
-        bad = np.flatnonzero((sl[:cut] == slot)
-                             & (np.abs(xs[:cut] - gf) < guard))
-        if len(bad):
-            cut = int(bad[0])
+    if marks:
+        bad = np.flatnonzero(_marked(table.mirror, sl[:cut], xs[:cut], marks))
+        cut = int(bad[0]) if len(bad) else cut
     if cut < k or kept < len(pieces):
         pieces = [(at, a, min(b, a + cut - at)) for at, a, b in pieces
                   if at < cut]
@@ -386,6 +383,15 @@ def _guarded(mirror: FloatMirror, slots, points) -> np.ndarray:
     lefts, rights, _moves = mirror.arrays
     return ((points - lefts[slots] < mirror.guard)
             | (rights[slots] - points < mirror.guard))
+
+
+def _marked(mirror: FloatMirror, slots, points, marks) -> np.ndarray:
+    """The jump-mark rule on arrays: whether each point lies within
+    ``guard`` of a mark (slot, gamma) of its slot, on either side."""
+    bad = np.zeros(len(slots), bool)
+    for slot, gf in marks:
+        bad |= (slots == slot) & (np.abs(points - gf) < mirror.guard)
+    return bad
 
 
 def _tower_table(mirror: FloatMirror) -> TowerTable:

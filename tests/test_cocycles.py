@@ -1247,27 +1247,29 @@ class TestBlockWalk:
 
     @pytest.mark.parametrize("stops", [
         (1, 2, 3, 1000, 5000),
-        (TOWER_HEIGHT, FLOAT_BLOCK, FLOAT_BLOCK + 1, 2 * FLOAT_BLOCK)])
+        (TOWER_HEIGHT, QUARTER, QUARTER + 1, 2 * QUARTER)])
     def test_counts_at_stops(self, ctx, periodic4, step_walk, stops,
                              monkeypatch):
-        """Stops do not cut the chunks: the walk writes the visit counts
-        before each stop, and looks a climb up only at the start, every
-        later climb being a guess that its batch's check certifies."""
+        """Stops do not cut the chunks (of QUARTER steps here): the walk
+        writes the visit counts before each stop, and looks a climb up
+        only at the start, every later climb being a guess that its
+        batch's check certifies."""
         mirror = periodic4.iet.mirror
         lookups, checks = [], []
         span = shadow_module.TowerTable.span
         monkeypatch.setattr(shadow_module.TowerTable, "span",
                             lambda t, x: lookups.append(x) or span(t, x))
         spy_certified(monkeypatch, checks)
-        n = 3 * FLOAT_BLOCK + 7
+        n = 3 * QUARTER + 7
         x0 = float(kronecker_samples(ctx, 1, periodic4.iet.total, 5)[0])
         counts = np.full((len(stops), periodic4.d), -1, np.int64)
+        buffers = np.empty(QUARTER, np.intp), np.empty(QUARTER + 1)
         got, sizes = [], []
-        for sl, xs in float_walk(mirror, x0, n, (), stops, counts=counts):
+        for sl, xs in float_walk(mirror, x0, n, (), stops, *buffers, counts):
             got += zip(sl.tolist(), xs.tolist())
             sizes.append(len(xs))
         assert got == list(step_walk(mirror, x0, n))
-        assert_chunk_ends(got, sizes, n)
+        assert_chunk_ends(got, sizes, n, QUARTER)
         assert lookups == [x0]
         assert len(checks) == len(sizes)  # one batch per chunk
         assert all(kept == climbs for climbs, kept in checks)
@@ -1285,12 +1287,14 @@ class TestBlockWalk:
                 assert hit.value.step_index == k
 
 
-def block_trace(mirror, x0, n, tables=()):
-    """``float_walk``'s chunks as (slot, x) steps, the chunk sizes and the
-    guard hit's step index (None without one)."""
+def block_trace(mirror, x0, n, tables=(), block=FLOAT_BLOCK):
+    """``float_walk``'s chunks of at most ``block`` steps as (slot, x)
+    steps, the chunk sizes and the guard hit's step index (None without
+    one)."""
+    buffers = np.empty(block, np.intp), np.empty(block + 1)
     steps, sizes = [], []
     try:
-        for sl, xs in float_walk(mirror, x0, n, tables):
+        for sl, xs in float_walk(mirror, x0, n, tables, (), *buffers):
             sizes.append(len(xs))
             steps += zip(sl.tolist(), xs.tolist())
     except NearBreakpoint as hit:
@@ -1318,22 +1322,22 @@ def prefix_visits(steps, stops, d):
             for stop in stops]
 
 
-def assert_chunk_ends(steps, sizes, n):
-    """The chunks of the (slot, x) ``steps`` hold 1 to FLOAT_BLOCK steps
+def assert_chunk_ends(steps, sizes, n, block=FLOAT_BLOCK):
+    """The chunks of the (slot, x) ``steps`` hold 1 to ``block`` steps
     each and end at step n or full."""
     assert sum(sizes) == len(steps)
     edge = 0
     for size in sizes:
-        assert 0 < size <= FLOAT_BLOCK
+        assert 0 < size <= block
         edge += size
-        assert edge == n or size == FLOAT_BLOCK
+        assert edge == n or size == block
 
 
-def assert_same_walk(step_walk, mirror, x0, n, tables=()):
-    """``float_walk`` is the per-step walk, cut into chunks by
-    ``assert_chunk_ends``, up to the chunk with a guard hit; returns the
-    hit's step."""
-    got, sizes, hit = block_trace(mirror, x0, n, tables)
+def assert_same_walk(step_walk, mirror, x0, n, tables=(), block=FLOAT_BLOCK):
+    """``float_walk`` in chunks of at most ``block`` steps is the per-step
+    walk, cut into chunks by ``assert_chunk_ends``, up to the chunk with a
+    guard hit; returns the hit's step."""
+    got, sizes, hit = block_trace(mirror, x0, n, tables, block)
     want = []
     try:
         for step in step_walk(mirror, x0, n, tables):
@@ -1344,11 +1348,11 @@ def assert_same_walk(step_walk, mirror, x0, n, tables=()):
     assert hit == want_hit
     done = sum(sizes)
     assert got == want[:done]
-    assert_chunk_ends(got, sizes, n)
+    assert_chunk_ends(got, sizes, n, block)
     if hit is None:
         assert done == n
     else:
-        assert done <= hit < done + FLOAT_BLOCK
+        assert done <= hit < done + block
     return hit
 
 
@@ -1412,8 +1416,8 @@ class TestTowerWalk:
     def test_guard_hits(self, request, ctx, step_walk, system):
         """Half a guard width either side of every interior left end, of
         a jump mark in J and of one mid-interval, reached at step 0,
-        mid-chunk, at the block edges and after a tower return (for the
-        mark in J: on a return)."""
+        mid-chunk, at the edges of chunks of QUARTER steps and after a
+        tower return (for the mark in J: on a return)."""
         p = request.getfixturevalue(system)
         mirror = p.iet.mirror
         g, top = mirror.guard, mirror.tower_table.top
@@ -1425,12 +1429,12 @@ class TestTowerWalk:
                    for side in (-g / 2, g / 2)]
         targets += [m + side for m in marks for side in (-g / 2, g / 2)]
         for target in targets:
-            back = float_preimages(mirror, target, 2 * FLOAT_BLOCK)
+            back = float_preimages(mirror, target, 2 * QUARTER)
             returns = [i for i, x in enumerate(back) if i and 0.0 <= x < top]
-            for k in (0, 5000, FLOAT_BLOCK - 1, FLOAT_BLOCK,
-                      FLOAT_BLOCK + 1, returns[1]):
+            for k in (0, 5000, QUARTER - 1, QUARTER, QUARTER + 1,
+                      returns[1]):
                 assert assert_same_walk(step_walk, mirror, back[k],
-                                        3 * FLOAT_BLOCK, tables) == k
+                                        3 * QUARTER, tables, QUARTER) == k
 
     @pytest.mark.parametrize("corrupt", ["shifted-levels", "swapped-words"])
     def test_corrupt_table_changes_nothing(self, ctx, periodic4, step_walk,
@@ -1815,12 +1819,13 @@ class TestBatchWalk:
                                             system):
         """A step cocycle with marks in the first and last intervals, and
         stops at climb ends, one step either side of them and inside
-        climbs, across the chunk edges."""
+        climbs, across the edges of chunks of QUARTER steps."""
         iet = request.getfixturevalue(system).iet
         mirror = iet.mirror
         top = mirror.tower_table.top
         tables = sweep_tables(ctx, iet)["jumps"]
-        n = 2 * FLOAT_BLOCK + 7
+        n = 2 * QUARTER + 7
+        buffers = np.empty(QUARTER, np.intp), np.empty(QUARTER + 1)
         clear = 0
         for x0 in kronecker_samples(ctx, 3, iet.total, 11):
             want, hit = step_trace(step_walk, mirror, float(x0), n, tables)
@@ -1828,13 +1833,13 @@ class TestBatchWalk:
                     if i and 0.0 <= x < top]
             stops = sorted({*ends[:8], *(e + 1 for e in ends[:4]),
                             *(e - 1 for e in ends[:4]),
-                            *(e + 7 for e in ends[-4:]), FLOAT_BLOCK - 1,
-                            FLOAT_BLOCK, FLOAT_BLOCK + 1, n} - {0})
+                            *(e + 7 for e in ends[-4:]), QUARTER - 1,
+                            QUARTER, QUARTER + 1, n} - {0})
             counts = np.full((len(stops), iet.d), -1, np.int64)
             got, sizes = [], []
             try:
                 for sl, xs in float_walk(mirror, float(x0), n, tables, stops,
-                                         counts=counts):
+                                         *buffers, counts):
                     got += zip(sl.tolist(), xs.tolist())
                     sizes.append(len(xs))
                 got_hit = None
@@ -1842,7 +1847,7 @@ class TestBatchWalk:
                 got_hit = guarded.step_index
             assert got_hit == hit
             assert got == want[:len(got)]
-            assert_chunk_ends(got, sizes, n)
+            assert_chunk_ends(got, sizes, n, QUARTER)
             if hit is None:
                 clear += 1
                 assert got == want
@@ -2062,7 +2067,7 @@ class TestWalkerKernel:
         lc, wc = depth_interval_coeffs(periodic4, 1, 2)
         start = [1009 * left + 500 * w for left, w in zip(lc, wc)]
         oracle, wk = (ExactWalker(iet, start, 1009) for _ in range(2))
-        n = FLOAT_BLOCK + 1
+        n = QUARTER + 1
         points = []
         for _ in range(n):
             points.append(oracle.x_f)
@@ -2147,7 +2152,7 @@ class TestWalkerKernel:
         lc, wc = depth_interval_coeffs(periodic4, 1, 2)
         start = [1009 * left + 500 * w for left, w in zip(lc, wc)]
         oracle, wk = (ExactWalker(iet, start, 1009) for _ in range(2))
-        n = FLOAT_BLOCK + 1
+        n = QUARTER + 1
         assert wk.run(n) == eager_run(oracle, n)
         assert_matches_eager(wk, oracle)
         assert 0 < wk.checked == sum(climbs) < n
@@ -2665,10 +2670,14 @@ class TestChunkSweep:
     @pytest.mark.parametrize("kind", ["pl", "jumps", "both"])
     @pytest.mark.parametrize("system", SYSTEMS)
     def test_matches_segment_sweep(self, request, ctx, segment_sweep, system,
-                                   kind):
+                                   kind, monkeypatch):
+        """In chunks of QUARTER steps, so that the checkpoints cross
+        several chunk edges; ``test_checkpoints_on_chunk_edges`` keeps
+        the default chunks."""
+        monkeypatch.setattr(cocycles_module, "FLOAT_BLOCK", QUARTER)
         iet = request.getfixturevalue(system).iet
         tables = sweep_tables(ctx, iet)[kind]
-        checkpoints = geometric_checkpoints(3 * FLOAT_BLOCK + 7,
+        checkpoints = geometric_checkpoints(3 * QUARTER + 7,
                                             CHECKPOINT_RATIO)
         outcomes = []
         for x0 in kronecker_samples(ctx, 3, iet.total, 4):

@@ -1,17 +1,21 @@
 """Alternating parent/change pairs of ``bench/run.py``, summed up in one JSON file.
 
     python3 tools/bench_pairs.py --parent ../pa --change ../ch --pr 26 \
-        --seed 31 --pairs 10 --seconds 25 --claim float_sweeps:solve_s
+        --seed 31 --pairs 10 --seconds 25 --claim float_sweeps:solve_s:10
 
 ``--parent`` and ``--change`` are two checkouts (for example ``git clone``s
 of the two commits) whose paths have equal length: ``peak_rss_mb``
 depends on the length of the path the benchmark runs from.  Each pair
-runs every workload once per side, the parent first in even pairs and the
-change first in odd ones, the workloads interleaved within the pair.  The
-summary, written to ``BENCH_<pr>.json`` in the change checkout (or to
-``--out``), keeps every run and, per workload and end-to-end metric, the
-median and quartiles (``statistics.quantiles``, n=4, inclusive) of each
-side and the number of pairs in which the change reads better.
+runs every workload of BENCHMARK.json once per side, the parent first in
+even pairs and the change first in odd ones, the workloads interleaved
+within the pair.  The summary, written to ``BENCH_<pr>.json`` in the
+change checkout (or to ``--out``), keeps the command line, every run and,
+per workload and end-to-end metric, the median and quartiles
+(``statistics.quantiles``, n=4, inclusive) of each side and the number of
+pairs in which the change reads better.  ``--claim`` names a claimed
+gain and, optionally, its target in percent; the summary then checks it
+as a gain must hold: better in at least nine of ten pairs, and a median
+gap wider than the parent's interquartile range.
 """
 
 from __future__ import annotations
@@ -38,10 +42,9 @@ def parse_args(argv=None):
     ap.add_argument("--seed", required=True, type=int)
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=25.0)
-    ap.add_argument("--workloads", default=None,
-                    help="comma-separated; default: BENCHMARK.json's")
     ap.add_argument("--claim", default=None,
-                    help="WORKLOAD:METRIC of the claimed gain, if any")
+                    help="WORKLOAD:METRIC[:TARGET_PCT] of the claimed "
+                         "gain, if any")
     ap.add_argument("--note", default="", help="what the change does")
     ap.add_argument("--out", type=Path, default=None)
     return ap.parse_args(argv)
@@ -102,8 +105,7 @@ def main(argv=None) -> int:
     with open(change / "BENCHMARK.json", encoding="utf-8") as fh:
         spec = json.load(fh)
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    workloads = (args.workloads.split(",") if args.workloads
-                 else [w["name"] for w in spec["workloads"]])
+    workloads = [w["name"] for w in spec["workloads"]]
     runs = {w: {side: [] for side in SIDES} for w in workloads}
     roots = {"parent": parent, "change": change}
     for pair in range(args.pairs):
@@ -118,6 +120,8 @@ def main(argv=None) -> int:
                       flush=True)
     report = {
         "change": args.note,
+        "command": ["python3", "tools/bench_pairs.py",
+                    *(sys.argv[1:] if argv is None else argv)],
         "machine": f"{os.cpu_count()}-core {platform.machine()} "
                    f"{platform.system()}, Python "
                    f"{platform.python_version()}, numpy {np.__version__}; "
@@ -136,16 +140,21 @@ def main(argv=None) -> int:
         "workloads": {w: summarize(runs[w], better) for w in workloads},
     }
     if args.claim:
-        workload, metric = args.claim.split(":")
+        workload, metric, *target = args.claim.split(":")
         entry = report["workloads"][workload][metric]
         p, c = entry["parent"]["median"], entry["change"]["median"]
-        report["claim"] = {
-            "metric": metric, "workload": workload, "parent_median": p,
-            "change_median": c,
-            "reduction_pct": round(100 * (p - c) / p, 1),
-            "parent_iqr": round(entry["parent"]["q3"]
-                                - entry["parent"]["q1"], 4),
-            "change_better_pairs": entry["change_better_pairs"]}
+        gain = p - c if better.get(metric, "lower") == "lower" else c - p
+        iqr = round(entry["parent"]["q3"] - entry["parent"]["q1"], 4)
+        wins = entry["change_better_pairs"]
+        claim = {"metric": metric, "workload": workload,
+                 "parent_median": p, "change_median": c,
+                 "gain_pct": round(100 * gain / p, 1), "parent_iqr": iqr,
+                 "change_better_pairs": wins,
+                 "holds": 10 * wins >= 9 * args.pairs and gain > iqr}
+        if target:
+            claim["target_pct"] = float(target[0])
+            claim["target_met"] = 100 * gain / p >= float(target[0])
+        report["claim"] = claim
     out = args.out or change / f"BENCH_{args.pr}.json"
     with open(out, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=1)
