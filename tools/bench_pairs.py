@@ -97,6 +97,9 @@ def summarize(runs: dict, better: dict) -> dict:
 
 def main(argv=None) -> int:
     args = parse_args(argv)
+    if args.pairs < 2:
+        sys.stderr.write("error: quartiles need --pairs >= 2\n")
+        return 2
     parent, change = args.parent.resolve(), args.change.resolve()
     if len(str(parent)) != len(str(change)):
         sys.stderr.write(f"error: {parent} and {change} differ in path "
