@@ -603,14 +603,16 @@ def certified_lattice_sign(lengths, coeffs) -> int:
 
 
 def depth_lattice(periodic: PeriodicIet, n: int) -> DepthLattice:
-    """Lattice data of the depth-n induced exchange, from A^-n computed once.
+    """Lattice data of the depth-n induced exchange.
 
     Depth counts normalized periods.  The induced exchange has the same
     pair and the lengths A^-n lambda, integral in the unit lengths
-    because the period matrix is unimodular.
+    because the period matrix is unimodular.  A^-n is the n-th power of
+    the system's one cached inverse, ``PeriodicIet.step_inverse``.
     """
-    return _lattice(periodic.pair, intmat.inverse_unimodular(
-        intmat.matpow(periodic.step_matrix, n)))
+    if n < 0:
+        raise DomainError(f"depth must be >= 0, got {n}")
+    return _lattice(periodic.pair, intmat.matpow(periodic.step_inverse, n))
 
 
 def depth_interval_coeffs(periodic: PeriodicIet, n: int, letter: int) -> tuple:

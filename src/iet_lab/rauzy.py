@@ -347,6 +347,12 @@ class PeriodicIet:
         """Matrix of one normalized period (tower and correction levels)."""
         return intmat.matpow(self.matrix, self.effective_multiplier)
 
+    @cached_property
+    def step_inverse(self) -> IntMatrix:
+        """Inverse of ``step_matrix``, the one exact inverse per system:
+        every A^-n is its n-th power."""
+        return intmat.inverse_unimodular(self.step_matrix)
+
     @property
     def step_scale(self):
         """Contraction of one normalized period."""
@@ -356,6 +362,8 @@ class PeriodicIet:
         """Return time in base steps of each letter's depth-n interval
         (depth in normalized periods): the column sums of
         ``step_matrix``**n."""
+        if n < 0:
+            raise DomainError(f"depth must be >= 0, got {n}")
         return intmat.column_sums(intmat.matpow(self.step_matrix, n))
 
     def first_letter(self) -> int:

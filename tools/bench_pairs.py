@@ -12,10 +12,14 @@ within the pair.  The summary, written to ``BENCH_<pr>.json`` in the
 change checkout (or to ``--out``), keeps the command line, every run and,
 per workload and end-to-end metric, the median and quartiles
 (``statistics.quantiles``, n=4, inclusive) of each side and the number of
-pairs in which the change reads better.  ``--claim`` names a claimed
-gain and, optionally, its target in percent; the summary then checks it
-as a gain must hold: better in at least nine of ten pairs, and a median
-gap wider than the parent's interquartile range.
+pairs in which the change reads better.  Each metric also records
+``within_bound``: the change's median is no worse than the parent's by
+more than the metric's ``bound`` in BENCHMARK.json, and
+``all_within_bounds`` holds when every workload's every metric is.
+``--claim`` names a claimed gain and, optionally, its target in percent;
+the summary then checks it as a gain must hold: better in at least nine
+of ten pairs, and a median gap wider than the parent's interquartile
+range.
 """
 
 from __future__ import annotations
@@ -69,10 +73,18 @@ def quartiles(values) -> dict:
             "q3": round(q3, 4)}
 
 
-def summarize(runs: dict, better: dict) -> dict:
+def within_bound(parent: float, change: float, metric: dict) -> bool:
+    """Whether the change's median is no worse than the parent's by more
+    than the metric's relative ``bound`` (a BENCHMARK.json entry)."""
+    if metric["better"] == "lower":
+        return change <= parent * (1 + metric["bound"])
+    return change >= parent * (1 - metric["bound"])
+
+
+def summarize(runs: dict, metrics: dict) -> dict:
     """Per end-to-end metric: both sides' medians and quartiles, the pairs
-    the change wins (``better`` maps a metric to "lower" or "higher") and
-    every run."""
+    the change wins, whether it keeps the metric's bound (``metrics`` maps
+    each name to its BENCHMARK.json entry) and every run."""
     first = runs["parent"][0]["metrics"]
     out = {"pairs": len(runs["parent"]),
            "all_correct": all(r["correct"] for side in SIDES
@@ -84,14 +96,39 @@ def summarize(runs: dict, better: dict) -> dict:
     for name, entry in sorted(first.items()):
         values = {side: [r["metrics"][name]["value"] for r in runs[side]]
                   for side in SIDES}
-        sign = -1 if better.get(name, "lower") == "lower" else 1
+        sign = -1 if metrics[name]["better"] == "lower" else 1
         wins = sum(sign * (c - p) > 0
                    for p, c in zip(values["parent"], values["change"]))
-        out[name] = {"unit": entry["unit"],
-                     **{side: quartiles(values[side]) for side in SIDES},
+        sides = {side: quartiles(values[side]) for side in SIDES}
+        out[name] = {"unit": entry["unit"], **sides,
                      "change_better_pairs": wins,
+                     "within_bound": within_bound(
+                         sides["parent"]["median"], sides["change"]["median"],
+                         metrics[name]),
                      "runs": {side: [round(v, 4) for v in values[side]]
                               for side in SIDES}}
+    return out
+
+
+def check_claim(workloads: dict, claim: str, metrics: dict) -> dict:
+    """The claimed gain ``WORKLOAD:METRIC[:TARGET_PCT]`` checked on the
+    summaries: better in at least nine of ten pairs, and a median gap
+    wider than the parent's interquartile range."""
+    workload, metric, *target = claim.split(":")
+    entry = workloads[workload][metric]
+    p, c = entry["parent"]["median"], entry["change"]["median"]
+    gain = p - c if metrics[metric]["better"] == "lower" else c - p
+    iqr = round(entry["parent"]["q3"] - entry["parent"]["q1"], 4)
+    wins = entry["change_better_pairs"]
+    pairs = len(entry["runs"]["parent"])
+    out = {"metric": metric, "workload": workload,
+           "parent_median": p, "change_median": c,
+           "gain_pct": round(100 * gain / p, 1), "parent_iqr": iqr,
+           "change_better_pairs": wins,
+           "holds": 10 * wins >= 9 * pairs and gain > iqr}
+    if target:
+        out["target_pct"] = float(target[0])
+        out["target_met"] = 100 * gain / p >= float(target[0])
     return out
 
 
@@ -107,7 +144,7 @@ def main(argv=None) -> int:
         return 2
     with open(change / "BENCHMARK.json", encoding="utf-8") as fh:
         spec = json.load(fh)
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    metrics = {m["name"]: m for m in spec["end_to_end"]}
     workloads = [w["name"] for w in spec["workloads"]]
     runs = {w: {side: [] for side in SIDES} for w in workloads}
     roots = {"parent": parent, "change": change}
@@ -140,24 +177,14 @@ def main(argv=None) -> int:
                   f"medians and quartiles (statistics.quantiles, n=4, "
                   f"inclusive) over each side's runs; change_better_pairs "
                   f"counts the pairs where the change reads better.",
-        "workloads": {w: summarize(runs[w], better) for w in workloads},
+        "workloads": {w: summarize(runs[w], metrics) for w in workloads},
     }
+    report["all_within_bounds"] = all(
+        report["workloads"][w][m]["within_bound"]
+        for w in workloads for m in metrics)
     if args.claim:
-        workload, metric, *target = args.claim.split(":")
-        entry = report["workloads"][workload][metric]
-        p, c = entry["parent"]["median"], entry["change"]["median"]
-        gain = p - c if better.get(metric, "lower") == "lower" else c - p
-        iqr = round(entry["parent"]["q3"] - entry["parent"]["q1"], 4)
-        wins = entry["change_better_pairs"]
-        claim = {"metric": metric, "workload": workload,
-                 "parent_median": p, "change_median": c,
-                 "gain_pct": round(100 * gain / p, 1), "parent_iqr": iqr,
-                 "change_better_pairs": wins,
-                 "holds": 10 * wins >= 9 * args.pairs and gain > iqr}
-        if target:
-            claim["target_pct"] = float(target[0])
-            claim["target_met"] = 100 * gain / p >= float(target[0])
-        report["claim"] = claim
+        report["claim"] = check_claim(report["workloads"], args.claim,
+                                      metrics)
     out = args.out or change / f"BENCH_{args.pr}.json"
     with open(out, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=1)
