@@ -12,6 +12,9 @@ import sys
 from pathlib import Path
 
 from iet_lab import cocycles, intmat
+from iet_lab.perms import make_symmetric_pair
+from iet_lab.rauzy import build_periodic_from_matrix
+from iet_lab.repro import FIVE_MATRIX, GROUPED_MATRIX
 from iet_lab.shadow import TOWER_HEIGHT
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -122,3 +125,32 @@ def test_warm_exact_climbs_are_taken_whole(request, monkeypatch):
         for num in (101, 500, 907):
             assert list(climb(p, k, b, how, num)) == column(p, k, b)
     assert steps == []
+
+
+def test_tower_climbs_invert_once_per_system(ctx, monkeypatch):
+    """One criterion-4 climb per (system, depth <= 4, letter), made as
+    ``tower_climbs`` makes them: on fresh systems, all of them together
+    invert each period matrix at most once, and every climb's counts are
+    the letter's column of A."""
+    systems = [build_periodic_from_matrix(make_symmetric_pair(d), matrix, ctx)
+               for d, matrix in ((4, GROUPED_MATRIX), (5, FIVE_MATRIX))]
+    inverted = []
+    inverse = intmat.inverse_unimodular
+
+    def counted(a):
+        inverted.append(a)
+        return inverse(a)
+
+    monkeypatch.setattr(intmat, "inverse_unimodular", counted)
+    for p in systems:
+        for n in range(5):
+            thr = cocycles.depth_total_coeffs(p, n + 1)
+            for b in range(p.d):
+                lc, wc = cocycles.depth_interval_coeffs(p, n + 1, b)
+                coeffs = [1009 * left + 500 * w for left, w in zip(lc, wc)]
+                wk = cocycles.ExactWalker.at_depth(p, n, coeffs, 1009)
+                counts = wk.run_until_below([1009 * t for t in thr],
+                                            float(p.step_scale ** -(n + 1)))
+                assert list(counts) == [row[b] for row in p.step_matrix]
+    assert len(inverted) <= len(systems)
+    assert all(inverted.count(p.step_matrix) <= 1 for p in systems)

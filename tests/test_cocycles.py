@@ -33,7 +33,7 @@ from iet_lab.errors import DomainError, NearBreakpoint, NotNormalized
 from iet_lab.perms import make_pair, make_symmetric_pair
 from iet_lab.precision import (PrecisionContext, as_fraction,
                                geometric_checkpoints, kronecker_samples)
-from iet_lab.rauzy import Iet, build_periodic_from_matrix
+from iet_lab.rauzy import Iet, _lattice, build_periodic_from_matrix
 from iet_lab.repro import FIVE_MATRIX
 from iet_lab.shadow import (_TOWER_REACH, GUARD, TOWER_HEIGHT,
                             lattice_mirror)
@@ -624,7 +624,10 @@ class TestReturnTimes:
         assert return_time_matrix(periodic4, 0, 2) \
             == intmat.matpow(periodic4.matrix, 2)
 
-    def test_one_inverse_power_per_request(self, periodic4, monkeypatch):
+    def test_one_inverse_power_per_request(self, ctx, monkeypatch):
+        # a fresh system: the session fixtures may already hold A^-1
+        p = build_periodic_from_matrix(make_symmetric_pair(5), FIVE_MATRIX,
+                                       ctx)
         calls = []
         inverse = intmat.inverse_unimodular
 
@@ -633,14 +636,33 @@ class TestReturnTimes:
             return inverse(a)
 
         monkeypatch.setattr(intmat, "inverse_unimodular", counted)
-        for level in (1, 2, 3):
-            before = len(calls)
-            ExactWalker.at_depth(periodic4, level, [0, 0, 0, 0])
-            assert len(calls) - before == 1
-            depth_interval_coeffs(periodic4, level, 2)
-            assert len(calls) - before == 2
-            depth_total_coeffs(periodic4, level)
-            assert len(calls) - before == 3
+        depth_total_coeffs(p, 3)
+        assert calls == [p.step_matrix]
+        for level in range(6):
+            ExactWalker.at_depth(p, level, [0] * p.d)
+            depth_interval_coeffs(p, level, 2)
+            depth_total_coeffs(p, level)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("system", ["periodic4", "periodic5",
+                                        "periodic7"])
+    def test_inverse_powers_match_inverted_powers(self, request, system):
+        p = request.getfixturevalue(system)
+        assert intmat.matmul(p.step_matrix, p.step_inverse) \
+            == intmat.identity(p.d)
+        for n in range(13):
+            assert depth_lattice(p, n) == _lattice(
+                p.pair, intmat.inverse_unimodular(
+                    intmat.matpow(p.step_matrix, n)))
+
+    @pytest.mark.parametrize("request_at", [
+        lambda p, n: depth_lattice(p, n),
+        lambda p, n: ExactWalker.at_depth(p, n, [0] * p.d),
+        lambda p, n: p.heights(n),
+    ], ids=["depth_lattice", "at_depth", "heights"])
+    def test_negative_depth_refused(self, periodic4, request_at):
+        with pytest.raises(DomainError, match=r"depth must be >= 0, got -1"):
+            request_at(periodic4, -1)
 
     def test_walker_shadow_matches_exchange_at_depth_zero(self, periodic4,
                                                           periodic5,
