@@ -1103,8 +1103,9 @@ def m_index(periodic: PeriodicIet, x, n: int) -> MIndexReport:
     m = 0
     while second < walker.lengths.ceil_num(periodic.pf_value ** -(m + 1)):
         m += 1
-    q_m = intmat.column_sums(intmat.matpow(periodic.matrix, m))
-    q_m1 = intmat.column_sums(intmat.matpow(periodic.matrix, m + 1))
+    a_m = intmat.matpow(periodic.matrix, m)
+    q_m = intmat.column_sums(a_m)
+    q_m1 = intmat.column_sums(intmat.matmul(a_m, periodic.matrix))
     return MIndexReport(m, n, min(q_m), periodic.d * max(q_m1))
 
 

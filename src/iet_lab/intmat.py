@@ -59,15 +59,21 @@ def matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
 
 
 def matpow(a: IntMatrix, n: int) -> IntMatrix:
+    """a**n by squaring from the base, high bit first.
+
+    The top bit takes ``a`` itself, then each lower bit squares and, when
+    set, multiplies by ``a``: bit_length(n) + popcount(n) - 2 products
+    for n >= 1, none against the identity.
+    """
     if n < 0:
         raise DimensionError("negative matrix power; use inverse_unimodular")
-    result = identity(len(a))
-    base = a
-    while n:
-        if n & 1:
-            result = matmul(result, base)
-        base = matmul(base, base) if n > 1 else base
-        n >>= 1
+    if n == 0:
+        return identity(len(a))
+    result = tuple(map(tuple, a))
+    for bit in bin(n)[3:]:
+        result = matmul(result, result)
+        if bit == "1":
+            result = matmul(result, a)
     return result
 
 

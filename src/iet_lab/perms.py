@@ -10,6 +10,7 @@ uniform.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import DegenerateAlphabet, InvalidPermutation, reading_spec
 
@@ -42,6 +43,13 @@ class PermutationPair:
     @property
     def d(self) -> int:
         return len(self.pi0)
+
+    @cached_property
+    def orders(self) -> tuple:
+        """(letters by pi0, letters by pi1): the left-to-right order of
+        the intervals and of their images, sorted once per pair."""
+        return tuple(tuple(sorted(range(self.d), key=pi.__getitem__))
+                     for pi in (self.pi0, self.pi1))
 
     def position_map(self) -> tuple:
         """pi1 o pi0^{-1} as a tuple over positions 1..d."""

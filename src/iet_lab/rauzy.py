@@ -10,6 +10,7 @@ length vector is the leading eigenvector of the loop's matrix product.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from math import lcm
@@ -63,22 +64,25 @@ class DepthLattice:
     total: tuple
 
 
-def _prefix_sums(rank, rows) -> tuple:
-    """Per letter a, the sum of rows[c] over the letters c ranked before a."""
+def _prefix_sums(order, rows) -> tuple:
+    """Per letter a, the sum of rows[c] over the letters c before a in
+    ``order``; and the sum of all rows."""
     out = [None] * len(rows)
-    acc = (0,) * len(rows)
-    for a in sorted(range(len(rows)), key=rank.__getitem__):
+    acc = (0,) * len(rows[0])
+    for a in order:
         out[a] = acc
-        acc = tuple(s + r for s, r in zip(acc, rows[a]))
-    return tuple(out)
+        acc = tuple(map(operator.add, acc, rows[a]))
+    return tuple(out), acc
 
 
 def _lattice(pair, widths) -> DepthLattice:
     """Lattice data of the exchange of ``pair`` whose letter a has width row a."""
-    widths = tuple(tuple(row) for row in widths)
-    return DepthLattice(_prefix_sums(pair.pi0, widths), widths,
-                        _prefix_sums(pair.pi1, widths),
-                        tuple(map(sum, zip(*widths))))
+    if type(widths) is not tuple or any(type(row) is not tuple
+                                        for row in widths):
+        widths = tuple(map(tuple, widths))
+    order0, order1 = pair.orders
+    lefts, total = _prefix_sums(order0, widths)
+    return DepthLattice(lefts, widths, _prefix_sums(order1, widths)[0], total)
 
 
 @dataclass(frozen=True)
@@ -103,7 +107,7 @@ class Iet:
         lattice = _lattice(self.pair, intmat.identity(d))
         dot, lam = self.lengths.ctx.dot_int, self.lengths.values
         left = tuple(dot(row, lam) for row in lattice.lefts)
-        order0 = tuple(sorted(range(d), key=self.pair.pi0.__getitem__))
+        order0 = self.pair.orders[0]
         object.__setattr__(self, "lattice", lattice)
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right",

@@ -4,6 +4,7 @@ synthetic runs and without running the benchmark."""
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -24,11 +25,13 @@ METRICS = {m["name"]: m for m in json.loads(
     (ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
 
 
-def runs(**series):
+def runs(rounds=(50, 60), **series):
     """Synthetic ``bench/run.py`` summaries: ``series`` maps a metric to
-    its (parent values, change values)."""
+    its (parent values, change values); each side's runs complete
+    ``rounds`` rounds."""
     def side(i):
         return [{"correct": True, "attempted": 10, "failed": 0,
+                 "rounds": rounds[i],
                  "metrics": {name: {"value": values[i][k], "unit": "s"}
                              for name, values in series.items()}}
                 for k in range(len(next(iter(series.values()))[i]))]
@@ -45,6 +48,8 @@ def test_summary_counts_pairs_and_quartiles():
     assert entry["change"]["median"] == 1.0
     assert entry["change_better_pairs"] == 4
     assert entry["within_bound"]
+    assert out["rounds"] == {"parent": {"median": 50, "runs": [50] * 5},
+                             "change": {"median": 60, "runs": [60] * 5}}
 
 
 @pytest.mark.parametrize("better,parent,change,within", [
@@ -97,3 +102,97 @@ def test_claim_needs_a_gap_wider_than_the_parent_spread():
     assert claim["change_better_pairs"] == 10
     assert claim["parent_iqr"] > 0.05 and not claim["holds"]
     assert "target_met" not in claim
+
+
+WORKLOADS = [w["name"] for w in json.loads(
+    (ROOT / "BENCHMARK.json").read_text())["workloads"]]
+
+
+def checkouts(tmp_path):
+    """Two sibling directories of equal path length, the change one with
+    this repository's BENCHMARK.json."""
+    parent, change = tmp_path / "pa", tmp_path / "ch"
+    for root in (parent, change):
+        root.mkdir()
+    (change / "BENCHMARK.json").write_text(
+        (ROOT / "BENCHMARK.json").read_text())
+    return ["--parent", str(parent), "--change", str(change), "--pr", "1",
+            "--seed", "5", "--pairs", "2", "--seconds", "1"]
+
+
+@pytest.mark.parametrize("claim", [
+    "tower_climb:solve_s:20",
+    "tower_climbs:intmat.matpow.calls:20",
+    "tower_climbs:solve_s:twenty",
+    "tower_climbs:solve_s:nan",
+    "tower_climbs:solve_s:20:5",
+    "tower_climbs",
+])
+def test_bad_claim_is_refused_before_any_run(tmp_path, monkeypatch, capsys,
+                                             claim):
+    def never(*args):
+        raise AssertionError("a run started before the claim was checked")
+
+    monkeypatch.setattr(bench_pairs, "run_once", never)
+    code = bench_pairs.main(checkouts(tmp_path) + ["--claim", claim])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not list(tmp_path.glob("ch/BENCH_*.json"))
+
+
+def test_main_records_rounds_and_claim(tmp_path, monkeypatch):
+    """Stubbed runs: each side's rounds reach the summary, and a valid
+    claim is checked."""
+    def fake(root, workload, seed, seconds):
+        change = root.name == "ch"
+        value = {"setup_s": 0.1, "solve_s": 0.5 if change else 1.0,
+                 "peak_rss_mb": 40.0}
+        return {"correct": True, "attempted": 3, "failed": 0,
+                "rounds": 40 if change else 20,
+                "metrics": {k: {"value": v, "unit": "s"}
+                            for k, v in value.items()}}
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake)
+    args = checkouts(tmp_path) + ["--claim", "tower_climbs:solve_s:20"]
+    assert bench_pairs.main(args) == 0
+    report = json.loads((tmp_path / "ch" / "BENCH_1.json").read_text())
+    assert set(report["workloads"]) == set(WORKLOADS)
+    rounds = report["workloads"]["tower_climbs"]["rounds"]
+    assert rounds["parent"] == {"median": 20, "runs": [20, 20]}
+    assert rounds["change"]["median"] == 40
+    assert report["claim"]["target_met"] and report["claim"]["gain_pct"] == 50
+
+
+def fake_bench(monkeypatch, stdout, round_s=None):
+    """``subprocess.run`` stubbed to print ``stdout``; with ``round_s``,
+    the run also writes its result file as ``bench/run.py`` does."""
+    def run(cmd, cwd, **kwargs):
+        if round_s is not None:
+            out = Path(cwd) / "bench" / "results"
+            out.mkdir(parents=True, exist_ok=True)
+            workload, seed = cmd[cmd.index("--workload") + 1], \
+                cmd[cmd.index("--seed") + 1]
+            (out / f"{workload}-seed{seed}-trace0.json").write_text(
+                json.dumps({"round_s": round_s}))
+        return subprocess.CompletedProcess(cmd, 0, stdout, "")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", run)
+
+
+def test_run_once_counts_completed_rounds(tmp_path, monkeypatch):
+    summary = {"correct": True, "attempted": 1, "failed": 0, "metrics": {}}
+    fake_bench(monkeypatch, "warming up\n" + json.dumps(summary) + "\n",
+               round_s=[0.3, 0.25, 0.26])
+    result = bench_pairs.run_once(tmp_path, "tower_climbs", 9, 1.0)
+    assert result == dict(summary, rounds=3)
+
+
+def test_run_once_refuses_a_last_line_that_is_not_json(tmp_path, monkeypatch):
+    fake_bench(monkeypatch, '{"correct": true}\nTraceback: boom\n')
+    with pytest.raises(SystemExit) as info:
+        bench_pairs.run_once(tmp_path, "tower_climbs", 9, 1.0)
+    message = str(info.value)
+    assert message.startswith("error: ") and "\n" not in message
+    assert "bench/run.py --workload tower_climbs" in message
+    assert "Traceback: boom" in message

@@ -12,6 +12,7 @@ from iet_lab.errors import (DegenerateAlphabet, DimensionError,
                             DomainError, InvalidPermutation)
 from iet_lab.perms import make_pair, make_symmetric_pair
 from iet_lab.precision import PrecisionContext, RealVector
+from iet_lab.rauzy import _lattice
 
 
 class TestPermutationPair:
@@ -64,6 +65,53 @@ class TestIntMatrix:
     def test_matpow_square(self):
         a = intmat.freeze([[2, 1], [1, 1]])
         assert intmat.matpow(a, 2) == ((5, 3), (3, 2))
+
+    @staticmethod
+    def repeated_product(a, n):
+        out = intmat.identity(len(a))
+        for _ in range(n):
+            out = intmat.matmul(out, a)
+        return out
+
+    @pytest.mark.parametrize("name", ["periodic4", "periodic5", "periodic7"])
+    @pytest.mark.parametrize("which", ["matrix", "step_inverse"])
+    def test_matpow_is_repeated_product(self, request, name, which):
+        a = getattr(request.getfixturevalue(name), which)
+        for n in range(13):
+            assert intmat.matpow(a, n) == self.repeated_product(a, n)
+
+    @pytest.mark.parametrize("a", [((-3,),), ((2, 1, 0), (0, 3, 1), (1, -1, 2))],
+                             ids=["1x1", "det15"])
+    def test_matpow_small_and_singular_bases(self, a):
+        assert intmat.det(a) not in (1, -1)
+        for n in range(13):
+            assert intmat.matpow(a, n) == self.repeated_product(a, n)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 7, 8, 12, 31, 64, 100])
+    def test_matpow_products(self, monkeypatch, n):
+        """Squaring from the base: no product against the identity."""
+        a = intmat.freeze([[2, 1], [1, 1]])
+        calls = []
+        matmul = intmat.matmul
+
+        def spy(x, y):
+            calls.append(1)
+            return matmul(x, y)
+
+        monkeypatch.setattr(intmat, "matmul", spy)
+        intmat.matpow(a, n)
+        expected = n.bit_length() + bin(n).count("1") - 2 if n else 0
+        assert len(calls) == expected
+
+    def test_matpow_one_freezes_rows(self):
+        rows = [[2, 1], [1, 1]]
+        out = intmat.matpow(rows, 1)
+        assert type(out) is tuple and all(type(r) is tuple for r in out)
+        assert out == intmat.freeze(rows)
+
+    def test_matpow_negative_raises(self):
+        with pytest.raises(DimensionError):
+            intmat.matpow(((2, 1), (1, 1)), -1)
 
     def test_dimension_mismatch(self):
         a = intmat.identity(4)
@@ -319,3 +367,28 @@ class TestPrecisionContext:
             n = vec.int_dot(coeffs)
             assert Fraction(n) * Fraction(2) ** exp == exact
             assert vec.exact_float(n, den) == float(exact / den)
+
+
+class TestLattice:
+    @pytest.mark.parametrize("name", ["periodic4", "periodic5", "periodic7"])
+    def test_lattice_is_per_letter_sums(self, request, name):
+        """``_lattice`` against sums over the letters ranked before each
+        one, for random integer widths, as tuples and as lists."""
+        pair = request.getfixturevalue(name).pair
+        d = pair.d
+        rng = random.Random(d)
+
+        def before(pi, a, rows):
+            return tuple(sum(rows[c][k] for c in range(d) if pi[c] < pi[a])
+                         for k in range(d))
+
+        for trial in range(20):
+            rows = tuple(tuple(rng.randint(-10 ** 12, 10 ** 12)
+                               for _ in range(d)) for _ in range(d))
+            lat = _lattice(pair, rows if trial % 2 else list(map(list, rows)))
+            assert lat.widths == rows
+            assert lat.lefts == tuple(before(pair.pi0, a, rows)
+                                      for a in range(d))
+            assert lat.image_lefts == tuple(before(pair.pi1, a, rows)
+                                            for a in range(d))
+            assert lat.total == tuple(sum(col) for col in zip(*rows))

@@ -10,7 +10,10 @@ runs every workload of BENCHMARK.json once per side, the parent first in
 even pairs and the change first in odd ones, the workloads interleaved
 within the pair.  The summary, written to ``BENCH_<pr>.json`` in the
 change checkout (or to ``--out``), keeps the command line, every run and,
-per workload and end-to-end metric, the median and quartiles
+per workload, each run's completed rounds (``len(round_s)`` of the result
+file ``bench/run.py`` writes) with each side's median, since a faster round
+also means more retained rounds and a higher ``peak_rss_mb``; and per
+workload and end-to-end metric, the median and quartiles
 (``statistics.quantiles``, n=4, inclusive) of each side and the number of
 pairs in which the change reads better.  Each metric also records
 ``within_bound``: the change's median is no worse than the parent's by
@@ -19,13 +22,14 @@ more than the metric's ``bound`` in BENCHMARK.json, and
 ``--claim`` names a claimed gain and, optionally, its target in percent;
 the summary then checks it as a gain must hold: better in at least nine
 of ten pairs, and a median gap wider than the parent's interquartile
-range.
+range.  A malformed ``--claim`` is refused (exit 2) before any run.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import statistics
@@ -54,8 +58,35 @@ def parse_args(argv=None):
     return ap.parse_args(argv)
 
 
+def parse_claim(claim: str, workloads, metrics: dict) -> tuple:
+    """``WORKLOAD:METRIC[:TARGET_PCT]`` as (workload, metric, target or
+    None); ValueError unless the workload is one of ``workloads``, the
+    metric an end-to-end one and the target a finite number."""
+    parts = claim.split(":")
+    if len(parts) not in (2, 3):
+        raise ValueError(f"claim {claim!r} is not WORKLOAD:METRIC[:TARGET_PCT]")
+    workload, metric, *target = parts
+    if workload not in workloads:
+        raise ValueError(f"claim workload {workload!r} is not one of "
+                         f"{sorted(workloads)}")
+    if metric not in metrics:
+        raise ValueError(f"claim metric {metric!r} is not one of "
+                         f"{sorted(metrics)}")
+    if not target:
+        return workload, metric, None
+    try:
+        pct = float(target[0])
+    except ValueError:
+        pct = math.nan
+    if not math.isfinite(pct):
+        raise ValueError(f"claim target {target[0]!r} is not a number")
+    return workload, metric, pct
+
+
 def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One ``bench/run.py`` run from ``root``: its printed summary."""
+    """One ``bench/run.py`` run from ``root``: its printed summary, with
+    ``rounds``, the number of rounds it completed, read from the result
+    file it has just written."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     done = subprocess.run(cmd, cwd=root, capture_output=True, text=True,
@@ -64,7 +95,15 @@ def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
     if not lines:
         raise SystemExit(f"error: {' '.join(cmd)} in {root} printed nothing:"
                          f"\n{done.stderr}")
-    return json.loads(lines[-1])
+    try:
+        result = json.loads(lines[-1])
+    except json.JSONDecodeError:
+        raise SystemExit(f"error: {' '.join(cmd)} in {root} ended with "
+                         f"{lines[-1][:200]!r}, not a JSON summary") from None
+    detail = root / "bench" / "results" / f"{workload}-seed{seed}-trace0.json"
+    with open(detail, encoding="utf-8") as fh:
+        result["rounds"] = len(json.load(fh)["round_s"])
+    return result
 
 
 def quartiles(values) -> dict:
@@ -84,7 +123,8 @@ def within_bound(parent: float, change: float, metric: dict) -> bool:
 def summarize(runs: dict, metrics: dict) -> dict:
     """Per end-to-end metric: both sides' medians and quartiles, the pairs
     the change wins, whether it keeps the metric's bound (``metrics`` maps
-    each name to its BENCHMARK.json entry) and every run."""
+    each name to its BENCHMARK.json entry) and every run; and each side's
+    completed rounds."""
     first = runs["parent"][0]["metrics"]
     out = {"pairs": len(runs["parent"]),
            "all_correct": all(r["correct"] for side in SIDES
@@ -92,7 +132,11 @@ def summarize(runs: dict, metrics: dict) -> dict:
            "failed_operations": sum(r["failed"] for side in SIDES
                                     for r in runs[side]),
            "attempted_min": min(r["attempted"] for side in SIDES
-                                for r in runs[side])}
+                                for r in runs[side]),
+           "rounds": {side: {"median": statistics.median(
+                                 r["rounds"] for r in runs[side]),
+                             "runs": [r["rounds"] for r in runs[side]]}
+                      for side in SIDES}}
     for name, entry in sorted(first.items()):
         values = {side: [r["metrics"][name]["value"] for r in runs[side]]
                   for side in SIDES}
@@ -114,7 +158,7 @@ def check_claim(workloads: dict, claim: str, metrics: dict) -> dict:
     """The claimed gain ``WORKLOAD:METRIC[:TARGET_PCT]`` checked on the
     summaries: better in at least nine of ten pairs, and a median gap
     wider than the parent's interquartile range."""
-    workload, metric, *target = claim.split(":")
+    workload, metric, target = parse_claim(claim, workloads, metrics)
     entry = workloads[workload][metric]
     p, c = entry["parent"]["median"], entry["change"]["median"]
     gain = p - c if metrics[metric]["better"] == "lower" else c - p
@@ -126,9 +170,9 @@ def check_claim(workloads: dict, claim: str, metrics: dict) -> dict:
            "gain_pct": round(100 * gain / p, 1), "parent_iqr": iqr,
            "change_better_pairs": wins,
            "holds": 10 * wins >= 9 * pairs and gain > iqr}
-    if target:
-        out["target_pct"] = float(target[0])
-        out["target_met"] = 100 * gain / p >= float(target[0])
+    if target is not None:
+        out["target_pct"] = target
+        out["target_met"] = 100 * gain / p >= target
     return out
 
 
@@ -146,6 +190,12 @@ def main(argv=None) -> int:
         spec = json.load(fh)
     metrics = {m["name"]: m for m in spec["end_to_end"]}
     workloads = [w["name"] for w in spec["workloads"]]
+    if args.claim:
+        try:
+            parse_claim(args.claim, workloads, metrics)
+        except ValueError as exc:
+            sys.stderr.write(f"error: {exc}\n")
+            return 2
     runs = {w: {side: [] for side in SIDES} for w in workloads}
     roots = {"parent": parent, "change": change}
     for pair in range(args.pairs):
