@@ -104,10 +104,22 @@ def _plain_iet(obj) -> Iet:
     return obj.iet if isinstance(obj, PeriodicIet) else obj
 
 
+def _precision_bits(text: str) -> int:
+    """``--precision-bits`` as an int.  argparse converts the default, the
+    environment variable's string, only when the option is not given, so
+    a malformed variable is a usage error and the option overrides it."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not an integer (from --precision-bits or "
+            f"{ENV_BITS})") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--precision-bits", type=int,
-                        default=int(os.environ.get(ENV_BITS, "128")))
+    common.add_argument("--precision-bits", type=_precision_bits,
+                        default=os.environ.get(ENV_BITS, "128"))
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--format", choices=("json", "csv", "table"),
                         default="json")

@@ -49,7 +49,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from heapq import heappop, heappush
 from itertools import accumulate, chain
-from operator import itemgetter
+from operator import itemgetter, sub
 
 import mpmath
 import numpy as np
@@ -374,7 +374,7 @@ class ExactWalker:
         self.mirror = mirror
         self.left_coeffs = lattice.lefts
         self.total_coeffs = lattice.total
-        self.w_coeffs = [tuple(i - l for i, l in zip(img, left))
+        self.w_coeffs = [tuple(map(sub, img, left))
                          for img, left in zip(lattice.image_lefts, lattice.lefts)]
         self.counts = [0] * d
         self.steps = 0

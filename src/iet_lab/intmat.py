@@ -54,8 +54,8 @@ def matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     if len(a[0]) != len(b):
         raise DimensionError(f"cannot multiply {len(a)}x{len(a[0])} by {len(b)}x{len(b[0])}")
     bt = tuple(zip(*b))
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt)
-                 for row in a)
+    return tuple([tuple([sum(map(operator.mul, row, col)) for col in bt])
+                  for row in a])
 
 
 def matpow(a: IntMatrix, n: int) -> IntMatrix:
@@ -85,7 +85,7 @@ def mat_vec(a: IntMatrix, v: Sequence):
     """Matrix times vector; entries may be ints or context reals."""
     if len(a[0]) != len(v):
         raise DimensionError("matrix/vector size mismatch")
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+    return tuple([sum(map(operator.mul, row, v)) for row in a])
 
 
 def column_sums(a: IntMatrix) -> tuple:

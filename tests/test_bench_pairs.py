@@ -104,6 +104,70 @@ def test_claim_needs_a_gap_wider_than_the_parent_spread():
     assert "target_met" not in claim
 
 
+def test_bound_is_judged_before_rounding():
+    """A 6 ms ``solve_s`` 22% slower: rounded to 4 decimals first, both
+    medians read 0.0050 -> 0.0060, exactly at the 20% bound."""
+    out = bench_pairs.summarize(
+        runs(solve_s=([0.00496] * 3, [0.006049] * 3)), METRICS)
+    assert not out["solve_s"]["within_bound"]
+    assert bench_pairs.rounded(out["solve_s"])["change"]["median"] == 0.006
+
+
+def test_claim_is_judged_before_rounding():
+    """The parent's quartiles 0.006051 and 0.006149 both round to 0.0061,
+    an interquartile range of 0; the gain of 0.00006 is narrower than
+    the unrounded one, 0.000098."""
+    parent = [0.006051, 0.006149] * 5
+    claim = claim_on(parent, [p - 0.00006 for p in parent], "w:solve_s")
+    assert claim["change_better_pairs"] == 10
+    assert claim["parent_iqr"] == pytest.approx(0.000098)
+    assert not claim["holds"]
+
+
+def test_rounded_rounds_only_floats():
+    doc = {"a": 0.123456, "b": [1.00004, 7, True, None, "x"],
+           "c": {"d": 3, "e": 2.99995}}
+    assert bench_pairs.rounded(doc) == {
+        "a": 0.1235, "b": [1.0, 7, True, None, "x"], "c": {"d": 3, "e": 3.0}}
+
+
+def rss_runs(parent_rounds, change_rounds, mb_per_round=0.1, base=40.0):
+    """Synthetic runs whose ``peak_rss_mb`` is ``base`` plus
+    ``mb_per_round`` per completed round."""
+    def side(counts):
+        return [{"correct": True, "attempted": 10, "failed": 0, "rounds": n,
+                 "metrics": {"peak_rss_mb": {"value": base + mb_per_round * n,
+                                             "unit": "MB"}}}
+                for n in counts]
+    return {"parent": side(parent_rounds), "change": side(change_rounds)}
+
+
+def test_rss_slope_per_round_and_its_share():
+    out = bench_pairs.summarize(
+        rss_runs([90, 95, 89, 92], [114, 117, 115, 116], mb_per_round=0.095),
+        METRICS)
+    assert out["rss_mb_per_round"] == pytest.approx(0.095)
+    # medians 91 -> 115.5 rounds: 24.5 rounds of 0.095 MB
+    assert out["rss_from_rounds_mb"] == pytest.approx(0.095 * 24.5)
+
+
+def test_rss_slope_ignores_noise_in_the_mean():
+    noise = [0.2, 0.2, -0.2, -0.2]  # orthogonal to the rounds
+    data = rss_runs([10, 20, 10, 20], [30, 40, 30, 40], mb_per_round=0.5)
+    for side in data.values():
+        for run, e in zip(side, noise):
+            run["metrics"]["peak_rss_mb"]["value"] += e
+    out = bench_pairs.summarize(data, METRICS)
+    assert out["rss_mb_per_round"] == pytest.approx(0.5)
+    assert out["rss_from_rounds_mb"] == pytest.approx(0.5 * 20)
+
+
+def test_rss_slope_is_null_when_rounds_never_change():
+    out = bench_pairs.summarize(rss_runs([50] * 3, [50] * 3), METRICS)
+    assert out["rss_mb_per_round"] is None
+    assert out["rss_from_rounds_mb"] is None
+
+
 WORKLOADS = [w["name"] for w in json.loads(
     (ROOT / "BENCHMARK.json").read_text())["workloads"]]
 
@@ -161,6 +225,8 @@ def test_main_records_rounds_and_claim(tmp_path, monkeypatch):
     rounds = report["workloads"]["tower_climbs"]["rounds"]
     assert rounds["parent"] == {"median": 20, "runs": [20, 20]}
     assert rounds["change"]["median"] == 40
+    tower = report["workloads"]["tower_climbs"]
+    assert tower["rss_mb_per_round"] == tower["rss_from_rounds_mb"] == 0.0
     assert report["claim"]["target_met"] and report["claim"]["gain_pct"] == 50
 
 

@@ -279,6 +279,46 @@ class TestErrors:
         assert out == ""
         assert "--threads must be >= 1" in err
 
+    @pytest.mark.parametrize("value", ["abc", "", "1e3"])
+    def test_malformed_precision_variable_usage_exit(self, capsys,
+                                                     monkeypatch, value):
+        monkeypatch.setenv("IET_LAB_PRECISION_BITS", value)
+        with pytest.raises(SystemExit) as info:
+            run("rotations --mode three-distance --n 10".split())
+        assert info.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1
+        assert "IET_LAB_PRECISION_BITS" in errors[0]
+        assert repr(value) in errors[0]
+
+    @pytest.mark.parametrize("value", ["abc", "", "1e3"])
+    def test_precision_option_overrides_a_malformed_variable(
+            self, capsys, monkeypatch, value):
+        monkeypatch.setenv("IET_LAB_PRECISION_BITS", value)
+        code, out = capture(
+            capsys, "rotations --precision-bits 96 --mode three-distance "
+                    "--n 10".split())
+        assert code == 0
+        assert json.loads(out)["config"]["precision_bits"] == 96
+
+    @pytest.mark.parametrize("value", ["abc", "", "1e3"])
+    def test_help_ignores_a_malformed_precision_variable(
+            self, capsys, monkeypatch, value):
+        monkeypatch.setenv("IET_LAB_PRECISION_BITS", value)
+        with pytest.raises(SystemExit) as info:
+            run(["rotations", "--help"])
+        assert info.value.code == 0
+        assert "--precision-bits" in capsys.readouterr().out
+
+    def test_precision_variable_sets_the_default(self, capsys, monkeypatch):
+        monkeypatch.setenv("IET_LAB_PRECISION_BITS", "96")
+        code, out = capture(capsys,
+                            "rotations --mode three-distance --n 10".split())
+        assert code == 0
+        assert json.loads(out)["config"]["precision_bits"] == 96
+
     def test_missing_file_is_domain_error(self, capsys):
         code = run(["build", "--iet", "/nonexistent/x.json"])
         assert code == 1

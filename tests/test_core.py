@@ -113,6 +113,66 @@ class TestIntMatrix:
         with pytest.raises(DimensionError):
             intmat.matpow(((2, 1), (1, 1)), -1)
 
+    @staticmethod
+    def triple_loop(a, b):
+        """The textbook product, entry by entry, apart from ``matmul``."""
+        out = [[0] * len(b[0]) for _ in a]
+        for i in range(len(a)):
+            for j in range(len(b[0])):
+                for t in range(len(b)):
+                    out[i][j] += a[i][t] * b[t][j]
+        return tuple(tuple(row) for row in out)
+
+    @staticmethod
+    def matrices(rows, cols):
+        entry = st.integers(-2 ** 80, 2 ** 80)
+        return st.lists(st.lists(entry, min_size=cols, max_size=cols).map(tuple),
+                        min_size=rows, max_size=rows).map(tuple)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), st.integers(1, 6), st.integers(1, 6), st.integers(1, 6))
+    def test_matmul_is_the_triple_loop(self, data, d, k, m):
+        a = data.draw(self.matrices(d, k))
+        b = data.draw(self.matrices(k, m))
+        out = intmat.matmul(a, b)
+        assert out == self.triple_loop(a, b)
+        assert type(out) is tuple and all(type(r) is tuple for r in out)
+        assert all(type(x) is int for row in out for x in row)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data(), st.integers(1, 6), st.integers(1, 6), st.integers(1, 6))
+    def test_matmul_refuses_a_k_mismatch(self, data, d, k, m):
+        a = data.draw(self.matrices(d, k))
+        b = data.draw(self.matrices(k + data.draw(st.integers(1, 3)), m))
+        with pytest.raises(DimensionError):
+            intmat.matmul(a, b)
+
+    @staticmethod
+    def generator_mat_vec(a, v):
+        return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), st.integers(1, 6), st.integers(1, 6))
+    def test_mat_vec_ints(self, data, d, k):
+        a = data.draw(self.matrices(d, k))
+        v = data.draw(self.matrices(1, k))[0]
+        assert intmat.mat_vec(a, v) == self.generator_mat_vec(a, v)
+        assert intmat.mat_vec(a, v) == tuple(
+            row[0] for row in self.triple_loop(a, tuple((x,) for x in v)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), st.integers(1, 6), st.integers(1, 6),
+           st.sampled_from([64, 128, 256]))
+    def test_mat_vec_context_reals_bit_identical(self, data, d, k, bits):
+        ctx = PrecisionContext(bits)
+        a = data.draw(self.matrices(d, k))
+        v = [ctx.real(Fraction(n, q)) for n, q in data.draw(st.lists(
+            st.tuples(st.integers(-10 ** 30, 10 ** 30), st.integers(1, 10 ** 9)),
+            min_size=k, max_size=k))]
+        out = intmat.mat_vec(a, v)
+        expect = self.generator_mat_vec(a, v)
+        assert [x._mpf_ for x in out] == [x._mpf_ for x in expect]
+
     def test_dimension_mismatch(self):
         a = intmat.identity(4)
         b = intmat.identity(5)

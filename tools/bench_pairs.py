@@ -12,8 +12,11 @@ within the pair.  The summary, written to ``BENCH_<pr>.json`` in the
 change checkout (or to ``--out``), keeps the command line, every run and,
 per workload, each run's completed rounds (``len(round_s)`` of the result
 file ``bench/run.py`` writes) with each side's median, since a faster round
-also means more retained rounds and a higher ``peak_rss_mb``; and per
-workload and end-to-end metric, the median and quartiles
+also means more retained rounds and a higher ``peak_rss_mb``, with
+``rss_mb_per_round``, the least-squares slope of ``peak_rss_mb`` against
+rounds over every run, and ``rss_from_rounds_mb``, that slope times the
+change in median rounds; and per workload and end-to-end metric, the
+median and quartiles
 (``statistics.quantiles``, n=4, inclusive) of each side and the number of
 pairs in which the change reads better.  Each metric also records
 ``within_bound``: the change's median is no worse than the parent's by
@@ -22,7 +25,9 @@ more than the metric's ``bound`` in BENCHMARK.json, and
 ``--claim`` names a claimed gain and, optionally, its target in percent;
 the summary then checks it as a gain must hold: better in at least nine
 of ten pairs, and a median gap wider than the parent's interquartile
-range.  A malformed ``--claim`` is refused (exit 2) before any run.
+range.  Bounds and claim are judged on unrounded values; only the
+written file rounds them, to 4 decimals.  A malformed ``--claim`` is
+refused (exit 2) before any run.
 """
 
 from __future__ import annotations
@@ -108,8 +113,35 @@ def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
 
 def quartiles(values) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return {"median": round(median, 4), "q1": round(q1, 4),
-            "q3": round(q3, 4)}
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def rounded(obj):
+    """``obj`` with every float rounded to 4 decimals, for writing only:
+    the bounds and the claim are judged on the unrounded values, since
+    steps of 1e-4 s are 1.7% of a 0.006 s ``solve_s``."""
+    if isinstance(obj, float):
+        return round(obj, 4)
+    if isinstance(obj, dict):
+        return {key: rounded(value) for key, value in obj.items()}
+    if isinstance(obj, list):
+        return [rounded(value) for value in obj]
+    return obj
+
+
+def rss_per_round(runs: dict, rounds: dict) -> dict:
+    """The least-squares slope of ``peak_rss_mb`` against completed rounds
+    over every run of both sides (None when all runs completed as many
+    rounds), and that slope times the change in median ``rounds``: the
+    part of the RSS change that retained rounds explain."""
+    done = [r for side in SIDES for r in runs[side]]
+    xs = [r["rounds"] for r in done]
+    if len(set(xs)) < 2:
+        return {"rss_mb_per_round": None, "rss_from_rounds_mb": None}
+    slope = statistics.linear_regression(
+        xs, [r["metrics"]["peak_rss_mb"]["value"] for r in done]).slope
+    more = rounds["change"]["median"] - rounds["parent"]["median"]
+    return {"rss_mb_per_round": slope, "rss_from_rounds_mb": slope * more}
 
 
 def within_bound(parent: float, change: float, metric: dict) -> bool:
@@ -123,8 +155,8 @@ def within_bound(parent: float, change: float, metric: dict) -> bool:
 def summarize(runs: dict, metrics: dict) -> dict:
     """Per end-to-end metric: both sides' medians and quartiles, the pairs
     the change wins, whether it keeps the metric's bound (``metrics`` maps
-    each name to its BENCHMARK.json entry) and every run; and each side's
-    completed rounds."""
+    each name to its BENCHMARK.json entry) and every run; each side's
+    completed rounds; and, with ``peak_rss_mb``, its ``rss_per_round``."""
     first = runs["parent"][0]["metrics"]
     out = {"pairs": len(runs["parent"]),
            "all_correct": all(r["correct"] for side in SIDES
@@ -149,8 +181,9 @@ def summarize(runs: dict, metrics: dict) -> dict:
                      "within_bound": within_bound(
                          sides["parent"]["median"], sides["change"]["median"],
                          metrics[name]),
-                     "runs": {side: [round(v, 4) for v in values[side]]
-                              for side in SIDES}}
+                     "runs": values}
+    if "peak_rss_mb" in first:
+        out.update(rss_per_round(runs, out["rounds"]))
     return out
 
 
@@ -162,7 +195,7 @@ def check_claim(workloads: dict, claim: str, metrics: dict) -> dict:
     entry = workloads[workload][metric]
     p, c = entry["parent"]["median"], entry["change"]["median"]
     gain = p - c if metrics[metric]["better"] == "lower" else c - p
-    iqr = round(entry["parent"]["q3"] - entry["parent"]["q1"], 4)
+    iqr = entry["parent"]["q3"] - entry["parent"]["q1"]
     wins = entry["change_better_pairs"]
     pairs = len(entry["runs"]["parent"])
     out = {"metric": metric, "workload": workload,
@@ -237,7 +270,7 @@ def main(argv=None) -> int:
                                       metrics)
     out = args.out or change / f"BENCH_{args.pr}.json"
     with open(out, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=1)
+        json.dump(rounded(report), fh, indent=1)
         fh.write("\n")
     print(f"wrote {out}")
     return 0
